@@ -18,6 +18,7 @@ from .geodesic import (
     MonotonicityVerdict,
     interpolate,
     metric_curve,
+    metric_values,
     monotonicity_report,
     relative_positions,
     uniform_grid,
@@ -76,6 +77,7 @@ __all__ = [
     "load_mnist_idx",
     "measure",
     "metric_curve",
+    "metric_values",
     "monotonicity_report",
     "nearest_class_means",
     "objective",

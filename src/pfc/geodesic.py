@@ -7,6 +7,15 @@ sets along that segment, evaluates the collapse metrics over a t-grid,
 classifies the resulting curves as monotone or not, and maps the layers of
 a recorded stack to relative positions along the cumulative displacement.
 
+Curves are evaluated in closed form.  On h(t) = (1 - t) h0 + t h1 the class
+means are affine in t, so every squared norm the metrics need is a
+quadratic (1 - t)^2 a + 2t(1 - t) b + t^2 c whose coefficients are inner
+products of the two endpoints: the within-class trace (pfc1's numerator),
+the K x K centered class-mean Gram (pfc1's denominator and pfc2) and the
+K x N sample-to-class-mean squared distances (pfc3).  The coefficients cost
+O(K n d) once per path; each grid point then costs O(K^2) for pfc1/pfc2 and
+O(K N) for pfc3, and no intermediate feature set is built.
+
 ``endpoint_mean_alignment`` computes the inner-product condition
 sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)> whose nonnegativity guarantees
 that the variance-ratio curve decreases monotonically to zero when the
@@ -16,12 +25,12 @@ endpoint is exactly collapsed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, LayerStack, class_stats
+from .core import ClassStats, DegenerateInputError, FeatureSet, LayerStack, class_stats
 from .etf import EtfFrame, build_etf
-from .metrics import pfc1, pfc2, pfc3
 
 METRIC_KINDS = ("pfc1", "pfc2", "pfc3")
 
@@ -53,6 +62,61 @@ class InterpolationPath:
             raise ValueError("grid must be strictly increasing")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
+
+    # Endpoint moments of the closed-form curves.  Each group stacks the
+    # coefficients (a, b, c) of a quadratic (1 - t)^2 a + 2t(1 - t) b + t^2 c
+    # along axis 0 and is computed on first use.  The traces are summed the
+    # way class_stats sums them, so pfc1 at t = 0 and t = 1 equals pfc1 of
+    # the endpoints bit for bit.
+
+    @cached_property
+    def _stats(self) -> tuple[ClassStats, ClassStats]:
+        return class_stats(self.start), class_stats(self.end)
+
+    @cached_property
+    def _centered(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centered class-mean matrices C0, C1 (d x K) of the start and the end."""
+        return tuple(s.class_means - s.global_mean[:, None] for s in self._stats)
+
+    @cached_property
+    def _within(self) -> np.ndarray:
+        """K n times the within-class trace: <D0, D0>, <D0, D1>, <D1, D1>,
+        where D is every sample minus its class mean."""
+        k, n, d = self.start.num_classes, self.start.per_class, self.start.dim
+        d0, d1 = (
+            fs.features.reshape(d, k, n) - s.class_means[:, :, None]
+            for fs, s in zip((self.start, self.end), self._stats)
+        )
+        return np.array([np.sum(d0 * d0), np.sum(d0 * d1), np.sum(d1 * d1)])
+
+    @cached_property
+    def _between(self) -> np.ndarray:
+        """K times the between-class trace: <C0, C0>, <C0, C1>, <C1, C1>."""
+        c0, c1 = self._centered
+        return np.array([np.sum(c0 * c0), np.sum(c0 * c1), np.sum(c1 * c1)])
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """Centered class-mean Gram, shape (3, K, K):
+        C0^T C0, (C0^T C1 + C1^T C0) / 2, C1^T C1."""
+        c0, c1 = self._centered
+        cross = c0.T @ c1
+        return np.stack([c0.T @ c0, 0.5 * (cross + cross.T), c1.T @ c1])
+
+    @cached_property
+    def _ncc(self) -> np.ndarray:
+        """Squared distance of every sample to every class mean, shape
+        (3, K, N): |x0 - m0_k|^2, <x0 - m0_k, x1 - m1_k>, |x1 - m1_k|^2."""
+        s, e = self._stats
+        x0, x1 = self.start.features, self.end.features
+        out = np.empty((3, self.start.num_classes, self.start.num_samples))
+        for k in range(self.start.num_classes):
+            d0 = x0 - s.class_means[:, k][:, None]
+            d1 = x1 - e.class_means[:, k][:, None]
+            out[0, k] = np.sum(d0 * d0, axis=0)
+            out[1, k] = np.sum(d0 * d1, axis=0)
+            out[2, k] = np.sum(d1 * d1, axis=0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +175,75 @@ def interpolate(path: InterpolationPath, t: float) -> FeatureSet:
     )
 
 
+def _quadratic_weights(ts: np.ndarray) -> np.ndarray:
+    """Rows (1 - t)^2, 2t(1 - t), t^2 for each t: shape (len(ts), 3)."""
+    s = 1.0 - ts
+    return np.stack([s * s, 2.0 * ts * s, ts * ts], axis=1)
+
+
+# A denominator below this share of the size of its terms is rounding
+# noise: the class means coincide there.
+_ZERO_SHARE = 1e-12
+
+_DEGENERATE = {
+    "pfc1": "all class means coincide; variance ratio undefined",
+    "pfc2": "centered class means are all zero; Gram cannot be normalized",
+}
+
+
+def metric_values(
+    path: InterpolationPath, kind: str, ts, target: EtfFrame | None = None
+) -> np.ndarray:
+    """One collapse metric at the points ``ts`` (any values in [0, 1]) of a path.
+
+    Evaluates the closed forms of the module docstring; the values agree
+    with the metric of :func:`interpolate` at each t up to rounding, and
+    pfc3 breaks ties to the smallest class index, as ``pfc3`` does.
+
+    Raises:
+        DegenerateInputError: if some t hits a zero denominator; the
+            message names the first such t.
+    """
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
+    k, n = path.start.num_classes, path.start.per_class
+    if kind == "pfc2":
+        if target is None:
+            raise ValueError("pfc2 curves need an EtfFrame target")
+        if target.num_classes != k:
+            raise ValueError(f"target has {target.num_classes} classes, features have {k}")
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValueError("ts must be a 1-d array")
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"t must lie in [0, 1], got {ts[outside][0]}")
+    weights = _quadratic_weights(ts)
+
+    if kind == "pfc3":
+        labels = path.start.labels()
+        values = np.empty(ts.size)
+        for i, w in enumerate(weights):  # one K x N table at a time
+            nearest = np.argmin(np.tensordot(w, path._ncc, axes=1), axis=0)
+            values[i] = np.mean(nearest == labels)
+        return values
+
+    between = weights @ path._between
+    size = weights @ np.abs(path._between)
+    bad = np.nonzero(between <= _ZERO_SHARE * size)[0]
+    if bad.size:
+        raise DegenerateInputError(
+            f"{kind} degenerate at t={float(ts[bad[0]])}: {_DEGENERATE[kind]}"
+        )
+    if kind == "pfc1":
+        # a sum of squares; clip the rounding noise of an exactly collapsed path
+        within = np.maximum(weights @ path._within, 0.0)
+        return (within / (k * n)) / (between / k)
+    gram = np.tensordot(weights, path._gram, axes=1)
+    gram /= np.linalg.norm(gram, axis=(1, 2), keepdims=True)
+    return np.linalg.norm(gram - target.gram_target, axis=(1, 2))
+
+
 def metric_curve(
     path: InterpolationPath, kind: str, target: EtfFrame | None = None
 ) -> MetricCurve:
@@ -120,22 +253,7 @@ def metric_curve(
         DegenerateInputError: if a grid point hits a zero denominator; the
             message names the offending t.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
-    if kind == "pfc2" and target is None:
-        raise ValueError("pfc2 curves need an EtfFrame target")
-    values = np.empty_like(path.grid)
-    for i, t in enumerate(path.grid):
-        fs = interpolate(path, float(t))
-        try:
-            if kind == "pfc1":
-                values[i] = pfc1(fs)
-            elif kind == "pfc2":
-                values[i] = pfc2(fs, target)
-            else:
-                values[i] = pfc3(fs)
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"{kind} degenerate at t={t}: {exc}") from exc
+    values = metric_values(path, kind, path.grid, target=target)
     return MetricCurve(ts=path.grid, values=values, metric_kind=kind)
 
 
@@ -146,11 +264,7 @@ def endpoint_mean_alignment(path: InterpolationPath) -> tuple[bool, float]:
     condition under which the variance-ratio curve of the path decreases
     monotonically when the endpoint is exactly collapsed.
     """
-    s = class_stats(path.start)
-    e = class_stats(path.end)
-    start_centered = s.class_means - s.global_mean[:, None]
-    end_centered = e.class_means - e.global_mean[:, None]
-    value = float(np.sum(start_centered * end_centered))
+    value = float(path._between[1])
     return value >= 0.0, value
 
 

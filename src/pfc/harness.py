@@ -31,11 +31,12 @@ from .core import (
 from .data import gen_gaussian_mixture
 from .etf import build_etf
 from .geodesic import (
+    METRIC_KINDS,
     InterpolationPath,
     MetricCurve,
-    interpolate,
     make_nc_featureset,
     metric_curve,
+    metric_values,
     monotonicity_report,
     perturbed_collapse_path,
     random_to_collapse_path,
@@ -608,42 +609,35 @@ def _stack_report(
     prediction, plus dense predicted curves and their verdicts."""
     positions = relative_positions(stack)
     path = InterpolationPath(
-        start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(2)
+        start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(grid_points)
     )
     target_arg = {"pfc1": None, "pfc2": target, "pfc3": None}
+    predicted = {
+        kind: metric_values(path, kind, positions, target=target_arg[kind])
+        for kind in METRIC_KINDS
+    }
 
-    report_rows = []
     reports = [measure(fs, target) for fs in stack.layers]
-    for layer, (pos, rep) in enumerate(zip(positions, reports)):
-        point = interpolate(path, float(pos))
-        point_report = measure(point, target)
-        report_rows.append(
-            (
-                layer, float(pos),
-                rep.pfc1, rep.pfc2, rep.pfc3,
-                point_report.pfc1, point_report.pfc2, point_report.pfc3,
-            )
+    report_rows = [
+        (
+            layer, float(pos),
+            rep.pfc1, rep.pfc2, rep.pfc3,
+            *(float(predicted[kind][layer]) for kind in METRIC_KINDS),
         )
+        for layer, (pos, rep) in enumerate(zip(positions, reports))
+    ]
 
     curve_rows = []
     verdicts = {}
-    dense = InterpolationPath(
-        start=path.start, end=path.end, grid=uniform_grid(grid_points)
-    )
-    pred_cols = {"pfc1": 5, "pfc2": 6}
-    for kind in ("pfc1", "pfc2", "pfc3"):
-        curve = metric_curve(dense, kind, target=target_arg[kind])
+    for kind in METRIC_KINDS:
+        curve = metric_curve(path, kind, target=target_arg[kind])
         curve_rows.extend(
             (float(t), float(v), kind) for t, v in zip(curve.ts, curve.values)
         )
         if kind != "pfc3":
             # verdict applies to the prediction at the layer positions,
             # the curve the report table publishes.
-            sampled = MetricCurve(
-                ts=np.asarray(positions),
-                values=np.array([row[pred_cols[kind]] for row in report_rows]),
-                metric_kind=kind,
-            )
+            sampled = MetricCurve(ts=positions, values=predicted[kind], metric_kind=kind)
             verdicts[kind] = monotonicity_report(sampled).kind
 
     layer_index = list(range(len(stack)))

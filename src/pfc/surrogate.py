@@ -71,9 +71,14 @@ class SolveProblem:
             object.__setattr__(self, "data", data)
         elif self.data is not None:
             raise ValueError("ufm takes no data matrix")
+        # built once here: the solver reads it every epoch
+        labels = label_matrix(self.num_classes, self.per_class)
+        labels.setflags(write=False)
+        object.__setattr__(self, "_labels", labels)
 
     def label_matrix(self) -> np.ndarray:
-        return label_matrix(self.num_classes, self.per_class)
+        """The read-only one-hot label matrix Y of this problem."""
+        return self._labels
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,7 @@ def solve(
                     np.sum(diff * diff)
                 )
                 dw += (p.lambda_w / k) * W
-                dh += (p.lam / kn) * (H - p.data)
+                dh += (p.lam / kn) * diff
         return obj, dw, dh
 
     obj, dw, dh = evaluate(W, H)

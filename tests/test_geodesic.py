@@ -14,6 +14,7 @@ from pfc.geodesic import (
     interpolate,
     make_nc_featureset,
     metric_curve,
+    metric_values,
     monotonicity_report,
     perturbed_collapse_path,
     random_to_collapse_path,
@@ -32,6 +33,42 @@ def random_path(seed, num_classes=3, per_class=4, dim=6, grid_points=11):
         rng.standard_normal((dim, num_classes * per_class)), num_classes, per_class
     )
     return InterpolationPath(start=start, end=end, grid=uniform_grid(grid_points))
+
+
+def pointwise_values(path, kind, ts, target=None):
+    """Oracle of the closed forms: one interpolated feature set and one
+    metric call per t."""
+    fn = {"pfc1": pfc1, "pfc2": lambda fs: pfc2(fs, target), "pfc3": pfc3}[kind]
+    return np.array([fn(interpolate(path, float(t))) for t in ts])
+
+
+@st.composite
+def paths_with_targets(draw):
+    """Random or exactly collapsed endpoints and a grid of arbitrary interior
+    points, plus an ETF target of the same K."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 20))
+    d = draw(st.integers(k, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    collapsed = draw(st.tuples(st.booleans(), st.booleans()))
+    interior = draw(st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12, unique=True,
+    ))
+    rng = np.random.default_rng(seed)
+
+    def endpoint(is_collapsed, stream):
+        if is_collapsed:
+            frame = build_etf(k, d, seed=[seed, stream])
+            return make_nc_featureset(frame, n, scale=rng.uniform(0.5, 3.0),
+                                      global_mean=rng.standard_normal(d))
+        features = rng.standard_normal((d, k * n)) + rng.standard_normal((d, 1))
+        return FeatureSet(features, k, n)
+
+    grid = np.array([0.0, *sorted(interior), 1.0])
+    path = InterpolationPath(
+        start=endpoint(collapsed[0], 1), end=endpoint(collapsed[1], 2), grid=grid
+    )
+    return path, build_etf(k, d, seed=[seed, 3])
 
 
 def naive_alignment(start: FeatureSet, end: FeatureSet) -> float:
@@ -160,6 +197,85 @@ class TestMetricCurves:
         path = InterpolationPath(start=start, end=end, grid=uniform_grid(5))
         with pytest.raises(DegenerateInputError, match="t=0.5"):
             metric_curve(path, "pfc1")
+
+
+class TestClosedForms:
+    @given(paths_with_targets())
+    @settings(max_examples=150, deadline=None)
+    def test_match_pointwise_oracle(self, case):
+        path, frame = case
+        for kind in ("pfc1", "pfc2"):
+            target = frame if kind == "pfc2" else None
+            np.testing.assert_allclose(
+                metric_curve(path, kind, target=target).values,
+                pointwise_values(path, kind, path.grid, target),
+                rtol=1e-9, atol=1e-12,
+            )
+        np.testing.assert_array_equal(
+            metric_curve(path, "pfc3").values,
+            pointwise_values(path, "pfc3", path.grid),
+        )
+        # at the endpoints pfc1 is summed exactly as the metric sums it
+        ends = metric_curve(path, "pfc1").values[[0, -1]]
+        assert list(ends) == [pfc1(path.start), pfc1(path.end)]
+
+    def test_collapsed_end_is_perfectly_separated(self):
+        for seed in range(10):
+            path = random_to_collapse_path(seed, 5, 7, 9, grid_points=11)
+            assert metric_curve(path, "pfc3").values[-1] == 1.0
+
+    def test_one_pass_over_the_endpoints(self, monkeypatch):
+        import pfc.geodesic
+
+        calls = []
+        original = pfc.geodesic.class_stats
+        monkeypatch.setattr(
+            pfc.geodesic, "class_stats", lambda fs: calls.append(fs) or original(fs)
+        )
+        path = random_path(12, grid_points=1001)
+        frame = build_etf(3, 6, seed=5)
+        for kind in ("pfc1", "pfc2", "pfc3"):
+            metric_curve(path, kind, target=frame if kind == "pfc2" else None)
+        assert [id(fs) for fs in calls] == [id(path.start), id(path.end)]
+
+    def test_values_at_any_points(self):
+        path = random_path(13, grid_points=5)
+        frame = build_etf(3, 6, seed=5)
+        ts = np.array([0.7, 0.0, 0.3, 0.3, 1.0])
+        for kind in ("pfc1", "pfc2", "pfc3"):
+            target = frame if kind == "pfc2" else None
+            np.testing.assert_allclose(
+                metric_values(path, kind, ts, target=target),
+                pointwise_values(path, kind, ts, target),
+                rtol=1e-12,
+            )
+
+    def test_points_validated(self):
+        path = random_path(14)
+        for bad in ([-0.1, 0.5], [0.5, 1.5], [np.nan]):
+            with pytest.raises(ValueError, match="t must lie in"):
+                metric_values(path, "pfc1", bad)
+        with pytest.raises(ValueError):
+            metric_values(path, "pfc1", np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="classes"):
+            metric_values(path, "pfc2", [0.5], target=build_etf(4, 6, seed=0))
+
+    def test_degenerate_error_names_first_bad_point(self):
+        features = np.random.default_rng(1).standard_normal((4, 6))
+        path = InterpolationPath(
+            start=FeatureSet(features, 3, 2), end=FeatureSet(-features, 3, 2),
+            grid=uniform_grid(3),
+        )
+        frame = build_etf(3, 4, seed=0)
+        with pytest.raises(DegenerateInputError, match="pfc2 degenerate at t=0.5"):
+            metric_values(path, "pfc2", [0.25, 0.5, 0.5], target=frame)
+
+    def test_pfc3_ties_go_to_smallest_class(self):
+        # the class-0 sample at 1.5 is equidistant from the means 0 and 3
+        fs = FeatureSet(np.array([[-1.5, 1.5, 2.0, 4.0]]), 2, 2)
+        path = InterpolationPath(start=fs, end=fs, grid=uniform_grid(5))
+        assert pfc3(fs) == 1.0
+        np.testing.assert_array_equal(metric_curve(path, "pfc3").values, 1.0)
 
 
 class TestEndpointAlignment:

@@ -137,6 +137,14 @@ class TestLabelMatrix:
         np.testing.assert_array_equal(y.sum(axis=0), np.ones(35))
         assert set(np.unique(y)) == {0.0, 1.0}
 
+    def test_problem_holds_one_read_only_copy(self):
+        p = make_problem(kind="ufm", num_classes=4, per_class=3)
+        assert p.label_matrix() is p.label_matrix()
+        np.testing.assert_array_equal(p.label_matrix(), label_matrix(4, 3))
+        with pytest.raises(ValueError):
+            p.label_matrix()[0, 0] = 2.0
+        assert replace(p, num_classes=2).label_matrix().shape == (2, 6)
+
 
 class TestObjective:
     def test_transport_hand_value(self):
@@ -317,6 +325,25 @@ class TestSolve:
         result = solve(p, lr=0.01, epochs=5000, grad_tol=1e3)
         assert result.epochs_run == 1
         assert result.final_grad_norm <= 1e3
+
+    @pytest.mark.parametrize("kind,loss", [("mufm", "mse"), ("mufm", "ce"), ("ufm", "ce")])
+    def test_matches_reference_descent_bit_for_bit(self, kind, loss):
+        # plain descent on objective/gradients, the definition solve's fused
+        # epoch must reproduce exactly
+        p = make_problem(kind=kind, loss=loss, seed=4)
+        lr, epochs, scale = 0.1, 50, 0.3
+        rng = np.random.default_rng(p.seed)
+        W = scale * rng.standard_normal((p.num_classes, p.dim))
+        H = scale * rng.standard_normal((p.dim, p.num_classes * p.per_class))
+        trace = [objective(p, W, H)]
+        for _ in range(epochs):
+            dw, dh = gradients(p, W, H)
+            W, H = W - lr * dw, H - lr * dh
+            trace.append(objective(p, W, H))
+        result = solve(p, lr=lr, epochs=epochs, init_scale=scale)
+        assert np.array_equal(result.W, W)
+        assert np.array_equal(result.H, H)
+        assert np.array_equal(result.objective_trace, np.asarray(trace))
 
 
 class TestChain:
