@@ -15,10 +15,10 @@ run interpolate
 run theorem1
 run theorem2
 run equivalence-thm3
-run solve-ufm      # ~ half a minute
-run solve-mufm     # ~ half a minute
-run train-resnet   # ~ two minutes
-run sweep-lambda   # ~ two minutes
+run solve-ufm      # ~ 5 s
+run solve-mufm     # ~ 5 s
+run train-resnet   # ~ 45 s
+run sweep-lambda   # ~ 35 s
 
 # pfc-report consumes saved layer snapshots; feed it the ones the
 # training run just wrote.

@@ -163,10 +163,13 @@ def save_featureset(path, fs: FeatureSet) -> None:
     Values are printed with 17 significant digits so the round trip is
     bit-exact for float64.
     """
+    row_format = " ".join(["%.17g"] * fs.num_samples) + "\n"
     with open(path, "w") as f:
         f.write(f"{fs.num_classes} {fs.per_class} {fs.dim}\n")
+        # one row of Python floats at a time: a whole-matrix tolist() would
+        # hold every value as a boxed float at once
         for row in fs.features:
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            f.write(row_format % tuple(row.tolist()))
 
 
 def load_featureset(path) -> FeatureSet:

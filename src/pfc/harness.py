@@ -43,7 +43,7 @@ from .geodesic import (
     relative_positions,
     uniform_grid,
 )
-from .metrics import alignment, effective_depth, measure
+from .metrics import alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
     SolveProblem,
@@ -647,7 +647,7 @@ def _stack_report(
         "spearman_layer_pfc1": spearman(layer_index, [r.pfc1 for r in reports]),
         "spearman_layer_pfc2": spearman(layer_index, [r.pfc2 for r in reports]),
         "last_layer_pfc3": reports[-1].pfc3,
-        "effective_depth": effective_depth(stack, epsilon),
+        "effective_depth": first_within_error([r.pfc3 for r in reports], epsilon),
     }
     return report_rows, curve_rows, summary
 

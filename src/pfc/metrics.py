@@ -12,7 +12,8 @@ Three per-layer statistics quantify how collapsed a feature set is:
 
 ``alignment`` compares two matrices after Frobenius normalization, and
 ``effective_depth`` finds the first layer of a stack whose NCC error rate
-falls below a threshold.
+falls below a threshold (``first_within_error`` applies the same rule to
+pfc3 values already measured).
 """
 
 from __future__ import annotations
@@ -121,15 +122,22 @@ def alignment(h: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(h / hn - x / xn))
 
 
+def first_within_error(ncc_accuracies, epsilon: float = 0.0) -> int | None:
+    """Index of the first pfc3 value whose NCC error rate ``1 - pfc3`` is at
+    most ``epsilon``, or None.  Values are read lazily, up to the first hit.
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    for idx, accuracy in enumerate(ncc_accuracies):
+        if 1.0 - accuracy <= epsilon:
+            return idx
+    return None
+
+
 def effective_depth(stack: LayerStack, epsilon: float = 0.0) -> int | None:
     """Smallest layer index whose NCC error rate is at most ``epsilon``.
 
     Layer 0 is the input-feature layer.  Returns None when no layer
     qualifies.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    for idx, fs in enumerate(stack.layers):
-        if 1.0 - pfc3(fs) <= epsilon:
-            return idx
-    return None
+    return first_within_error((pfc3(fs) for fs in stack.layers), epsilon)

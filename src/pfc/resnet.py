@@ -9,6 +9,15 @@ Training records per-epoch loss and accuracy on the full training set and,
 at a configurable epoch stride, a snapshot of all post-activation layer
 outputs [x0 .. xL] as a LayerStack together with collapse metrics per
 layer.
+
+Training allocates nothing per batch: parameters, gradients and velocity
+are three flat vectors (the parameter dict holds reshaped views into them),
+and the forward and backward passes write pre-activations, features,
+logits, backward scratch and gradients into a workspace of buffers, one per
+batch width.  Every in-place operation is the same floating-point operation
+on the same operands as the allocating formula it replaces, so results are
+bit-identical to it; called without a workspace, ``resnet_forward`` and
+``resnet_backward`` return fresh arrays.
 """
 
 from __future__ import annotations
@@ -103,24 +112,59 @@ def init_params(config: TrainConfig) -> dict:
     return params
 
 
-def _forward_cache(params: dict, x: np.ndarray, num_blocks: int):
-    preacts = []
-    a = params["w_in"] @ x + params["b_in"][:, None]
-    preacts.append(a)
-    features = [np.maximum(a, 0.0)]
+class _Workspace:
+    """Buffers for forward and backward passes over batches of one column
+    width: pre-activations, features, logits, softmax terms, the backward
+    scratch, and the gradient arrays (``grads`` if given, else fresh ones).
+
+    A pass through a workspace overwrites what the previous pass returned.
+    """
+
+    def __init__(self, params: dict, columns: int, num_blocks: int,
+                 grads: dict | None = None):
+        width, classes = params["w_in"].shape[0], params["w_out"].shape[0]
+        layer = (width, columns)
+        self.preacts = [np.empty(layer) for _ in range(num_blocks + 1)]
+        self.features = [np.empty(layer) for _ in range(num_blocks + 1)]
+        self.logits = np.empty((classes, columns))
+        self.shifted = np.empty((classes, columns))
+        self.dz = np.empty((classes, columns))
+        self.dx = np.empty(layer)
+        self.da = np.empty(layer)
+        self.product = np.empty(layer)
+        self.active = np.empty(layer, dtype=bool)
+        self.columns = np.arange(columns)
+        if grads is None:
+            grads = {name: np.empty(value.shape) for name, value in params.items()}
+        self.grads = grads
+
+
+def _forward(params: dict, x: np.ndarray, num_blocks: int, ws: _Workspace):
+    a, f = ws.preacts, ws.features
+    np.matmul(params["w_in"], x, out=a[0])
+    a[0] += params["b_in"][:, None]
+    np.maximum(a[0], 0.0, out=f[0])
     for l in range(num_blocks):
-        a = params[f"w_block_{l}"] @ features[-1] + params[f"b_block_{l}"][:, None]
-        preacts.append(a)
-        features.append(features[-1] + np.maximum(a, 0.0))
-    logits = params["w_out"] @ features[-1] + params["b_out"][:, None]
-    return logits, features, preacts
+        np.matmul(params[f"w_block_{l}"], f[l], out=a[l + 1])
+        a[l + 1] += params[f"b_block_{l}"][:, None]
+        np.maximum(a[l + 1], 0.0, out=f[l + 1])
+        f[l + 1] += f[l]
+    np.matmul(params["w_out"], f[-1], out=ws.logits)
+    ws.logits += params["b_out"][:, None]
+    return ws.logits, f
 
 
-def resnet_forward(params: dict, x: np.ndarray, num_blocks: int):
+def resnet_forward(params: dict, x: np.ndarray, num_blocks: int,
+                   workspace: _Workspace | None = None):
     """Logits (K x B) and the post-activation features [x0 .. xL] for a
-    batch of input columns."""
-    logits, features, _ = _forward_cache(params, x, num_blocks)
-    return logits, features
+    batch of input columns.
+
+    Without a workspace the results are fresh arrays; with one they live in
+    its buffers until its next pass.  The values are the same either way.
+    """
+    if workspace is None:
+        workspace = _Workspace(params, x.shape[1], num_blocks)
+    return _forward(params, x, num_blocks, workspace)
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -135,35 +179,52 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=0) == labels))
 
 
-def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int):
-    """Loss, accuracy, and gradient dict for one batch of input columns."""
-    logits, features, preacts = _forward_cache(params, x, num_blocks)
+def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int,
+                    workspace: _Workspace | None = None):
+    """Loss, accuracy, and gradient dict for one batch of input columns.
+
+    The workspace, if given, holds the returned gradients (as in
+    :func:`resnet_forward`); the values do not depend on it.
+    """
+    ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
+    logits, features = _forward(params, x, num_blocks, ws)
+    preacts, grads, cols = ws.preacts, ws.grads, ws.columns
     batch = x.shape[1]
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=0, keepdims=True)
-    cols = np.arange(batch)
-    loss = float(np.mean(np.log(e.sum(axis=0)) - shifted[labels, cols]))
+    shifted = np.subtract(logits, logits.max(axis=0, keepdims=True), out=ws.shifted)
+    e = np.exp(shifted, out=ws.dz)
+    total = e.sum(axis=0, keepdims=True)
+    loss = float(np.mean(np.log(total[0]) - shifted[labels, cols]))
     acc = float(np.mean(np.argmax(logits, axis=0) == labels))
 
-    dz = probs.copy()
+    dz = np.divide(e, total, out=e)
     dz[labels, cols] -= 1.0
     dz /= batch
 
-    grads = {
-        "w_out": dz @ features[-1].T,
-        "b_out": dz.sum(axis=1),
-    }
-    dx = params["w_out"].T @ dz
+    np.matmul(dz, features[-1].T, out=grads["w_out"])
+    # np.add.reduce is the reduction np.sum runs, minus its argument handling
+    np.add.reduce(dz, axis=1, out=grads["b_out"])
+    dx, da, active = ws.dx, ws.da, ws.active
+    np.matmul(params["w_out"].T, dz, out=dx)
     for l in range(num_blocks - 1, -1, -1):
-        da = dx * (preacts[l + 1] > 0.0)
-        grads[f"w_block_{l}"] = da @ features[l].T
-        grads[f"b_block_{l}"] = da.sum(axis=1)
-        dx = dx + params[f"w_block_{l}"].T @ da
-    da = dx * (preacts[0] > 0.0)
-    grads["w_in"] = da @ x.T
-    grads["b_in"] = da.sum(axis=1)
+        np.multiply(dx, np.greater(preacts[l + 1], 0.0, out=active), out=da)
+        np.matmul(da, features[l].T, out=grads[f"w_block_{l}"])
+        np.add.reduce(da, axis=1, out=grads[f"b_block_{l}"])
+        dx += np.matmul(params[f"w_block_{l}"].T, da, out=ws.product)
+    np.multiply(dx, np.greater(preacts[0], 0.0, out=active), out=da)
+    np.matmul(da, x.T, out=grads["w_in"])
+    np.add.reduce(da, axis=1, out=grads["b_in"])
     return loss, acc, grads
+
+
+def _views(flat: np.ndarray, like: dict, layout) -> dict:
+    """Consecutive pieces of ``flat``, in ``layout`` order, shaped like the
+    arrays of ``like`` and keyed in its order."""
+    views, offset = {}, 0
+    for name in layout:
+        size = like[name].size
+        views[name] = flat[offset : offset + size].reshape(like[name].shape)
+        offset += size
+    return {name: views[name] for name in like}
 
 
 def train(
@@ -199,8 +260,30 @@ def train(
         target = build_etf(config.num_classes, config.width, seed=config.seed)
 
     x_full = data.features
-    params = init_params(config)
-    velocity = {name: np.zeros_like(value) for name, value in params.items()}
+    # Parameters, gradients and velocity are flat vectors, so one update is
+    # a few whole-vector operations; the dicts hold views into them.  Weights
+    # come first, so the entries that weight decay applies to are a prefix.
+    init = init_params(config)
+    layout = sorted(init, key=lambda name: name.startswith("b_"))
+    size = sum(value.size for value in init.values())
+    theta, grad, velocity, scratch = (np.empty(size), np.empty(size),
+                                      np.zeros(size), np.empty(size))
+    params, grads = _views(theta, init, layout), _views(grad, init, layout)
+    for name, value in init.items():
+        params[name][...] = value
+    if config.weight_decay == 0.0:
+        decayed = 0
+    elif config.decay_biases:
+        decayed = size
+    else:
+        decayed = sum(init[name].size for name in layout if not name.startswith("b_"))
+
+    workspaces: dict[int, _Workspace] = {}
+
+    def workspace(columns: int) -> _Workspace:
+        if columns not in workspaces:
+            workspaces[columns] = _Workspace(params, columns, config.num_blocks, grads)
+        return workspaces[columns]
 
     losses = np.empty(config.epochs)
     accuracies = np.empty(config.epochs)
@@ -216,20 +299,21 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, num_samples, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
-                _, _, grads = resnet_backward(
+                resnet_backward(
                     params, x_full[:, batch_idx], full_labels[batch_idx],
-                    config.num_blocks,
+                    config.num_blocks, workspace(len(batch_idx)),
                 )
-                for name, theta in params.items():
-                    g = grads[name]
-                    if config.weight_decay > 0.0 and (
-                        config.decay_biases or not name.startswith("b_")
-                    ):
-                        g = g + config.weight_decay * theta
-                    velocity[name] = config.momentum * velocity[name] + g
-                    params[name] = theta - lr * velocity[name]
+                if decayed:
+                    grad[:decayed] += np.multiply(
+                        theta[:decayed], config.weight_decay, out=scratch[:decayed]
+                    )
+                velocity *= config.momentum
+                velocity += grad
+                theta -= np.multiply(velocity, lr, out=scratch)
 
-            logits, features = resnet_forward(params, x_full, config.num_blocks)
+            logits, features = resnet_forward(
+                params, x_full, config.num_blocks, workspace(num_samples)
+            )
             loss = ce_loss(logits, full_labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at epoch {epoch}")

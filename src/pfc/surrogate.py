@@ -13,7 +13,10 @@ Two related problems over a classifier W (K x d) and a feature matrix H
   collinear intermediates.
 
 Both problems are solved by plain full-batch gradient descent from a
-seeded standard-normal initialization.  For the MSE loss the optimal
+seeded standard-normal initialization.  One value-and-gradient kernel
+serves ``objective``, ``gradients`` and every solver epoch; it writes into
+scratch buffers allocated once per solve, and the iterates are updated in
+place, with the same floating-point operations as the allocating formulas.  For the MSE loss the optimal
 classifier given H has the ridge closed form
 W*(H) = Y H^T (H H^T + n * lambda_w * I)^{-1}.
 """
@@ -120,59 +123,82 @@ def _check_shapes(p: SolveProblem, W: np.ndarray, H: np.ndarray):
         )
 
 
-def _softmax_columns(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+class _Buffers:
+    """Scratch arrays of :func:`_value_and_grad` for one (W, H) shape pair.
+
+    Each call overwrites the gradients the previous call returned.
+    """
+
+    def __init__(self, W: np.ndarray, H: np.ndarray):
+        logits = (W.shape[0], H.shape[1])
+        self.z = np.empty(logits)
+        self.exp = np.empty(logits)
+        self.dz = np.empty(logits)
+        self.columns = np.empty((4, H.shape[1]))
+        # same memory order as the operands, so whole-array sums of squares
+        # add in the order they would over a fresh product
+        self.w = np.empty_like(W, dtype=np.float64)
+        self.h = np.empty_like(H, dtype=np.float64)
+        self.diff = np.empty_like(H, dtype=np.float64)
+        self.dw = np.empty(W.shape)
+        self.dh = np.empty(H.shape)
 
 
-def _fit_terms(p: SolveProblem, W: np.ndarray, H: np.ndarray):
-    """Loss value and its gradient dLoss/dZ at the logits Z = W H."""
+def _fit_terms(p: SolveProblem, W: np.ndarray, H: np.ndarray, buf: _Buffers) -> float:
+    """Loss value at the logits Z = W H; writes dLoss/dZ to ``buf.dz``."""
     kn = p.num_classes * p.per_class
     y = p.label_matrix()
-    z = W @ H
+    z = np.matmul(W, H, out=buf.z)
     if p.loss == "mse":
-        resid = z - y
-        value = float(np.sum(resid * resid)) / (2.0 * kn)
-        dz = resid / kn
+        resid = np.subtract(z, y, out=z)
+        value = float(np.sum(np.multiply(resid, resid, out=buf.exp))) / (2.0 * kn)
+        np.divide(resid, kn, out=buf.dz)
+        return value
+    z_max, sums, logsumexp, true_logit = buf.columns
+    np.max(z, axis=0, out=z_max)
+    e = np.exp(np.subtract(z, z_max, out=buf.exp), out=buf.exp)
+    np.sum(e, axis=0, out=sums)
+    np.log(sums, out=logsumexp)
+    logsumexp += z_max
+    np.sum(np.multiply(z, y, out=buf.dz), axis=0, out=true_logit)
+    value = float(np.sum(np.subtract(logsumexp, true_logit, out=logsumexp))) / kn
+    dz = np.divide(e, sums, out=buf.dz)
+    dz -= y
+    dz /= kn
+    return value
+
+
+def _value_and_grad(p: SolveProblem, W: np.ndarray, H: np.ndarray, buf: _Buffers):
+    """Objective value and gradients (dW, dH) at (W, H), computed in ``buf``."""
+    fit = _fit_terms(p, W, H, buf)
+    dw = np.matmul(buf.dz, H.T, out=buf.dw)
+    dh = np.matmul(W.T, buf.dz, out=buf.dh)
+    k, kn = p.num_classes, p.num_classes * p.per_class
+    w2 = float(np.sum(np.multiply(W, W, out=buf.w)))
+    if p.kind == "ufm":
+        h2 = float(np.sum(np.multiply(H, H, out=buf.h)))
+        obj = fit + 0.5 * p.lambda_w * w2 + 0.5 * p.lam * h2
+        dw += np.multiply(W, p.lambda_w, out=buf.w)
+        dh += np.multiply(H, p.lam, out=buf.h)
     else:
-        shifted = z - z.max(axis=0, keepdims=True)
-        logsumexp = np.log(np.sum(np.exp(shifted), axis=0)) + z.max(axis=0)
-        true_logit = np.sum(z * y, axis=0)
-        value = float(np.sum(logsumexp - true_logit)) / kn
-        dz = (_softmax_columns(z) - y) / kn
-    return value, dz
+        diff = np.subtract(H, p.data, out=buf.diff)
+        d2 = float(np.sum(np.multiply(diff, diff, out=buf.h)))
+        obj = fit + p.lambda_w / (2.0 * k) * w2 + p.lam / (2.0 * kn) * d2
+        dw += np.multiply(W, p.lambda_w / k, out=buf.w)
+        dh += np.multiply(diff, p.lam / kn, out=buf.h)
+    return obj, dw, dh
 
 
 def objective(p: SolveProblem, W: np.ndarray, H: np.ndarray) -> float:
     """Full objective value at (W, H)."""
     _check_shapes(p, W, H)
-    fit, _ = _fit_terms(p, W, H)
-    k, kn = p.num_classes, p.num_classes * p.per_class
-    w2 = float(np.sum(W * W))
-    if p.kind == "ufm":
-        return fit + 0.5 * p.lambda_w * w2 + 0.5 * p.lam * float(np.sum(H * H))
-    diff = H - p.data
-    return (
-        fit
-        + p.lambda_w / (2.0 * k) * w2
-        + p.lam / (2.0 * kn) * float(np.sum(diff * diff))
-    )
+    return _value_and_grad(p, W, H, _Buffers(W, H))[0]
 
 
 def gradients(p: SolveProblem, W: np.ndarray, H: np.ndarray):
     """Analytic gradients (dW, dH) of :func:`objective`."""
     _check_shapes(p, W, H)
-    _, dz = _fit_terms(p, W, H)
-    dw = dz @ H.T
-    dh = W.T @ dz
-    k, kn = p.num_classes, p.num_classes * p.per_class
-    if p.kind == "ufm":
-        dw += p.lambda_w * W
-        dh += p.lam * H
-    else:
-        dw += (p.lambda_w / k) * W
-        dh += (p.lam / kn) * (H - p.data)
+    _, dw, dh = _value_and_grad(p, W, H, _Buffers(W, H))
     return dw, dh
 
 
@@ -220,35 +246,22 @@ def solve(
     W = init_scale * rng.standard_normal((p.num_classes, p.dim))
     H = init_scale * rng.standard_normal((p.dim, p.num_classes * p.per_class))
 
-    def evaluate(W, H):
+    buf = _Buffers(W, H)
+    step_w, step_h = np.empty_like(W), np.empty_like(H)
+
+    def evaluate():
         # overflow here is the divergence case the isfinite check reports
         with np.errstate(over="ignore", invalid="ignore"):
-            fit, dz = _fit_terms(p, W, H)
-            dw = dz @ H.T
-            dh = W.T @ dz
-            k, kn = p.num_classes, p.num_classes * p.per_class
-            w2 = float(np.sum(W * W))
-            if p.kind == "ufm":
-                obj = fit + 0.5 * p.lambda_w * w2 + 0.5 * p.lam * float(np.sum(H * H))
-                dw += p.lambda_w * W
-                dh += p.lam * H
-            else:
-                diff = H - p.data
-                obj = fit + p.lambda_w / (2.0 * k) * w2 + p.lam / (2.0 * kn) * float(
-                    np.sum(diff * diff)
-                )
-                dw += (p.lambda_w / k) * W
-                dh += (p.lam / kn) * diff
-        return obj, dw, dh
+            return _value_and_grad(p, W, H, buf)
 
-    obj, dw, dh = evaluate(W, H)
+    obj, dw, dh = evaluate()
     trace = [obj]
     trace_epochs = [0]
     epochs_run = 0
     for epoch in range(1, epochs + 1):
-        W = W - lr * dw
-        H = H - lr * dh
-        obj, dw, dh = evaluate(W, H)
+        W -= np.multiply(dw, lr, out=step_w)
+        H -= np.multiply(dh, lr, out=step_h)
+        obj, dw, dh = evaluate()
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at epoch {epoch}")
         epochs_run = epoch
@@ -344,7 +357,7 @@ def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:
         raise ValueError("layers[0] must equal the data matrix X")
     H_last = np.asarray(layers[-1], dtype=np.float64)
     _check_shapes(p, W, H_last)
-    fit, _ = _fit_terms(p, W, H_last)
+    fit = _fit_terms(p, W, H_last, _Buffers(W, H_last))
     k, kn = p.num_classes, p.num_classes * p.per_class
     return (
         fit

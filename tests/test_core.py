@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pfc.core import (
     FeatureSet,
@@ -173,6 +174,41 @@ class TestSerialization:
         loaded = load_featureset(path)
         assert (loaded.num_classes, loaded.per_class, loaded.dim) == (3, 4, 5)
         np.testing.assert_array_equal(loaded.features, fs.features)
+
+    @staticmethod
+    def per_value_text(fs):
+        """The writer's output as formatted value by value over numpy
+        scalars, the formula it replaced."""
+        lines = [f"{fs.num_classes} {fs.per_class} {fs.dim}\n"]
+        lines += [" ".join(f"{v:.17g}" for v in row) + "\n" for row in fs.features]
+        return "".join(lines)
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda s: (s[0], 2 * s[1])),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @settings(max_examples=200)
+    def test_text_matches_per_value_formula(self, tmp_path_factory, features):
+        fs = FeatureSet(features, num_classes=2, per_class=features.shape[1] // 2)
+        path = tmp_path_factory.mktemp("rows") / "features.txt"
+        save_featureset(path, fs)
+        assert path.read_text() == self.per_value_text(fs)
+
+    def test_edge_values_match_per_value_formula(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.0,
+                  -1.0, 0.1, -7.25, 1e308, -1.7976931348623157e308, 1e-300]
+        fs = FeatureSet(np.array(values).reshape(2, 6), num_classes=3, per_class=2)
+        path = tmp_path / "features.txt"
+        save_featureset(path, fs)
+        text = path.read_text()
+        assert text == self.per_value_text(fs)
+        assert text.splitlines()[1].split()[0] == "-0"
+        np.testing.assert_array_equal(
+            np.signbit(load_featureset(path).features), np.signbit(fs.features)
+        )
 
     def test_header_line(self, tmp_path):
         fs = FeatureSet(np.zeros((3, 8)), num_classes=2, per_class=4)

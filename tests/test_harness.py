@@ -12,10 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from pfc import cli
-from pfc.core import DegenerateInputError, FeatureSet, save_featureset
+from pfc import cli, metrics
+from pfc.core import (
+    DegenerateInputError,
+    FeatureSet,
+    LayerStack,
+    load_featureset,
+    save_featureset,
+)
 from pfc.etf import build_etf
 from pfc.geodesic import make_nc_featureset
+from pfc.metrics import effective_depth
 from pfc.harness import (
     DEFAULT_PARAMS,
     ExperimentConfig,
@@ -446,6 +453,28 @@ class TestPfcReportRun:
         assert summary["relative_positions"] == pytest.approx([0.0, 0.5, 1.0])
         header, rows = read_csv(out / "report.csv")
         assert csv_column(header, rows, "layer") == [0, 1, 2]
+
+    def test_pfc3_computed_once_per_layer(self, tmp_path, monkeypatch):
+        # effective_depth in the summary comes from the measured reports,
+        # not from a second nearest-class-mean pass over the layers
+        rng = np.random.default_rng(3)
+        files = []
+        for layer in range(3):
+            fs = FeatureSet(rng.standard_normal((4, 12)), num_classes=3, per_class=4)
+            path = tmp_path / f"layer{layer}.txt"
+            save_featureset(path, fs)
+            files.append(str(path))
+        calls = []
+        original = metrics.pfc3
+        monkeypatch.setattr(metrics, "pfc3", lambda *a, **k: calls.append(1) or original(*a, **k))
+        out = tmp_path / "report"
+        run(ExperimentConfig(kind="pfc-report",
+                             params={"stack_files": files, "grid_points": 5},
+                             out_dir=out))
+        assert len(calls) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        stack = LayerStack(tuple(load_featureset(f) for f in files))
+        assert summary["effective_depth"] == effective_depth(stack, 0.05)
 
     def test_fewer_than_two_stacks_rejected(self, tmp_path):
         cfg = ExperimentConfig(

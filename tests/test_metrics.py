@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pfc.core import DegenerateInputError, FeatureSet, LayerStack
 from pfc.etf import build_etf, gram_target
 from pfc.metrics import (
+    first_within_error,
     alignment,
     effective_depth,
     measure,
@@ -247,6 +248,8 @@ class TestEffectiveDepth:
         assert effective_depth(stack, 0.0) == 2
         # 0.35 keeps the threshold off the 1 - 0.7 rounding boundary.
         assert effective_depth(stack, 0.35) == 0
+        for epsilon in (0.1, 0.0, 0.35, 0.05):
+            assert first_within_error(observed, epsilon) == effective_depth(stack, epsilon)
 
     def test_none_when_no_layer_qualifies(self):
         stack = LayerStack(layers=(accuracy_layer(6), accuracy_layer(4)), epoch=0)
@@ -263,6 +266,8 @@ class TestEffectiveDepth:
         stack = LayerStack(layers=(nc_featureset(frame, 2),), epoch=0)
         with pytest.raises(ValueError):
             effective_depth(stack, -0.1)
+        with pytest.raises(ValueError, match="epsilon"):
+            first_within_error([1.0], -0.1)
 
 
 class TestMeasure:

@@ -8,6 +8,7 @@ from pfc.data import gen_gaussian_mixture
 from pfc.etf import build_etf
 from pfc.resnet import (
     TrainConfig,
+    _Workspace,
     accuracy,
     ce_loss,
     init_params,
@@ -31,6 +32,74 @@ def tiny_data(config, seed=0, mean_scale=2.0, noise_scale=0.5):
         mean_scale=mean_scale, noise_scale=noise_scale, seed=seed,
     )
     return fs, labels
+
+
+def reference_forward(params, x, num_blocks):
+    """Allocating forward pass, kept as the oracle of the workspace version."""
+    preacts = []
+    a = params["w_in"] @ x + params["b_in"][:, None]
+    preacts.append(a)
+    features = [np.maximum(a, 0.0)]
+    for l in range(num_blocks):
+        a = params[f"w_block_{l}"] @ features[-1] + params[f"b_block_{l}"][:, None]
+        preacts.append(a)
+        features.append(features[-1] + np.maximum(a, 0.0))
+    logits = params["w_out"] @ features[-1] + params["b_out"][:, None]
+    return logits, features, preacts
+
+
+def reference_backward(params, x, labels, num_blocks):
+    """Allocating backward pass, kept as the oracle of the workspace version."""
+    logits, features, preacts = reference_forward(params, x, num_blocks)
+    batch = x.shape[1]
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=0, keepdims=True)
+    cols = np.arange(batch)
+    loss = float(np.mean(np.log(e.sum(axis=0)) - shifted[labels, cols]))
+    acc = float(np.mean(np.argmax(logits, axis=0) == labels))
+
+    dz = probs.copy()
+    dz[labels, cols] -= 1.0
+    dz /= batch
+
+    grads = {
+        "w_out": dz @ features[-1].T,
+        "b_out": dz.sum(axis=1),
+    }
+    dx = params["w_out"].T @ dz
+    for l in range(num_blocks - 1, -1, -1):
+        da = dx * (preacts[l + 1] > 0.0)
+        grads[f"w_block_{l}"] = da @ features[l].T
+        grads[f"b_block_{l}"] = da.sum(axis=1)
+        dx = dx + params[f"w_block_{l}"].T @ da
+    da = dx * (preacts[0] > 0.0)
+    grads["w_in"] = da @ x.T
+    grads["b_in"] = da.sum(axis=1)
+    return loss, acc, grads
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected, strict=True)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def network_case(seed, columns, num_blocks=3):
+    """Seeded parameters with some dead units, a batch and its labels."""
+    config = tiny_config(num_blocks=num_blocks, width=12, input_dim=5,
+                         num_classes=4, seed=seed)
+    params = init_params(config)
+    rng = np.random.default_rng([seed, columns])
+    for name in params:
+        if name.startswith("b_"):
+            bias = 0.5 * rng.standard_normal(params[name].shape)
+            # strongly negative biases switch units off, so the relu masks
+            # zero whole rows of the backward pass
+            bias[: len(bias) // 4] = -20.0
+            params[name] = bias
+    x = rng.standard_normal((5, columns))
+    labels = rng.integers(0, 4, size=columns)
+    return params, x, labels
 
 
 class TestConfigValidation:
@@ -197,8 +266,69 @@ class TestBackprop:
         assert acc == pytest.approx(accuracy(logits, labels))
 
 
+class TestMatchesAllocatingReference:
+    @pytest.mark.parametrize("columns", [1, 7, 128])
+    def test_forward_and_backward_bit_for_bit(self, columns):
+        for seed in range(3):
+            params, x, labels = network_case(seed, columns)
+            ref_logits, ref_features, _ = reference_forward(params, x, 3)
+            ref_loss, ref_acc, ref_grads = reference_backward(params, x, labels, 3)
+            logits, features = resnet_forward(params, x, 3)
+            assert_same_bits(logits, ref_logits)
+            assert len(features) == len(ref_features)
+            for got, want in zip(features, ref_features):
+                assert_same_bits(got, want)
+            loss, acc, grads = resnet_backward(params, x, labels, 3)
+            assert (loss, acc) == (ref_loss, ref_acc)
+            assert grads.keys() == ref_grads.keys()
+            for name in ref_grads:
+                assert_same_bits(grads[name], ref_grads[name])
+
+    def test_reused_workspace_matches_reference(self):
+        # a workspace carries the previous pass's values; none may leak
+        columns = 9
+        workspace = None
+        for seed in range(3):
+            params, x, labels = network_case(seed, columns)
+            if workspace is None:
+                workspace = _Workspace(params, columns, 3)
+            ref_loss, ref_acc, ref_grads = reference_backward(params, x, labels, 3)
+            loss, acc, grads = resnet_backward(params, x, labels, 3, workspace)
+            assert (loss, acc) == (ref_loss, ref_acc)
+            for name in ref_grads:
+                assert_same_bits(grads[name], ref_grads[name])
+            ref_logits, ref_features, _ = reference_forward(params, x, 3)
+            logits, features = resnet_forward(params, x, 3, workspace)
+            assert_same_bits(logits, ref_logits)
+            for got, want in zip(features, ref_features):
+                assert_same_bits(got, want)
+
+    def test_calls_without_workspace_do_not_alias(self):
+        params, x1, labels1 = network_case(0, 6)
+        _, x2, labels2 = network_case(1, 6)
+        logits1, features1 = resnet_forward(params, x1, 3)
+        kept = [logits1.copy(), *(f.copy() for f in features1)]
+        logits2, features2 = resnet_forward(params, x2, 3)
+        for a in (logits1, *features1):
+            for b in (logits2, *features2):
+                assert not np.shares_memory(a, b)
+        for got, want in zip((logits1, *features1), kept):
+            assert_same_bits(got, want)
+
+        _, _, grads1 = resnet_backward(params, x1, labels1, 3)
+        kept = {name: g.copy() for name, g in grads1.items()}
+        _, _, grads2 = resnet_backward(params, x2, labels2, 3)
+        for name, g in grads1.items():
+            assert not any(np.shares_memory(g, other) for other in grads2.values())
+            assert_same_bits(g, kept[name])
+        assert not any(
+            np.shares_memory(g, f) for g in grads1.values() for f in (logits2, *features2)
+        )
+
+
 def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
-    """Mirror of train()'s update rule for oracle comparisons."""
+    """Mirror of train()'s update rule for oracle comparisons: the
+    allocating reference backward pass and one update per parameter."""
     params = {k: v.copy() for k, v in (params or init_params(config)).items()}
     velocity = {
         k: (velocity[k].copy() if velocity else np.zeros_like(v))
@@ -211,7 +341,7 @@ def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
     )
     for start in range(0, data.num_samples, config.batch_size):
         batch = order[start : start + config.batch_size]
-        _, _, grads = resnet_backward(
+        _, _, grads = reference_backward(
             params, data.features[:, batch], labels[batch], config.num_blocks
         )
         for name, theta in params.items():
@@ -223,6 +353,30 @@ def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
             velocity[name] = config.momentum * velocity[name] + g
             params[name] = theta - lr * velocity[name]
     return params, velocity
+
+
+def assert_train_matches_emulation(config, data, labels):
+    """train() against emulate_one_epoch epoch by epoch: parameters, the
+    full-set losses and accuracies, and every snapshot's features."""
+    trace = train(config, data, labels)
+    params, velocity = None, None
+    snapshot = 0
+    for epoch in range(1, config.epochs + 1):
+        params, velocity = emulate_one_epoch(config, data, epoch, params, velocity)
+        logits, features, _ = reference_forward(params, data.features, config.num_blocks)
+        assert trace.losses[epoch - 1] == ce_loss(logits, labels), epoch
+        assert trace.accuracies[epoch - 1] == accuracy(logits, labels), epoch
+        if epoch in trace.snapshot_epochs:
+            stack = trace.snapshots[snapshot]
+            assert stack.epoch == epoch
+            for fs, want in zip(stack.layers, features, strict=True):
+                assert_same_bits(fs.features, want)
+            snapshot += 1
+    assert snapshot == len(trace.snapshot_epochs)
+    assert trace.params.keys() == params.keys()
+    for name in params:
+        assert_same_bits(trace.params[name], params[name])
+    return trace
 
 
 class TestTrainUpdates:
@@ -244,26 +398,25 @@ class TestTrainUpdates:
         config = tiny_config(epochs=2, batch_size=4, momentum=0.9,
                              weight_decay=0.01)
         data, labels = tiny_data(config)
-        params, velocity = emulate_one_epoch(config, data, epoch=1)
-        params, _ = emulate_one_epoch(config, data, epoch=2, params=params,
-                                      velocity=velocity)
-        trace = train(config, data, labels)
-        for name in params:
-            np.testing.assert_array_equal(trace.params[name], params[name])
+        assert_train_matches_emulation(config, data, labels)
 
     def test_bias_decay_can_be_disabled(self):
         # biases start at zero, so decay on them only bites from step 2 on.
         kept = tiny_config(epochs=2, weight_decay=0.05, decay_biases=False)
         decayed = tiny_config(epochs=2, weight_decay=0.05, decay_biases=True)
         data, labels = tiny_data(kept)
-        params, velocity = emulate_one_epoch(kept, data, epoch=1)
-        params, _ = emulate_one_epoch(kept, data, epoch=2, params=params,
-                                      velocity=velocity)
-        trace = train(kept, data, labels)
-        for name in params:
-            np.testing.assert_array_equal(trace.params[name], params[name])
+        trace = assert_train_matches_emulation(kept, data, labels)
         other = train(decayed, data, labels)
         assert not np.array_equal(trace.params["b_in"], other.params["b_in"])
+
+    @pytest.mark.parametrize("decay_biases", [True, False])
+    def test_ragged_last_batch_matches_oracle(self, decay_biases):
+        # batch_size 3 splits the 8 samples 3 + 3 + 2
+        config = tiny_config(epochs=3, batch_size=3, momentum=0.9,
+                             weight_decay=0.05, decay_biases=decay_biases,
+                             record_stride=2)
+        data, labels = tiny_data(config)
+        assert_train_matches_emulation(config, data, labels)
 
     def test_deterministic(self):
         config = tiny_config(epochs=3, momentum=0.9, weight_decay=1e-3,

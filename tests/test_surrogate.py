@@ -85,6 +85,40 @@ def fd_gradients(p: SolveProblem, W, H, step=1e-5):
     return dW, dH
 
 
+def reference_value_and_grad(p: SolveProblem, W, H):
+    """Allocating objective and gradients, the formulas the in-place kernel
+    must reproduce bit for bit."""
+    kn, k = p.num_classes * p.per_class, p.num_classes
+    y = label_matrix(p.num_classes, p.per_class)
+    z = W @ H
+    if p.loss == "mse":
+        resid = z - y
+        fit = float(np.sum(resid * resid)) / (2.0 * kn)
+        dz = resid / kn
+    else:
+        shifted = z - z.max(axis=0, keepdims=True)
+        logsumexp = np.log(np.sum(np.exp(shifted), axis=0)) + z.max(axis=0)
+        true_logit = np.sum(z * y, axis=0)
+        fit = float(np.sum(logsumexp - true_logit)) / kn
+        e = np.exp(z - z.max(axis=0, keepdims=True))
+        dz = (e / e.sum(axis=0, keepdims=True) - y) / kn
+    dw = dz @ H.T
+    dh = W.T @ dz
+    w2 = float(np.sum(W * W))
+    if p.kind == "ufm":
+        value = fit + 0.5 * p.lambda_w * w2 + 0.5 * p.lam * float(np.sum(H * H))
+        dw += p.lambda_w * W
+        dh += p.lam * H
+    else:
+        diff = H - p.data
+        value = fit + p.lambda_w / (2.0 * k) * w2 + p.lam / (2.0 * kn) * float(
+            np.sum(diff * diff)
+        )
+        dw += (p.lambda_w / k) * W
+        dh += (p.lam / kn) * diff
+    return value, dw, dh
+
+
 class TestProblemValidation:
     def test_bad_kind_and_loss(self):
         with pytest.raises(ValueError):
@@ -183,6 +217,20 @@ class TestObjective:
             assert objective(p, W, H) == pytest.approx(
                 naive_objective(p, W, H), rel=1e-12
             )
+
+
+    @pytest.mark.parametrize("kind", ["ufm", "mufm"])
+    @pytest.mark.parametrize("loss", ["mse", "ce"])
+    def test_matches_allocating_formulas_bit_for_bit(self, kind, loss):
+        for seed in range(4):
+            p = make_problem(kind=kind, loss=loss, num_classes=4, dim=6,
+                             per_class=5, seed=seed)
+            W, H = random_state(p, seed + 50)
+            value, dw, dh = reference_value_and_grad(p, W, H)
+            assert objective(p, W, H) == value
+            got_w, got_h = gradients(p, W, H)
+            np.testing.assert_array_equal(got_w, dw, strict=True)
+            np.testing.assert_array_equal(got_h, dh, strict=True)
 
 
 class TestGradients:
