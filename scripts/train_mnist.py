@@ -11,7 +11,6 @@ import argparse
 from pathlib import Path
 
 from pfc.data import load_mnist_idx
-from pfc.etf import build_etf
 from pfc.geodesic import relative_positions
 from pfc.harness import spearman, write_csv, write_json
 from pfc.resnet import TrainConfig, train
@@ -50,8 +49,7 @@ def main() -> None:
         seed=args.seed,
         record_stride=args.record_stride,
     )
-    target = build_etf(data.num_classes, args.width, seed=[args.seed, 303])
-    trace = train(config, data, labels, target)
+    trace = train(config, data, labels)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from .core import (
     load_featureset,
     save_featureset,
 )
-from .etf import EtfFrame, build_etf, gram_target
+from .etf import build_etf, gram_target
 from .geodesic import (
     InterpolationPath,
     MetricCurve,
@@ -52,7 +52,6 @@ __all__ = [
     "ClassStats",
     "DegenerateInputError",
     "DivergenceError",
-    "EtfFrame",
     "ExperimentConfig",
     "FeatureSet",
     "InterpolationPath",

@@ -139,8 +139,7 @@ def class_stats(fs: FeatureSet) -> ClassStats:
     """
     k, n = fs.num_classes, fs.per_class
     blocks = fs.features.reshape(fs.dim, k, n)
-    class_means = blocks.mean(axis=2)
-    global_mean = class_means.mean(axis=1)
+    class_means, global_mean = _class_means(fs)
     tr_within = float(np.sum((blocks - class_means[:, :, None]) ** 2) / (k * n))
     tr_between = float(np.sum((class_means - global_mean[:, None]) ** 2) / k)
     return ClassStats(
@@ -151,10 +150,17 @@ def class_stats(fs: FeatureSet) -> ClassStats:
     )
 
 
+def _class_means(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """The d x K class means and the d-vector global mean."""
+    class_means = fs.features.reshape(fs.dim, fs.num_classes, fs.per_class).mean(axis=2)
+    return class_means, class_means.mean(axis=1)
+
+
 def centered_class_mean_matrix(fs: FeatureSet) -> np.ndarray:
-    """d x K matrix whose column k is h_k - h_G."""
-    stats = class_stats(fs)
-    return stats.class_means - stats.global_mean[:, None]
+    """d x K matrix whose column k is h_k - h_G (no variance traces are
+    computed, so features whose squares overflow still give their means)."""
+    class_means, global_mean = _class_means(fs)
+    return class_means - global_mean[:, None]
 
 
 def save_featureset(path, fs: FeatureSet) -> None:

@@ -5,37 +5,21 @@ A simplex ETF over K classes in dimension d >= K is the d x K matrix
     M = sqrt(K / (K - 1)) * U * (I_K - (1/K) * 1 1^T)
 
 for a partial orthogonal U (U^T U = I_K).  Its columns are unit vectors
-with pairwise inner products -1/(K-1).  The collapse-distance metric
-compares centered-mean Gram matrices against the normalized target
+with pairwise inner products -1/(K-1), so its Gram matrix M^T M is
+proportional to the normalized target
 
     E = (1 / sqrt(K - 1)) * (I_K - (1/K) * 1 1^T),
 
-which is symmetric, has zero row sums and unit Frobenius norm.
+which is symmetric, has zero row sums and unit Frobenius norm.  E depends
+only on K: the collapse-distance metric compares centered-mean Gram
+matrices against ``gram_target(K)`` and needs no frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EtfFrame:
-    """A simplex ETF matrix together with its normalized target Gram."""
-
-    frame: np.ndarray
-    gram_target: np.ndarray
-    num_classes: int
-    dim: int
-
-    def __post_init__(self):
-        for name in ("frame", "gram_target"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def gram_target(num_classes: int) -> np.ndarray:
@@ -51,8 +35,9 @@ def build_etf(
     dim: int,
     orthonormal_basis: np.ndarray | None = None,
     seed=0,
-) -> EtfFrame:
-    """Construct a simplex ETF in dimension ``dim`` over ``num_classes`` classes.
+) -> np.ndarray:
+    """The read-only d x K simplex ETF over ``num_classes`` classes in
+    dimension ``dim``.
 
     When no basis is supplied, a partial orthogonal d x K matrix is obtained
     by QR-orthonormalizing a seeded Gaussian matrix, so results are
@@ -83,4 +68,5 @@ def build_etf(
 
     centering = np.eye(k) - np.full((k, k), 1.0 / k)
     frame = np.sqrt(k / (k - 1.0)) * basis @ centering
-    return EtfFrame(frame=frame, gram_target=gram_target(k), num_classes=k, dim=d)
+    frame.setflags(write=False)
+    return frame

@@ -14,7 +14,8 @@ products of the two endpoints: the within-class trace (pfc1's numerator),
 the K x K centered class-mean Gram (pfc1's denominator and pfc2) and the
 K x N sample-to-class-mean squared distances (pfc3).  The coefficients cost
 O(K n d) once per path; each grid point then costs O(K^2) for pfc1/pfc2 and
-O(K N) for pfc3, and no intermediate feature set is built.
+O(K N) for pfc3, and no intermediate feature set is built.  pfc2 is the
+distance to ``gram_target(K)``, so curves take no ETF frame.
 
 ``endpoint_mean_alignment`` computes the inner-product condition
 sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)> whose nonnegativity guarantees
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ClassStats, DegenerateInputError, FeatureSet, LayerStack, class_stats
-from .etf import EtfFrame, build_etf
+from .etf import build_etf, gram_target
 
 METRIC_KINDS = ("pfc1", "pfc2", "pfc3")
 
@@ -191,14 +192,13 @@ _DEGENERATE = {
 }
 
 
-def metric_values(
-    path: InterpolationPath, kind: str, ts, target: EtfFrame | None = None
-) -> np.ndarray:
+def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
     """One collapse metric at the points ``ts`` (any values in [0, 1]) of a path.
 
     Evaluates the closed forms of the module docstring; the values agree
-    with the metric of :func:`interpolate` at each t up to rounding, and
-    pfc3 breaks ties to the smallest class index, as ``pfc3`` does.
+    with the metric of :func:`interpolate` at each t up to rounding, pfc2
+    measures the distance to ``gram_target(K)``, and pfc3 breaks ties to
+    the smallest class index, as ``pfc3`` does.
 
     Raises:
         DegenerateInputError: if some t hits a zero denominator; the
@@ -207,11 +207,6 @@ def metric_values(
     if kind not in METRIC_KINDS:
         raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
     k, n = path.start.num_classes, path.start.per_class
-    if kind == "pfc2":
-        if target is None:
-            raise ValueError("pfc2 curves need an EtfFrame target")
-        if target.num_classes != k:
-            raise ValueError(f"target has {target.num_classes} classes, features have {k}")
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise ValueError("ts must be a 1-d array")
@@ -241,19 +236,17 @@ def metric_values(
         return (within / (k * n)) / (between / k)
     gram = np.tensordot(weights, path._gram, axes=1)
     gram /= np.linalg.norm(gram, axis=(1, 2), keepdims=True)
-    return np.linalg.norm(gram - target.gram_target, axis=(1, 2))
+    return np.linalg.norm(gram - gram_target(k), axis=(1, 2))
 
 
-def metric_curve(
-    path: InterpolationPath, kind: str, target: EtfFrame | None = None
-) -> MetricCurve:
+def metric_curve(path: InterpolationPath, kind: str) -> MetricCurve:
     """Evaluate one collapse metric at every grid point of a path.
 
     Raises:
         DegenerateInputError: if a grid point hits a zero denominator; the
             message names the offending t.
     """
-    values = metric_values(path, kind, path.grid, target=target)
+    values = metric_values(path, kind, path.grid)
     return MetricCurve(ts=path.grid, values=values, metric_kind=kind)
 
 
@@ -316,19 +309,20 @@ def relative_positions(stack: LayerStack) -> np.ndarray:
 
 
 def make_nc_featureset(
-    frame: EtfFrame,
+    frame: np.ndarray,
     per_class: int,
     scale: float = 1.0,
     global_mean: np.ndarray | None = None,
 ) -> FeatureSet:
     """Exactly collapsed features: every sample at its class mean, centered
-    means proportional to the ETF columns, optionally translated."""
-    means = scale * frame.frame
+    means proportional to the columns of the d x K ETF ``frame``, optionally
+    translated."""
+    means = scale * frame
     if global_mean is not None:
         means = means + np.asarray(global_mean, dtype=np.float64)[:, None]
     return FeatureSet(
         features=np.repeat(means, per_class, axis=1),
-        num_classes=frame.num_classes,
+        num_classes=frame.shape[1],
         per_class=per_class,
     )
 
@@ -401,8 +395,8 @@ def perturbed_collapse_path(
     delta = rng.standard_normal((dim, num_classes))
     delta -= delta.mean(axis=1, keepdims=True)  # keep columns zero-sum
     delta /= np.linalg.norm(delta)
-    eps = eps_rel * float(np.linalg.norm(end_scale * frame.frame))
-    start_means = end_scale * frame.frame + eps * delta + global_mean[:, None]
+    eps = eps_rel * float(np.linalg.norm(end_scale * frame))
+    start_means = end_scale * frame + eps * delta + global_mean[:, None]
     start = FeatureSet(
         features=np.repeat(start_means, per_class, axis=1),
         num_classes=num_classes,

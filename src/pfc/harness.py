@@ -29,7 +29,7 @@ from .core import (
     save_featureset,
 )
 from .data import gen_gaussian_mixture
-from .etf import build_etf
+from .etf import build_etf, gram_target
 from .geodesic import (
     METRIC_KINDS,
     InterpolationPath,
@@ -377,10 +377,6 @@ def spearman(x, y) -> float:
     return float(np.sum(rx * ry) / denom)
 
 
-def _frame_seed(seed: int) -> list[int]:
-    return [seed, 303]
-
-
 def _data_seed(seed: int) -> list[int]:
     return [seed, 11]
 
@@ -393,15 +389,14 @@ def _run_etf_check(cfg: ExperimentConfig, out: Path) -> dict:
     for k in range(p["min_classes"], p["max_classes"] + 1):
         for extra in p["extra_dims"]:
             d = k + int(extra)
-            frame = build_etf(k, d, seed=[cfg.seed, k, d])
-            m = frame.frame
+            m = build_etf(k, d, seed=[cfg.seed, k, d])
             gram = m.T @ m
             off_diag = gram[~np.eye(k, dtype=bool)]
             norm_dev = float(np.max(np.abs(np.linalg.norm(m, axis=0) - 1.0)))
             cosine_dev = float(np.max(np.abs(off_diag + 1.0 / (k - 1))))
             scaled_centering = (k / (k - 1.0)) * (np.eye(k) - 1.0 / k)
             gram_dev = float(np.max(np.abs(gram - scaled_centering)))
-            target_dev = float(abs(np.linalg.norm(frame.gram_target) - 1.0))
+            target_dev = float(abs(np.linalg.norm(gram_target(k)) - 1.0))
             rows.append((k, d, norm_dev, cosine_dev, gram_dev, target_dev))
     write_csv(
         out / "etf_check.csv",
@@ -427,11 +422,10 @@ def _run_interpolate(cfg: ExperimentConfig, out: Path) -> dict:
         grid_points=p["grid_points"],
         end_scale=p["end_scale"],
     )
-    target = build_etf(p["num_classes"], p["dim"], seed=_frame_seed(cfg.seed))
     rows = []
     summary = {"verdicts": {}, "final_values": {}}
     for kind in ("pfc1", "pfc2", "pfc3"):
-        curve = metric_curve(path, kind, target=target)
+        curve = metric_curve(path, kind)
         rows.extend(
             (float(t), float(v), kind) for t, v in zip(curve.ts, curve.values)
         )
@@ -444,6 +438,8 @@ def _run_interpolate(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
     p = cfg.params
+    if p["num_paths"] < 1:
+        raise ValueError(f"num_paths must be >= 1, got {p['num_paths']}")
     combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))
     rows = []
     finals = []
@@ -463,8 +459,7 @@ def _path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
                 grid_points=p["grid_points"], end_scale=p["end_scale"],
                 eps_rel=p["eps_rel"],
             )
-            target = build_etf(k, d, seed=[cfg.seed, i, 303])
-            curve = metric_curve(path, "pfc2", target=target)
+            curve = metric_curve(path, "pfc2")
             accept = ("strictly-decreasing", "nonincreasing")
         verdict = monotonicity_report(curve)
         verdict_ok += verdict.kind in accept
@@ -522,9 +517,8 @@ def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
         lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"],
         trace_stride=p["trace_stride"], grad_tol=p["grad_tol"],
     )
-    target = build_etf(k, d, seed=_frame_seed(cfg.seed))
     solution = FeatureSet(result.H, k, n)
-    report = measure(solution, target)
+    report = measure(solution)
 
     write_csv(
         out / "trace.csv",
@@ -552,7 +546,7 @@ def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
     }
     if kind == "mufm":
         save_featureset(out / "data.txt", data_fs)
-        data_report = measure(data_fs, target)
+        data_report = measure(data_fs)
         summary["alignment"] = align
         summary["data_pfc1"] = data_report.pfc1
         summary["data_pfc2"] = data_report.pfc2
@@ -603,7 +597,7 @@ def _run_sweep_lambda(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _stack_report(
-    stack: LayerStack, target, grid_points: int, epsilon: float
+    stack: LayerStack, grid_points: int, epsilon: float
 ) -> tuple[list[tuple], list[tuple], dict]:
     """Observed per-layer metrics side by side with the straight-line
     prediction, plus dense predicted curves and their verdicts."""
@@ -611,13 +605,9 @@ def _stack_report(
     path = InterpolationPath(
         start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(grid_points)
     )
-    target_arg = {"pfc1": None, "pfc2": target, "pfc3": None}
-    predicted = {
-        kind: metric_values(path, kind, positions, target=target_arg[kind])
-        for kind in METRIC_KINDS
-    }
+    predicted = {kind: metric_values(path, kind, positions) for kind in METRIC_KINDS}
 
-    reports = [measure(fs, target) for fs in stack.layers]
+    reports = [measure(fs) for fs in stack.layers]
     report_rows = [
         (
             layer, float(pos),
@@ -630,7 +620,7 @@ def _stack_report(
     curve_rows = []
     verdicts = {}
     for kind in METRIC_KINDS:
-        curve = metric_curve(path, kind, target=target_arg[kind])
+        curve = metric_curve(path, kind)
         curve_rows.extend(
             (float(t), float(v), kind) for t, v in zip(curve.ts, curve.values)
         )
@@ -683,8 +673,7 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
         mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
         seed=_data_seed(cfg.seed),
     )
-    target = build_etf(config.num_classes, config.width, seed=_frame_seed(cfg.seed))
-    trace = train(config, data, labels, target)
+    trace = train(config, data, labels)
 
     epochs = range(1, config.epochs + 1)
     write_csv(
@@ -712,7 +701,7 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
         save_featureset(layers_dir / f"layer_{layer:02d}.txt", fs)
 
     report_rows, curve_rows, stack_summary = _stack_report(
-        final_stack, target, p["grid_points"], p["effective_epsilon"]
+        final_stack, p["grid_points"], p["effective_epsilon"]
     )
     write_csv(out / "report.csv", _REPORT_HEADER, report_rows)
     write_csv(out / "curves.csv", ("t", "value", "metric_kind"), curve_rows)
@@ -734,11 +723,13 @@ def _run_pfc_report(cfg: ExperimentConfig, out: Path) -> dict:
         )
     layers = tuple(load_featureset(f) for f in files)
     stack = LayerStack(layers=layers, epoch=0)
-    target = build_etf(
-        stack[0].num_classes, stack[0].dim, seed=_frame_seed(cfg.seed)
-    )
+    k, d = stack[0].num_classes, stack[0].dim
+    if d < k:
+        raise ValueError(
+            f"stack_files must hold features of dim >= num_classes, got dim={d} < K={k}"
+        )
     report_rows, curve_rows, stack_summary = _stack_report(
-        stack, target, p["grid_points"], p["effective_epsilon"]
+        stack, p["grid_points"], p["effective_epsilon"]
     )
     write_csv(out / "report.csv", _REPORT_HEADER, report_rows)
     write_csv(out / "curves.csv", ("t", "value", "metric_kind"), curve_rows)
@@ -754,7 +745,7 @@ def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:
         seed=_data_seed(cfg.seed),
     )
     x = data_fs.features
-    frame = build_etf(k, d, seed=_frame_seed(cfg.seed))
+    frame = build_etf(k, d, seed=[cfg.seed, 303])
     h_last = make_nc_featureset(frame, n, scale=p["end_scale"]).features
     w = np.random.default_rng([cfg.seed, 7]).standard_normal((k, d))
 

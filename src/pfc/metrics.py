@@ -5,8 +5,9 @@ Three per-layer statistics quantify how collapsed a feature set is:
 * ``pfc1`` -- within-class over between-class variance traces; 0 when every
   sample sits exactly on its class mean.
 * ``pfc2`` -- Frobenius distance between the normalized Gram matrix of the
-  centered class means and the simplex-ETF target Gram E; 0 when the
-  centered means form a simplex ETF.
+  centered class means and the simplex-ETF target Gram E =
+  ``gram_target(K)``; 0 when the centered means form a simplex ETF.  E
+  depends only on K, so no frame is needed.
 * ``pfc3`` -- nearest-class-center accuracy; 1 when every sample is closest
   to its own class mean.
 
@@ -30,7 +31,7 @@ from .core import (
     centered_class_mean_matrix,
     class_stats,
 )
-from .etf import EtfFrame
+from .etf import gram_target
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,36 @@ def pfc1(fs: FeatureSet, stats: ClassStats | None = None) -> float:
     return stats.tr_within / stats.tr_between
 
 
-def pfc2(fs: FeatureSet, target: EtfFrame) -> float:
-    """Frobenius distance of the normalized centered-mean Gram from the ETF target.
+# From this Gram norm up, each product or square that underflows is off by
+# at most 2^-1075 against a squared norm of at least 2^-1000, far below the
+# rounding of the result.
+_TINY_NORM = 2.0**-500
+
+
+def pfc2(fs: FeatureSet) -> float:
+    """Frobenius distance of the normalized centered-mean Gram from ``gram_target(K)``.
+
+    The normalized Gram does not change when the means are scaled, so a
+    Gram whose norm overflows, or is so small that its squared entries
+    lose bits to underflow, is recomputed from the means scaled by a power
+    of two; any other Gram is used as it is.
 
     Raises:
         DegenerateInputError: if the centered class-mean Gram matrix is zero.
     """
-    if target.num_classes != fs.num_classes:
-        raise ValueError(
-            f"target has {target.num_classes} classes, features have {fs.num_classes}"
-        )
     centered = centered_class_mean_matrix(fs)
-    gram = centered.T @ centered
-    norm = np.linalg.norm(gram)
+    with np.errstate(over="ignore"):
+        gram = centered.T @ centered
+        norm = np.linalg.norm(gram)
+    if not np.isfinite(norm) or norm < _TINY_NORM:
+        # exact rescaling: the largest centered entry lands in [0.5, 1)
+        _, exponent = np.frexp(np.max(np.abs(centered)))
+        centered = np.ldexp(centered, -exponent)
+        gram = centered.T @ centered
+        norm = np.linalg.norm(gram)
     if norm == 0.0:
         raise DegenerateInputError("centered class means are all zero; Gram cannot be normalized")
-    return float(np.linalg.norm(gram / norm - target.gram_target))
+    return float(np.linalg.norm(gram / norm - gram_target(fs.num_classes)))
 
 
 def nearest_class_means(fs: FeatureSet, stats: ClassStats | None = None) -> np.ndarray:
@@ -92,12 +107,12 @@ def pfc3(fs: FeatureSet, stats: ClassStats | None = None) -> float:
     return float(np.mean(assigned == fs.labels()))
 
 
-def measure(fs: FeatureSet, target: EtfFrame) -> PfcReport:
+def measure(fs: FeatureSet) -> PfcReport:
     """All three collapse metrics of one feature set."""
     stats = class_stats(fs)
     return PfcReport(
         pfc1=pfc1(fs, stats),
-        pfc2=pfc2(fs, target),
+        pfc2=pfc2(fs),
         pfc3=pfc3(fs, stats),
     )
 

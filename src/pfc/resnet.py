@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DivergenceError, FeatureSet, LayerStack
-from .etf import EtfFrame, build_etf
 from .metrics import PfcReport, measure
 
 
@@ -63,6 +62,11 @@ class TrainConfig:
             raise ValueError("structural sizes must all be >= 1")
         if self.num_classes < 2:
             raise ValueError(f"need num_classes >= 2, got {self.num_classes}")
+        if self.width < self.num_classes:
+            raise ValueError(
+                f"width must be >= num_classes, got width={self.width} < "
+                f"K={self.num_classes}"
+            )
         if self.lr < 0 or self.weight_decay < 0:
             raise ValueError("lr and weight_decay must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -231,7 +235,6 @@ def train(
     config: TrainConfig,
     data: FeatureSet,
     labels: np.ndarray | None = None,
-    target: EtfFrame | None = None,
 ) -> TrainTrace:
     """Train on a class-contiguous feature set and record collapse metrics.
 
@@ -256,8 +259,6 @@ def train(
     full_labels = data.labels()
     if labels is not None and not np.array_equal(labels, full_labels):
         raise ValueError("labels must be class-contiguous: 0..K-1 each repeated n times")
-    if target is None:
-        target = build_etf(config.num_classes, config.width, seed=config.seed)
 
     x_full = data.features
     # Parameters, gradients and velocity are flat vectors, so one update is
@@ -327,7 +328,7 @@ def train(
             stack = LayerStack(layer_sets, epoch=epoch)
             snapshot_epochs.append(epoch)
             snapshots.append(stack)
-            reports.append(tuple(measure(fs, target) for fs in layer_sets))
+            reports.append(tuple(measure(fs) for fs in layer_sets))
 
     return TrainTrace(
         config=config,

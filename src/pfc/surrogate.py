@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DegenerateInputError, DivergenceError, FeatureSet
-from .etf import build_etf
 from .metrics import alignment, measure
 
 KINDS = ("ufm", "mufm")
@@ -61,6 +60,10 @@ class SolveProblem:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if min(self.num_classes, self.dim, self.per_class) < 1 or self.num_classes < 2:
             raise ValueError("need num_classes >= 2, dim >= 1, per_class >= 1")
+        if self.dim < self.num_classes:
+            raise ValueError(
+                f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"
+            )
         if self.lambda_w <= 0 or self.lam <= 0:
             raise ValueError("lambda_w and lam must be positive")
         shape = (self.dim, self.num_classes * self.per_class)
@@ -381,7 +384,6 @@ def sweep_lambda(
     """
     if base.kind != "mufm":
         raise ValueError("sweep_lambda operates on mufm problems")
-    target = build_etf(base.num_classes, base.dim, seed=base.seed)
     rows = []
     for lam in lambdas:
         if lam <= 0:
@@ -391,7 +393,7 @@ def sweep_lambda(
             result = solve(problem, lr=lr, epochs=epochs, init_scale=init_scale,
                            trace_stride=max(1, epochs // 100))
             fs = FeatureSet(result.H, base.num_classes, base.per_class)
-            report = measure(fs, target)
+            report = measure(fs)
             rows.append(
                 SweepRow(
                     lam=float(lam),

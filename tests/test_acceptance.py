@@ -16,7 +16,7 @@ import pytest
 import conftest
 from pfc.core import FeatureSet
 from pfc.data import gen_gaussian_mixture
-from pfc.etf import build_etf
+from pfc.etf import build_etf, gram_target
 from pfc.harness import ExperimentConfig, run
 from pfc.metrics import alignment, pfc1, pfc2, pfc3
 from pfc.resnet import TrainConfig, init_params, resnet_backward
@@ -85,12 +85,11 @@ def test_01_simplex_frames_are_exact():
     cases = 0
     for k in range(2, 11):
         for d in (k, k + 3):
-            frame = build_etf(k, d, seed=[k, d])
-            m = frame.frame
+            m = build_etf(k, d, seed=[k, d])
             gram = m.T @ m
             norm_dev = np.max(np.abs(np.linalg.norm(m, axis=0) - 1.0))
             cos_dev = np.max(np.abs(gram[~np.eye(k, dtype=bool)] + 1.0 / (k - 1)))
-            target_dev = abs(np.linalg.norm(frame.gram_target) - 1.0)
+            target_dev = abs(np.linalg.norm(gram_target(k)) - 1.0)
             worst = max(worst, norm_dev, cos_dev, target_dev)
             cases += 1
     elapsed = time.perf_counter() - start
@@ -152,13 +151,13 @@ def test_02_metrics_match_brute_force_oracles():
         d = int(rng.integers(2, 9))
         features = rng.standard_normal((d, k * n))
         fs = FeatureSet(features, k, n)
-        frame = build_etf(k, max(d, k), seed=[seed, 1])
         other = rng.standard_normal(features.shape)
 
+        naive = _naive_metrics(features, k, n, gram_target(k))
         pairs = [
-            (pfc1(fs), _naive_metrics(features, k, n, frame.gram_target)[0]),
-            (pfc2(fs, frame), _naive_metrics(features, k, n, frame.gram_target)[1]),
-            (pfc3(fs), _naive_metrics(features, k, n, frame.gram_target)[2]),
+            (pfc1(fs), naive[0]),
+            (pfc2(fs), naive[1]),
+            (pfc3(fs), naive[2]),
             (alignment(features, other), _naive_alignment(features, other)),
         ]
         for got, want in pairs:

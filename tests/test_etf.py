@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfc.etf import EtfFrame, build_etf, gram_target
+from pfc.etf import build_etf, gram_target
 
 
 class TestGramTarget:
@@ -29,17 +29,16 @@ class TestBuildEtf:
     def test_identity_basis_three_classes(self):
         frame = build_etf(3, 3, orthonormal_basis=np.eye(3))
         np.testing.assert_allclose(
-            frame.frame[:, 0], [0.81649658, -0.40824829, -0.40824829], atol=1e-8
+            frame[:, 0], [0.81649658, -0.40824829, -0.40824829], atol=1e-8
         )
-        gram = frame.frame.T @ frame.frame
+        gram = frame.T @ frame
         off = gram[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, -0.5, atol=1e-12)
 
     @pytest.mark.parametrize("k", range(2, 11))
     @pytest.mark.parametrize("extra", [0, 3])
     def test_unit_norms_and_equal_angles(self, k, extra):
-        frame = build_etf(k, k + extra, seed=k + extra)
-        m = frame.frame
+        m = build_etf(k, k + extra, seed=k + extra)
         np.testing.assert_allclose(np.linalg.norm(m, axis=0), 1.0, atol=1e-12)
         gram = m.T @ m
         off = gram[~np.eye(k, dtype=bool)]
@@ -48,7 +47,7 @@ class TestBuildEtf:
     @pytest.mark.parametrize("k", [2, 4, 7, 10])
     def test_rank_is_k_minus_one(self, k):
         frame = build_etf(k, k + 3, seed=0)
-        singular = np.linalg.svd(frame.frame, compute_uv=False)
+        singular = np.linalg.svd(frame, compute_uv=False)
         assert singular[k - 2] > 1e-8
         assert singular[k - 1] < 1e-10
 
@@ -57,11 +56,11 @@ class TestBuildEtf:
         # M^T M = (K/(K-1)) (I - 11^T/K), proportional to the target Gram
         # with factor K/sqrt(K-1).
         frame = build_etf(k, k + 1, seed=1)
-        gram = frame.frame.T @ frame.frame
+        gram = frame.T @ frame
         expected = (k / (k - 1.0)) * (np.eye(k) - np.full((k, k), 1.0 / k))
         np.testing.assert_allclose(gram, expected, atol=1e-12)
         np.testing.assert_allclose(
-            gram, (k / np.sqrt(k - 1.0)) * frame.gram_target, atol=1e-12
+            gram, (k / np.sqrt(k - 1.0)) * gram_target(k), atol=1e-12
         )
 
     def test_dim_below_classes_rejected(self):
@@ -82,13 +81,11 @@ class TestBuildEtf:
         a = build_etf(4, 9, seed=5)
         b = build_etf(4, 9, seed=5)
         c = build_etf(4, 9, seed=6)
-        np.testing.assert_array_equal(a.frame, b.frame)
-        assert not np.array_equal(a.frame, c.frame)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_frame_fields(self):
         frame = build_etf(3, 5, seed=2)
-        assert isinstance(frame, EtfFrame)
-        assert frame.num_classes == 3
-        assert frame.dim == 5
-        assert frame.frame.shape == (5, 3)
-        np.testing.assert_allclose(frame.gram_target, gram_target(3), atol=1e-15)
+        assert frame.shape == (5, 3)
+        assert frame.dtype == np.float64
+        assert not frame.flags.writeable

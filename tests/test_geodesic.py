@@ -35,17 +35,17 @@ def random_path(seed, num_classes=3, per_class=4, dim=6, grid_points=11):
     return InterpolationPath(start=start, end=end, grid=uniform_grid(grid_points))
 
 
-def pointwise_values(path, kind, ts, target=None):
+def pointwise_values(path, kind, ts):
     """Oracle of the closed forms: one interpolated feature set and one
     metric call per t."""
-    fn = {"pfc1": pfc1, "pfc2": lambda fs: pfc2(fs, target), "pfc3": pfc3}[kind]
+    fn = {"pfc1": pfc1, "pfc2": pfc2, "pfc3": pfc3}[kind]
     return np.array([fn(interpolate(path, float(t))) for t in ts])
 
 
 @st.composite
-def paths_with_targets(draw):
+def oracle_paths(draw):
     """Random or exactly collapsed endpoints and a grid of arbitrary interior
-    points, plus an ETF target of the same K."""
+    points."""
     k = draw(st.integers(2, 6))
     n = draw(st.integers(1, 20))
     d = draw(st.integers(k, 24))
@@ -68,7 +68,7 @@ def paths_with_targets(draw):
     path = InterpolationPath(
         start=endpoint(collapsed[0], 1), end=endpoint(collapsed[1], 2), grid=grid
     )
-    return path, build_etf(k, d, seed=[seed, 3])
+    return path
 
 
 def naive_alignment(start: FeatureSet, end: FeatureSet) -> float:
@@ -152,36 +152,25 @@ class TestMetricCurves:
     def test_collapsed_end_reaches_zero(self):
         path = random_to_collapse_path(3, num_classes=3, per_class=4, dim=8,
                                        grid_points=21)
-        frame = build_etf(3, 8, seed=[3, 303])
-        for kind, target in (("pfc1", None), ("pfc2", frame)):
-            curve = metric_curve(path, kind, target=target)
+        for kind in ("pfc1", "pfc2"):
+            curve = metric_curve(path, kind)
             assert curve.values[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_collapsed_path_is_zero_curve(self):
         frame = build_etf(4, 5, seed=7)
         nc = make_nc_featureset(frame, per_class=3)
         path = InterpolationPath(start=nc, end=nc, grid=uniform_grid(5))
-        curve = metric_curve(path, "pfc1", target=None)
+        curve = metric_curve(path, "pfc1")
         np.testing.assert_allclose(curve.values, 0.0, atol=1e-24)
-        curve2 = metric_curve(path, "pfc2", target=frame)
+        curve2 = metric_curve(path, "pfc2")
         np.testing.assert_allclose(curve2.values, 0.0, atol=1e-12)
 
     def test_values_match_pointwise_metrics(self):
         path = random_path(11, grid_points=7)
-        frame = build_etf(3, 6, seed=5)
-        for kind, fn in (
-            ("pfc1", pfc1),
-            ("pfc2", lambda fs: pfc2(fs, frame)),
-            ("pfc3", pfc3),
-        ):
-            target = frame if kind == "pfc2" else None
-            curve = metric_curve(path, kind, target=target)
+        for kind, fn in (("pfc1", pfc1), ("pfc2", pfc2), ("pfc3", pfc3)):
+            curve = metric_curve(path, kind)
             for t, v in zip(curve.ts, curve.values):
                 assert v == pytest.approx(fn(interpolate(path, float(t))))
-
-    def test_pfc2_requires_target(self):
-        with pytest.raises(ValueError):
-            metric_curve(random_path(4), "pfc2")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -200,15 +189,13 @@ class TestMetricCurves:
 
 
 class TestClosedForms:
-    @given(paths_with_targets())
+    @given(oracle_paths())
     @settings(max_examples=150, deadline=None)
-    def test_match_pointwise_oracle(self, case):
-        path, frame = case
+    def test_match_pointwise_oracle(self, path):
         for kind in ("pfc1", "pfc2"):
-            target = frame if kind == "pfc2" else None
             np.testing.assert_allclose(
-                metric_curve(path, kind, target=target).values,
-                pointwise_values(path, kind, path.grid, target),
+                metric_curve(path, kind).values,
+                pointwise_values(path, kind, path.grid),
                 rtol=1e-9, atol=1e-12,
             )
         np.testing.assert_array_equal(
@@ -233,20 +220,17 @@ class TestClosedForms:
             pfc.geodesic, "class_stats", lambda fs: calls.append(fs) or original(fs)
         )
         path = random_path(12, grid_points=1001)
-        frame = build_etf(3, 6, seed=5)
         for kind in ("pfc1", "pfc2", "pfc3"):
-            metric_curve(path, kind, target=frame if kind == "pfc2" else None)
+            metric_curve(path, kind)
         assert [id(fs) for fs in calls] == [id(path.start), id(path.end)]
 
     def test_values_at_any_points(self):
         path = random_path(13, grid_points=5)
-        frame = build_etf(3, 6, seed=5)
         ts = np.array([0.7, 0.0, 0.3, 0.3, 1.0])
         for kind in ("pfc1", "pfc2", "pfc3"):
-            target = frame if kind == "pfc2" else None
             np.testing.assert_allclose(
-                metric_values(path, kind, ts, target=target),
-                pointwise_values(path, kind, ts, target),
+                metric_values(path, kind, ts),
+                pointwise_values(path, kind, ts),
                 rtol=1e-12,
             )
 
@@ -257,8 +241,6 @@ class TestClosedForms:
                 metric_values(path, "pfc1", bad)
         with pytest.raises(ValueError):
             metric_values(path, "pfc1", np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="classes"):
-            metric_values(path, "pfc2", [0.5], target=build_etf(4, 6, seed=0))
 
     def test_degenerate_error_names_first_bad_point(self):
         features = np.random.default_rng(1).standard_normal((4, 6))
@@ -266,9 +248,8 @@ class TestClosedForms:
             start=FeatureSet(features, 3, 2), end=FeatureSet(-features, 3, 2),
             grid=uniform_grid(3),
         )
-        frame = build_etf(3, 4, seed=0)
         with pytest.raises(DegenerateInputError, match="pfc2 degenerate at t=0.5"):
-            metric_values(path, "pfc2", [0.25, 0.5, 0.5], target=frame)
+            metric_values(path, "pfc2", [0.25, 0.5, 0.5])
 
     def test_pfc3_ties_go_to_smallest_class(self):
         # the class-0 sample at 1.5 is equidistant from the means 0 and 3
@@ -389,7 +370,7 @@ class TestCollapsedFixture:
         fs = make_nc_featureset(frame, per_class=5, scale=2.0,
                                 global_mean=np.arange(6.0))
         assert pfc1(fs) == pytest.approx(0.0, abs=1e-30)
-        assert pfc2(fs, frame) == pytest.approx(0.0, abs=1e-12)
+        assert pfc2(fs) == pytest.approx(0.0, abs=1e-12)
         assert pfc3(fs) == 1.0
 
     def test_centered_means_proportional_to_frame(self):
@@ -398,7 +379,7 @@ class TestCollapsedFixture:
                                 global_mean=np.ones(5))
         stats = class_stats(fs)
         centered = stats.class_means - stats.global_mean[:, None]
-        np.testing.assert_allclose(centered, 1.5 * frame.frame, atol=1e-12)
+        np.testing.assert_allclose(centered, 1.5 * frame, atol=1e-12)
 
 
 class TestSeededPaths:
@@ -479,10 +460,7 @@ class TestEtfDistanceDecrease:
                         [num_classes, per_class, dim], num_classes, per_class,
                         dim, grid_points=1001,
                     )
-                    frame = build_etf(
-                        num_classes, dim, seed=[num_classes, per_class, dim, 303]
-                    )
-                    curve = metric_curve(path, "pfc2", target=frame)
+                    curve = metric_curve(path, "pfc2")
                     assert bool(monotonicity_report(curve)), (
                         num_classes, per_class, dim,
                     )

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from pfc import cli, metrics
+from pfc import cli, harness, metrics
 from pfc.core import (
     DegenerateInputError,
     FeatureSet,
@@ -384,6 +384,29 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert "artifacts" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["theorem1", "theorem2"])
+    def test_zero_paths_names_the_parameter(self, tmp_path, capsys, kind):
+        code = cli.main([kind, "--out", str(tmp_path / "x"), "--set", "num_paths=0"])
+        assert code == 1
+        assert "num_paths must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, name", [
+        ("solve-ufm", "dim"),
+        ("solve-mufm", "dim"),
+        ("sweep-lambda", "dim"),
+        ("train-resnet", "width"),
+    ])
+    def test_narrow_run_rejected_before_it_starts(self, tmp_path, capsys, monkeypatch,
+                                                  kind, name):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for fn in ("solve", "sweep_lambda", "train"):
+            monkeypatch.setattr(harness, fn, never)
+        args = [kind, "--out", str(tmp_path / "x"), "--set", f"{name}=3"]
+        assert cli.main(args) == 1
+        assert f"{name} must be >= num_classes" in capsys.readouterr().err
+
     def test_seed_flag_beats_config_file(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 5, "params": {"max_classes": 3}}))
@@ -475,6 +498,19 @@ class TestPfcReportRun:
         summary = json.loads((out / "summary.json").read_text())
         stack = LayerStack(tuple(load_featureset(f) for f in files))
         assert summary["effective_depth"] == effective_depth(stack, 0.05)
+
+    def test_stack_narrower_than_classes_rejected(self, tmp_path):
+        files = []
+        for layer in range(2):
+            fs = FeatureSet(np.arange(12.0).reshape(2, 6) * (layer + 1), 3, 2)
+            path = tmp_path / f"layer{layer}.txt"
+            save_featureset(path, fs)
+            files.append(str(path))
+        cfg = ExperimentConfig(
+            kind="pfc-report", params={"stack_files": files}, out_dir=tmp_path / "x"
+        )
+        with pytest.raises(ValueError, match="stack_files must hold features of dim"):
+            run(cfg)
 
     def test_fewer_than_two_stacks_rejected(self, tmp_path):
         cfg = ExperimentConfig(

@@ -79,10 +79,10 @@ def random_featureset(rng):
 
 
 def nc_featureset(frame, per_class, scale=1.0, offset=None):
-    means = scale * frame.frame
+    means = scale * frame
     if offset is not None:
         means = means + offset[:, None]
-    return FeatureSet(np.repeat(means, per_class, axis=1), frame.num_classes, per_class)
+    return FeatureSet(np.repeat(means, per_class, axis=1), frame.shape[1], per_class)
 
 
 class TestPfc1:
@@ -111,40 +111,50 @@ class TestPfc2:
         for k, d, scale in [(2, 2, 1.0), (3, 5, 2.5), (5, 8, 0.3)]:
             frame = build_etf(k, d, seed=k)
             fs = nc_featureset(frame, per_class=3, scale=scale)
-            assert pfc2(fs, frame) == pytest.approx(0.0, abs=1e-12)
+            assert pfc2(fs) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_class_metric_is_degenerate_zero(self):
         # with K=2 the centered means are always antipodal, so the
         # normalized Gram equals the target for any nonzero configuration.
-        frame = build_etf(2, 2, orthonormal_basis=np.eye(2))
         exact = FeatureSet(np.array([[1.0, -1.0], [0.0, 0.0]]), 2, 1)
-        assert pfc2(exact, frame) == pytest.approx(0.0, abs=1e-12)
+        assert pfc2(exact) == pytest.approx(0.0, abs=1e-12)
         bent = FeatureSet(np.array([[1.0, 1.0], [0.0, 0.5]]), 2, 1)
-        assert pfc2(bent, frame) == pytest.approx(0.0, abs=1e-12)
+        assert pfc2(bent) == pytest.approx(0.0, abs=1e-12)
 
     def test_perturbed_mean_gives_positive_value(self):
         frame = build_etf(3, 3, orthonormal_basis=np.eye(3))
-        means = frame.frame.copy()
+        means = frame.copy()
         means[1, 0] += 0.5
         fs = FeatureSet(means, num_classes=3, per_class=1)
-        assert pfc2(fs, frame) > 1e-3
+        assert pfc2(fs) > 1e-3
 
     def test_equal_means_raise(self):
         fs = FeatureSet(np.tile([[1.0, 3.0]], (1, 2)), num_classes=2, per_class=2)
         with pytest.raises(DegenerateInputError):
-            pfc2(fs, build_etf(2, 2, seed=0))
+            pfc2(fs)
 
-    def test_class_count_mismatch(self):
-        fs = FeatureSet(np.arange(8.0).reshape(2, 4), num_classes=2, per_class=2)
-        with pytest.raises(ValueError):
-            pfc2(fs, build_etf(3, 4, seed=0))
+    @pytest.mark.parametrize("scale", [1e-170, 1e-80, 1.0, 1e80, 1e180])
+    def test_extreme_scales_keep_the_value(self, scale):
+        # K = 2 centered means are antipodal, so every scale gives 0; from
+        # about 1e77 on the Gram's norm overflows, and below about 1e-77
+        # the squares of its entries underflow
+        row = scale * np.array([1.0, -1.0, 2.0, 0.0])
+        fs = FeatureSet(np.stack([row, 2.0 * row, 3.0 * row]), num_classes=2, per_class=2)
+        assert pfc2(fs) == pytest.approx(0.0, abs=1e-15)
+
+    def test_power_of_two_scaling_keeps_bits(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            fs = random_featureset(rng)
+            for factor in (2.0**600, 2.0**-600):
+                scaled = FeatureSet(factor * fs.features, fs.num_classes, fs.per_class)
+                assert pfc2(scaled) == pfc2(fs)
 
     def test_scaling_centered_means_invariance(self):
         rng = np.random.default_rng(5)
         fs = random_featureset(rng)
-        frame = build_etf(fs.num_classes, max(fs.dim, fs.num_classes), seed=1)
         scaled = FeatureSet(0.01 * fs.features, fs.num_classes, fs.per_class)
-        assert pfc2(scaled, frame) == pytest.approx(pfc2(fs, frame), rel=1e-10)
+        assert pfc2(scaled) == pytest.approx(pfc2(fs), rel=1e-10)
 
 
 class TestPfc3:
@@ -174,16 +184,12 @@ class TestOracles:
         rng = np.random.default_rng(42)
         for _ in range(120):
             fs = random_featureset(rng)
-            frame = build_etf(
-                fs.num_classes,
-                max(fs.dim, fs.num_classes),
-                seed=int(rng.integers(1000)),
-            )
             assert pfc1(fs) == pytest.approx(
                 naive_pfc1(fs.features, fs.num_classes, fs.per_class), rel=1e-12
             )
-            assert pfc2(fs, frame) == pytest.approx(
-                naive_pfc2(fs.features, fs.num_classes, fs.per_class, frame.gram_target),
+            assert pfc2(fs) == pytest.approx(
+                naive_pfc2(fs.features, fs.num_classes, fs.per_class,
+                           gram_target(fs.num_classes)),
                 rel=1e-12,
             )
             assert pfc3(fs) == pytest.approx(
@@ -274,19 +280,17 @@ class TestMeasure:
     def test_agrees_with_individual_metrics(self):
         rng = np.random.default_rng(23)
         fs = random_featureset(rng)
-        frame = build_etf(fs.num_classes, fs.dim, seed=4)
-        report = measure(fs, frame)
+        report = measure(fs)
         assert report.pfc1 == pfc1(fs)
-        assert report.pfc2 == pfc2(fs, frame)
+        assert report.pfc2 == pfc2(fs)
         assert report.pfc3 == pfc3(fs)
 
     def test_translation_invariance_of_all_metrics(self):
         rng = np.random.default_rng(31)
         fs = random_featureset(rng)
-        frame = build_etf(fs.num_classes, fs.dim, seed=6)
         shift = 10.0 * rng.standard_normal((fs.dim, 1))
         moved = FeatureSet(fs.features + shift, fs.num_classes, fs.per_class)
-        a, b = measure(fs, frame), measure(moved, frame)
+        a, b = measure(fs), measure(moved)
         assert b.pfc1 == pytest.approx(a.pfc1, rel=1e-9)
         assert b.pfc2 == pytest.approx(a.pfc2, rel=1e-8, abs=1e-10)
         assert b.pfc3 == a.pfc3

@@ -134,6 +134,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(lam=-1.0)
 
+    @pytest.mark.parametrize("kind", ["ufm", "mufm"])
+    def test_dim_below_classes_rejected(self, kind):
+        data = np.zeros((2, 12)) if kind == "mufm" else None
+        with pytest.raises(ValueError, match="dim must be >= num_classes"):
+            SolveProblem(kind=kind, loss="mse", num_classes=3, dim=2,
+                         per_class=4, lambda_w=0.1, lam=0.1, data=data)
+        make_problem(kind=kind, num_classes=3, dim=3)  # d = K is allowed
+
     def test_data_presence_rules(self):
         with pytest.raises(ValueError):
             SolveProblem(kind="mufm", loss="mse", num_classes=3, dim=5,
