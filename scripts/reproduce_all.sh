@@ -21,8 +21,8 @@ run train-resnet   # ~ 45 s
 run sweep-lambda   # ~ 35 s
 
 # pfc-report consumes saved layer snapshots; feed it the ones the
-# training run just wrote.
-files=$(python3 -c "import glob, json; print(json.dumps(sorted(glob.glob('runs/train-resnet/layers/layer_*.txt'))))")
+# training run's manifest lists.
+files=$(python3 -c "import json; a = json.load(open('runs/train-resnet/manifest.json'))['artifacts']; print(json.dumps(['runs/train-resnet/' + f for f in sorted(a) if f.startswith('layers/')]))")
 run pfc-report --set "stack_files=$files"
 
 echo "all runs complete; artifacts in runs/"

@@ -1,12 +1,16 @@
 """Experiment recipes, artifact serialization, and run manifests.
 
-Each experiment kind maps a resolved parameter block plus a seed to a
-private output directory holding CSV tables, a JSON summary, and a
-manifest that echoes the full configuration together with sha256
-checksums of every artifact.  All CSV numbers are written with 17
-significant digits so re-reading them reproduces the exact float bits,
-and every random stream is derived from the run seed, so a repeated run
-yields byte-identical artifacts.
+``KINDS`` maps each experiment kind to its runner and its parameter
+defaults; a default's type is its parameter's type, so every value a run
+receives has been checked against it (:func:`typed_param`).  A run maps
+the resolved parameter block plus a seed to a private output directory
+holding CSV tables, a JSON summary, and a manifest that echoes the full
+configuration together with sha256 checksums of every artifact.  The
+directory is replaced only by a run that succeeds, so it always holds
+exactly one run.  All CSV numbers are written with 17 significant digits
+so re-reading them reproduces the exact float bits, and every random
+stream is derived from the run seed, so a repeated run yields
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -16,8 +20,12 @@ import itertools
 import json
 import os
 import platform
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from .core import (
     load_featureset,
     save_featureset,
 )
-from .data import gen_gaussian_mixture
+from .data import gen_gaussian_mixture, load_mnist_idx
 from .etf import build_etf, gram_target
 from .geodesic import (
     METRIC_KINDS,
@@ -55,121 +63,13 @@ from .surrogate import (
     sweep_lambda,
 )
 
-KINDS = (
-    "etf-check",
-    "interpolate",
-    "theorem1",
-    "theorem2",
-    "solve-ufm",
-    "solve-mufm",
-    "sweep-lambda",
-    "train-resnet",
-    "pfc-report",
-    "equivalence-thm3",
-)
-
-_SOLVE_PARAMS = {
-    "loss": "mse",
-    "num_classes": 5,
-    "dim": 20,
-    "per_class": 100,
-    "lambda_w": 0.005,
-    "lam": 0.001,
-    "lr": 0.1,
-    "epochs": 50_000,
-    "init_scale": 0.3,
-    "trace_stride": 500,
-    "grad_tol": 0.0,
-}
-
-_PATH_SUITE_PARAMS = {
-    "num_paths": 100,
-    "grid_points": 1001,
-    "classes": [3, 5],
-    "per_class": [4, 20],
-    "dims": [8, 20],
-    "end_scale": 1.0,
-    "final_tolerance": 1e-12,
-}
-
-DEFAULT_PARAMS = {
-    "etf-check": {
-        "min_classes": 2,
-        "max_classes": 10,
-        "extra_dims": [0, 3],
-        "tolerance": 1e-12,
-    },
-    "interpolate": {
-        "num_classes": 4,
-        "per_class": 20,
-        "dim": 8,
-        "grid_points": 101,
-        "end_scale": 1.0,
-    },
-    "theorem1": dict(_PATH_SUITE_PARAMS),
-    "theorem2": {**_PATH_SUITE_PARAMS, "eps_rel": 0.01},
-    "solve-ufm": dict(_SOLVE_PARAMS),
-    "solve-mufm": {**_SOLVE_PARAMS, "mean_scale": 1.0, "noise_scale": 1.0},
-    "sweep-lambda": {
-        "loss": "mse",
-        "num_classes": 5,
-        "dim": 20,
-        "per_class": 100,
-        "lambda_w": 0.005,
-        "lambdas": [float(v) for v in np.geomspace(0.0005, 0.02, 8)],
-        "lr": 0.1,
-        "epochs": 50_000,
-        "init_scale": 0.05,
-        "mean_scale": 1.0,
-        "noise_scale": 1.0,
-    },
-    "train-resnet": {
-        "num_blocks": 6,
-        "width": 64,
-        "input_dim": 16,
-        "num_classes": 4,
-        "per_class": 256,
-        "epochs": 3000,
-        "batch_size": 128,
-        "lr": 0.02,
-        "lr_decay_factor": 0.1,
-        "lr_decay_epochs": [1000, 2000],
-        "momentum": 0.9,
-        "weight_decay": 0.0025,
-        "decay_biases": True,
-        "record_stride": 250,
-        "mean_scale": 2.0,
-        "noise_scale": 1.0,
-        "grid_points": 1001,
-        "effective_epsilon": 0.05,
-    },
-    "pfc-report": {
-        "stack_files": [],
-        "grid_points": 1001,
-        "effective_epsilon": 0.05,
-    },
-    "equivalence-thm3": {
-        "depths": [2, 5, 10],
-        "num_classes": 5,
-        "dim": 20,
-        "per_class": 100,
-        "loss": "mse",
-        "lambda_w": 0.005,
-        "lam": 0.001,
-        "mean_scale": 1.0,
-        "noise_scale": 1.0,
-        "end_scale": 1.0,
-        "chain_lr": 0.2,
-        "chain_iters": 5000,
-    },
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: kind, parameter block, seed, output directory.
 
-    Parameters not given explicitly resolve to the kind's defaults;
+    Parameters not given explicitly resolve to the kind's defaults, and
+    each given value is typed from its default (:func:`typed_param`);
     unknown keys are rejected so typos cannot silently fall back.
     """
 
@@ -183,7 +83,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
-        defaults = DEFAULT_PARAMS[self.kind]
+        defaults = KINDS[self.kind].defaults
         unknown = sorted(set(self.params) - set(defaults))
         if unknown:
             raise ValueError(
@@ -195,9 +95,42 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "params", {**defaults, **self.params})
+        params = {
+            **defaults,
+            **{k: typed_param(k, v, defaults[k]) for k, v in self.params.items()},
+        }
+        object.__setattr__(self, "params", params)
         out = Path("runs") / self.kind if self.out_dir is None else Path(self.out_dir)
         object.__setattr__(self, "out_dir", out)
+
+
+def typed_param(name: str, value, default):
+    """``value`` as the type of the parameter's ``default``.
+
+    An int takes an int or an integral float, a float takes an int or a
+    float, a bool only a bool and a str only a str.  A list takes a list
+    whose items are typed from the default's first item (str when the
+    default is empty).
+
+    Raises:
+        ValueError: naming the parameter, for any other value.
+    """
+    number = isinstance(value, (int, np.integer, float)) and not isinstance(value, bool)
+    if isinstance(default, list):
+        if isinstance(value, list):
+            item = default[0] if default else ""
+            return [typed_param(name, v, item) for v in value]
+    elif isinstance(default, (bool, str)):
+        if isinstance(value, type(default)):
+            return value
+    elif isinstance(default, int):
+        if number and (not isinstance(value, float) or value.is_integer()):
+            return int(value)
+    elif number:
+        return float(value)
+    raise ValueError(
+        f"parameter {name!r} must be of type {type(default).__name__}, got {value!r}"
+    )
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -388,7 +321,7 @@ def _run_etf_check(cfg: ExperimentConfig, out: Path) -> dict:
     rows = []
     for k in range(p["min_classes"], p["max_classes"] + 1):
         for extra in p["extra_dims"]:
-            d = k + int(extra)
+            d = k + extra
             m = build_etf(k, d, seed=[cfg.seed, k, d])
             gram = m.T @ m
             off_diag = gram[~np.eye(k, dtype=bool)]
@@ -436,7 +369,7 @@ def _run_interpolate(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
+def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
     p = cfg.params
     if p["num_paths"] < 1:
         raise ValueError(f"num_paths must be >= 1, got {p['num_paths']}")
@@ -445,7 +378,7 @@ def _path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
     finals = []
     verdict_ok = 0
     for i in range(p["num_paths"]):
-        k, n, d = (int(v) for v in combos[i % len(combos)])
+        k, n, d = combos[i % len(combos)]
         if variant == 1:
             path = random_to_collapse_path(
                 [cfg.seed, i], k, n, d,
@@ -486,14 +419,6 @@ def _path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
         "final_tolerance": p["final_tolerance"],
         "all_final_below_tolerance": bool(max_final < p["final_tolerance"]),
     }
-
-
-def _run_theorem1(cfg: ExperimentConfig, out: Path) -> dict:
-    return _path_suite(cfg, out, variant=1)
-
-
-def _run_theorem2(cfg: ExperimentConfig, out: Path) -> dict:
-    return _path_suite(cfg, out, variant=2)
 
 
 def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
@@ -554,17 +479,9 @@ def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
     return summary
 
 
-def _run_solve_ufm(cfg: ExperimentConfig, out: Path) -> dict:
-    return _run_solve(cfg, out, "ufm")
-
-
-def _run_solve_mufm(cfg: ExperimentConfig, out: Path) -> dict:
-    return _run_solve(cfg, out, "mufm")
-
-
 def _run_sweep_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    lambdas = [float(v) for v in p["lambdas"]]
+    lambdas = p["lambdas"]
     if not lambdas:
         raise ValueError("sweep needs at least one lambda")
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
@@ -651,6 +568,9 @@ _REPORT_HEADER = (
 
 def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
+    if bool(p["images"]) != bool(p["labels"]):
+        missing = "labels" if p["images"] else "images"
+        raise ValueError(f"an IDX run reads images and labels together; set {missing} too")
     config = TrainConfig(
         num_blocks=p["num_blocks"],
         width=p["width"],
@@ -664,15 +584,23 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
         lr_decay_epochs=tuple(p["lr_decay_epochs"]),
         momentum=p["momentum"],
         weight_decay=p["weight_decay"],
-        decay_biases=bool(p["decay_biases"]),
+        decay_biases=p["decay_biases"],
         seed=cfg.seed,
         record_stride=p["record_stride"],
     )
-    data, labels = gen_gaussian_mixture(
-        config.num_classes, config.input_dim, config.per_class,
-        mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
-        seed=_data_seed(cfg.seed),
-    )
+    if p["images"]:
+        data, labels = load_mnist_idx(p["images"], p["labels"], config.per_class)
+        for name, value in (("num_classes", data.num_classes), ("input_dim", data.dim)):
+            if p[name] != value:
+                raise ValueError(
+                    f"{name}={p[name]} does not match the IDX files, which hold {value}"
+                )
+    else:
+        data, labels = gen_gaussian_mixture(
+            config.num_classes, config.input_dim, config.per_class,
+            mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
+            seed=_data_seed(cfg.seed),
+        )
     trace = train(config, data, labels)
 
     epochs = range(1, config.epochs + 1)
@@ -716,7 +644,7 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_pfc_report(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    files = list(p["stack_files"])
+    files = p["stack_files"]
     if len(files) < 2:
         raise ValueError(
             "pfc-report needs at least two stack files (set stack_files)"
@@ -733,7 +661,7 @@ def _run_pfc_report(cfg: ExperimentConfig, out: Path) -> dict:
     )
     write_csv(out / "report.csv", _REPORT_HEADER, report_rows)
     write_csv(out / "curves.csv", ("t", "value", "metric_kind"), curve_rows)
-    return {"stack_files": [str(f) for f in files], **stack_summary}
+    return {"stack_files": files, **stack_summary}
 
 
 def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:
@@ -752,7 +680,7 @@ def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:
     rows = []
     max_cost_gap = 0.0
     max_objective_gap = 0.0
-    for depth in (int(v) for v in p["depths"]):
+    for depth in p["depths"]:
         layers, cost_closed = collapse_multilayer(x, h_last, depth)
         _, cost_descent = minimize_transport_chain(
             x, h_last, depth,
@@ -782,52 +710,172 @@ def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:
         rows,
     )
     return {
-        "depths": [int(v) for v in p["depths"]],
+        "depths": p["depths"],
         "max_cost_rel_gap": max_cost_gap,
         "max_objective_rel_gap": max_objective_gap,
     }
 
 
-_RUNNERS = {
-    "etf-check": _run_etf_check,
-    "interpolate": _run_interpolate,
-    "theorem1": _run_theorem1,
-    "theorem2": _run_theorem2,
-    "solve-ufm": _run_solve_ufm,
-    "solve-mufm": _run_solve_mufm,
-    "sweep-lambda": _run_sweep_lambda,
-    "train-resnet": _run_train_resnet,
-    "pfc-report": _run_pfc_report,
-    "equivalence-thm3": _run_equivalence_thm3,
+_SOLVE_PARAMS = {
+    "loss": "mse",
+    "num_classes": 5,
+    "dim": 20,
+    "per_class": 100,
+    "lambda_w": 0.005,
+    "lam": 0.001,
+    "lr": 0.1,
+    "epochs": 50_000,
+    "init_scale": 0.3,
+    "trace_stride": 500,
+    "grad_tol": 0.0,
+}
+
+_PATH_SUITE_PARAMS = {
+    "num_paths": 100,
+    "grid_points": 1001,
+    "classes": [3, 5],
+    "per_class": [4, 20],
+    "dims": [8, 20],
+    "end_scale": 1.0,
+    "final_tolerance": 1e-12,
+}
+
+
+class Kind(NamedTuple):
+    """One experiment kind: its runner and its parameter defaults, whose
+    types are the parameters' types."""
+
+    run: Callable[[ExperimentConfig, Path], dict]
+    defaults: dict
+
+
+KINDS = {
+    "etf-check": Kind(_run_etf_check, {
+        "min_classes": 2,
+        "max_classes": 10,
+        "extra_dims": [0, 3],
+        "tolerance": 1e-12,
+    }),
+    "interpolate": Kind(_run_interpolate, {
+        "num_classes": 4,
+        "per_class": 20,
+        "dim": 8,
+        "grid_points": 101,
+        "end_scale": 1.0,
+    }),
+    "theorem1": Kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
+    "theorem2": Kind(
+        partial(_run_path_suite, variant=2), {**_PATH_SUITE_PARAMS, "eps_rel": 0.01}
+    ),
+    "solve-ufm": Kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
+    "solve-mufm": Kind(
+        partial(_run_solve, kind="mufm"),
+        {**_SOLVE_PARAMS, "mean_scale": 1.0, "noise_scale": 1.0},
+    ),
+    "sweep-lambda": Kind(_run_sweep_lambda, {
+        "loss": "mse",
+        "num_classes": 5,
+        "dim": 20,
+        "per_class": 100,
+        "lambda_w": 0.005,
+        "lambdas": [float(v) for v in np.geomspace(0.0005, 0.02, 8)],
+        "lr": 0.1,
+        "epochs": 50_000,
+        "init_scale": 0.05,
+        "mean_scale": 1.0,
+        "noise_scale": 1.0,
+    }),
+    "train-resnet": Kind(_run_train_resnet, {
+        "num_blocks": 6,
+        "width": 64,
+        "input_dim": 16,
+        "num_classes": 4,
+        "per_class": 256,
+        "epochs": 3000,
+        "batch_size": 128,
+        "lr": 0.02,
+        "lr_decay_factor": 0.1,
+        "lr_decay_epochs": [1000, 2000],
+        "momentum": 0.9,
+        "weight_decay": 0.0025,
+        "decay_biases": True,
+        "record_stride": 250,
+        "mean_scale": 2.0,
+        "noise_scale": 1.0,
+        "grid_points": 1001,
+        "effective_epsilon": 0.05,
+        "images": "",
+        "labels": "",
+    }),
+    "pfc-report": Kind(_run_pfc_report, {
+        "stack_files": [],
+        "grid_points": 1001,
+        "effective_epsilon": 0.05,
+    }),
+    "equivalence-thm3": Kind(_run_equivalence_thm3, {
+        "depths": [2, 5, 10],
+        "num_classes": 5,
+        "dim": 20,
+        "per_class": 100,
+        "loss": "mse",
+        "lambda_w": 0.005,
+        "lam": 0.001,
+        "mean_scale": 1.0,
+        "noise_scale": 1.0,
+        "end_scale": 1.0,
+        "chain_lr": 0.2,
+        "chain_iters": 5000,
+    }),
 }
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and return its manifest.
 
-    Artifacts land in ``config.out_dir``; the manifest echoes the resolved
-    configuration and records a sha256 checksum for every artifact, so two
-    runs agree iff their manifests' artifact blocks agree.
+    The run writes into a fresh sibling of ``config.out_dir`` that replaces
+    the directory only once the run has succeeded, so ``out_dir`` always
+    holds exactly one complete run: a failed run leaves an earlier one
+    untouched.  The manifest echoes the resolved configuration and records
+    a sha256 checksum for every artifact, so two runs agree iff their
+    manifests' artifact blocks agree.
+
+    Raises:
+        ValueError: before any work, if ``out_dir`` is not empty and holds
+            no manifest, i.e. is not a run directory this may replace.
     """
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[config.kind](config, out)
-    write_json(out / "summary.json", summary)
-    artifacts = {
-        str(path.relative_to(out).as_posix()): sha256_file(path)
-        for path in sorted(out.rglob("*"))
-        if path.is_file() and path.name != "manifest.json"
-    }
-    manifest = {
-        "kind": config.kind,
-        "seed": config.seed,
-        "params": config.params,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        "artifacts": artifacts,
-    }
-    write_json(out / "manifest.json", manifest)
+    out = config.out_dir.resolve()
+    if out.exists() and not (out / "manifest.json").is_file() and any(out.iterdir()):
+        raise ValueError(
+            f"out_dir {config.out_dir} is not empty and holds no manifest.json; "
+            "refusing to replace it"
+        )
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        new = staging / "run"
+        new.mkdir()
+        summary = KINDS[config.kind].run(config, new)
+        write_json(new / "summary.json", summary)
+        artifacts = {
+            str(path.relative_to(new).as_posix()): sha256_file(path)
+            for path in sorted(new.rglob("*"))
+            if path.is_file()
+        }
+        manifest = {
+            "kind": config.kind,
+            "seed": config.seed,
+            "params": config.params,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
+            },
+            "artifacts": artifacts,
+        }
+        write_json(new / "manifest.json", manifest)
+        if out.exists():
+            out.rename(staging / "old")
+        new.rename(out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest

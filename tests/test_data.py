@@ -1,13 +1,18 @@
-"""Synthetic mixture generation and IDX digit loading."""
+"""Synthetic mixture generation, IDX digit loading, and training on
+IDX files through the train-resnet kind."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from pfc import cli
 from pfc.core import class_stats
 from pfc.data import gen_gaussian_mixture, load_mnist_idx
+from pfc.harness import ExperimentConfig, csv_column, read_csv, run
 from pfc.metrics import pfc1, pfc3
+from pfc.resnet import TrainConfig, train
 
 
 def write_idx_images(path, images: np.ndarray, magic: int = 2051):
@@ -160,3 +165,86 @@ class TestIdxLoading:
         img_path, lbl_path, _ = tiny_digit_pair(tmp_path, [0, 1])
         with pytest.raises(ValueError, match="per_class"):
             load_mnist_idx(img_path, lbl_path, per_class=0)
+
+
+class TestIdxTraining:
+    """train-resnet trains on an IDX pair when ``images`` and ``labels`` are set."""
+
+    PARAMS = {
+        "num_blocks": 2,
+        "width": 8,
+        "input_dim": 9,
+        "num_classes": 3,
+        "per_class": 4,
+        "epochs": 4,
+        "batch_size": 6,
+        "lr_decay_epochs": [],
+        "record_stride": 2,
+        "grid_points": 11,
+    }
+
+    def files(self, tmp_path):
+        img_path, lbl_path, _ = tiny_digit_pair(tmp_path, np.repeat(np.arange(3), 5))
+        return {"images": str(img_path), "labels": str(lbl_path)}
+
+    def test_run_writes_layers_report_curves_and_manifest(self, tmp_path):
+        files = self.files(tmp_path)
+        out = tmp_path / "run"
+        manifest = run(ExperimentConfig(
+            kind="train-resnet", params={**self.PARAMS, **files}, out_dir=out
+        ))
+        assert {
+            "train_log.csv", "trace.csv", "report.csv", "curves.csv", "summary.json",
+            "layers/layer_00.txt", "layers/layer_01.txt", "layers/layer_02.txt",
+        } == set(manifest["artifacts"])
+        assert (out / "manifest.json").is_file()
+        assert {k: manifest["params"][k] for k in files} == files
+        header, rows = read_csv(out / "report.csv")
+        assert csv_column(header, rows, "layer") == [0, 1, 2]
+        header, rows = read_csv(out / "curves.csv")
+        assert len(rows) == 3 * self.PARAMS["grid_points"]
+
+    def test_run_trains_on_the_files(self, tmp_path):
+        files = self.files(tmp_path)
+        out = tmp_path / "run"
+        run(ExperimentConfig(
+            kind="train-resnet", params={**self.PARAMS, **files}, out_dir=out
+        ))
+        p = self.PARAMS
+        config = TrainConfig(
+            num_blocks=p["num_blocks"], width=p["width"], input_dim=p["input_dim"],
+            num_classes=p["num_classes"], per_class=p["per_class"],
+            epochs=p["epochs"], batch_size=p["batch_size"], lr=0.02,
+            lr_decay_epochs=(), weight_decay=0.0025, seed=1,
+            record_stride=p["record_stride"],
+        )
+        trace = train(config, *load_mnist_idx(files["images"], files["labels"], 4))
+        header, rows = read_csv(out / "train_log.csv")
+        assert csv_column(header, rows, "loss") == [float(v) for v in trace.losses]
+
+    @pytest.mark.parametrize("name, value, held", [
+        ("input_dim", 8, 9), ("num_classes", 4, 3),
+    ])
+    def test_shape_mismatch_names_the_parameter(self, tmp_path, capsys, name, value,
+                                                held):
+        files = self.files(tmp_path)
+        out = tmp_path / "run"
+        params = {**self.PARAMS, **files, name: value}
+        args = ["train-resnet", "--out", str(out)]
+        for key, val in params.items():
+            args += ["--set", f"{key}={json.dumps(val)}"]
+        assert cli.main(args) == 1
+        assert f"{name}={value} does not match the IDX files, which hold {held}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, missing", [("images", "labels"), ("labels", "images")])
+    def test_one_file_without_the_other_names_the_missing_one(self, tmp_path, capsys,
+                                                              given, missing):
+        files = self.files(tmp_path)
+        out = tmp_path / "run"
+        args = ["train-resnet", "--out", str(out), "--set", f"{given}={files[given]}"]
+        assert cli.main(args) == 1
+        assert f"set {missing} too" in capsys.readouterr().err
+        assert not out.exists()

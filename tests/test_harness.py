@@ -1,9 +1,11 @@
 """Config resolution, CSV/JSON serialization, rank correlation, and the
 experiment runner: artifact layout, manifests, and CLI exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from pfc.etf import build_etf
 from pfc.geodesic import make_nc_featureset
 from pfc.metrics import effective_depth
 from pfc.harness import (
-    DEFAULT_PARAMS,
+    KINDS,
     ExperimentConfig,
     csv_column,
     format_cell,
@@ -36,6 +38,7 @@ from pfc.harness import (
     run,
     sha256_file,
     spearman,
+    typed_param,
     write_csv,
     write_json,
 )
@@ -44,14 +47,14 @@ from pfc.harness import (
 class TestExperimentConfig:
     def test_defaults_fill_missing_params(self):
         cfg = ExperimentConfig(kind="etf-check")
-        assert cfg.params == DEFAULT_PARAMS["etf-check"]
+        assert cfg.params == KINDS["etf-check"].defaults
         assert cfg.seed == 1
         assert cfg.out_dir == Path("runs") / "etf-check"
 
     def test_explicit_params_win_over_defaults(self):
         cfg = ExperimentConfig(kind="etf-check", params={"max_classes": 4})
         assert cfg.params["max_classes"] == 4
-        assert cfg.params["min_classes"] == DEFAULT_PARAMS["etf-check"]["min_classes"]
+        assert cfg.params["min_classes"] == KINDS["etf-check"].defaults["min_classes"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment kind"):
@@ -89,7 +92,7 @@ class TestResolveConfig:
         cfg = resolve_config("interpolate", config_path=path)
         assert cfg.seed == 7
         assert cfg.params["dim"] == 10
-        assert cfg.params["per_class"] == DEFAULT_PARAMS["interpolate"]["per_class"]
+        assert cfg.params["per_class"] == KINDS["interpolate"].defaults["per_class"]
 
     def test_overrides_beat_file(self, tmp_path):
         path = self.write(tmp_path, {"params": {"dim": 10, "per_class": 5}})
@@ -155,6 +158,65 @@ class TestParseOverride:
     def test_malformed_overrides_rejected(self, text):
         with pytest.raises(ValueError, match="key=value"):
             parse_override(text)
+
+
+class TestParamSchema:
+    @pytest.mark.parametrize("kind, override", [
+        ("solve-ufm", "epochs=true"),
+        ("train-resnet", "decay_biases=0"),
+        ("interpolate", "per_class=2.5"),
+        ("solve-mufm", "lr=abc"),
+        ("sweep-lambda", "lambdas=0.001"),
+        ("theorem1", "classes=3"),
+        ("pfc-report", 'stack_files="a.txt"'),
+    ])
+    def test_mistyped_value_names_the_parameter(self, tmp_path, capsys, kind, override):
+        out = tmp_path / "x"
+        assert cli.main([kind, "--out", str(out), "--set", override]) == 1
+        name = override.partition("=")[0]
+        assert f"parameter {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_resolves_to_int(self):
+        epochs = resolve_config("solve-ufm", overrides=["epochs=1e3"]).params["epochs"]
+        assert epochs == 1000 and type(epochs) is int
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_defaults_pass_through_unchanged(self, kind):
+        defaults = KINDS[kind].defaults
+        params = ExperimentConfig(kind=kind, params=defaults).params
+        # json tells 1 from 1.0 and true from 1
+        assert json.dumps(params, sort_keys=True) == json.dumps(defaults, sort_keys=True)
+
+    def test_cli_subcommands_are_the_kinds(self):
+        sub = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(sub.choices) == list(KINDS)
+
+    @pytest.mark.parametrize("value, default, expected", [
+        (3, 0.5, 3.0),
+        (2.0, 7, 2),
+        (np.int64(4), 7, 4),
+        (False, True, False),
+        ("ce", "mse", "ce"),
+        ([1, 2], [0.5], [1.0, 2.0]),
+        ([], [0.5], []),
+        (["a.txt"], [], ["a.txt"]),
+    ])
+    def test_values_take_the_default_type(self, value, default, expected):
+        out = typed_param("p", value, default)
+        assert json.dumps(out) == json.dumps(expected)
+
+    @pytest.mark.parametrize("value, default", [
+        (True, 7), (2.5, 7), (float("inf"), 7), (None, 7), (True, 0.5), ("1", 0.5),
+        (1, True), (1, "mse"), (["a"], "mse"), (1, [0.5]), ("a", []), ([1], []),
+        ([[1.0]], [0.5]),
+    ])
+    def test_other_values_rejected(self, value, default):
+        with pytest.raises(ValueError, match="parameter 'p' must be of type"):
+            typed_param("p", value, default)
 
 
 class TestCells:
@@ -305,6 +367,9 @@ class TestSpearman:
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+SMALL_SOLVE = {"num_classes": 3, "dim": 6, "per_class": 4, "epochs": 20, "trace_stride": 10}
+
+
 class TestRunArtifacts:
     def test_etf_check_writes_manifest_with_checksums(self, tmp_path):
         out = tmp_path / "etf"
@@ -372,6 +437,84 @@ class TestRunArtifacts:
         header, rows = read_csv(out / "report.csv")
         assert len(rows) == 3
         assert all(np.isfinite(csv_column(header, rows, "pfc1")))
+
+
+def _tree(directory):
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*")) if path.is_file()
+    }
+
+
+class TestRunDirectory:
+    """An out directory holds exactly one run, replaced only on success."""
+
+    SWEEP = ["--set", "num_classes=3", "--set", "dim=6", "--set", "per_class=4",
+             "--set", "epochs=20"]
+
+    def test_ufm_after_mufm_lists_no_stale_data(self, tmp_path):
+        out = tmp_path / "solve"
+        run(ExperimentConfig(kind="solve-mufm", params=SMALL_SOLVE, out_dir=out))
+        assert (out / "data.txt").is_file()
+        manifest = run(ExperimentConfig(kind="solve-ufm", params=SMALL_SOLVE, out_dir=out))
+        assert "data.txt" not in manifest["artifacts"]
+        assert set(_tree(out)) == set(manifest["artifacts"]) | {"manifest.json"}
+
+    def test_shallower_training_lists_no_stale_layers(self, tmp_path):
+        out = tmp_path / "resnet"
+        tiny = {"width": 8, "input_dim": 4, "num_classes": 3, "per_class": 8,
+                "epochs": 2, "lr_decay_epochs": [], "grid_points": 11}
+        for blocks in (4, 2):
+            manifest = run(ExperimentConfig(
+                kind="train-resnet", params={**tiny, "num_blocks": blocks}, out_dir=out,
+            ))
+        layers = [f"layers/layer_{i:02d}.txt" for i in range(3)]
+        assert sorted(a for a in manifest["artifacts"] if a.startswith("layers/")) == layers
+        assert sorted(a for a in _tree(out) if a.startswith("layers/")) == layers
+
+    def test_failed_run_leaves_no_partial_files(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["sweep-lambda", "--out", str(out), *self.SWEEP]
+        assert cli.main([*args, "--set", "lambdas=[0.001,0.001]"]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_the_earlier_run(self, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["sweep-lambda", "--out", str(out), *self.SWEEP]
+        assert cli.main([*args, "--set", "lambdas=[0.001,0.002]"]) == 0
+        before = _tree(out)
+        assert cli.main([*args, "--set", "lambdas=[0.001,0.001]"]) == 2
+        assert _tree(out) == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_foreign_directory_refused_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(harness.KINDS, "etf-check",
+                            harness.KINDS["etf-check"]._replace(run=never))
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        assert cli.main(["etf-check", "--out", str(out)]) == 1
+        assert f"out_dir {out} is not empty" in capsys.readouterr().err
+        assert _tree(out) == {"keep.txt": b"mine"}
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_current_directory_refused(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "keep.txt").write_text("mine")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["etf-check", "--out", "."]) == 1
+        assert "out_dir . is not empty" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["keep.txt"]
+
+    def test_empty_directory_is_filled(self, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        manifest = run(ExperimentConfig(kind="etf-check", out_dir=out))
+        assert set(_tree(out)) == set(manifest["artifacts"]) | {"manifest.json"}
 
 
 class TestCli:
