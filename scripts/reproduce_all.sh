@@ -15,10 +15,10 @@ run interpolate
 run theorem1
 run theorem2
 run equivalence-thm3
-run solve-ufm      # ~ 5 s
-run solve-mufm     # ~ 5 s
+run solve-ufm      # ~ 2 s
+run solve-mufm     # ~ 2 s
 run train-resnet   # ~ 45 s
-run sweep-lambda   # ~ 35 s
+run sweep-lambda   # ~ 4 s
 
 # pfc-report consumes saved layer snapshots; feed it the ones the
 # training run's manifest lists.

@@ -26,7 +26,6 @@ from .geodesic import (
 from .metrics import (
     PfcReport,
     alignment,
-    effective_depth,
     measure,
     nearest_class_means,
     pfc1,
@@ -68,7 +67,6 @@ __all__ = [
     "build_etf",
     "class_stats",
     "collapse_multilayer",
-    "effective_depth",
     "gen_gaussian_mixture",
     "gram_target",
     "interpolate",

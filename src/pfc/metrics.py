@@ -12,9 +12,8 @@ Three per-layer statistics quantify how collapsed a feature set is:
   to its own class mean.
 
 ``alignment`` compares two matrices after Frobenius normalization, and
-``effective_depth`` finds the first layer of a stack whose NCC error rate
-falls below a threshold (``first_within_error`` applies the same rule to
-pfc3 values already measured).
+``first_within_error`` finds, among the pfc3 values of a stack's layers,
+the first whose NCC error rate falls below a threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .core import (
     ClassStats,
     DegenerateInputError,
     FeatureSet,
-    LayerStack,
     centered_class_mean_matrix,
     class_stats,
 )
@@ -148,11 +146,3 @@ def first_within_error(ncc_accuracies, epsilon: float = 0.0) -> int | None:
             return idx
     return None
 
-
-def effective_depth(stack: LayerStack, epsilon: float = 0.0) -> int | None:
-    """Smallest layer index whose NCC error rate is at most ``epsilon``.
-
-    Layer 0 is the input-feature layer.  Returns None when no layer
-    qualifies.
-    """
-    return first_within_error((pfc3(fs) for fs in stack.layers), epsilon)

@@ -14,16 +14,35 @@ Two related problems over a classifier W (K x d) and a feature matrix H
 
 Both problems are solved by plain full-batch gradient descent from a
 seeded standard-normal initialization.  One value-and-gradient kernel
-serves ``objective``, ``gradients`` and every solver epoch; it writes into
-scratch buffers allocated once per solve, and the iterates are updated in
-place, with the same floating-point operations as the allocating formulas.  For the MSE loss the optimal
-classifier given H has the ridge closed form
+serves ``objective``, ``gradients`` and every solver epoch.  It works on a
+stack of m problems that share everything but ``lam``: classifiers
+(m, K, d), features (m, d, r) and one coefficient per lane, with sums taken
+per lane, so ``solve`` is a stack of one and ``sweep_lambda`` runs all its
+coefficients as one stack.  It writes into scratch buffers allocated once
+per stack, and the iterates are updated in place; each lane takes the same
+floating-point operations as the allocating single-problem formulas.
+
+Under the MSE loss the descent runs in exact row-space coordinates.  The
+feature gradient W^T (W H - Y) / Kn plus lam H (UFM) or (lam / Kn)(H - X)
+(MUFM) is a combination of the rows of H, Y and X, so every iterate H_t
+stays in the row space of [H_0; Y; X] ([H_0; Y] for UFM).  With Q (N x r)
+an orthonormal basis of that space from one QR and C = H Q, the norms
+||W H - Y||, ||H||, ||H - X|| and ||dH|| equal those of W C - Y Q, C,
+C - X Q and dC, so descent on (W, C) is the same iteration in exact
+arithmetic at r = 2d + K (d + K for UFM) columns instead of N = Kn.  H is
+rebuilt once at the end as H_0 + (C - C_0) Q^T, so a zero learning rate
+returns the initialization bit for bit; otherwise the result agrees with
+the full-space iteration to rounding.  Softmax rows do not stay in that
+span, so for cross-entropy, and whenever r >= N, Q is the identity: the
+descent runs on H itself and no product with Q is formed.
+
+For the MSE loss the optimal classifier given H has the ridge closed form
 W*(H) = Y H^T (H H^T + n * lambda_w * I)^{-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,83 +145,136 @@ def _check_shapes(p: SolveProblem, W: np.ndarray, H: np.ndarray):
         )
 
 
+def _row_space_basis(p: SolveProblem, H0: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis Q (N x r) of the row space of [H0; Y; X] ([H0; Y]
+    for UFM), which the MSE iterates never leave, or None where the descent
+    runs at full width: for cross-entropy, and when the r rows number at
+    least N."""
+    if p.loss != "mse":
+        return None
+    rows = np.vstack([H0, p.label_matrix()] + ([p.data] if p.kind == "mufm" else []))
+    if rows.shape[0] >= rows.shape[1]:
+        return None
+    return np.linalg.qr(rows.T)[0]
+
+
+class _Stack:
+    """Problems that differ only in ``lam``, in the coordinates their descent
+    runs in.
+
+    ``basis`` is the Q of :func:`_row_space_basis` (None for the identity).
+    ``labels`` and ``data`` are Y Q and X Q repeated per lane, and the
+    feature-gradient coefficient ``h_grad`` is held at the stacked feature
+    shape, so the elementwise operations of an epoch need no broadcasting,
+    which at these sizes costs about as much as the operation itself.  The
+    coefficients are computed in the association of the single-problem
+    formulas.
+    """
+
+    def __init__(self, p: SolveProblem, lams, basis: np.ndarray | None = None):
+        self.problem = p
+        self.lams = np.asarray(lams, dtype=np.float64)
+        m = len(self.lams)
+        labels = p.label_matrix()
+        data = p.data
+        if basis is not None:
+            labels = labels @ basis
+            if data is not None:
+                data = data @ basis
+        self.labels = np.repeat(labels[None], m, axis=0)
+        self.data = None if data is None else np.repeat(data[None], m, axis=0)
+        k, kn = p.num_classes, p.num_classes * p.per_class
+        if p.kind == "ufm":
+            self.w_value, self.w_grad = 0.5 * p.lambda_w, p.lambda_w
+            self.h_value, h_grad = 0.5 * self.lams, self.lams
+        else:
+            self.w_value, self.w_grad = p.lambda_w / (2.0 * k), p.lambda_w / k
+            self.h_value, h_grad = self.lams / (2.0 * kn), self.lams / kn
+        width = labels.shape[1]
+        self.h_grad = np.repeat(h_grad, p.dim * width).reshape(m, p.dim, width)
+
+
 class _Buffers:
-    """Scratch arrays of :func:`_value_and_grad` for one (W, H) shape pair.
+    """Scratch arrays of :func:`_value_and_grad` for stacked (W, C) of shapes
+    (m, K, d) and (m, d, r).
 
     Each call overwrites the gradients the previous call returned.
     """
 
-    def __init__(self, W: np.ndarray, H: np.ndarray):
-        logits = (W.shape[0], H.shape[1])
+    def __init__(self, W: np.ndarray, C: np.ndarray):
+        m, k, _ = W.shape
+        width = C.shape[2]
+        logits = (m, k, width)
         self.z = np.empty(logits)
         self.exp = np.empty(logits)
         self.dz = np.empty(logits)
-        self.columns = np.empty((4, H.shape[1]))
-        # same memory order as the operands, so whole-array sums of squares
+        self.columns = np.empty((4, m, 1, width))
+        # same memory order as the operands, so whole-lane sums of squares
         # add in the order they would over a fresh product
         self.w = np.empty_like(W, dtype=np.float64)
-        self.h = np.empty_like(H, dtype=np.float64)
-        self.diff = np.empty_like(H, dtype=np.float64)
+        self.h = np.empty_like(C, dtype=np.float64)
+        self.diff = np.empty_like(C, dtype=np.float64)
         self.dw = np.empty(W.shape)
-        self.dh = np.empty(H.shape)
+        self.dc = np.empty(C.shape)
 
 
-def _fit_terms(p: SolveProblem, W: np.ndarray, H: np.ndarray, buf: _Buffers) -> float:
-    """Loss value at the logits Z = W H; writes dLoss/dZ to ``buf.dz``."""
+def _fit_terms(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Per-lane loss values at the logits Z = W C; writes dLoss/dZ to ``buf.dz``."""
+    p = s.problem
     kn = p.num_classes * p.per_class
-    y = p.label_matrix()
-    z = np.matmul(W, H, out=buf.z)
+    y = s.labels
+    z = np.matmul(W, C, out=buf.z)
     if p.loss == "mse":
         resid = np.subtract(z, y, out=z)
-        value = float(np.sum(np.multiply(resid, resid, out=buf.exp))) / (2.0 * kn)
+        squares = np.multiply(resid, resid, out=buf.exp)
+        value = np.add.reduce(squares, axis=(1, 2)) / (2.0 * kn)
         np.divide(resid, kn, out=buf.dz)
         return value
     z_max, sums, logsumexp, true_logit = buf.columns
-    np.max(z, axis=0, out=z_max)
+    np.maximum.reduce(z, axis=1, keepdims=True, out=z_max)
     e = np.exp(np.subtract(z, z_max, out=buf.exp), out=buf.exp)
-    np.sum(e, axis=0, out=sums)
+    np.add.reduce(e, axis=1, keepdims=True, out=sums)
     np.log(sums, out=logsumexp)
     logsumexp += z_max
-    np.sum(np.multiply(z, y, out=buf.dz), axis=0, out=true_logit)
-    value = float(np.sum(np.subtract(logsumexp, true_logit, out=logsumexp))) / kn
+    np.add.reduce(np.multiply(z, y, out=buf.dz), axis=1, keepdims=True, out=true_logit)
+    losses = np.subtract(logsumexp, true_logit, out=logsumexp)
+    value = np.add.reduce(losses, axis=(1, 2)) / kn
     dz = np.divide(e, sums, out=buf.dz)
     dz -= y
     dz /= kn
     return value
 
 
-def _value_and_grad(p: SolveProblem, W: np.ndarray, H: np.ndarray, buf: _Buffers):
-    """Objective value and gradients (dW, dH) at (W, H), computed in ``buf``."""
-    fit = _fit_terms(p, W, H, buf)
-    dw = np.matmul(buf.dz, H.T, out=buf.dw)
-    dh = np.matmul(W.T, buf.dz, out=buf.dh)
-    k, kn = p.num_classes, p.num_classes * p.per_class
-    w2 = float(np.sum(np.multiply(W, W, out=buf.w)))
-    if p.kind == "ufm":
-        h2 = float(np.sum(np.multiply(H, H, out=buf.h)))
-        obj = fit + 0.5 * p.lambda_w * w2 + 0.5 * p.lam * h2
-        dw += np.multiply(W, p.lambda_w, out=buf.w)
-        dh += np.multiply(H, p.lam, out=buf.h)
-    else:
-        diff = np.subtract(H, p.data, out=buf.diff)
-        d2 = float(np.sum(np.multiply(diff, diff, out=buf.h)))
-        obj = fit + p.lambda_w / (2.0 * k) * w2 + p.lam / (2.0 * kn) * d2
-        dw += np.multiply(W, p.lambda_w / k, out=buf.w)
-        dh += np.multiply(diff, p.lam / kn, out=buf.h)
-    return obj, dw, dh
+def _value_and_grad(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers):
+    """Per-lane objective values and gradients (dW, dC) at the stacked
+    (W, C), computed in ``buf``."""
+    fit = _fit_terms(s, W, C, buf)
+    dw = np.matmul(buf.dz, C.transpose(0, 2, 1), out=buf.dw)
+    dc = np.matmul(W.transpose(0, 2, 1), buf.dz, out=buf.dc)
+    w2 = np.add.reduce(np.multiply(W, W, out=buf.w), axis=(1, 2))
+    feat = C if s.problem.kind == "ufm" else np.subtract(C, s.data, out=buf.diff)
+    f2 = np.add.reduce(np.multiply(feat, feat, out=buf.h), axis=(1, 2))
+    obj = fit + s.w_value * w2 + s.h_value * f2
+    dw += np.multiply(W, s.w_grad, out=buf.w)
+    dc += np.multiply(feat, s.h_grad, out=buf.h)
+    return obj, dw, dc
+
+
+def _full_space(p: SolveProblem, W: np.ndarray, H: np.ndarray):
+    _check_shapes(p, W, H)
+    W, H = W[None], H[None]
+    return _value_and_grad(_Stack(p, [p.lam]), W, H, _Buffers(W, H))
 
 
 def objective(p: SolveProblem, W: np.ndarray, H: np.ndarray) -> float:
     """Full objective value at (W, H)."""
-    _check_shapes(p, W, H)
-    return _value_and_grad(p, W, H, _Buffers(W, H))[0]
+    return float(_full_space(p, W, H)[0][0])
 
 
 def gradients(p: SolveProblem, W: np.ndarray, H: np.ndarray):
     """Analytic gradients (dW, dH) of :func:`objective`."""
-    _check_shapes(p, W, H)
-    _, dw, dh = _value_and_grad(p, W, H, _Buffers(W, H))
-    return dw, dh
+    _, dw, dh = _full_space(p, W, H)
+    return dw[0], dh[0]
 
 
 def closed_form_W(H: np.ndarray, Y: np.ndarray, lambda_w: float, per_class: int) -> np.ndarray:
@@ -220,6 +292,78 @@ def closed_form_H(W: np.ndarray, Y: np.ndarray, X: np.ndarray, lam: float) -> np
     return np.linalg.solve(W.T @ W + lam * np.eye(d), W.T @ Y + lam * X)
 
 
+def _grad_norms(dw: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(dw * dw, axis=(1, 2)) + np.sum(dc * dc, axis=(1, 2)))
+
+
+def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: float,
+                 trace_stride: int, grad_tol: float) -> list[SolveResult]:
+    """Solve ``replace(p, lam=lam)`` for every ``lam`` of ``lams`` as one
+    stacked descent from the shared seeded initialization.
+
+    All lanes run the same epochs; ``grad_tol`` stops the stack once every
+    lane's gradient norm is at most it.
+    """
+    if lr < 0:
+        raise ValueError(f"lr must be >= 0, got {lr}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if trace_stride < 1:
+        raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
+
+    rng = np.random.default_rng(p.seed)
+    W0 = init_scale * rng.standard_normal((p.num_classes, p.dim))
+    H0 = init_scale * rng.standard_normal((p.dim, p.num_classes * p.per_class))
+    basis = _row_space_basis(p, H0)
+    C0 = H0 if basis is None else H0 @ basis
+    s = _Stack(p, lams, basis)
+    m = len(s.lams)
+    W = np.repeat(W0[None], m, axis=0)
+    C = np.repeat(C0[None], m, axis=0)
+
+    buf = _Buffers(W, C)
+    step_w, step_c = np.empty_like(W), np.empty_like(C)
+    # overflow here is the divergence case the isfinite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj, dw, dc = _value_and_grad(s, W, C, buf)
+        trace = [obj]
+        trace_epochs = [0]
+        epochs_run = 0
+        for epoch in range(1, epochs + 1):
+            W -= np.multiply(dw, lr, out=step_w)
+            C -= np.multiply(dc, lr, out=step_c)
+            obj, dw, dc = _value_and_grad(s, W, C, buf)
+            finite = np.isfinite(obj)
+            if not np.logical_and.reduce(finite):
+                lam = s.lams[np.argmin(finite)]
+                raise DivergenceError(
+                    f"lambda={lam}: objective became non-finite at epoch {epoch}"
+                )
+            epochs_run = epoch
+            if epoch % trace_stride == 0 or epoch == epochs:
+                trace.append(obj)
+                trace_epochs.append(epoch)
+            if grad_tol > 0.0 and np.all(_grad_norms(dw, dc) <= grad_tol):
+                if trace_epochs[-1] != epoch:
+                    trace.append(obj)
+                    trace_epochs.append(epoch)
+                break
+
+    trace = np.asarray(trace)
+    grad_norms = _grad_norms(dw, dc)
+    return [
+        SolveResult(
+            W=W[i],
+            H=C[i] if basis is None else H0 + (C[i] - C0) @ basis.T,
+            objective_trace=trace[:, i].copy(),
+            trace_epochs=np.asarray(trace_epochs),
+            final_grad_norm=float(grad_norms[i]),
+            epochs_run=epochs_run,
+        )
+        for i in range(m)
+    ]
+
+
 def solve(
     p: SolveProblem,
     lr: float = 0.1,
@@ -232,62 +376,15 @@ def solve(
 
     The objective trace holds the value after every ``trace_stride``-th
     epoch (entry 0 is the initialization); set ``grad_tol`` > 0 to stop
-    early once the joint gradient norm falls below it.
+    early once the joint gradient norm falls below it.  Under MSE the
+    descent runs in the exact row-space coordinates of the module
+    docstring.
 
     Raises:
         DivergenceError: if the objective becomes non-finite, reporting the
-            epoch at which it happened.
+            coefficient and the epoch at which it happened.
     """
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if trace_stride < 1:
-        raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
-
-    rng = np.random.default_rng(p.seed)
-    W = init_scale * rng.standard_normal((p.num_classes, p.dim))
-    H = init_scale * rng.standard_normal((p.dim, p.num_classes * p.per_class))
-
-    buf = _Buffers(W, H)
-    step_w, step_h = np.empty_like(W), np.empty_like(H)
-
-    def evaluate():
-        # overflow here is the divergence case the isfinite check reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _value_and_grad(p, W, H, buf)
-
-    obj, dw, dh = evaluate()
-    trace = [obj]
-    trace_epochs = [0]
-    epochs_run = 0
-    for epoch in range(1, epochs + 1):
-        W -= np.multiply(dw, lr, out=step_w)
-        H -= np.multiply(dh, lr, out=step_h)
-        obj, dw, dh = evaluate()
-        if not np.isfinite(obj):
-            raise DivergenceError(f"objective became non-finite at epoch {epoch}")
-        epochs_run = epoch
-        if epoch % trace_stride == 0 or epoch == epochs:
-            trace.append(obj)
-            trace_epochs.append(epoch)
-        if grad_tol > 0.0:
-            gnorm = np.sqrt(np.sum(dw * dw) + np.sum(dh * dh))
-            if gnorm <= grad_tol:
-                if trace_epochs[-1] != epoch:
-                    trace.append(obj)
-                    trace_epochs.append(epoch)
-                break
-
-    final_grad_norm = float(np.sqrt(np.sum(dw * dw) + np.sum(dh * dh)))
-    return SolveResult(
-        W=W,
-        H=H,
-        objective_trace=np.asarray(trace),
-        trace_epochs=np.asarray(trace_epochs),
-        final_grad_norm=final_grad_norm,
-        epochs_run=epochs_run,
-    )
+    return _solve_stack(p, [p.lam], lr, epochs, init_scale, trace_stride, grad_tol)[0]
 
 
 def collapse_multilayer(X: np.ndarray, H_last: np.ndarray, num_blocks: int):
@@ -360,7 +457,8 @@ def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:
         raise ValueError("layers[0] must equal the data matrix X")
     H_last = np.asarray(layers[-1], dtype=np.float64)
     _check_shapes(p, W, H_last)
-    fit = _fit_terms(p, W, H_last, _Buffers(W, H_last))
+    W_stack, H_stack = W[None], H_last[None]
+    fit = _fit_terms(_Stack(p, [p.lam]), W_stack, H_stack, _Buffers(W_stack, H_stack))[0]
     k, kn = p.num_classes, p.num_classes * p.per_class
     return (
         fit
@@ -379,32 +477,37 @@ def sweep_lambda(
     """Solve the MUFM at each transport coefficient and report final metrics.
 
     All solves share the base problem's data and seed, so rows differ only
-    through ``lam``.  Solve failures are re-raised with the offending
-    coefficient in the message.
+    through ``lam``, and they run as one stacked descent whose lanes each
+    match a separate :func:`solve`.  Every coefficient is validated before
+    any descent; failures are raised with the offending coefficient in the
+    message.
     """
     if base.kind != "mufm":
         raise ValueError("sweep_lambda operates on mufm problems")
-    rows = []
-    for lam in lambdas:
+    lams = [float(lam) for lam in lambdas]
+    for lam in lams:
         if lam <= 0:
             raise ValueError(f"lambda values must be positive, got {lam}")
-        problem = replace(base, lam=float(lam))
+    if not lams:
+        return []
+    results = _solve_stack(base, lams, lr, epochs, init_scale,
+                           trace_stride=max(1, epochs // 100), grad_tol=0.0)
+    rows = []
+    for lam, result in zip(lams, results):
         try:
-            result = solve(problem, lr=lr, epochs=epochs, init_scale=init_scale,
-                           trace_stride=max(1, epochs // 100))
-            fs = FeatureSet(result.H, base.num_classes, base.per_class)
-            report = measure(fs)
-            rows.append(
-                SweepRow(
-                    lam=float(lam),
-                    epoch=result.epochs_run,
-                    objective=float(result.objective_trace[-1]),
-                    pfc1=report.pfc1,
-                    pfc2=report.pfc2,
-                    pfc3=report.pfc3,
-                    alignment=alignment(result.H, base.data),
-                )
+            report = measure(FeatureSet(result.H, base.num_classes, base.per_class))
+            align = alignment(result.H, base.data)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"lambda={lam}: {exc}") from exc
+        rows.append(
+            SweepRow(
+                lam=lam,
+                epoch=result.epochs_run,
+                objective=float(result.objective_trace[-1]),
+                pfc1=report.pfc1,
+                pfc2=report.pfc2,
+                pfc3=report.pfc3,
+                alignment=align,
             )
-        except (DivergenceError, DegenerateInputError) as exc:
-            raise type(exc)(f"lambda={lam}: {exc}") from exc
+        )
     return rows

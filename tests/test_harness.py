@@ -24,7 +24,6 @@ from pfc.core import (
 )
 from pfc.etf import build_etf
 from pfc.geodesic import make_nc_featureset
-from pfc.metrics import effective_depth
 from pfc.harness import (
     KINDS,
     ExperimentConfig,
@@ -640,7 +639,10 @@ class TestPfcReportRun:
         assert len(calls) == 3
         summary = json.loads((out / "summary.json").read_text())
         stack = LayerStack(tuple(load_featureset(f) for f in files))
-        assert summary["effective_depth"] == effective_depth(stack, 0.05)
+        first = next(
+            (i for i, fs in enumerate(stack.layers) if 1.0 - metrics.pfc3(fs) <= 0.05), None
+        )
+        assert summary["effective_depth"] == first
 
     def test_stack_narrower_than_classes_rejected(self, tmp_path):
         files = []

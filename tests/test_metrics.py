@@ -8,7 +8,6 @@ from pfc.etf import build_etf, gram_target
 from pfc.metrics import (
     first_within_error,
     alignment,
-    effective_depth,
     measure,
     nearest_class_means,
     pfc1,
@@ -242,6 +241,15 @@ def accuracy_layer(wrong: int) -> FeatureSet:
     return FeatureSet(np.array([values]), num_classes=2, per_class=10)
 
 
+def effective_depth(stack: LayerStack, epsilon: float) -> int | None:
+    """Oracle for ``first_within_error``: the first layer of the stack whose
+    NCC error rate is at most ``epsilon``, measured layer by layer."""
+    for idx, fs in enumerate(stack.layers):
+        if 1.0 - pfc3(fs) <= epsilon:
+            return idx
+    return None
+
+
 class TestEffectiveDepth:
     def test_example_thresholds(self):
         stack = LayerStack(
@@ -250,28 +258,25 @@ class TestEffectiveDepth:
         )
         observed = [pfc3(fs) for fs in stack.layers]
         assert observed == [0.7, 0.9, 1.0]
-        assert effective_depth(stack, 0.1) == 1
-        assert effective_depth(stack, 0.0) == 2
+        assert first_within_error(observed, 0.1) == 1
+        assert first_within_error(observed, 0.0) == 2
         # 0.35 keeps the threshold off the 1 - 0.7 rounding boundary.
-        assert effective_depth(stack, 0.35) == 0
+        assert first_within_error(observed, 0.35) == 0
         for epsilon in (0.1, 0.0, 0.35, 0.05):
             assert first_within_error(observed, epsilon) == effective_depth(stack, epsilon)
 
     def test_none_when_no_layer_qualifies(self):
         stack = LayerStack(layers=(accuracy_layer(6), accuracy_layer(4)), epoch=0)
+        observed = [pfc3(fs) for fs in stack.layers]
+        assert first_within_error(observed, 0.05) is None
         assert effective_depth(stack, 0.05) is None
 
     def test_all_collapsed_gives_zero(self):
         frame = build_etf(3, 4, seed=3)
         fs = nc_featureset(frame, per_class=2)
-        stack = LayerStack(layers=(fs, fs), epoch=0)
-        assert effective_depth(stack, 0.0) == 0
+        assert first_within_error([pfc3(fs), pfc3(fs)], 0.0) == 0
 
     def test_negative_epsilon_rejected(self):
-        frame = build_etf(3, 4, seed=3)
-        stack = LayerStack(layers=(nc_featureset(frame, 2),), epoch=0)
-        with pytest.raises(ValueError):
-            effective_depth(stack, -0.1)
         with pytest.raises(ValueError, match="epsilon"):
             first_within_error([1.0], -0.1)
 

@@ -1,13 +1,16 @@
 """Surrogate model objectives, gradients, solvers and the chain identity."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pfc.core import DivergenceError
+from pfc import surrogate
+from pfc.core import DivergenceError, FeatureSet
 from pfc.data import gen_gaussian_mixture
+from pfc.metrics import alignment, measure
 from pfc.surrogate import (
     SolveProblem,
     SweepRow,
@@ -117,6 +120,33 @@ def reference_value_and_grad(p: SolveProblem, W, H):
         dw += (p.lambda_w / k) * W
         dh += (p.lam / kn) * diff
     return value, dw, dh
+
+
+def reference_descent(p: SolveProblem, lr, epochs, scale, grad_tol=0.0):
+    """Plain full-space descent on objective/gradients from solve's seeded
+    initialization; returns W, H, the per-epoch trace and the gradient norms
+    after each epoch."""
+    rng = np.random.default_rng(p.seed)
+    W = scale * rng.standard_normal((p.num_classes, p.dim))
+    H = scale * rng.standard_normal((p.dim, p.num_classes * p.per_class))
+    trace, norms = [objective(p, W, H)], []
+    dw, dh = gradients(p, W, H)
+    for _ in range(epochs):
+        W, H = W - lr * dw, H - lr * dh
+        trace.append(objective(p, W, H))
+        dw, dh = gradients(p, W, H)
+        norms.append(float(np.sqrt(np.sum(dw * dw) + np.sum(dh * dh))))
+        if grad_tol > 0.0 and norms[-1] <= grad_tol:
+            break
+    return W, H, np.asarray(trace), np.asarray(norms)
+
+
+def relative_error(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def divergence_epoch(exc_info) -> int:
+    return int(re.search(r"epoch (\d+)", str(exc_info.value)).group(1))
 
 
 class TestProblemValidation:
@@ -402,6 +432,57 @@ class TestSolve:
         assert np.array_equal(result.objective_trace, np.asarray(trace))
 
 
+class TestRowSpaceReduction:
+    """MSE shapes with r < N, where solve descends in row-space coordinates."""
+
+    @pytest.mark.parametrize("kind,rank", [("ufm", 5 + 3), ("mufm", 2 * 5 + 3)])
+    def test_basis_choice(self, kind, rank):
+        p = make_problem(kind=kind, num_classes=3, dim=5, per_class=20)
+        _, h0 = random_state(p, 1)
+        basis = surrogate._row_space_basis(p, h0)
+        assert basis.shape == (60, rank)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-14)
+        assert surrogate._row_space_basis(replace(p, loss="ce"), h0) is None
+        # r >= N runs at full width: N = 12, r = 13 (mufm); N = 6, r = 8 (ufm)
+        small = make_problem(kind=kind, per_class=4 if kind == "mufm" else 2)
+        assert surrogate._row_space_basis(small, random_state(small, 1)[1]) is None
+
+    @pytest.mark.parametrize("kind", ["ufm", "mufm"])
+    def test_matches_full_space_reference_descent(self, kind):
+        p = make_problem(kind=kind, num_classes=3, dim=5, per_class=20, seed=4)
+        lr, epochs, scale = 0.1, 300, 0.3
+        W, H, trace, norms = reference_descent(p, lr, epochs, scale)
+        result = solve(p, lr=lr, epochs=epochs, init_scale=scale)
+        assert relative_error(result.W, W) <= 1e-12
+        assert relative_error(result.H, H) <= 1e-12
+        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12, atol=0)
+        assert result.final_grad_norm == pytest.approx(norms[-1], rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["ufm", "mufm"])
+    def test_zero_learning_rate_returns_initialization(self, kind):
+        p = make_problem(kind=kind, num_classes=3, dim=5, per_class=20, seed=5)
+        result = solve(p, lr=0.0, epochs=3, init_scale=0.7)
+        rng = np.random.default_rng(5)
+        w0 = 0.7 * rng.standard_normal((p.num_classes, p.dim))
+        h0 = 0.7 * rng.standard_normal((p.dim, p.num_classes * p.per_class))
+        np.testing.assert_array_equal(result.W, w0, strict=True)
+        np.testing.assert_array_equal(result.H, h0, strict=True)
+
+    @pytest.mark.parametrize("kind", ["ufm", "mufm"])
+    def test_gradient_tolerance_stops_at_reference_epoch(self, kind):
+        p = make_problem(kind=kind, num_classes=3, dim=5, per_class=20, seed=6)
+        lr, scale, stop = 0.1, 0.3, 120
+        *_, norms = reference_descent(p, lr, 400, scale)
+        # a tolerance first met at epoch `stop`, clear of every earlier norm
+        assert norms[stop - 1] < 0.999 * norms[: stop - 1].min()
+        tol = norms[stop - 1] * (1 + 1e-6)
+        result = solve(p, lr=lr, epochs=400, init_scale=scale, grad_tol=tol)
+        assert result.epochs_run == stop
+        assert result.trace_epochs[-1] == stop
+        *_, ref_norms = reference_descent(p, lr, 400, scale, grad_tol=tol)
+        assert len(ref_norms) == stop
+
+
 class TestChain:
     def test_single_block(self):
         x = np.arange(6.0).reshape(2, 3)
@@ -527,6 +608,58 @@ class TestSweep:
         base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4, seed=13)
         with pytest.raises(DivergenceError, match="lambda=0.005"):
             sweep_lambda(base, [0.005], lr=1e6, epochs=50)
+
+    @pytest.mark.parametrize("loss,per_class", [("mse", 20), ("ce", 4)])
+    def test_lanes_match_separate_solves_bit_for_bit(self, monkeypatch, loss, per_class):
+        base = make_problem(loss=loss, num_classes=3, dim=5, per_class=per_class, seed=14)
+        lams = [0.002, 0.01, 0.05]
+        seen = []
+
+        def recording_alignment(h, x):
+            seen.append(h.copy())
+            return alignment(h, x)
+
+        monkeypatch.setattr(surrogate, "alignment", recording_alignment)
+        rows = sweep_lambda(base, lams, lr=0.05, epochs=250)
+        for lam, row, h in zip(lams, rows, seen):
+            direct = solve(replace(base, lam=lam), lr=0.05, epochs=250, trace_stride=2)
+            report = measure(FeatureSet(direct.H, 3, per_class))
+            np.testing.assert_array_equal(h, direct.H, strict=True)
+            assert row == SweepRow(
+                lam=lam, epoch=direct.epochs_run,
+                objective=direct.objective_trace[-1], pfc1=report.pfc1,
+                pfc2=report.pfc2, pfc3=report.pfc3,
+                alignment=alignment(direct.H, base.data),
+            )
+
+    def test_every_lambda_validated_before_any_descent(self, monkeypatch):
+        base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("descent started before every lambda was checked")
+
+        monkeypatch.setattr(surrogate, "_value_and_grad", unreachable)
+        with pytest.raises(ValueError, match="positive"):
+            sweep_lambda(base, [0.001, -1.0], epochs=10)
+
+    def test_divergence_names_the_diverging_lambda(self):
+        base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4, seed=13)
+        sweep_lambda(base, [0.005], lr=0.1, epochs=200)
+        with pytest.raises(DivergenceError, match=r"lambda=10000\.0: .* epoch \d+"):
+            sweep_lambda(base, [0.005, 1e4], lr=0.1, epochs=200)
+
+    def test_simultaneous_divergence_names_the_first_lambda(self):
+        base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4, seed=13)
+        lams = [0.006, 0.005]
+        epochs = []
+        for lam in lams:
+            with pytest.raises(DivergenceError) as single:
+                solve(replace(base, lam=lam), lr=1e6, epochs=50)
+            epochs.append(divergence_epoch(single))
+        assert epochs[0] == epochs[1]
+        with pytest.raises(DivergenceError, match=r"lambda=0\.006: ") as stacked:
+            sweep_lambda(base, lams, lr=1e6, epochs=50)
+        assert divergence_epoch(stacked) == epochs[0]
 
     def test_rows_are_plain_records(self):
         row = SweepRow(lam=0.1, epoch=3, objective=1.0, pfc1=0.5, pfc2=0.4,
