@@ -5,6 +5,16 @@ the toy ResNet) works on ``FeatureSet``: a dense d x (K*n) matrix whose
 columns are feature vectors, stored class-contiguously so that columns
 [k*n, (k+1)*n) belong to class k.  Only traces of the within/between-class
 covariances are ever computed; the full d x d matrices are never formed.
+
+Scale rule.  The collapse metrics are ratios and argmins of sums of
+squares, so scaling features by a power of two leaves them unchanged, and
+in the normal float64 range that scaling is exact: it moves exponents and
+keeps every significand bit.  :func:`_to_window` passes arrays whose
+largest magnitude lies in the safe window [2^-200, 2^200] uncopied and
+shifts others by one power of two into [0.5, 1); in the window no square,
+Gram-norm fourth power or sum of them overflows or goes subnormal.  Feature
+sets, paths (one exponent for both ends), layer stacks and centered means
+are shifted before class statistics or Grams are formed from them.
 """
 
 from __future__ import annotations
@@ -12,6 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _to_window(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays shifted by one power of two into the safe window of the
+    scale rule (module docstring); inside it, or all zero, as they are."""
+    # max and -min instead of abs, which would copy the arrays
+    top = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
+    if top == 0.0 or 2.0**-200 <= top <= 2.0**200:
+        return arrays
+    _, exponent = np.frexp(top)
+    return tuple(np.ldexp(a, -exponent) for a in arrays)
 
 
 class DegenerateInputError(ValueError):
@@ -139,7 +160,8 @@ def class_stats(fs: FeatureSet) -> ClassStats:
     """
     k, n = fs.num_classes, fs.per_class
     blocks = fs.features.reshape(fs.dim, k, n)
-    class_means, global_mean = _class_means(fs)
+    class_means = blocks.mean(axis=2)
+    global_mean = class_means.mean(axis=1)
     tr_within = float(np.sum((blocks - class_means[:, :, None]) ** 2) / (k * n))
     tr_between = float(np.sum((class_means - global_mean[:, None]) ** 2) / k)
     return ClassStats(
@@ -148,19 +170,6 @@ def class_stats(fs: FeatureSet) -> ClassStats:
         tr_within=tr_within,
         tr_between=tr_between,
     )
-
-
-def _class_means(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """The d x K class means and the d-vector global mean."""
-    class_means = fs.features.reshape(fs.dim, fs.num_classes, fs.per_class).mean(axis=2)
-    return class_means, class_means.mean(axis=1)
-
-
-def centered_class_mean_matrix(fs: FeatureSet) -> np.ndarray:
-    """d x K matrix whose column k is h_k - h_G (no variance traces are
-    computed, so features whose squares overflow still give their means)."""
-    class_means, global_mean = _class_means(fs)
-    return class_means - global_mean[:, None]
 
 
 def save_featureset(path, fs: FeatureSet) -> None:

@@ -14,8 +14,11 @@ products of the two endpoints: the within-class trace (pfc1's numerator),
 the K x K centered class-mean Gram (pfc1's denominator and pfc2) and the
 K x N sample-to-class-mean squared distances (pfc3).  The coefficients cost
 O(K n d) once per path; each grid point then costs O(K^2) for pfc1/pfc2 and
-O(K N) for pfc3, and no intermediate feature set is built.  pfc2 is the
-distance to ``gram_target(K)``, so curves take no ETF frame.
+O(K N) for pfc3, and no intermediate feature set is built.  The finishers
+of ``metrics`` turn them into values, so at t = 0 and t = 1 a curve reads
+the bits of the endpoints' metrics.  Scale rule (``core``): both endpoints,
+then their centered means, and all layers of a stack are shifted into the
+safe window by one exact power of two, which keeps every bit.
 
 ``endpoint_mean_alignment`` computes the inner-product condition
 sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)> whose nonnegativity guarantees
@@ -30,8 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassStats, DegenerateInputError, FeatureSet, LayerStack, class_stats
-from .etf import build_etf, gram_target
+from .core import ClassStats, DegenerateInputError, FeatureSet, LayerStack, _to_window, class_stats
+from .etf import build_etf
+from .metrics import _etf_distance, _ncc_accuracy, _sample_gaps, _scaled, _variance_ratio
 
 METRIC_KINDS = ("pfc1", "pfc2", "pfc3")
 
@@ -64,15 +68,19 @@ class InterpolationPath:
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
-    # Endpoint moments of the closed-form curves.  Each group stacks the
-    # coefficients (a, b, c) of a quadratic (1 - t)^2 a + 2t(1 - t) b + t^2 c
-    # along axis 0 and is computed on first use.  The traces are summed the
-    # way class_stats sums them, so pfc1 at t = 0 and t = 1 equals pfc1 of
-    # the endpoints bit for bit.
+    # Endpoint moments of the closed-form curves, from the endpoints shifted
+    # into the safe window.  Each group stacks the coefficients (a, b, c) of
+    # a quadratic (1 - t)^2 a + 2t(1 - t) b + t^2 c along axis 0 and is
+    # computed on first use.  The traces are summed the way class_stats sums
+    # them, so pfc1 at t = 0 and t = 1 equals pfc1 of the endpoints.
+
+    @cached_property
+    def _ends(self) -> tuple[FeatureSet, FeatureSet]:
+        return _scaled(self.start, self.end)
 
     @cached_property
     def _stats(self) -> tuple[ClassStats, ClassStats]:
-        return class_stats(self.start), class_stats(self.end)
+        return tuple(class_stats(fs) for fs in self._ends)
 
     @cached_property
     def _centered(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +94,7 @@ class InterpolationPath:
         k, n, d = self.start.num_classes, self.start.per_class, self.start.dim
         d0, d1 = (
             fs.features.reshape(d, k, n) - s.class_means[:, :, None]
-            for fs, s in zip((self.start, self.end), self._stats)
+            for fs, s in zip(self._ends, self._stats)
         )
         return np.array([np.sum(d0 * d0), np.sum(d0 * d1), np.sum(d1 * d1)])
 
@@ -98,9 +106,10 @@ class InterpolationPath:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """Centered class-mean Gram, shape (3, K, K):
-        C0^T C0, (C0^T C1 + C1^T C0) / 2, C1^T C1."""
-        c0, c1 = self._centered
+        """Centered class-mean Gram, shape (3, K, K), of C0 and C1 shifted
+        into the safe window together: C0^T C0, (C0^T C1 + C1^T C0) / 2,
+        C1^T C1."""
+        c0, c1 = _to_window(*self._centered)
         cross = c0.T @ c1
         return np.stack([c0.T @ c0, 0.5 * (cross + cross.T), c1.T @ c1])
 
@@ -108,16 +117,9 @@ class InterpolationPath:
     def _ncc(self) -> np.ndarray:
         """Squared distance of every sample to every class mean, shape
         (3, K, N): |x0 - m0_k|^2, <x0 - m0_k, x1 - m1_k>, |x1 - m1_k|^2."""
-        s, e = self._stats
-        x0, x1 = self.start.features, self.end.features
-        out = np.empty((3, self.start.num_classes, self.start.num_samples))
-        for k in range(self.start.num_classes):
-            d0 = x0 - s.class_means[:, k][:, None]
-            d1 = x1 - e.class_means[:, k][:, None]
-            out[0, k] = np.sum(d0 * d0, axis=0)
-            out[1, k] = np.sum(d0 * d1, axis=0)
-            out[2, k] = np.sum(d1 * d1, axis=0)
-        return out
+        return _sample_gaps(
+            [fs.features for fs in self._ends], [s.class_means for s in self._stats]
+        )
 
 
 @dataclass(frozen=True)
@@ -182,23 +184,17 @@ def _quadratic_weights(ts: np.ndarray) -> np.ndarray:
     return np.stack([s * s, 2.0 * ts * s, ts * ts], axis=1)
 
 
-# A denominator below this share of the size of its terms is rounding
-# noise: the class means coincide there.
-_ZERO_SHARE = 1e-12
-
-_DEGENERATE = {
-    "pfc1": "all class means coincide; variance ratio undefined",
-    "pfc2": "centered class means are all zero; Gram cannot be normalized",
-}
+# pfc3 takes points in blocks of about this many K x N table entries, so a
+# dense grid's distance tables never sit in memory at once.
+_TABLE_BLOCK = 2**16
 
 
 def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
     """One collapse metric at the points ``ts`` (any values in [0, 1]) of a path.
 
     Evaluates the closed forms of the module docstring; the values agree
-    with the metric of :func:`interpolate` at each t up to rounding, pfc2
-    measures the distance to ``gram_target(K)``, and pfc3 breaks ties to
-    the smallest class index, as ``pfc3`` does.
+    with the metric of :func:`interpolate` at each t up to rounding, and
+    equal it at t = 0 and t = 1.
 
     Raises:
         DegenerateInputError: if some t hits a zero denominator; the
@@ -215,28 +211,19 @@ def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
         raise ValueError(f"t must lie in [0, 1], got {ts[outside][0]}")
     weights = _quadratic_weights(ts)
 
-    if kind == "pfc3":
-        labels = path.start.labels()
-        values = np.empty(ts.size)
-        for i, w in enumerate(weights):  # one K x N table at a time
-            nearest = np.argmin(np.tensordot(w, path._ncc, axes=1), axis=0)
-            values[i] = np.mean(nearest == labels)
-        return values
-
-    between = weights @ path._between
-    size = weights @ np.abs(path._between)
-    bad = np.nonzero(between <= _ZERO_SHARE * size)[0]
-    if bad.size:
-        raise DegenerateInputError(
-            f"{kind} degenerate at t={float(ts[bad[0]])}: {_DEGENERATE[kind]}"
-        )
     if kind == "pfc1":
-        # a sum of squares; clip the rounding noise of an exactly collapsed path
-        within = np.maximum(weights @ path._within, 0.0)
-        return (within / (k * n)) / (between / k)
-    gram = np.tensordot(weights, path._gram, axes=1)
-    gram /= np.linalg.norm(gram, axis=(1, 2), keepdims=True)
-    return np.linalg.norm(gram - gram_target(k), axis=(1, 2))
+        return _variance_ratio(weights @ path._within / (k * n), weights @ path._between / k,
+                               weights @ np.abs(path._between) / k, ts)
+    if kind == "pfc2":
+        size = weights @ np.abs(np.trace(path._gram, axis1=1, axis2=2))
+        return _etf_distance(np.tensordot(weights, path._gram, axes=1), size, ts)
+    labels = path.start.labels()
+    values = np.empty(ts.size)
+    step = max(1, _TABLE_BLOCK // path._ncc[0].size)
+    for lo in range(0, ts.size, step):
+        tables = np.tensordot(weights[lo : lo + step], path._ncc, axes=1)
+        values[lo : lo + step] = _ncc_accuracy(np.argmin(tables, axis=1), labels)
+    return values
 
 
 def metric_curve(path: InterpolationPath, kind: str) -> MetricCurve:
@@ -253,9 +240,10 @@ def metric_curve(path: InterpolationPath, kind: str) -> MetricCurve:
 def endpoint_mean_alignment(path: InterpolationPath) -> tuple[bool, float]:
     """Inner product of centered start and end class means, summed over classes.
 
-    Returns (value >= 0, value).  Nonnegativity of this sum is the
-    condition under which the variance-ratio curve of the path decreases
-    monotonically when the endpoint is exactly collapsed.
+    Returns (value >= 0, value), the value for the endpoints as shifted into
+    the safe window.  Nonnegativity of this sum is the condition under which
+    the variance-ratio curve of the path decreases monotonically when the
+    endpoint is exactly collapsed.
     """
     value = float(path._between[1])
     return value >= 0.0, value
@@ -298,10 +286,8 @@ def relative_positions(stack: LayerStack) -> np.ndarray:
     """
     if len(stack) < 2:
         raise ValueError("need at least two layers for relative positions")
-    steps = [
-        float(np.sum(np.linalg.norm(b.features - a.features, axis=0)))
-        for a, b in zip(stack.layers[:-1], stack.layers[1:])
-    ]
+    layers = _to_window(*(fs.features for fs in stack.layers))
+    steps = [float(np.sum(np.linalg.norm(b - a, axis=0))) for a, b in zip(layers, layers[1:])]
     total = sum(steps)
     if total == 0.0:
         raise DegenerateInputError("zero total path length; positions undefined")

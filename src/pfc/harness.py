@@ -108,7 +108,7 @@ def typed_param(name: str, value, default):
     """``value`` as the type of the parameter's ``default``.
 
     An int takes an int or an integral float, a float takes an int or a
-    float, a bool only a bool and a str only a str.  A list takes a list
+    finite float, a bool only a bool and a str only a str.  A list takes a list
     whose items are typed from the default's first item (str when the
     default is empty).
 
@@ -127,6 +127,8 @@ def typed_param(name: str, value, default):
         if number and (not isinstance(value, float) or value.is_integer()):
             return int(value)
     elif number:
+        if not np.isfinite(value):
+            raise ValueError(f"parameter {name!r} must be finite, got {value!r}")
         return float(value)
     raise ValueError(
         f"parameter {name!r} must be of type {type(default).__name__}, got {value!r}"
@@ -355,18 +357,21 @@ def _run_interpolate(cfg: ExperimentConfig, out: Path) -> dict:
         grid_points=p["grid_points"],
         end_scale=p["end_scale"],
     )
-    rows = []
-    summary = {"verdicts": {}, "final_values": {}}
-    for kind in ("pfc1", "pfc2", "pfc3"):
-        curve = metric_curve(path, kind)
-        rows.extend(
-            (float(t), float(v), kind) for t, v in zip(curve.ts, curve.values)
-        )
-        summary["final_values"][kind] = float(curve.values[-1])
-        if kind != "pfc3":
-            summary["verdicts"][kind] = monotonicity_report(curve).kind
-    write_csv(out / "curves.csv", ("t", "value", "metric_kind"), rows)
-    return summary
+    curves = _write_curves(out, path)
+    return {
+        "verdicts": {kind: monotonicity_report(curves[kind]).kind for kind in ("pfc1", "pfc2")},
+        "final_values": {kind: float(curve.values[-1]) for kind, curve in curves.items()},
+    }
+
+
+def _write_curves(out: Path, path: InterpolationPath) -> dict[str, MetricCurve]:
+    """Every metric's curve along a path, also written to curves.csv."""
+    curves = {kind: metric_curve(path, kind) for kind in METRIC_KINDS}
+    write_csv(out / "curves.csv", ("t", "value", "metric_kind"), [
+        (float(t), float(v), kind)
+        for kind, curve in curves.items() for t, v in zip(curve.ts, curve.values)
+    ])
+    return curves
 
 
 def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
@@ -375,8 +380,6 @@ def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
         raise ValueError(f"num_paths must be >= 1, got {p['num_paths']}")
     combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))
     rows = []
-    finals = []
-    verdict_ok = 0
     for i in range(p["num_paths"]):
         k, n, d = combos[i % len(combos)]
         if variant == 1:
@@ -395,22 +398,15 @@ def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
             curve = metric_curve(path, "pfc2")
             accept = ("strictly-decreasing", "nonincreasing")
         verdict = monotonicity_report(curve)
-        verdict_ok += verdict.kind in accept
-        finals.append(float(curve.values[-1]))
-        rows.append(
-            (
-                i, k, n, d,
-                verdict.kind,
-                -1 if verdict.first_violation is None else verdict.first_violation,
-                float(curve.values[-1]),
-            )
-        )
+        first = -1 if verdict.first_violation is None else verdict.first_violation
+        rows.append((i, k, n, d, verdict.kind, first, float(curve.values[-1])))
     write_csv(
         out / "paths.csv",
         ("path", "num_classes", "per_class", "dim", "verdict", "first_violation", "final_value"),
         rows,
     )
-    max_final = max(finals)
+    verdict_ok = sum(row[4] in accept for row in rows)
+    max_final = max(row[-1] for row in rows)
     return {
         "paths": p["num_paths"],
         "monotone_count": verdict_ok,
@@ -513,11 +509,10 @@ def _run_sweep_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _stack_report(
-    stack: LayerStack, grid_points: int, epsilon: float
-) -> tuple[list[tuple], list[tuple], dict]:
+def _stack_report(stack: LayerStack, out: Path, grid_points: int, epsilon: float) -> dict:
     """Observed per-layer metrics side by side with the straight-line
-    prediction, plus dense predicted curves and their verdicts."""
+    prediction (report.csv), plus dense predicted curves (curves.csv) and
+    their verdicts."""
     positions = relative_positions(stack)
     path = InterpolationPath(
         start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(grid_points)
@@ -525,38 +520,30 @@ def _stack_report(
     predicted = {kind: metric_values(path, kind, positions) for kind in METRIC_KINDS}
 
     reports = [measure(fs) for fs in stack.layers]
-    report_rows = [
+    write_csv(out / "report.csv", _REPORT_HEADER, [
         (
             layer, float(pos),
             rep.pfc1, rep.pfc2, rep.pfc3,
             *(float(predicted[kind][layer]) for kind in METRIC_KINDS),
         )
         for layer, (pos, rep) in enumerate(zip(positions, reports))
-    ]
-
-    curve_rows = []
-    verdicts = {}
-    for kind in METRIC_KINDS:
-        curve = metric_curve(path, kind)
-        curve_rows.extend(
-            (float(t), float(v), kind) for t, v in zip(curve.ts, curve.values)
-        )
-        if kind != "pfc3":
-            # verdict applies to the prediction at the layer positions,
-            # the curve the report table publishes.
-            sampled = MetricCurve(ts=positions, values=predicted[kind], metric_kind=kind)
-            verdicts[kind] = monotonicity_report(sampled).kind
+    ])
+    _write_curves(out, path)
 
     layer_index = list(range(len(stack)))
-    summary = {
+    return {
         "relative_positions": [float(v) for v in positions],
-        "predicted_verdicts": verdicts,
+        # the verdicts apply to the prediction at the layer positions, the
+        # curve the report table publishes
+        "predicted_verdicts": {
+            kind: monotonicity_report(MetricCurve(positions, predicted[kind], kind)).kind
+            for kind in ("pfc1", "pfc2")
+        },
         "spearman_layer_pfc1": spearman(layer_index, [r.pfc1 for r in reports]),
         "spearman_layer_pfc2": spearman(layer_index, [r.pfc2 for r in reports]),
         "last_layer_pfc3": reports[-1].pfc3,
         "effective_depth": first_within_error([r.pfc3 for r in reports], epsilon),
     }
-    return report_rows, curve_rows, summary
 
 
 _REPORT_HEADER = (
@@ -628,17 +615,11 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
     for layer, fs in enumerate(final_stack.layers):
         save_featureset(layers_dir / f"layer_{layer:02d}.txt", fs)
 
-    report_rows, curve_rows, stack_summary = _stack_report(
-        final_stack, p["grid_points"], p["effective_epsilon"]
-    )
-    write_csv(out / "report.csv", _REPORT_HEADER, report_rows)
-    write_csv(out / "curves.csv", ("t", "value", "metric_kind"), curve_rows)
-
     return {
         "final_loss": float(trace.losses[-1]),
         "final_accuracy": float(trace.accuracies[-1]),
         "snapshot_epochs": list(trace.snapshot_epochs),
-        **stack_summary,
+        **_stack_report(final_stack, out, p["grid_points"], p["effective_epsilon"]),
     }
 
 
@@ -656,12 +637,10 @@ def _run_pfc_report(cfg: ExperimentConfig, out: Path) -> dict:
         raise ValueError(
             f"stack_files must hold features of dim >= num_classes, got dim={d} < K={k}"
         )
-    report_rows, curve_rows, stack_summary = _stack_report(
-        stack, p["grid_points"], p["effective_epsilon"]
-    )
-    write_csv(out / "report.csv", _REPORT_HEADER, report_rows)
-    write_csv(out / "curves.csv", ("t", "value", "metric_kind"), curve_rows)
-    return {"stack_files": files, **stack_summary}
+    return {
+        "stack_files": files,
+        **_stack_report(stack, out, p["grid_points"], p["effective_epsilon"]),
+    }
 
 
 def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:

@@ -83,8 +83,8 @@ class SolveProblem:
             raise ValueError(
                 f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"
             )
-        if self.lambda_w <= 0 or self.lam <= 0:
-            raise ValueError("lambda_w and lam must be positive")
+        if not (0 < self.lambda_w < np.inf and 0 < self.lam < np.inf):
+            raise ValueError("lambda_w and lam must be positive and finite")
         shape = (self.dim, self.num_classes * self.per_class)
         if self.kind == "mufm":
             if self.data is None:
@@ -486,8 +486,8 @@ def sweep_lambda(
         raise ValueError("sweep_lambda operates on mufm problems")
     lams = [float(lam) for lam in lambdas]
     for lam in lams:
-        if lam <= 0:
-            raise ValueError(f"lambda values must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lambda values must be positive and finite, got {lam}")
     if not lams:
         return []
     results = _solve_stack(base, lams, lr, epochs, init_scale,

@@ -7,11 +7,17 @@ from hypothesis.extra.numpy import arrays
 from pfc.core import (
     FeatureSet,
     LayerStack,
-    centered_class_mean_matrix,
+    _to_window,
     class_stats,
     load_featureset,
     save_featureset,
 )
+
+
+def centered_class_means(fs):
+    """d x K matrix whose column k is h_k - h_G."""
+    stats = class_stats(fs)
+    return stats.class_means - stats.global_mean[:, None]
 
 
 def naive_stats(features, num_classes, per_class):
@@ -120,8 +126,8 @@ class TestClassStats:
         assert abs(a.tr_within - b.tr_within) < 1e-10 * scale
         assert abs(a.tr_between - b.tr_between) < 1e-10 * scale
         np.testing.assert_allclose(
-            centered_class_mean_matrix(fs),
-            centered_class_mean_matrix(moved),
+            centered_class_means(fs),
+            centered_class_means(moved),
             atol=1e-10 * scale,
         )
 
@@ -129,20 +135,41 @@ class TestClassStats:
 class TestCenteredClassMeans:
     def test_hand_example(self):
         fs = FeatureSet(np.array([[0.0, 2.0, 4.0, 6.0]]), num_classes=2, per_class=2)
-        np.testing.assert_allclose(centered_class_mean_matrix(fs), [[-2.0, 2.0]])
+        np.testing.assert_allclose(centered_class_means(fs), [[-2.0, 2.0]])
 
     def test_identical_means_give_zero(self):
         fs = FeatureSet(np.tile([[1.0, -1.0]], (1, 2)), num_classes=2, per_class=2)
-        np.testing.assert_array_equal(centered_class_mean_matrix(fs), [[0.0, 0.0]])
+        np.testing.assert_array_equal(centered_class_means(fs), [[0.0, 0.0]])
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_columns_sum_to_zero(self, seed):
         rng = np.random.default_rng(seed)
         fs = random_featureset(rng)
-        centered = centered_class_mean_matrix(fs)
+        centered = centered_class_means(fs)
         scale = 1.0 + float(np.abs(centered).max())
         np.testing.assert_allclose(centered.sum(axis=1), 0.0, atol=1e-12 * scale)
+
+
+class TestScaleWindow:
+    def test_inside_the_window_passes_uncopied(self):
+        a, b = np.array([[2.0**-200, -3.0]]), np.array([2.0**199])
+        out = _to_window(a, b)
+        assert out[0] is a and out[1] is b
+
+    def test_zero_arrays_pass_uncopied(self):
+        a = np.zeros((2, 3))
+        assert _to_window(a)[0] is a
+
+    @pytest.mark.parametrize("exponent", [-1000, -203, 201, 1000])
+    def test_one_exact_shift_into_the_window(self, exponent):
+        rng = np.random.default_rng(exponent % 7)
+        a, b = rng.standard_normal((3, 4)), 1e-3 * rng.standard_normal(5)
+        a[0, 0] = -3.5  # the largest magnitude
+        shifted = _to_window(2.0**exponent * a, 2.0**exponent * b)
+        # -3.5 = -0.875 * 2^2 lands at -0.875: every entry moves by 2^-2
+        np.testing.assert_array_equal(shifted[0], a / 4.0)
+        np.testing.assert_array_equal(shifted[1], b / 4.0)
 
 
 class TestLayerStack:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pfc.core import DegenerateInputError, FeatureSet, LayerStack, class_stats
 from pfc.etf import build_etf
 from pfc.geodesic import (
+    METRIC_KINDS,
     InterpolationPath,
     MetricCurve,
     endpoint_mean_alignment,
@@ -202,9 +203,11 @@ class TestClosedForms:
             metric_curve(path, "pfc3").values,
             pointwise_values(path, "pfc3", path.grid),
         )
-        # at the endpoints pfc1 is summed exactly as the metric sums it
-        ends = metric_curve(path, "pfc1").values[[0, -1]]
-        assert list(ends) == [pfc1(path.start), pfc1(path.end)]
+        # at the endpoints every metric is finished exactly as the metric
+        # of the endpoint finishes it
+        for kind, fn in (("pfc1", pfc1), ("pfc2", pfc2), ("pfc3", pfc3)):
+            ends = metric_curve(path, kind).values[[0, -1]]
+            assert list(ends) == [fn(path.start), fn(path.end)], kind
 
     def test_collapsed_end_is_perfectly_separated(self):
         for seed in range(10):
@@ -257,6 +260,91 @@ class TestClosedForms:
         path = InterpolationPath(start=fs, end=fs, grid=uniform_grid(5))
         assert pfc3(fs) == 1.0
         np.testing.assert_array_equal(metric_curve(path, "pfc3").values, 1.0)
+
+
+# exact shifts of the exponent, from inside the safe window to the edges
+# of the float64 range
+POWERS_OF_TWO = [2.0**e for e in (300, -300, 600, -600, 1000, -1000)]
+
+
+def scaled_set(fs, factor):
+    return FeatureSet(factor * fs.features, fs.num_classes, fs.per_class)
+
+
+def scaled_path(path, factor):
+    return InterpolationPath(
+        start=scaled_set(path.start, factor), end=scaled_set(path.end, factor),
+        grid=path.grid,
+    )
+
+
+def exactly_scaled(sets, factor):
+    """Whether every entry survives scaling by ``factor`` exactly (no
+    subnormal result), the premise of bit-equal metrics."""
+    return all(np.array_equal(factor * fs.features / factor, fs.features) for fs in sets)
+
+
+def random_stack(seed, layers=4, num_classes=3, per_class=2, dim=4):
+    rng = np.random.default_rng(seed)
+    return LayerStack(layers=tuple(
+        FeatureSet(rng.standard_normal((dim, num_classes * per_class)), num_classes, per_class)
+        for _ in range(layers)
+    ), epoch=0)
+
+
+class TestScale:
+    def _assert_curves_keep_bits(self, path):
+        expected = {kind: metric_values(path, kind, path.grid) for kind in METRIC_KINDS}
+        for factor in POWERS_OF_TWO:
+            if not exactly_scaled((path.start, path.end), factor):
+                continue
+            scaled = scaled_path(path, factor)
+            for kind in METRIC_KINDS:
+                got = metric_values(scaled, kind, path.grid)
+                assert got.tobytes() == expected[kind].tobytes(), (factor, kind)
+
+    def test_power_of_two_scaling_keeps_curve_bits(self):
+        for seed in range(10):
+            self._assert_curves_keep_bits(random_path(seed))
+
+    @given(oracle_paths())
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scaling_keeps_curve_bits_on_oracle_paths(self, path):
+        self._assert_curves_keep_bits(path)
+
+    @pytest.mark.parametrize("factor", [1e80, 1e160, 1e-160, 1e-300])
+    def test_decimal_scaling_keeps_curves(self, factor):
+        # K = 3, n = 2, d = 4: at 1e80 the stacked Gram's norm overflows,
+        # at 1e160 the squared entries do
+        path = random_path(0, num_classes=3, per_class=2, dim=4, grid_points=5)
+        scaled = scaled_path(path, factor)
+        for kind in METRIC_KINDS:
+            np.testing.assert_allclose(
+                metric_values(scaled, kind, path.grid),
+                metric_values(path, kind, path.grid), rtol=1e-12,
+            )
+
+    def test_power_of_two_scaling_keeps_position_bits(self):
+        for seed in range(20):
+            stack = random_stack(seed)
+            expected = relative_positions(stack)
+            for factor in POWERS_OF_TWO:
+                if not exactly_scaled(stack.layers, factor):
+                    continue
+                scaled = LayerStack(
+                    layers=tuple(scaled_set(fs, factor) for fs in stack.layers), epoch=0
+                )
+                assert relative_positions(scaled).tobytes() == expected.tobytes(), factor
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_decimal_scaling_keeps_positions(self, factor):
+        stack = random_stack(1)
+        scaled = LayerStack(
+            layers=tuple(scaled_set(fs, factor) for fs in stack.layers), epoch=0
+        )
+        np.testing.assert_allclose(
+            relative_positions(scaled), relative_positions(stack), rtol=1e-12
+        )
 
 
 class TestEndpointAlignment:

@@ -176,6 +176,27 @@ class TestParamSchema:
         assert f"parameter {name!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, override", [
+        ("solve-mufm", "lam=NaN"),
+        ("sweep-lambda", "lambdas=[0.001, NaN]"),
+        ("solve-mufm", "lambda_w=Infinity"),
+        ("solve-ufm", "lr=-Infinity"),
+    ])
+    def test_nonfinite_float_names_the_parameter(self, tmp_path, capsys, kind, override):
+        out = tmp_path / "x"
+        assert cli.main([kind, "--out", str(out), "--set", override]) == 1
+        name = override.partition("=")[0]
+        assert f"parameter {name!r} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_defaults_are_finite(self):
+        for kind, entry in KINDS.items():
+            for name, default in entry.defaults.items():
+                values = default if isinstance(default, list) else [default]
+                for value in values:
+                    if isinstance(value, float):
+                        assert np.isfinite(value), (kind, name)
+
     def test_integral_float_resolves_to_int(self):
         epochs = resolve_config("solve-ufm", overrides=["epochs=1e3"]).params["epochs"]
         assert epochs == 1000 and type(epochs) is int
@@ -215,6 +236,14 @@ class TestParamSchema:
     ])
     def test_other_values_rejected(self, value, default):
         with pytest.raises(ValueError, match="parameter 'p' must be of type"):
+            typed_param("p", value, default)
+
+    @pytest.mark.parametrize("value, default", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (-float("inf"), 0.5),
+        ([0.1, float("nan")], [0.5]),
+    ])
+    def test_nonfinite_floats_rejected(self, value, default):
+        with pytest.raises(ValueError, match="parameter 'p' must be finite"):
             typed_param("p", value, default)
 
 

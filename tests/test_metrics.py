@@ -70,6 +70,16 @@ def naive_alignment(h, x):
     return np.sqrt(value)
 
 
+# exact shifts of the exponent, from inside the safe window to the edges
+# of the float64 range
+POWERS_OF_TWO = [2.0**e for e in (300, -300, 600, -600, 1000, -1000)]
+
+# three well separated classes of two samples each
+SEPARATED = FeatureSet(
+    np.array([[0.0, 0.1, 5.0, 5.1, -4.0, -4.2], [1.0, 1.1, 3.0, 3.2, 0.5, 0.4]]), 3, 2
+)
+
+
 def random_featureset(rng):
     k = int(rng.integers(2, 6))
     n = int(rng.integers(1, 11))
@@ -142,12 +152,33 @@ class TestPfc2:
         assert pfc2(fs) == pytest.approx(0.0, abs=1e-15)
 
     def test_power_of_two_scaling_keeps_bits(self):
+        # all three metrics, not only pfc2: an exact shift of the features'
+        # exponent is undone before any square is formed
         rng = np.random.default_rng(8)
         for _ in range(20):
             fs = random_featureset(rng)
-            for factor in (2.0**600, 2.0**-600):
+            expected = measure(fs)
+            for factor in POWERS_OF_TWO:
                 scaled = FeatureSet(factor * fs.features, fs.num_classes, fs.per_class)
-                assert pfc2(scaled) == pfc2(fs)
+                assert np.array_equal(scaled.features / factor, fs.features)
+                assert measure(scaled) == expected
+                assert pfc2(scaled) == expected.pfc2
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_decimal_scaling_keeps_all_metrics(self, factor):
+        expected = measure(SEPARATED)
+        got = measure(FeatureSet(factor * SEPARATED.features, 3, 2))
+        assert got.pfc1 == pytest.approx(expected.pfc1, rel=1e-12)
+        assert got.pfc2 == pytest.approx(expected.pfc2, rel=1e-12)
+        assert got.pfc3 == expected.pfc3 == 1.0
+
+    def test_means_far_below_a_constant_coordinate(self):
+        # the features' largest entry is the constant 1, so only the
+        # centered means, 2^-560 apart, leave the safe window; their Gram
+        # would underflow to zero if it were formed at that scale
+        means = 2.0**-560 * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        features = np.vstack([np.ones((1, 6)), np.repeat(means, 2, axis=1)])
+        assert pfc2(FeatureSet(features, 3, 2)) == pytest.approx(0.6146428139109532, rel=1e-12)
 
     def test_scaling_centered_means_invariance(self):
         rng = np.random.default_rng(5)

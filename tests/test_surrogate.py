@@ -164,6 +164,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(lam=-1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_w", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_lambdas_rejected(self, field, value):
+        with pytest.raises(ValueError, match="lambda_w and lam must be"):
+            make_problem(**{field: value})
+
     @pytest.mark.parametrize("kind", ["ufm", "mufm"])
     def test_dim_below_classes_rejected(self, kind):
         data = np.zeros((2, 12)) if kind == "mufm" else None
@@ -641,6 +647,9 @@ class TestSweep:
         monkeypatch.setattr(surrogate, "_value_and_grad", unreachable)
         with pytest.raises(ValueError, match="positive"):
             sweep_lambda(base, [0.001, -1.0], epochs=10)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"lambda values must be .*, got {bad}"):
+                sweep_lambda(base, [0.001, bad], epochs=10)
 
     def test_divergence_names_the_diverging_lambda(self):
         base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4, seed=13)
