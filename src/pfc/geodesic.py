@@ -12,13 +12,16 @@ means are affine in t, so every squared norm the metrics need is a
 quadratic (1 - t)^2 a + 2t(1 - t) b + t^2 c whose coefficients are inner
 products of the two endpoints: the within-class trace (pfc1's numerator),
 the K x K centered class-mean Gram (pfc1's denominator and pfc2) and the
-K x N sample-to-class-mean squared distances (pfc3).  The coefficients cost
-O(K n d) once per path; each grid point then costs O(K^2) for pfc1/pfc2 and
-O(K N) for pfc3, and no intermediate feature set is built.  The finishers
-of ``metrics`` turn them into values, so at t = 0 and t = 1 a curve reads
-the bits of the endpoints' metrics.  Scale rule (``core``): both endpoints,
-then their centered means, and all layers of a stack are shifted into the
-safe window by one exact power of two, which keeps every bit.
+K x N sample-to-class-mean squared distances (pfc3).  These coefficients
+are the moments of the path's two endpoints: ``InterpolationPath`` caches
+one ``metrics._Moments`` of them, and a curve evaluates it at the grid's
+quadratic weights through the evaluator that ``metrics`` reads one feature
+set with, so at t = 0 and t = 1 a curve reads the bits of the endpoints'
+metrics.  The coefficients cost O(K n d) once per path; each grid point
+then costs O(K^2) for pfc1/pfc2 and O(K N) for pfc3, and no intermediate
+feature set is built.  Scale rule (``core``): both endpoints, then their
+centered means, and all layers of a stack are shifted into the safe window
+by one exact power of two, which keeps every bit.
 
 ``endpoint_mean_alignment`` computes the inner-product condition
 sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)> whose nonnegativity guarantees
@@ -33,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassStats, DegenerateInputError, FeatureSet, LayerStack, _to_window, class_stats
+from .core import DegenerateInputError, FeatureSet, LayerStack, _to_window
 from .etf import build_etf
-from .metrics import _etf_distance, _ncc_accuracy, _sample_gaps, _scaled, _variance_ratio
+from .metrics import _Moments
 
 METRIC_KINDS = ("pfc1", "pfc2", "pfc3")
 
@@ -68,58 +71,10 @@ class InterpolationPath:
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
-    # Endpoint moments of the closed-form curves, from the endpoints shifted
-    # into the safe window.  Each group stacks the coefficients (a, b, c) of
-    # a quadratic (1 - t)^2 a + 2t(1 - t) b + t^2 c along axis 0 and is
-    # computed on first use.  The traces are summed the way class_stats sums
-    # them, so pfc1 at t = 0 and t = 1 equals pfc1 of the endpoints.
-
     @cached_property
-    def _ends(self) -> tuple[FeatureSet, FeatureSet]:
-        return _scaled(self.start, self.end)
-
-    @cached_property
-    def _stats(self) -> tuple[ClassStats, ClassStats]:
-        return tuple(class_stats(fs) for fs in self._ends)
-
-    @cached_property
-    def _centered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered class-mean matrices C0, C1 (d x K) of the start and the end."""
-        return tuple(s.class_means - s.global_mean[:, None] for s in self._stats)
-
-    @cached_property
-    def _within(self) -> np.ndarray:
-        """K n times the within-class trace: <D0, D0>, <D0, D1>, <D1, D1>,
-        where D is every sample minus its class mean."""
-        k, n, d = self.start.num_classes, self.start.per_class, self.start.dim
-        d0, d1 = (
-            fs.features.reshape(d, k, n) - s.class_means[:, :, None]
-            for fs, s in zip(self._ends, self._stats)
-        )
-        return np.array([np.sum(d0 * d0), np.sum(d0 * d1), np.sum(d1 * d1)])
-
-    @cached_property
-    def _between(self) -> np.ndarray:
-        """K times the between-class trace: <C0, C0>, <C0, C1>, <C1, C1>."""
-        c0, c1 = self._centered
-        return np.array([np.sum(c0 * c0), np.sum(c0 * c1), np.sum(c1 * c1)])
-
-    @cached_property
-    def _gram(self) -> np.ndarray:
-        """Centered class-mean Gram, shape (3, K, K), of C0 and C1 shifted
-        into the safe window together: C0^T C0, (C0^T C1 + C1^T C0) / 2,
-        C1^T C1."""
-        c0, c1 = _to_window(*self._centered)
-        cross = c0.T @ c1
-        return np.stack([c0.T @ c0, 0.5 * (cross + cross.T), c1.T @ c1])
-
-    @cached_property
-    def _ncc(self) -> np.ndarray:
-        """Squared distance of every sample to every class mean, shape
-        (3, K, N): |x0 - m0_k|^2, <x0 - m0_k, x1 - m1_k>, |x1 - m1_k|^2."""
-        return _sample_gaps(
-            [fs.features for fs in self._ends], [s.class_means for s in self._stats]
-        )
+    def _moments(self) -> _Moments:
+        """Moments of the two endpoints, shifted into the safe window together."""
+        return _Moments(self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -184,11 +139,6 @@ def _quadratic_weights(ts: np.ndarray) -> np.ndarray:
     return np.stack([s * s, 2.0 * ts * s, ts * ts], axis=1)
 
 
-# pfc3 takes points in blocks of about this many K x N table entries, so a
-# dense grid's distance tables never sit in memory at once.
-_TABLE_BLOCK = 2**16
-
-
 def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
     """One collapse metric at the points ``ts`` (any values in [0, 1]) of a path.
 
@@ -202,28 +152,13 @@ def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
-    k, n = path.start.num_classes, path.start.per_class
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise ValueError("ts must be a 1-d array")
     outside = ~((ts >= 0.0) & (ts <= 1.0))
     if np.any(outside):
         raise ValueError(f"t must lie in [0, 1], got {ts[outside][0]}")
-    weights = _quadratic_weights(ts)
-
-    if kind == "pfc1":
-        return _variance_ratio(weights @ path._within / (k * n), weights @ path._between / k,
-                               weights @ np.abs(path._between) / k, ts)
-    if kind == "pfc2":
-        size = weights @ np.abs(np.trace(path._gram, axis1=1, axis2=2))
-        return _etf_distance(np.tensordot(weights, path._gram, axes=1), size, ts)
-    labels = path.start.labels()
-    values = np.empty(ts.size)
-    step = max(1, _TABLE_BLOCK // path._ncc[0].size)
-    for lo in range(0, ts.size, step):
-        tables = np.tensordot(weights[lo : lo + step], path._ncc, axes=1)
-        values[lo : lo + step] = _ncc_accuracy(np.argmin(tables, axis=1), labels)
-    return values
+    return path._moments.values(kind, _quadratic_weights(ts), ts)
 
 
 def metric_curve(path: InterpolationPath, kind: str) -> MetricCurve:
@@ -245,7 +180,7 @@ def endpoint_mean_alignment(path: InterpolationPath) -> tuple[bool, float]:
     the variance-ratio curve of the path decreases monotonically when the
     endpoint is exactly collapsed.
     """
-    value = float(path._between[1])
+    value = float(path._moments.between[1])
     return value >= 0.0, value
 
 

@@ -22,7 +22,7 @@ import os
 import platform
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -559,21 +559,7 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
         missing = "labels" if p["images"] else "images"
         raise ValueError(f"an IDX run reads images and labels together; set {missing} too")
     config = TrainConfig(
-        num_blocks=p["num_blocks"],
-        width=p["width"],
-        input_dim=p["input_dim"],
-        num_classes=p["num_classes"],
-        per_class=p["per_class"],
-        epochs=p["epochs"],
-        batch_size=p["batch_size"],
-        lr=p["lr"],
-        lr_decay_factor=p["lr_decay_factor"],
-        lr_decay_epochs=tuple(p["lr_decay_epochs"]),
-        momentum=p["momentum"],
-        weight_decay=p["weight_decay"],
-        decay_biases=p["decay_biases"],
-        seed=cfg.seed,
-        record_stride=p["record_stride"],
+        seed=cfg.seed, **{f.name: p[f.name] for f in fields(TrainConfig) if f.name != "seed"}
     )
     if p["images"]:
         data, labels = load_mnist_idx(p["images"], p["labels"], config.per_class)

@@ -11,10 +11,18 @@ Three per-layer statistics quantify how collapsed a feature set is:
 * ``pfc3`` -- nearest-class-center accuracy; 1 when every sample is closest
   to its own class mean.
 
-Each metric has one finisher over a stack of points, called with a stack
-of one here and with a grid's moments by ``geodesic``.  Scale rule (``core``):
-a feature set, then its centered means, is shifted into the safe window by
-one exact power of two before squares are formed, which keeps every bit.
+All three are read from one private moments object, ``_Moments``, built
+from one feature set or from the two endpoints of a straight path.  It
+holds one entry per pair i <= j of its sets ((0, 0) for one set; (0, 0),
+(0, 1), (1, 1) for a path): the within- and between-class inner products,
+the centered class-mean Gram and the sample-to-class-mean gap table.  Its
+one evaluator, ``values(kind, weights)``, finishes a metric at each row of
+weights over the pairs: ``[[1.0]]`` here, and the quadratic weights of a
+t-grid in ``geodesic``.  So ``measure`` forms class statistics once per
+feature set, and a curve reads at t = 0 and t = 1 the bits of its
+endpoints' metrics.  Scale rule (``core``): the sets, then their centered
+means, are shifted into the safe window by one exact power of two before
+squares are formed, which keeps every bit.
 
 ``alignment`` compares two matrices after Frobenius normalization, and
 ``first_within_error`` finds, among the pfc3 values of a stack's layers,
@@ -24,6 +32,7 @@ the first whose NCC error rate falls below a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +53,13 @@ class PfcReport:
 # rounding noise: the class means coincide there.
 _ZERO_SHARE = 1e-12
 
+# pfc3 takes points in blocks of about this many K x N table entries, so a
+# dense grid's distance tables never sit in memory at once.
+_TABLE_BLOCK = 2**16
+
+# Weights that read the moments of a single set: one point, one pair.
+_ONE = np.ones((1, 1))
+
 
 def _require_spread(spread, size, ts, kind, why) -> None:
     """Raise DegenerateInputError (naming the first such t of ``ts``) at a noise spread."""
@@ -53,49 +69,98 @@ def _require_spread(spread, size, ts, kind, why) -> None:
         raise DegenerateInputError(where + why)
 
 
-def _variance_ratio(tr_within, tr_between, size=0.0, ts=None) -> np.ndarray:
-    """pfc1 from within/between traces; ``size`` bounds each between trace's
-    terms (0: sums of squares), and a within trace below 0 is noise, read as 0."""
-    _require_spread(tr_between, size, ts, "pfc1",
-                    "all class means coincide; variance ratio undefined")
-    return np.maximum(tr_within, 0.0) / tr_between
+class _Moments:
+    """The sums the collapse metrics read, of one feature set or of the two
+    endpoints of a straight path, shifted into the safe window together.
 
+    Each moment stacks along axis 0 one entry per pair (i, j), i <= j, of
+    ``pairs`` and is computed on first use.  A row of weights over the pairs
+    is one point: ``[[1.0]]`` the set itself, the rows (1 - t)^2, 2t(1 - t),
+    t^2 the point h(t) = (1 - t) h0 + t h1 of a path, whose class means are
+    affine in t, so that every sum below is that quadratic in its entries.
+    """
 
-def _etf_distance(gram, size=0.0, ts=None) -> np.ndarray:
-    """pfc2 from (m, K, K) centered class-mean Grams; ``size`` as above, for their traces."""
-    _require_spread(np.trace(gram, axis1=1, axis2=2), size, ts, "pfc2",
-                    "centered class means are all zero; Gram cannot be normalized")
-    gram = gram / np.linalg.norm(gram, axis=(1, 2), keepdims=True)
-    return np.linalg.norm(gram - gram_target(gram.shape[-1]), axis=(1, 2))
+    def __init__(self, *sets: FeatureSet):
+        arrays = _to_window(*(fs.features for fs in sets))
+        if arrays[0] is not sets[0].features:
+            sets = [FeatureSet(x, fs.num_classes, fs.per_class) for x, fs in zip(arrays, sets)]
+        self.sets = sets
+        self.stats = [class_stats(fs) for fs in self.sets]
+        self.pairs = [(i, j) for i in range(len(sets)) for j in range(i, len(sets))]
 
+    @cached_property
+    def within(self) -> np.ndarray:
+        """K n times the within-class trace: <D_i, D_j>, where D is every
+        sample minus its class mean (summed as class_stats sums it)."""
+        k, n, d = self.sets[0].num_classes, self.sets[0].per_class, self.sets[0].dim
+        offsets = [fs.features.reshape(d, k, n) - s.class_means[:, :, None]
+                   for fs, s in zip(self.sets, self.stats)]
+        cross = {(i, j): np.sum(offsets[i] * offsets[j]) for i, j in self.pairs if i != j}
+        # squared in place, after the cross terms: no second array of that size
+        squares = [np.sum(np.square(offset, out=offset)) for offset in offsets]
+        return np.array([squares[i] if i == j else cross[i, j] for i, j in self.pairs])
 
-def _ncc_accuracy(nearest, labels) -> np.ndarray:
-    """pfc3 from the (..., N) nearest class of each sample, as ``np.argmin``
-    over classes gives it: ties go to the smallest class."""
-    return np.mean(nearest == labels, axis=-1)
+    @cached_property
+    def centered(self) -> list[np.ndarray]:
+        """Centered class-mean matrices C (d x K)."""
+        return [s.class_means - s.global_mean[:, None] for s in self.stats]
 
+    @cached_property
+    def between(self) -> np.ndarray:
+        """K times the between-class trace: <C_i, C_j>."""
+        c = self.centered
+        return np.array([np.sum(c[i] * c[j]) for i, j in self.pairs])
 
-def _sample_gaps(features, means) -> np.ndarray:
-    """<x_i - m_ik, x_j - m_jk> over samples and classes k for the pairs
-    i <= j of one or two (d x N features, d x K means): shape (1 or 3, K, N)."""
-    gaps = np.empty((len(features), *features[0].shape))
-    product = np.empty(features[0].shape)
-    pairs = [(i, j) for i in range(len(gaps)) for j in range(i, len(gaps))]
-    out = np.empty((len(pairs), means[0].shape[1], features[0].shape[1]))
-    for k in range(out.shape[1]):
-        for x, m, gap in zip(features, means, gaps):
-            np.subtract(x, m[:, k][:, None], out=gap)
-        for p, (i, j) in enumerate(pairs):
-            np.sum(np.multiply(gaps[i], gaps[j], out=product), axis=0, out=out[p, k])
-    return out
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Centered class-mean Gram, (pairs, K, K), of the C shifted into the
+        safe window together: C_i^T C_i, and (C_i^T C_j + C_j^T C_i) / 2."""
+        c = _to_window(*self.centered)
+        grams = [c[i].T @ c[j] for i, j in self.pairs]
+        return np.stack([g if i == j else 0.5 * (g + g.T)
+                         for g, (i, j) in zip(grams, self.pairs)])
 
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """<x_i - m_ik, x_j - m_jk> over classes k and samples x: (pairs, K, N)."""
+        gaps = np.empty((len(self.sets), *self.sets[0].features.shape))
+        product = np.empty(self.sets[0].features.shape)
+        out = np.empty((len(self.pairs), self.sets[0].num_classes, self.sets[0].num_samples))
+        for k in range(out.shape[1]):
+            for fs, s, gap in zip(self.sets, self.stats, gaps):
+                np.subtract(fs.features, s.class_means[:, k][:, None], out=gap)
+            for p, (i, j) in enumerate(self.pairs):
+                np.sum(np.multiply(gaps[i], gaps[j], out=product), axis=0, out=out[p, k])
+        return out
 
-def _scaled(*sets: FeatureSet) -> tuple[FeatureSet, ...]:
-    """The sets shifted together into the safe window; themselves when inside."""
-    arrays = _to_window(*(fs.features for fs in sets))
-    if arrays[0] is sets[0].features:
-        return sets
-    return tuple(FeatureSet(x, fs.num_classes, fs.per_class) for x, fs in zip(arrays, sets))
+    def values(self, kind: str, weights: np.ndarray, ts=None) -> np.ndarray:
+        """One metric at each row of ``weights`` (points x pairs).
+
+        A spread at or below ``_ZERO_SHARE`` of the size of its terms raises
+        DegenerateInputError, naming the point's t from ``ts`` if given.
+        """
+        k, n = self.sets[0].num_classes, self.sets[0].per_class
+        if kind == "pfc1":
+            tr_between = weights @ self.between / k
+            _require_spread(tr_between, weights @ np.abs(self.between) / k, ts, kind,
+                            "all class means coincide; variance ratio undefined")
+            # a within trace below 0 is rounding noise
+            return np.maximum(weights @ self.within / (k * n), 0.0) / tr_between
+        if kind == "pfc2":
+            gram = np.tensordot(weights, self.gram, axes=1)
+            size = weights @ np.abs(np.trace(self.gram, axis1=1, axis2=2))
+            _require_spread(np.trace(gram, axis1=1, axis2=2), size, ts, kind,
+                            "centered class means are all zero; Gram cannot be normalized")
+            gram = gram / np.linalg.norm(gram, axis=(1, 2), keepdims=True)
+            return np.linalg.norm(gram - gram_target(k), axis=(1, 2))
+        # pfc3: accuracy of the argmin assignment, ties to the smallest class
+        labels = self.sets[0].labels()
+        out = np.empty(len(weights))
+        step = max(1, _TABLE_BLOCK // self.gaps[0].size)
+        for lo in range(0, len(weights), step):
+            tables = np.tensordot(weights[lo : lo + step], self.gaps, axes=1)
+            out[lo : lo + step] = np.mean(np.argmin(tables, axis=1) == labels, axis=-1)
+        return out
 
 
 def pfc1(fs: FeatureSet) -> float:
@@ -105,8 +170,7 @@ def pfc1(fs: FeatureSet) -> float:
         DegenerateInputError: if the between-class variance is zero
             (all class means coincide), where the ratio is undefined.
     """
-    stats = class_stats(*_scaled(fs))
-    return float(_variance_ratio(stats.tr_within, stats.tr_between))
+    return float(_Moments(fs).values("pfc1", _ONE)[0])
 
 
 def pfc2(fs: FeatureSet) -> float:
@@ -115,9 +179,7 @@ def pfc2(fs: FeatureSet) -> float:
     Raises:
         DegenerateInputError: if the centered class-mean Gram matrix is zero.
     """
-    stats = class_stats(*_scaled(fs))
-    (centered,) = _to_window(stats.class_means - stats.global_mean[:, None])
-    return float(_etf_distance((centered.T @ centered)[None])[0])
+    return float(_Moments(fs).values("pfc2", _ONE)[0])
 
 
 def nearest_class_means(fs: FeatureSet) -> np.ndarray:
@@ -125,19 +187,18 @@ def nearest_class_means(fs: FeatureSet) -> np.ndarray:
 
     Ties resolve to the smallest class index.
     """
-    (fs,) = _scaled(fs)
-    gaps = _sample_gaps([fs.features], [class_stats(fs).class_means])
-    return np.argmin(gaps[0], axis=0)
+    return np.argmin(_Moments(fs).gaps[0], axis=0)
 
 
 def pfc3(fs: FeatureSet) -> float:
     """Nearest-class-center accuracy in [0, 1]."""
-    return float(_ncc_accuracy(nearest_class_means(fs), fs.labels()))
+    return float(_Moments(fs).values("pfc3", _ONE)[0])
 
 
 def measure(fs: FeatureSet) -> PfcReport:
-    """All three collapse metrics of one feature set."""
-    return PfcReport(pfc1=pfc1(fs), pfc2=pfc2(fs), pfc3=pfc3(fs))
+    """All three collapse metrics of one feature set, from one set of moments."""
+    moments = _Moments(fs)
+    return PfcReport(*(float(moments.values(kind, _ONE)[0]) for kind in ("pfc1", "pfc2", "pfc3")))
 
 
 def alignment(h: np.ndarray, x: np.ndarray) -> float:
@@ -153,6 +214,9 @@ def alignment(h: np.ndarray, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if h.shape != x.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {x.shape}")
+    # each matrix in the safe window, so that its norm neither overflows nor
+    # underflows; the normalized matrix keeps its bits
+    (h,), (x,) = _to_window(h), _to_window(x)
     hn = np.linalg.norm(h)
     xn = np.linalg.norm(x)
     if hn == 0.0 or xn == 0.0:

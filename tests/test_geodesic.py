@@ -215,12 +215,12 @@ class TestClosedForms:
             assert metric_curve(path, "pfc3").values[-1] == 1.0
 
     def test_one_pass_over_the_endpoints(self, monkeypatch):
-        import pfc.geodesic
+        import pfc.metrics
 
         calls = []
-        original = pfc.geodesic.class_stats
+        original = pfc.metrics.class_stats
         monkeypatch.setattr(
-            pfc.geodesic, "class_stats", lambda fs: calls.append(fs) or original(fs)
+            pfc.metrics, "class_stats", lambda fs: calls.append(fs) or original(fs)
         )
         path = random_path(12, grid_points=1001)
         for kind in ("pfc1", "pfc2", "pfc3"):

@@ -3,6 +3,7 @@ experiment runner: artifact layout, manifests, and CLI exit codes."""
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -41,6 +42,7 @@ from pfc.harness import (
     write_csv,
     write_json,
 )
+from pfc.resnet import TrainConfig
 
 
 class TestExperimentConfig:
@@ -196,6 +198,11 @@ class TestParamSchema:
                 for value in values:
                     if isinstance(value, float):
                         assert np.isfinite(value), (kind, name)
+
+    def test_train_config_fields_are_train_resnet_params(self):
+        # the runner builds TrainConfig by field name; only seed comes from the run
+        names = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+        assert names <= set(KINDS["train-resnet"].defaults)
 
     def test_integral_float_resolves_to_int(self):
         epochs = resolve_config("solve-ufm", overrides=["epochs=1e3"]).params["epochs"]
@@ -650,7 +657,8 @@ class TestPfcReportRun:
 
     def test_pfc3_computed_once_per_layer(self, tmp_path, monkeypatch):
         # effective_depth in the summary comes from the measured reports,
-        # not from a second nearest-class-mean pass over the layers
+        # not from a second nearest-class-mean pass over the layers: one
+        # gap table per layer, plus one for the path between the ends
         rng = np.random.default_rng(3)
         files = []
         for layer in range(3):
@@ -659,13 +667,17 @@ class TestPfcReportRun:
             save_featureset(path, fs)
             files.append(str(path))
         calls = []
-        original = metrics.pfc3
-        monkeypatch.setattr(metrics, "pfc3", lambda *a, **k: calls.append(1) or original(*a, **k))
+        original = metrics._Moments.gaps.func
+        counted = functools.cached_property(
+            lambda moments: calls.append(len(moments.sets)) or original(moments)
+        )
+        counted.__set_name__(metrics._Moments, "gaps")
+        monkeypatch.setattr(metrics._Moments, "gaps", counted)
         out = tmp_path / "report"
         run(ExperimentConfig(kind="pfc-report",
                              params={"stack_files": files, "grid_points": 5},
                              out_dir=out))
-        assert len(calls) == 3
+        assert sorted(calls) == [1, 1, 1, 2]
         summary = json.loads((out / "summary.json").read_text())
         stack = LayerStack(tuple(load_featureset(f) for f in files))
         first = next(

@@ -260,6 +260,24 @@ class TestAlignment:
         with pytest.raises(ValueError):
             alignment(np.ones((2, 3)), np.ones((3, 2)))
 
+    def test_power_of_two_scaling_keeps_bits(self):
+        rng = np.random.default_rng(5)
+        h, x = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        expected = alignment(h, x)
+        for factor in (2.0**600, 2.0**-600):
+            assert alignment(factor * h, x) == expected
+            assert alignment(h, factor * x) == expected
+            assert alignment(factor * h, factor * x) == expected
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_decimal_scaling_keeps_the_value(self, factor):
+        # the norm of 1e160 h overflows and that of 1e-170 h underflows to 0
+        rng = np.random.default_rng(5)
+        h, x = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        expected = alignment(h, x)
+        assert alignment(factor * h, x) == pytest.approx(expected, rel=1e-12)
+        assert alignment(h, factor * x) == pytest.approx(expected, rel=1e-12)
+
 
 def accuracy_layer(wrong: int) -> FeatureSet:
     """d=1, K=2, n=10 layer with exactly ``wrong`` class-0 samples misassigned.
@@ -313,6 +331,20 @@ class TestEffectiveDepth:
 
 
 class TestMeasure:
+    def test_class_statistics_formed_once(self, monkeypatch):
+        import pfc.metrics
+
+        calls = []
+        original = pfc.metrics.class_stats
+        monkeypatch.setattr(
+            pfc.metrics, "class_stats", lambda fs: calls.append(fs) or original(fs)
+        )
+        rng = np.random.default_rng(23)
+        sets = [random_featureset(rng) for _ in range(3)]
+        for fs in sets:
+            measure(fs)
+        assert [id(fs) for fs in calls] == [id(fs) for fs in sets]
+
     def test_agrees_with_individual_metrics(self):
         rng = np.random.default_rng(23)
         fs = random_featureset(rng)
