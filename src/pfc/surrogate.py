@@ -13,14 +13,18 @@ Two related problems over a classifier W (K x d) and a feature matrix H
   collinear intermediates.
 
 Both problems are solved by plain full-batch gradient descent from a
-seeded standard-normal initialization.  One value-and-gradient kernel
-serves ``objective``, ``gradients`` and every solver epoch.  It works on a
-stack of m problems that share everything but ``lam``: classifiers
-(m, K, d), features (m, d, r) and one coefficient per lane, with sums taken
-per lane, so ``solve`` is a stack of one and ``sweep_lambda`` runs all its
-coefficients as one stack.  It writes into scratch buffers allocated once
-per stack, and the iterates are updated in place; each lane takes the same
-floating-point operations as the allocating single-problem formulas.
+seeded standard-normal initialization.  One kernel in two halves serves
+``objective``, ``gradients`` and every solver epoch: a gradient pass, which
+every epoch runs, and a value pass, which reads the buffers the gradient
+pass left and runs only where the objective is recorded; a non-finite value
+there is traced back to its first epoch by re-running the descent with a
+value every epoch (see ``solve``).  The kernel works on a stack of m
+problems that share everything but ``lam``: classifiers (m, K, d), features
+(m, d, r) and one coefficient per lane, with sums taken per lane, so
+``solve`` is a stack of one and ``sweep_lambda`` runs all its coefficients
+as one stack.  It writes into scratch buffers allocated once per stack, and
+the iterates are updated in place; each lane takes the same floating-point
+operations as the allocating single-problem formulas.
 
 Under the MSE loss the descent runs in exact row-space coordinates.  The
 feature gradient W^T (W H - Y) / Kn plus lam H (UFM) or (lam / Kn)(H - X)
@@ -195,10 +199,11 @@ class _Stack:
 
 
 class _Buffers:
-    """Scratch arrays of :func:`_value_and_grad` for stacked (W, C) of shapes
-    (m, K, d) and (m, d, r).
+    """Scratch arrays of :func:`_gradient` and :func:`_value` for stacked
+    (W, C) of shapes (m, K, d) and (m, d, r).
 
-    Each call overwrites the gradients the previous call returned.
+    Each gradient call overwrites the gradients the previous call returned
+    and leaves in place the parts of the fit that :func:`_value` reads.
     """
 
     def __init__(self, W: np.ndarray, C: np.ndarray):
@@ -218,52 +223,74 @@ class _Buffers:
         self.dc = np.empty(C.shape)
 
 
-def _fit_terms(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray:
-    """Per-lane loss values at the logits Z = W C; writes dLoss/dZ to ``buf.dz``."""
+def _fit_gradient(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """dLoss/dZ at the logits Z = W C, written to ``buf.dz``.
+
+    Leaves in ``buf`` what :func:`_fit_value` reads: the residual Z - Y
+    (MSE) or Z, its column maxima and the softmax normalizers (CE).
+    """
     p = s.problem
     kn = p.num_classes * p.per_class
     y = s.labels
     z = np.matmul(W, C, out=buf.z)
     if p.loss == "mse":
         resid = np.subtract(z, y, out=z)
-        squares = np.multiply(resid, resid, out=buf.exp)
-        value = np.add.reduce(squares, axis=(1, 2)) / (2.0 * kn)
-        np.divide(resid, kn, out=buf.dz)
-        return value
-    z_max, sums, logsumexp, true_logit = buf.columns
+        return np.divide(resid, kn, out=buf.dz)
+    z_max, sums = buf.columns[:2]
     np.maximum.reduce(z, axis=1, keepdims=True, out=z_max)
     e = np.exp(np.subtract(z, z_max, out=buf.exp), out=buf.exp)
     np.add.reduce(e, axis=1, keepdims=True, out=sums)
-    np.log(sums, out=logsumexp)
-    logsumexp += z_max
-    np.add.reduce(np.multiply(z, y, out=buf.dz), axis=1, keepdims=True, out=true_logit)
-    losses = np.subtract(logsumexp, true_logit, out=logsumexp)
-    value = np.add.reduce(losses, axis=(1, 2)) / kn
     dz = np.divide(e, sums, out=buf.dz)
     dz -= y
     dz /= kn
-    return value
+    return dz
 
 
-def _value_and_grad(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers):
-    """Per-lane objective values and gradients (dW, dC) at the stacked
-    (W, C), computed in ``buf``."""
-    fit = _fit_terms(s, W, C, buf)
-    dw = np.matmul(buf.dz, C.transpose(0, 2, 1), out=buf.dw)
-    dc = np.matmul(W.transpose(0, 2, 1), buf.dz, out=buf.dc)
-    w2 = np.add.reduce(np.multiply(W, W, out=buf.w), axis=(1, 2))
+def _fit_value(s: _Stack, buf: _Buffers) -> np.ndarray:
+    """Per-lane loss values from the buffers :func:`_fit_gradient` left;
+    overwrites ``buf.exp``."""
+    p = s.problem
+    kn = p.num_classes * p.per_class
+    if p.loss == "mse":
+        squares = np.multiply(buf.z, buf.z, out=buf.exp)
+        return np.add.reduce(squares, axis=(1, 2)) / (2.0 * kn)
+    z_max, sums, logsumexp, true_logit = buf.columns
+    np.log(sums, out=logsumexp)
+    logsumexp += z_max
+    np.add.reduce(np.multiply(buf.z, s.labels, out=buf.exp), axis=1, keepdims=True,
+                  out=true_logit)
+    losses = np.subtract(logsumexp, true_logit, out=logsumexp)
+    return np.add.reduce(losses, axis=(1, 2)) / kn
+
+
+def _gradient(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers):
+    """Per-lane gradients (dW, dC) of the objective at the stacked (W, C),
+    computed in ``buf``."""
+    dz = _fit_gradient(s, W, C, buf)
+    dw = np.matmul(dz, C.transpose(0, 2, 1), out=buf.dw)
+    dc = np.matmul(W.transpose(0, 2, 1), dz, out=buf.dc)
     feat = C if s.problem.kind == "ufm" else np.subtract(C, s.data, out=buf.diff)
-    f2 = np.add.reduce(np.multiply(feat, feat, out=buf.h), axis=(1, 2))
-    obj = fit + s.w_value * w2 + s.h_value * f2
     dw += np.multiply(W, s.w_grad, out=buf.w)
     dc += np.multiply(feat, s.h_grad, out=buf.h)
-    return obj, dw, dc
+    return dw, dc
+
+
+def _value(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Per-lane objective values at the (W, C) of the last :func:`_gradient`
+    call, read from the buffers it left; the gradients stay intact."""
+    fit = _fit_value(s, buf)
+    w2 = np.add.reduce(np.multiply(W, W, out=buf.w), axis=(1, 2))
+    feat = C if s.problem.kind == "ufm" else buf.diff
+    f2 = np.add.reduce(np.multiply(feat, feat, out=buf.h), axis=(1, 2))
+    return fit + s.w_value * w2 + s.h_value * f2
 
 
 def _full_space(p: SolveProblem, W: np.ndarray, H: np.ndarray):
     _check_shapes(p, W, H)
-    W, H = W[None], H[None]
-    return _value_and_grad(_Stack(p, [p.lam]), W, H, _Buffers(W, H))
+    s, W, H = _Stack(p, [p.lam]), W[None], H[None]
+    buf = _Buffers(W, H)
+    dw, dh = _gradient(s, W, H, buf)
+    return _value(s, W, H, buf), dw, dh
 
 
 def objective(p: SolveProblem, W: np.ndarray, H: np.ndarray) -> float:
@@ -310,6 +337,8 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if trace_stride < 1:
         raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
+    if not grad_tol >= 0:
+        raise ValueError(f"grad_tol must be >= 0, got {grad_tol}")
 
     rng = np.random.default_rng(p.seed)
     W0 = init_scale * rng.standard_normal((p.num_classes, p.dim))
@@ -325,28 +354,30 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
     step_w, step_c = np.empty_like(W), np.empty_like(C)
     # overflow here is the divergence case the isfinite check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        obj, dw, dc = _value_and_grad(s, W, C, buf)
-        trace = [obj]
+        dw, dc = _gradient(s, W, C, buf)
+        trace = [_value(s, W, C, buf)]
         trace_epochs = [0]
-        epochs_run = 0
         for epoch in range(1, epochs + 1):
             W -= np.multiply(dw, lr, out=step_w)
             C -= np.multiply(dc, lr, out=step_c)
-            obj, dw, dc = _value_and_grad(s, W, C, buf)
+            dw, dc = _gradient(s, W, C, buf)
+            stop = grad_tol > 0.0 and np.all(_grad_norms(dw, dc) <= grad_tol)
+            if not (stop or epoch % trace_stride == 0 or epoch == epochs):
+                continue
+            obj = _value(s, W, C, buf)
             finite = np.isfinite(obj)
             if not np.logical_and.reduce(finite):
+                if trace_stride > 1:
+                    # the same descent, valued every epoch, raises at the
+                    # first non-finite one
+                    _solve_stack(p, lams, lr, epoch, init_scale, 1, grad_tol)
                 lam = s.lams[np.argmin(finite)]
                 raise DivergenceError(
                     f"lambda={lam}: objective became non-finite at epoch {epoch}"
                 )
-            epochs_run = epoch
-            if epoch % trace_stride == 0 or epoch == epochs:
-                trace.append(obj)
-                trace_epochs.append(epoch)
-            if grad_tol > 0.0 and np.all(_grad_norms(dw, dc) <= grad_tol):
-                if trace_epochs[-1] != epoch:
-                    trace.append(obj)
-                    trace_epochs.append(epoch)
+            trace.append(obj)
+            trace_epochs.append(epoch)
+            if stop:
                 break
 
     trace = np.asarray(trace)
@@ -358,7 +389,7 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
             objective_trace=trace[:, i].copy(),
             trace_epochs=np.asarray(trace_epochs),
             final_grad_norm=float(grad_norms[i]),
-            epochs_run=epochs_run,
+            epochs_run=trace_epochs[-1],  # the last epoch run is always traced
         )
         for i in range(m)
     ]
@@ -375,14 +406,26 @@ def solve(
     """Plain full-batch gradient descent on (W, H) from a seeded N(0, 1) init.
 
     The objective trace holds the value after every ``trace_stride``-th
-    epoch (entry 0 is the initialization); set ``grad_tol`` > 0 to stop
-    early once the joint gradient norm falls below it.  Under MSE the
-    descent runs in the exact row-space coordinates of the module
-    docstring.
+    epoch (entry 0 is the initialization) and after the last epoch; set
+    ``grad_tol`` > 0 to stop early once the joint gradient norm falls to
+    it.  Under MSE the descent runs in the exact row-space coordinates of
+    the module docstring.
+
+    The objective is formed only where it is recorded: at epoch 0, at each
+    trace epoch, at the last epoch and at a ``grad_tol`` stop.  The other
+    epochs take the gradient alone, so the trace, W and H have the bits of
+    a descent that forms the value every epoch.  When a formed value is
+    non-finite, the same descent is re-run from its seeded start up to that
+    epoch with ``trace_stride=1``, which finds the first non-finite epoch.
+    This rests on one premise: a value that turns non-finite and is finite
+    again by the next epoch where it is formed is not reported.  That needs
+    iterates near 1e154 to shrink back within one stride.
 
     Raises:
+        ValueError: for a negative ``lr`` or ``grad_tol``, or for ``epochs``
+            or ``trace_stride`` below 1.
         DivergenceError: if the objective becomes non-finite, reporting the
-            coefficient and the epoch at which it happened.
+            coefficient and the first epoch at which it happened.
     """
     return _solve_stack(p, [p.lam], lr, epochs, init_scale, trace_stride, grad_tol)[0]
 
@@ -457,8 +500,10 @@ def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:
         raise ValueError("layers[0] must equal the data matrix X")
     H_last = np.asarray(layers[-1], dtype=np.float64)
     _check_shapes(p, W, H_last)
-    W_stack, H_stack = W[None], H_last[None]
-    fit = _fit_terms(_Stack(p, [p.lam]), W_stack, H_stack, _Buffers(W_stack, H_stack))[0]
+    s, W_stack, H_stack = _Stack(p, [p.lam]), W[None], H_last[None]
+    buf = _Buffers(W_stack, H_stack)
+    _fit_gradient(s, W_stack, H_stack, buf)
+    fit = _fit_value(s, buf)[0]
     k, kn = p.num_classes, p.num_classes * p.per_class
     return (
         fit

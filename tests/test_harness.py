@@ -568,6 +568,14 @@ class TestCli:
         assert code == 1
         assert "num_paths must be >= 1" in capsys.readouterr().err
 
+    def test_negative_grad_tol_names_the_parameter(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        args = ["solve-mufm", "--out", str(out), "--set", "epochs=5",
+                "--set", "grad_tol=-1.0"]
+        assert cli.main(args) == 1
+        assert "grad_tol must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, name", [
         ("solve-ufm", "dim"),
         ("solve-mufm", "dim"),

@@ -149,6 +149,14 @@ def divergence_epoch(exc_info) -> int:
     return int(re.search(r"epoch (\d+)", str(exc_info.value)).group(1))
 
 
+def assert_same_solution(got, want):
+    """Same final state, gradient norm and epoch count, bit for bit."""
+    np.testing.assert_array_equal(got.W, want.W, strict=True)
+    np.testing.assert_array_equal(got.H, want.H, strict=True)
+    assert got.final_grad_norm == want.final_grad_norm
+    assert got.epochs_run == want.epochs_run
+
+
 class TestProblemValidation:
     def test_bad_kind_and_loss(self):
         with pytest.raises(ValueError):
@@ -385,6 +393,8 @@ class TestSolve:
             solve(p, epochs=0)
         with pytest.raises(ValueError):
             solve(p, trace_stride=0)
+        with pytest.raises(ValueError, match="grad_tol"):
+            solve(p, grad_tol=-1.0)
 
     def test_deterministic_traces(self):
         p = make_problem(seed=2)
@@ -397,6 +407,45 @@ class TestSolve:
         p = make_problem(loss="mse", seed=1)
         with pytest.raises(DivergenceError, match="epoch"):
             solve(p, lr=1e6, epochs=200)
+
+    def test_divergence_epoch_is_exact_under_a_stride(self):
+        p = make_problem(loss="ce", num_classes=3, dim=6, per_class=4, seed=13)
+        epochs = []
+        for stride in (1, 500):
+            with pytest.raises(DivergenceError, match=r"lambda=0\.02: ") as exc:
+                solve(p, lr=1e6, epochs=1000, trace_stride=stride)
+            epochs.append(divergence_epoch(exc))
+        assert epochs == [28, 28]
+
+    @pytest.mark.parametrize("loss", ["mse", "ce"])
+    def test_strided_solve_matches_stride_one_bit_for_bit(self, loss):
+        p = make_problem(loss=loss, seed=8)
+        every = solve(p, lr=0.1, epochs=100, trace_stride=1)
+        strided = solve(p, lr=0.1, epochs=100, trace_stride=7)
+        assert_same_solution(strided, every)
+        sampled = [*range(0, 100, 7), 100]
+        np.testing.assert_array_equal(strided.trace_epochs, sampled)
+        np.testing.assert_array_equal(
+            strided.objective_trace, every.objective_trace[sampled], strict=True
+        )
+
+    @pytest.mark.parametrize("loss", ["mse", "ce"])
+    def test_gradient_tolerance_stop_between_trace_epochs(self, loss):
+        p = make_problem(loss=loss, seed=8)
+        norms = [solve(p, lr=0.1, epochs=e).final_grad_norm for e in range(1, 31)]
+        # a tolerance first met at epoch 25, between the stride-7 epochs 21 and 28
+        stop = 25
+        assert norms[stop - 1] < min(norms[: stop - 1])
+        tol = norms[stop - 1]
+        every = solve(p, lr=0.1, epochs=100, trace_stride=1, grad_tol=tol)
+        strided = solve(p, lr=0.1, epochs=100, trace_stride=7, grad_tol=tol)
+        assert every.epochs_run == stop
+        assert_same_solution(strided, every)
+        np.testing.assert_array_equal(strided.trace_epochs, [0, 7, 14, 21, 25])
+        np.testing.assert_array_equal(
+            strided.objective_trace, every.objective_trace[[0, 7, 14, 21, 25]],
+            strict=True,
+        )
 
     def test_trace_nonincreasing_at_default_rate(self):
         p = make_problem(loss="mse", num_classes=3, dim=8, per_class=10,
@@ -644,7 +693,7 @@ class TestSweep:
         def unreachable(*args, **kwargs):
             raise AssertionError("descent started before every lambda was checked")
 
-        monkeypatch.setattr(surrogate, "_value_and_grad", unreachable)
+        monkeypatch.setattr(surrogate, "_gradient", unreachable)
         with pytest.raises(ValueError, match="positive"):
             sweep_lambda(base, [0.001, -1.0], epochs=10)
         for bad in (float("nan"), float("inf")):
@@ -669,6 +718,16 @@ class TestSweep:
         with pytest.raises(DivergenceError, match=r"lambda=0\.006: ") as stacked:
             sweep_lambda(base, lams, lr=1e6, epochs=50)
         assert divergence_epoch(stacked) == epochs[0]
+
+    def test_strided_divergence_names_the_exact_epoch(self):
+        # epochs=1000 traces every 10th epoch; the lanes first overflow at 3
+        base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4, seed=13)
+        with pytest.raises(DivergenceError) as single:
+            solve(replace(base, lam=0.006), lr=1e6, epochs=1000, trace_stride=1)
+        assert divergence_epoch(single) == 3
+        with pytest.raises(DivergenceError, match=r"lambda=0\.006: ") as stacked:
+            sweep_lambda(base, [0.006, 0.005], lr=1e6, epochs=1000)
+        assert divergence_epoch(stacked) == 3
 
     def test_rows_are_plain_records(self):
         row = SweepRow(lam=0.1, epoch=3, objective=1.0, pfc1=0.5, pfc2=0.4,
