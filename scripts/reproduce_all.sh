@@ -14,11 +14,11 @@ run etf-check
 run interpolate
 run theorem1
 run theorem2
-run equivalence-thm3
-run solve-ufm      # ~ 2 s
-run solve-mufm     # ~ 2 s
-run train-resnet   # ~ 45 s
-run sweep-lambda   # ~ 4 s
+run equivalence-thm3  # ~ 4 s
+run solve-ufm      # ~ 1.2 s
+run solve-mufm     # ~ 1.3 s
+run train-resnet   # ~ 37 s
+run sweep-lambda   # ~ 3 s
 
 # pfc-report consumes saved layer snapshots; feed it the ones the
 # training run's manifest lists.

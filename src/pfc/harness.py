@@ -11,6 +11,13 @@ exactly one run.  All CSV numbers are written with 17 significant digits
 so re-reading them reproduces the exact float bits, and every random
 stream is derived from the run seed, so a repeated run yields
 byte-identical artifacts.
+
+A runner takes only its :class:`ExperimentConfig` and touches no disk.
+It returns ``(summary, artifacts)``: the summary is the dict that becomes
+``summary.json``, and ``artifacts`` maps each relative POSIX path to a
+``(header, rows)`` table or a :class:`~pfc.core.FeatureSet`.  :func:`run`
+is the one writer: it writes the artifacts in sorted path order, then the
+summary, and hashes exactly the files it wrote.
 """
 
 from __future__ import annotations
@@ -62,6 +69,11 @@ from .surrogate import (
     solve,
     sweep_lambda,
 )
+
+
+# a runner's artifacts: relative POSIX path -> CSV table (header, rows) or layer file
+Table = tuple[tuple[str, ...], list[tuple]]
+Artifacts = dict[str, Table | FeatureSet]
 
 
 @dataclass(frozen=True)
@@ -316,10 +328,17 @@ def _data_seed(seed: int) -> list[int]:
     return [seed, 11]
 
 
-def _run_etf_check(cfg: ExperimentConfig, out: Path) -> dict:
+def _nonempty(p: dict, *names: str) -> None:
+    for name in names:
+        if not p[name]:
+            raise ValueError(f"{name} must not be empty")
+
+
+def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     if p["min_classes"] < 2 or p["max_classes"] < p["min_classes"]:
         raise ValueError("need 2 <= min_classes <= max_classes")
+    _nonempty(p, "extra_dims")
     rows = []
     for k in range(p["min_classes"], p["max_classes"] + 1):
         for extra in p["extra_dims"]:
@@ -333,21 +352,19 @@ def _run_etf_check(cfg: ExperimentConfig, out: Path) -> dict:
             gram_dev = float(np.max(np.abs(gram - scaled_centering)))
             target_dev = float(abs(np.linalg.norm(gram_target(k)) - 1.0))
             rows.append((k, d, norm_dev, cosine_dev, gram_dev, target_dev))
-    write_csv(
-        out / "etf_check.csv",
-        ("num_classes", "dim", "norm_dev", "cosine_dev", "gram_dev", "target_fro_dev"),
-        rows,
-    )
     worst = max(max(row[2:]) for row in rows)
     return {
         "cases": len(rows),
         "max_deviation": worst,
         "tolerance": p["tolerance"],
         "all_within_tolerance": bool(worst <= p["tolerance"]),
-    }
+    }, {"etf_check.csv": (
+        ("num_classes", "dim", "norm_dev", "cosine_dev", "gram_dev", "target_fro_dev"),
+        rows,
+    )}
 
 
-def _run_interpolate(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_interpolate(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     path = random_to_collapse_path(
         cfg.seed,
@@ -357,27 +374,27 @@ def _run_interpolate(cfg: ExperimentConfig, out: Path) -> dict:
         grid_points=p["grid_points"],
         end_scale=p["end_scale"],
     )
-    curves = _write_curves(out, path)
+    curves, table = _curves(path)
     return {
         "verdicts": {kind: monotonicity_report(curves[kind]).kind for kind in ("pfc1", "pfc2")},
         "final_values": {kind: float(curve.values[-1]) for kind, curve in curves.items()},
-    }
+    }, {"curves.csv": table}
 
 
-def _write_curves(out: Path, path: InterpolationPath) -> dict[str, MetricCurve]:
-    """Every metric's curve along a path, also written to curves.csv."""
+def _curves(path: InterpolationPath) -> tuple[dict[str, MetricCurve], Table]:
+    """Every metric's curve along a path, and the curves.csv table of them."""
     curves = {kind: metric_curve(path, kind) for kind in METRIC_KINDS}
-    write_csv(out / "curves.csv", ("t", "value", "metric_kind"), [
+    return curves, (("t", "value", "metric_kind"), [
         (float(t), float(v), kind)
         for kind, curve in curves.items() for t, v in zip(curve.ts, curve.values)
     ])
-    return curves
 
 
-def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
+def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifacts]:
     p = cfg.params
     if p["num_paths"] < 1:
         raise ValueError(f"num_paths must be >= 1, got {p['num_paths']}")
+    _nonempty(p, "classes", "per_class", "dims")
     combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))
     rows = []
     for i in range(p["num_paths"]):
@@ -400,11 +417,6 @@ def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
         verdict = monotonicity_report(curve)
         first = -1 if verdict.first_violation is None else verdict.first_violation
         rows.append((i, k, n, d, verdict.kind, first, float(curve.values[-1])))
-    write_csv(
-        out / "paths.csv",
-        ("path", "num_classes", "per_class", "dim", "verdict", "first_violation", "final_value"),
-        rows,
-    )
     verdict_ok = sum(row[4] in accept for row in rows)
     max_final = max(row[-1] for row in rows)
     return {
@@ -414,10 +426,13 @@ def _run_path_suite(cfg: ExperimentConfig, out: Path, variant: int) -> dict:
         "max_final_value": max_final,
         "final_tolerance": p["final_tolerance"],
         "all_final_below_tolerance": bool(max_final < p["final_tolerance"]),
-    }
+    }, {"paths.csv": (
+        ("path", "num_classes", "per_class", "dim", "verdict", "first_violation", "final_value"),
+        rows,
+    )}
 
 
-def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
+def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
     p = cfg.params
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs = None
@@ -440,22 +455,17 @@ def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
     )
     solution = FeatureSet(result.H, k, n)
     report = measure(solution)
-
-    write_csv(
-        out / "trace.csv",
-        ("epoch", "objective"),
-        list(zip((int(e) for e in result.trace_epochs), result.objective_trace)),
-    )
     align = alignment(result.H, data) if kind == "mufm" else float("nan")
-    write_csv(
-        out / "result.csv",
-        ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "alignment"),
-        [(
+    artifacts = {
+        "trace.csv": (("epoch", "objective"), [
+            (int(e), v) for e, v in zip(result.trace_epochs, result.objective_trace)
+        ]),
+        "result.csv": (_LAMBDA_HEADER, [(
             p["lam"], result.epochs_run, float(result.objective_trace[-1]),
             report.pfc1, report.pfc2, report.pfc3, align,
-        )],
-    )
-    save_featureset(out / "features.txt", solution)
+        )]),
+        "features.txt": solution,
+    }
     summary = {
         "kind": kind,
         "epochs_run": result.epochs_run,
@@ -466,20 +476,19 @@ def _run_solve(cfg: ExperimentConfig, out: Path, kind: str) -> dict:
         "pfc3": report.pfc3,
     }
     if kind == "mufm":
-        save_featureset(out / "data.txt", data_fs)
+        artifacts["data.txt"] = data_fs
         data_report = measure(data_fs)
         summary["alignment"] = align
         summary["data_pfc1"] = data_report.pfc1
         summary["data_pfc2"] = data_report.pfc2
         summary["data_pfc3"] = data_report.pfc3
-    return summary
+    return summary, artifacts
 
 
-def _run_sweep_lambda(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
+    _nonempty(p, "lambdas")
     lambdas = p["lambdas"]
-    if not lambdas:
-        raise ValueError("sweep needs at least one lambda")
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs, _ = gen_gaussian_mixture(
         k, d, n,
@@ -494,11 +503,6 @@ def _run_sweep_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     rows = sweep_lambda(
         base, lambdas, lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"]
     )
-    write_csv(
-        out / "sweep.csv",
-        ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "alignment"),
-        [(r.lam, r.epoch, r.objective, r.pfc1, r.pfc2, r.pfc3, r.alignment) for r in rows],
-    )
     summary = {"lambdas": lambdas}
     if len(lambdas) >= 2:
         summary["spearman_lambda_pfc1"] = spearman(lambdas, [r.pfc1 for r in rows])
@@ -506,29 +510,33 @@ def _run_sweep_lambda(cfg: ExperimentConfig, out: Path) -> dict:
         summary["spearman_lambda_alignment"] = spearman(
             lambdas, [r.alignment for r in rows]
         )
-    return summary
+    return summary, {"sweep.csv": (_LAMBDA_HEADER, [
+        (r.lam, r.epoch, r.objective, r.pfc1, r.pfc2, r.pfc3, r.alignment) for r in rows
+    ])}
 
 
-def _stack_report(stack: LayerStack, out: Path, grid_points: int, epsilon: float) -> dict:
+_LAMBDA_HEADER = ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "alignment")
+
+
+def _stack_report(stack: LayerStack, p: dict) -> tuple[dict, Artifacts]:
     """Observed per-layer metrics side by side with the straight-line
     prediction (report.csv), plus dense predicted curves (curves.csv) and
     their verdicts."""
     positions = relative_positions(stack)
     path = InterpolationPath(
-        start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(grid_points)
+        start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(p["grid_points"])
     )
     predicted = {kind: metric_values(path, kind, positions) for kind in METRIC_KINDS}
 
     reports = [measure(fs) for fs in stack.layers]
-    write_csv(out / "report.csv", _REPORT_HEADER, [
+    report_rows = [
         (
             layer, float(pos),
             rep.pfc1, rep.pfc2, rep.pfc3,
             *(float(predicted[kind][layer]) for kind in METRIC_KINDS),
         )
         for layer, (pos, rep) in enumerate(zip(positions, reports))
-    ])
-    _write_curves(out, path)
+    ]
 
     layer_index = list(range(len(stack)))
     return {
@@ -542,8 +550,8 @@ def _stack_report(stack: LayerStack, out: Path, grid_points: int, epsilon: float
         "spearman_layer_pfc1": spearman(layer_index, [r.pfc1 for r in reports]),
         "spearman_layer_pfc2": spearman(layer_index, [r.pfc2 for r in reports]),
         "last_layer_pfc3": reports[-1].pfc3,
-        "effective_depth": first_within_error([r.pfc3 for r in reports], epsilon),
-    }
+        "effective_depth": first_within_error([r.pfc3 for r in reports], p["effective_epsilon"]),
+    }, {"report.csv": (_REPORT_HEADER, report_rows), "curves.csv": _curves(path)[1]}
 
 
 _REPORT_HEADER = (
@@ -553,7 +561,7 @@ _REPORT_HEADER = (
 )
 
 
-def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     if bool(p["images"]) != bool(p["labels"]):
         missing = "labels" if p["images"] else "images"
@@ -576,40 +584,32 @@ def _run_train_resnet(cfg: ExperimentConfig, out: Path) -> dict:
         )
     trace = train(config, data, labels)
 
-    epochs = range(1, config.epochs + 1)
-    write_csv(
-        out / "train_log.csv",
-        ("epoch", "loss", "accuracy"),
-        [(e, float(trace.losses[e - 1]), float(trace.accuracies[e - 1])) for e in epochs],
-    )
+    def log_row(epoch):
+        return epoch, float(trace.losses[epoch - 1]), float(trace.accuracies[epoch - 1])
 
-    num_layers = config.num_blocks + 1
-    trace_header = ["epoch", "loss", "accuracy"]
-    for layer in range(num_layers):
-        trace_header += [f"layer{layer}_pfc1", f"layer{layer}_pfc2", f"layer{layer}_pfc3"]
-    trace_rows = []
-    for epoch, reports in zip(trace.snapshot_epochs, trace.reports):
-        row = [epoch, float(trace.losses[epoch - 1]), float(trace.accuracies[epoch - 1])]
-        for rep in reports:
-            row += [rep.pfc1, rep.pfc2, rep.pfc3]
-        trace_rows.append(tuple(row))
-    write_csv(out / "trace.csv", trace_header, trace_rows)
-
-    final_stack = trace.snapshots[-1]
-    layers_dir = out / "layers"
-    layers_dir.mkdir(parents=True, exist_ok=True)
-    for layer, fs in enumerate(final_stack.layers):
-        save_featureset(layers_dir / f"layer_{layer:02d}.txt", fs)
-
+    log_header = ("epoch", "loss", "accuracy")
+    trace_header = (*log_header, *(
+        f"layer{layer}_{kind}" for layer in range(config.num_blocks + 1) for kind in METRIC_KINDS
+    ))
+    trace_rows = [
+        (*log_row(epoch), *(getattr(rep, kind) for rep in reports for kind in METRIC_KINDS))
+        for epoch, reports in zip(trace.snapshot_epochs, trace.reports)
+    ]
+    report, artifacts = _stack_report(trace.final_stack, p)
     return {
         "final_loss": float(trace.losses[-1]),
         "final_accuracy": float(trace.accuracies[-1]),
         "snapshot_epochs": list(trace.snapshot_epochs),
-        **_stack_report(final_stack, out, p["grid_points"], p["effective_epsilon"]),
+        **report,
+    }, {
+        "train_log.csv": (log_header, [log_row(e) for e in range(1, config.epochs + 1)]),
+        "trace.csv": (trace_header, trace_rows),
+        **artifacts,
+        **{f"layers/layer_{i:02d}.txt": fs for i, fs in enumerate(trace.final_stack.layers)},
     }
 
 
-def _run_pfc_report(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     files = p["stack_files"]
     if len(files) < 2:
@@ -623,14 +623,15 @@ def _run_pfc_report(cfg: ExperimentConfig, out: Path) -> dict:
         raise ValueError(
             f"stack_files must hold features of dim >= num_classes, got dim={d} < K={k}"
         )
-    return {
-        "stack_files": files,
-        **_stack_report(stack, out, p["grid_points"], p["effective_epsilon"]),
-    }
+    report, artifacts = _stack_report(stack, p)
+    return {"stack_files": files, **report}, artifacts
 
 
-def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
+    _nonempty(p, "depths")
+    if min(p["depths"]) < 1:
+        raise ValueError(f"depths must be >= 1, got {p['depths']}")
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs, _ = gen_gaussian_mixture(
         k, d, n,
@@ -666,19 +667,17 @@ def _run_equivalence_thm3(cfg: ExperimentConfig, out: Path) -> dict:
         )
         max_cost_gap = max(max_cost_gap, cost_gap)
         max_objective_gap = max(max_objective_gap, objective_gap)
-    write_csv(
-        out / "equivalence.csv",
+    return {
+        "depths": p["depths"],
+        "max_cost_rel_gap": max_cost_gap,
+        "max_objective_rel_gap": max_objective_gap,
+    }, {"equivalence.csv": (
         (
             "depth", "chain_cost_descent", "chain_cost_closed_form", "cost_rel_gap",
             "chained_objective", "collapsed_objective", "objective_rel_gap",
         ),
         rows,
-    )
-    return {
-        "depths": p["depths"],
-        "max_cost_rel_gap": max_cost_gap,
-        "max_objective_rel_gap": max_objective_gap,
-    }
+    )}
 
 
 _SOLVE_PARAMS = {
@@ -710,7 +709,7 @@ class Kind(NamedTuple):
     """One experiment kind: its runner and its parameter defaults, whose
     types are the parameters' types."""
 
-    run: Callable[[ExperimentConfig, Path], dict]
+    run: Callable[[ExperimentConfig], tuple[dict, Artifacts]]
     defaults: dict
 
 
@@ -800,9 +799,10 @@ def run(config: ExperimentConfig) -> dict:
     The run writes into a fresh sibling of ``config.out_dir`` that replaces
     the directory only once the run has succeeded, so ``out_dir`` always
     holds exactly one complete run: a failed run leaves an earlier one
-    untouched.  The manifest echoes the resolved configuration and records
-    a sha256 checksum for every artifact, so two runs agree iff their
-    manifests' artifact blocks agree.
+    untouched.  The runner's artifacts and summary are the only files
+    written besides the manifest, which echoes the resolved configuration
+    and records a sha256 checksum for each of them, so two runs agree iff
+    their manifests' artifact blocks agree.
 
     Raises:
         ValueError: before any work, if ``out_dir`` is not empty and holds
@@ -819,13 +819,16 @@ def run(config: ExperimentConfig) -> dict:
     try:
         new = staging / "run"
         new.mkdir()
-        summary = KINDS[config.kind].run(config, new)
+        summary, artifacts = KINDS[config.kind].run(config)
+        for rel, item in sorted(artifacts.items()):
+            path = new / rel
+            path.parent.mkdir(exist_ok=True)
+            if isinstance(item, FeatureSet):
+                save_featureset(path, item)
+            else:
+                write_csv(path, *item)
         write_json(new / "summary.json", summary)
-        artifacts = {
-            str(path.relative_to(new).as_posix()): sha256_file(path)
-            for path in sorted(new.rglob("*"))
-            if path.is_file()
-        }
+        written = sorted([*artifacts, "summary.json"])
         manifest = {
             "kind": config.kind,
             "seed": config.seed,
@@ -835,7 +838,7 @@ def run(config: ExperimentConfig) -> dict:
                 "numpy": np.__version__,
                 "cpu_count": os.cpu_count(),
             },
-            "artifacts": artifacts,
+            "artifacts": {rel: sha256_file(new / rel) for rel in written},
         }
         write_json(new / "manifest.json", manifest)
         if out.exists():

@@ -36,8 +36,8 @@ class TrainConfig:
 
     ``lr_decay_epochs`` lists the 1-indexed epochs at which the learning
     rate is multiplied by ``lr_decay_factor`` (taking effect from that
-    epoch on).  ``record_stride`` controls how often layer snapshots are
-    taken; the final epoch is always recorded.
+    epoch on).  ``record_stride`` controls how often the per-layer metrics
+    are recorded; the final epoch is always recorded.
     """
 
     num_blocks: int = 6
@@ -88,13 +88,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-epoch history, periodic layer snapshots, and final parameters."""
+    """Per-epoch history, per-layer metrics at each recorded epoch, the
+    last recorded layer stack, and the final parameters."""
 
     config: TrainConfig
     losses: np.ndarray
     accuracies: np.ndarray
     snapshot_epochs: tuple[int, ...]
-    snapshots: tuple[LayerStack, ...]
+    final_stack: LayerStack
     reports: tuple[tuple[PfcReport, ...], ...]
     params: dict = field(repr=False, default_factory=dict)
 
@@ -289,7 +290,6 @@ def train(
     losses = np.empty(config.epochs)
     accuracies = np.empty(config.epochs)
     snapshot_epochs: list[int] = []
-    snapshots: list[LayerStack] = []
     reports: list[tuple[PfcReport, ...]] = []
 
     num_samples = data.num_samples
@@ -325,9 +325,7 @@ def train(
             layer_sets = tuple(
                 FeatureSet(f, config.num_classes, config.per_class) for f in features
             )
-            stack = LayerStack(layer_sets, epoch=epoch)
             snapshot_epochs.append(epoch)
-            snapshots.append(stack)
             reports.append(tuple(measure(fs) for fs in layer_sets))
 
     return TrainTrace(
@@ -335,7 +333,8 @@ def train(
         losses=losses,
         accuracies=accuracies,
         snapshot_epochs=tuple(snapshot_epochs),
-        snapshots=tuple(snapshots),
+        # the last epoch is always recorded
+        final_stack=LayerStack(layer_sets, epoch=config.epochs),
         reports=tuple(reports),
         params=params,
     )

@@ -552,6 +552,65 @@ class TestRunDirectory:
         assert set(_tree(out)) == set(manifest["artifacts"]) | {"manifest.json"}
 
 
+TINY_RUNS = {
+    "etf-check": {"max_classes": 4},
+    "interpolate": {"num_classes": 3, "per_class": 4, "dim": 6, "grid_points": 11},
+    "theorem1": {"num_paths": 3, "grid_points": 11, "classes": [3], "per_class": [4]},
+    "theorem2": {"num_paths": 3, "grid_points": 11, "classes": [3], "per_class": [4]},
+    "solve-ufm": SMALL_SOLVE,
+    "solve-mufm": SMALL_SOLVE,
+    "sweep-lambda": {"num_classes": 3, "dim": 6, "per_class": 4, "epochs": 20,
+                     "lambdas": [0.001, 0.002]},
+    "train-resnet": {"num_blocks": 2, "width": 8, "input_dim": 4, "num_classes": 3,
+                     "per_class": 8, "epochs": 4, "lr_decay_epochs": [], "record_stride": 2,
+                     "grid_points": 11},
+    "pfc-report": {"grid_points": 11},
+    "equivalence-thm3": {"depths": [2, 3], "num_classes": 3, "dim": 6, "per_class": 4,
+                         "chain_iters": 20},
+}
+
+
+class TestRunnerContract:
+    """A runner returns its summary and artifacts and touches no disk;
+    ``run`` writes exactly those artifacts plus summary.json."""
+
+    def test_every_kind_has_a_tiny_run(self):
+        assert set(TINY_RUNS) == set(KINDS)
+
+    @pytest.fixture(scope="class")
+    def stack_files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("stack")
+        rng = np.random.default_rng(5)
+        files = []
+        for layer in range(3):
+            path = directory / f"layer_{layer}.txt"
+            save_featureset(path, FeatureSet(rng.standard_normal((4, 12)), 3, 4))
+            files.append(str(path))
+        return files
+
+    @pytest.mark.parametrize("kind", TINY_RUNS)
+    def test_runner_returns_what_run_writes(self, kind, stack_files, tmp_path,
+                                            tmp_path_factory, monkeypatch):
+        params = dict(TINY_RUNS[kind])
+        if kind == "pfc-report":
+            params["stack_files"] = stack_files
+        config = ExperimentConfig(
+            kind=kind, params=params, out_dir=tmp_path_factory.mktemp("run") / kind
+        )
+        monkeypatch.chdir(tmp_path)
+        summary, artifacts = KINDS[kind].run(config)
+        assert list(tmp_path.iterdir()) == []
+        assert isinstance(summary, dict)
+        for rel, item in artifacts.items():
+            assert Path(rel).as_posix() == rel and not Path(rel).is_absolute()
+            if not isinstance(item, FeatureSet):
+                header, rows = item
+                assert rows, rel
+                assert all(len(row) == len(header) for row in rows), rel
+        manifest = run(config)
+        assert set(manifest["artifacts"]) == {*artifacts, "summary.json"}
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "etf"
@@ -567,6 +626,20 @@ class TestCli:
         code = cli.main([kind, "--out", str(tmp_path / "x"), "--set", "num_paths=0"])
         assert code == 1
         assert "num_paths must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, setting, message", [
+        *((kind, f"{name}=[]", f"{name} must not be empty")
+          for kind in ("theorem1", "theorem2") for name in ("classes", "per_class", "dims")),
+        ("etf-check", "extra_dims=[]", "extra_dims must not be empty"),
+        ("equivalence-thm3", "depths=[]", "depths must not be empty"),
+        ("equivalence-thm3", "depths=[0]", "depths must be >= 1"),
+        ("sweep-lambda", "lambdas=[]", "lambdas must not be empty"),
+    ])
+    def test_empty_list_names_the_parameter(self, tmp_path, capsys, kind, setting, message):
+        args = [kind, "--out", str(tmp_path / "x"), "--set", setting]
+        assert cli.main(args) == 1
+        assert f"invalid run: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_grad_tol_names_the_parameter(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -1,10 +1,13 @@
 """Toy residual network: schedule, backprop, updates and recording."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from pfc.core import DivergenceError, FeatureSet
 from pfc.data import gen_gaussian_mixture
+from pfc.metrics import measure
 from pfc.resnet import (
     TrainConfig,
     _Workspace,
@@ -361,22 +364,25 @@ def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
 
 def assert_train_matches_emulation(config, data, labels):
     """train() against emulate_one_epoch epoch by epoch: parameters, the
-    full-set losses and accuracies, and every snapshot's features."""
+    full-set losses and accuracies, every recorded epoch's per-layer
+    metrics, and the final stack's features."""
     trace = train(config, data, labels)
     params, velocity = None, None
-    snapshot = 0
+    recorded = 0
     for epoch in range(1, config.epochs + 1):
         params, velocity = emulate_one_epoch(config, data, epoch, params, velocity)
         logits, features, _ = reference_forward(params, data.features, config.num_blocks)
         assert trace.losses[epoch - 1] == ce_loss(logits, labels), epoch
         assert trace.accuracies[epoch - 1] == accuracy(logits, labels), epoch
         if epoch in trace.snapshot_epochs:
-            stack = trace.snapshots[snapshot]
-            assert stack.epoch == epoch
-            for fs, want in zip(stack.layers, features, strict=True):
-                assert_same_bits(fs.features, want)
-            snapshot += 1
-    assert snapshot == len(trace.snapshot_epochs)
+            for rep, want in zip(trace.reports[recorded], features, strict=True):
+                want = measure(FeatureSet(want, config.num_classes, config.per_class))
+                assert_same_bits(np.array(astuple(rep)), np.array(astuple(want)))
+            recorded += 1
+    assert recorded == len(trace.snapshot_epochs) == len(trace.reports)
+    assert trace.final_stack.epoch == config.epochs
+    for fs, want in zip(trace.final_stack.layers, features, strict=True):
+        assert_same_bits(fs.features, want)
     assert trace.params.keys() == params.keys()
     for name in params:
         assert_same_bits(trace.params[name], params[name])
@@ -468,15 +474,14 @@ class TestRecording:
         data, labels = tiny_data(config)
         trace = train(config, data, labels)
         assert trace.snapshot_epochs == (4, 8, 10)
-        assert len(trace.snapshots) == 3
         assert len(trace.reports) == 3
-        assert trace.snapshots[-1].epoch == 10
+        assert trace.final_stack.epoch == 10
 
     def test_stack_holds_all_layers(self):
         config = tiny_config(epochs=1)
         data, labels = tiny_data(config)
         trace = train(config, data, labels)
-        stack = trace.snapshots[-1]
+        stack = trace.final_stack
         assert len(stack) == config.num_blocks + 1
         assert len(trace.reports[-1]) == config.num_blocks + 1
         assert stack[0].dim == config.width
@@ -489,7 +494,7 @@ class TestRecording:
             trace.params, data.features, config.num_blocks
         )
         np.testing.assert_array_equal(
-            trace.snapshots[-1][config.num_blocks].features,
+            trace.final_stack[config.num_blocks].features,
             features[config.num_blocks],
         )
 
