@@ -14,10 +14,10 @@ run etf-check
 run interpolate
 run theorem1
 run theorem2
-run equivalence-thm3  # ~ 4 s
+run equivalence-thm3  # ~ 1.5 s
 run solve-ufm      # ~ 1.2 s
 run solve-mufm     # ~ 1.3 s
-run train-resnet   # ~ 37 s
+run train-resnet   # ~ 30 s
 run sweep-lambda   # ~ 3 s
 
 # pfc-report consumes saved layer snapshots; feed it the ones the

@@ -339,6 +339,8 @@ def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     if p["min_classes"] < 2 or p["max_classes"] < p["min_classes"]:
         raise ValueError("need 2 <= min_classes <= max_classes")
     _nonempty(p, "extra_dims")
+    if min(p["extra_dims"]) < 0:
+        raise ValueError(f"extra_dims must be >= 0, got {p['extra_dims']}")
     rows = []
     for k in range(p["min_classes"], p["max_classes"] + 1):
         for extra in p["extra_dims"]:
@@ -489,6 +491,8 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     _nonempty(p, "lambdas")
     lambdas = p["lambdas"]
+    if not all(lam > 0 for lam in lambdas):
+        raise ValueError(f"lambdas must be > 0, got {lambdas}")
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs, _ = gen_gaussian_mixture(
         k, d, n,

@@ -10,11 +10,23 @@ at a configurable epoch stride, a snapshot of all post-activation layer
 outputs [x0 .. xL] as a LayerStack together with collapse metrics per
 layer.
 
+An epoch does only the work its outputs read.  Each batch runs
+``_gradient``, which fills the gradients and forms no loss or accuracy;
+``resnet_backward`` is that kernel plus the loss and accuracy read from the
+buffers it leaves.  The per-epoch pass over the full set runs forward only:
+each layer's pre-activation is formed in that layer's feature buffer, in one
+(L+1) x width x N block that a recorded epoch fills layer by layer and any
+other epoch rolls through two layers of.  The full-set loss and accuracy are
+formed once per epoch.
+
 Training allocates nothing per batch: parameters, gradients and velocity
 are three flat vectors (the parameter dict holds reshaped views into them),
-and the forward and backward passes write pre-activations, features,
-logits, backward scratch and gradients into a workspace of buffers, one per
-batch width.  Every in-place operation is the same floating-point operation
+the per-layer weights, transposes, bias columns and gradients are bound
+once per run, and the batch passes write pre-activations, features, logits,
+backward scratch (ReLU masks as float64 1.0/0.0) and gradients into a
+workspace of buffers, one per batch width.  ReLUs and masks compare against
+a zero array, not the scalar 0.0 that numpy would broadcast through a
+slower loop.  Every in-place operation is the same floating-point operation
 on the same operands as the allocating formula it replaces, so results are
 bit-identical to it; called without a workspace, ``resnet_forward`` and
 ``resnet_backward`` return fresh arrays.
@@ -57,9 +69,10 @@ class TrainConfig:
     record_stride: int = 25
 
     def __post_init__(self):
-        if min(self.num_blocks, self.width, self.input_dim, self.per_class,
-               self.epochs, self.batch_size, self.record_stride) < 1:
-            raise ValueError("structural sizes must all be >= 1")
+        for name in ("num_blocks", "width", "input_dim", "per_class", "epochs",
+                     "batch_size", "record_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_classes < 2:
             raise ValueError(f"need num_classes >= 2, got {self.num_classes}")
         if self.width < self.num_classes:
@@ -120,7 +133,8 @@ def init_params(config: TrainConfig) -> dict:
 class _Workspace:
     """Buffers for forward and backward passes over batches of one column
     width: pre-activations, features, logits, softmax terms, the backward
-    scratch, and the gradient arrays (``grads`` if given, else fresh ones).
+    scratch with its float ReLU mask, a zero array for the ReLUs, and the
+    gradient arrays (``grads`` if given, else fresh ones).
 
     A pass through a workspace overwrites what the previous pass returned.
     """
@@ -134,29 +148,64 @@ class _Workspace:
         self.logits = np.empty((classes, columns))
         self.shifted = np.empty((classes, columns))
         self.dz = np.empty((classes, columns))
+        self.maxima = np.empty((1, columns))
+        self.total = np.empty((1, columns))
         self.dx = np.empty(layer)
         self.da = np.empty(layer)
         self.product = np.empty(layer)
-        self.active = np.empty(layer, dtype=bool)
+        self.mask = np.empty(layer)
+        self.zeros = np.zeros(layer)
         self.columns = np.arange(columns)
         if grads is None:
             grads = {name: np.empty(value.shape) for name, value in params.items()}
         self.grads = grads
 
 
-def _forward(params: dict, x: np.ndarray, num_blocks: int, ws: _Workspace):
-    a, f = ws.preacts, ws.features
-    np.matmul(params["w_in"], x, out=a[0])
-    a[0] += params["b_in"][:, None]
-    np.maximum(a[0], 0.0, out=f[0])
-    for l in range(num_blocks):
-        np.matmul(params[f"w_block_{l}"], f[l], out=a[l + 1])
-        a[l + 1] += params[f"b_block_{l}"][:, None]
-        np.maximum(a[l + 1], 0.0, out=f[l + 1])
-        f[l + 1] += f[l]
-    np.matmul(params["w_out"], f[-1], out=ws.logits)
-    ws.logits += params["b_out"][:, None]
-    return ws.logits, f
+class _Net:
+    """The per-layer arrays of one parameter dict and one gradient dict,
+    looked up once: weights, their transposes, bias columns and gradients.
+
+    The views follow in-place updates of the arrays, not the replacement of
+    a dict entry.
+    """
+
+    def __init__(self, params: dict, grads: dict, num_blocks: int):
+        blocks = range(num_blocks)
+        self.w_in, self.b_in = params["w_in"], params["b_in"][:, None]
+        self.w = [params[f"w_block_{l}"] for l in blocks]
+        self.w_t = [w.T for w in self.w]
+        self.b = [params[f"b_block_{l}"][:, None] for l in blocks]
+        self.w_out, self.b_out = params["w_out"], params["b_out"][:, None]
+        self.w_out_t = self.w_out.T
+        self.dw_in, self.db_in = grads["w_in"], grads["b_in"]
+        self.dw = [grads[f"w_block_{l}"] for l in blocks]
+        self.db = [grads[f"b_block_{l}"] for l in blocks]
+        self.dw_out, self.db_out = grads["w_out"], grads["b_out"]
+
+
+def _forward(net: _Net, x: np.ndarray, preacts, features, logits: np.ndarray,
+             zeros: np.ndarray):
+    """Write layer l's pre-activation to ``preacts[l]`` and its features to
+    ``features[l]``, then the logits.
+
+    Consecutive layers need distinct feature buffers; ``preacts[l]`` may be
+    ``features[l]`` itself when the pre-activations are not read later.
+    ``zeros`` is a zero array of the layer shape: against it the ReLU runs
+    numpy's contiguous loop, where a scalar 0.0 would take its slower
+    broadcast loop, with the same result bits.
+    """
+    np.matmul(net.w_in, x, out=preacts[0])
+    preacts[0] += net.b_in
+    np.maximum(preacts[0], zeros, out=features[0])
+    for l, (w, b) in enumerate(zip(net.w, net.b)):
+        a, f = preacts[l + 1], features[l + 1]
+        np.matmul(w, features[l], out=a)
+        a += b
+        np.maximum(a, zeros, out=f)
+        f += features[l]
+    np.matmul(net.w_out, features[-1], out=logits)
+    logits += net.b_out
+    return logits, features
 
 
 def resnet_forward(params: dict, x: np.ndarray, num_blocks: int,
@@ -167,9 +216,9 @@ def resnet_forward(params: dict, x: np.ndarray, num_blocks: int,
     Without a workspace the results are fresh arrays; with one they live in
     its buffers until its next pass.  The values are the same either way.
     """
-    if workspace is None:
-        workspace = _Workspace(params, x.shape[1], num_blocks)
-    return _forward(params, x, num_blocks, workspace)
+    ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
+    return _forward(_Net(params, ws.grads, num_blocks), x, ws.preacts, ws.features,
+                    ws.logits, ws.zeros)
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -184,6 +233,41 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=0) == labels))
 
 
+def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> None:
+    """Gradients of the batch's mean cross entropy, written to ``net``'s
+    gradient arrays.
+
+    Leaves in ``ws`` the logits, their column-shifted copy and the softmax
+    normalizers, from which :func:`resnet_backward` reads the loss and
+    accuracy.
+    """
+    logits, _ = _forward(net, x, ws.preacts, ws.features, ws.logits, ws.zeros)
+    preacts, cols = ws.preacts, ws.columns
+    # np.maximum.reduce and np.add.reduce are the reductions .max and .sum
+    # run, minus their argument handling
+    np.maximum.reduce(logits, axis=0, keepdims=True, out=ws.maxima)
+    np.subtract(logits, ws.maxima, out=ws.shifted)
+    e = np.exp(ws.shifted, out=ws.dz)
+    total = np.add.reduce(e, axis=0, keepdims=True, out=ws.total)
+    dz = np.divide(e, total, out=e)
+    dz[labels, cols] -= 1.0
+    dz /= x.shape[1]
+
+    np.matmul(dz, ws.features[-1].T, out=net.dw_out)
+    np.add.reduce(dz, axis=1, out=net.db_out)
+    dx, da, mask = ws.dx, ws.da, ws.mask
+    np.matmul(net.w_out_t, dz, out=dx)
+    for l in range(len(net.w) - 1, -1, -1):
+        # a float mask holds the 1.0/0.0 a bool one would be cast to
+        np.multiply(dx, np.greater(preacts[l + 1], ws.zeros, out=mask), out=da)
+        np.matmul(da, ws.features[l].T, out=net.dw[l])
+        np.add.reduce(da, axis=1, out=net.db[l])
+        dx += np.matmul(net.w_t[l], da, out=ws.product)
+    np.multiply(dx, np.greater(preacts[0], ws.zeros, out=mask), out=da)
+    np.matmul(da, x.T, out=net.dw_in)
+    np.add.reduce(da, axis=1, out=net.db_in)
+
+
 def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int,
                     workspace: _Workspace | None = None):
     """Loss, accuracy, and gradient dict for one batch of input columns.
@@ -192,33 +276,10 @@ def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks:
     :func:`resnet_forward`); the values do not depend on it.
     """
     ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
-    logits, features = _forward(params, x, num_blocks, ws)
-    preacts, grads, cols = ws.preacts, ws.grads, ws.columns
-    batch = x.shape[1]
-    shifted = np.subtract(logits, logits.max(axis=0, keepdims=True), out=ws.shifted)
-    e = np.exp(shifted, out=ws.dz)
-    total = e.sum(axis=0, keepdims=True)
-    loss = float(np.mean(np.log(total[0]) - shifted[labels, cols]))
-    acc = float(np.mean(np.argmax(logits, axis=0) == labels))
-
-    dz = np.divide(e, total, out=e)
-    dz[labels, cols] -= 1.0
-    dz /= batch
-
-    np.matmul(dz, features[-1].T, out=grads["w_out"])
-    # np.add.reduce is the reduction np.sum runs, minus its argument handling
-    np.add.reduce(dz, axis=1, out=grads["b_out"])
-    dx, da, active = ws.dx, ws.da, ws.active
-    np.matmul(params["w_out"].T, dz, out=dx)
-    for l in range(num_blocks - 1, -1, -1):
-        np.multiply(dx, np.greater(preacts[l + 1], 0.0, out=active), out=da)
-        np.matmul(da, features[l].T, out=grads[f"w_block_{l}"])
-        np.add.reduce(da, axis=1, out=grads[f"b_block_{l}"])
-        dx += np.matmul(params[f"w_block_{l}"].T, da, out=ws.product)
-    np.multiply(dx, np.greater(preacts[0], 0.0, out=active), out=da)
-    np.matmul(da, x.T, out=grads["w_in"])
-    np.add.reduce(da, axis=1, out=grads["b_in"])
-    return loss, acc, grads
+    _gradient(_Net(params, ws.grads, num_blocks), x, labels, ws)
+    loss = float(np.mean(np.log(ws.total[0]) - ws.shifted[labels, ws.columns]))
+    acc = float(np.mean(np.argmax(ws.logits, axis=0) == labels))
+    return loss, acc, ws.grads
 
 
 def _views(flat: np.ndarray, like: dict, layout) -> dict:
@@ -279,6 +340,7 @@ def train(
         decayed = size
     else:
         decayed = sum(init[name].size for name in layout if not name.startswith("b_"))
+    net = _Net(params, grads, config.num_blocks)
 
     workspaces: dict[int, _Workspace] = {}
 
@@ -287,23 +349,33 @@ def train(
             workspaces[columns] = _Workspace(params, columns, config.num_blocks, grads)
         return workspaces[columns]
 
+    # The full-set pass only runs forward, so each layer's pre-activation is
+    # formed in that layer's own feature buffer, in one (L+1) x width x N
+    # block.  A recorded epoch writes layer l to block[l]; the others
+    # alternate between block[0] and block[1], as only the last layer feeds
+    # the logits.
+    num_samples = data.num_samples
+    block = np.empty((config.num_blocks + 1, config.width, num_samples))
+    zeros = np.zeros((config.width, num_samples))
+    recorded = list(block)
+    rolling = [block[l % 2] for l in range(config.num_blocks + 1)]
+    full_logits = np.empty((config.num_classes, num_samples))
+
     losses = np.empty(config.epochs)
     accuracies = np.empty(config.epochs)
     snapshot_epochs: list[int] = []
     reports: list[tuple[PfcReport, ...]] = []
 
-    num_samples = data.num_samples
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate(epoch)
+        record = epoch % config.record_stride == 0 or epoch == config.epochs
         order = np.random.default_rng([config.seed, epoch]).permutation(num_samples)
         # overflow here is the divergence case the isfinite check reports
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, num_samples, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
-                resnet_backward(
-                    params, x_full[:, batch_idx], full_labels[batch_idx],
-                    config.num_blocks, workspace(len(batch_idx)),
-                )
+                _gradient(net, x_full[:, batch_idx], full_labels[batch_idx],
+                          workspace(len(batch_idx)))
                 if decayed:
                     grad[:decayed] += np.multiply(
                         theta[:decayed], config.weight_decay, out=scratch[:decayed]
@@ -312,16 +384,15 @@ def train(
                 velocity += grad
                 theta -= np.multiply(velocity, lr, out=scratch)
 
-            logits, features = resnet_forward(
-                params, x_full, config.num_blocks, workspace(num_samples)
-            )
+            layers = recorded if record else rolling
+            logits, features = _forward(net, x_full, layers, layers, full_logits, zeros)
             loss = ce_loss(logits, full_labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
         losses[epoch - 1] = loss
         accuracies[epoch - 1] = accuracy(logits, full_labels)
 
-        if epoch % config.record_stride == 0 or epoch == config.epochs:
+        if record:
             layer_sets = tuple(
                 FeatureSet(f, config.num_classes, config.per_class) for f in features
             )

@@ -319,8 +319,12 @@ def closed_form_H(W: np.ndarray, Y: np.ndarray, X: np.ndarray, lam: float) -> np
     return np.linalg.solve(W.T @ W + lam * np.eye(d), W.T @ Y + lam * X)
 
 
-def _grad_norms(dw: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(dw * dw, axis=(1, 2)) + np.sum(dc * dc, axis=(1, 2)))
+def _grad_norms(dw: np.ndarray, dc: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Per-lane joint gradient norms; the squares go to ``buf.w`` and
+    ``buf.h``, which :func:`_value` overwrites before it reads them."""
+    w2 = np.add.reduce(np.multiply(dw, dw, out=buf.w), axis=(1, 2))
+    c2 = np.add.reduce(np.multiply(dc, dc, out=buf.h), axis=(1, 2))
+    return np.sqrt(w2 + c2)
 
 
 def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: float,
@@ -361,7 +365,7 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
             W -= np.multiply(dw, lr, out=step_w)
             C -= np.multiply(dc, lr, out=step_c)
             dw, dc = _gradient(s, W, C, buf)
-            stop = grad_tol > 0.0 and np.all(_grad_norms(dw, dc) <= grad_tol)
+            stop = grad_tol > 0.0 and np.all(_grad_norms(dw, dc, buf) <= grad_tol)
             if not (stop or epoch % trace_stride == 0 or epoch == epochs):
                 continue
             obj = _value(s, W, C, buf)
@@ -381,7 +385,7 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
                 break
 
     trace = np.asarray(trace)
-    grad_norms = _grad_norms(dw, dc)
+    grad_norms = _grad_norms(dw, dc, buf)
     return [
         SolveResult(
             W=W[i],
@@ -477,13 +481,22 @@ def minimize_transport_chain(
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
     rng = np.random.default_rng(seed)
-    interior = [rng.standard_normal(X.shape) for _ in range(num_blocks - 1)]
+    chain = np.empty((num_blocks + 1, *X.shape))
+    chain[0], chain[-1] = X, H_last
+    for l in range(1, num_blocks):
+        chain[l] = rng.standard_normal(X.shape)
+    interior, prev, succ = chain[1:-1], chain[:-2], chain[2:]
+    step = np.empty_like(interior)
     for _ in range(iters):
-        chain = [X, *interior, H_last]
-        for l in range(1, num_blocks):
-            grad = 2.0 * (2.0 * chain[l] - chain[l - 1] - chain[l + 1])
-            interior[l - 1] = chain[l] - lr * grad
-    layers = [X, *interior, H_last]
+        # every interior layer steps along 2 (2 c_l - c_{l-1} - c_{l+1}) of
+        # the previous iterate, one whole-stack operation at a time
+        np.multiply(interior, 2.0, out=step)
+        step -= prev
+        step -= succ
+        step *= 2.0
+        step *= lr
+        interior -= step
+    layers = list(chain)
     return layers, transport_chain_cost(layers)
 
 

@@ -641,6 +641,40 @@ class TestCli:
         assert f"invalid run: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, setting, message, target", [
+        ("sweep-lambda", "lambdas=[-1.0]", "lambdas must be > 0, got [-1.0]",
+         "SolveProblem"),
+        ("sweep-lambda", "lambdas=[0.001, 0.0]", "lambdas must be > 0, got [0.001, 0.0]",
+         "SolveProblem"),
+        ("etf-check", "extra_dims=[-1]", "extra_dims must be >= 0, got [-1]",
+         "build_etf"),
+        ("etf-check", "extra_dims=[2, -3]", "extra_dims must be >= 0, got [2, -3]",
+         "build_etf"),
+    ])
+    def test_bad_list_entry_names_the_parameter(self, tmp_path, capsys, monkeypatch,
+                                                kind, setting, message, target):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{target} was called")
+
+        monkeypatch.setattr(harness, target, never)
+        args = [kind, "--out", str(tmp_path / "x"), "--set", setting]
+        assert cli.main(args) == 1
+        assert f"invalid run: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["num_blocks", "width", "input_dim", "per_class",
+                                      "epochs", "batch_size", "record_stride"])
+    def test_zero_train_size_names_the_parameter(self, tmp_path, capsys, monkeypatch,
+                                                 name):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(harness, "train", never)
+        args = ["train-resnet", "--out", str(tmp_path / "x"), "--set", f"{name}=0"]
+        assert cli.main(args) == 1
+        assert f"invalid run: {name} must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_grad_tol_names_the_parameter(self, tmp_path, capsys):
         out = tmp_path / "x"
         args = ["solve-mufm", "--out", str(out), "--set", "epochs=5",

@@ -5,6 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from pfc import resnet
 from pfc.core import DivergenceError, FeatureSet
 from pfc.data import gen_gaussian_mixture
 from pfc.metrics import measure
@@ -112,6 +113,13 @@ class TestConfigValidation:
             tiny_config(num_classes=1)
         with pytest.raises(ValueError):
             tiny_config(epochs=0)
+
+    @pytest.mark.parametrize("name", ["num_blocks", "width", "input_dim", "per_class",
+                                      "epochs", "batch_size", "record_stride"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_nonpositive_size_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            tiny_config(**{name: value})
 
     def test_width_below_classes_rejected(self):
         with pytest.raises(ValueError, match="width must be >= num_classes"):
@@ -427,6 +435,46 @@ class TestTrainUpdates:
                              record_stride=2)
         data, labels = tiny_data(config)
         assert_train_matches_emulation(config, data, labels)
+
+    def test_rolling_layers_between_records_match_oracle(self):
+        # epochs 1, 3 and 5 roll through the block's first two layers,
+        # overwriting what epochs 2 and 4 recorded there
+        config = tiny_config(num_blocks=3, epochs=5, batch_size=3, momentum=0.9,
+                             weight_decay=0.01, record_stride=2)
+        data, labels = tiny_data(config)
+        trace = assert_train_matches_emulation(config, data, labels)
+        assert trace.snapshot_epochs == (2, 4, 5)
+
+    def test_loss_and_accuracy_formed_once_per_epoch(self, monkeypatch):
+        calls = {"ce_loss": 0, "accuracy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(resnet, name, counted(name, getattr(resnet, name)))
+        config = tiny_config(epochs=4, batch_size=3)
+        data, labels = tiny_data(config)
+        train(config, data, labels)
+        assert calls == {"ce_loss": 4, "accuracy": 4}
+
+    def test_batches_run_the_gradient_kernel_alone(self, monkeypatch):
+        config = tiny_config(epochs=3, batch_size=3, momentum=0.9, record_stride=2)
+        data, labels = tiny_data(config)
+        want = train(config, data, labels)
+
+        def never(*args, **kwargs):
+            raise AssertionError("train called a public pass")
+
+        monkeypatch.setattr(resnet, "resnet_backward", never)
+        monkeypatch.setattr(resnet, "resnet_forward", never)
+        got = train(config, data, labels)
+        assert_same_bits(got.losses, want.losses)
+        for name in want.params:
+            assert_same_bits(got.params[name], want.params[name])
 
     def test_deterministic(self):
         config = tiny_config(epochs=3, momentum=0.9, weight_decay=1e-3,

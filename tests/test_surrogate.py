@@ -447,6 +447,25 @@ class TestSolve:
             strict=True,
         )
 
+    @pytest.mark.parametrize("loss", ["mse", "ce"])
+    def test_grad_norms_match_allocating_formula(self, loss):
+        p = make_problem(loss=loss, seed=4)
+        s = surrogate._Stack(p, [0.01, 0.02, 0.05])
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((3, p.num_classes, p.dim))
+        C = rng.standard_normal((3, p.dim, p.num_classes * p.per_class))
+        fresh = surrogate._Buffers(W, C)
+        surrogate._gradient(s, W, C, fresh)
+        want_value = surrogate._value(s, W, C, fresh)
+        buf = surrogate._Buffers(W, C)
+        dw, dc = surrogate._gradient(s, W, C, buf)
+        want = np.sqrt(np.sum(dw * dw, axis=(1, 2)) + np.sum(dc * dc, axis=(1, 2)))
+        np.testing.assert_array_equal(surrogate._grad_norms(dw, dc, buf), want,
+                                      strict=True)
+        # the squares' scratch is not what the objective reads
+        np.testing.assert_array_equal(surrogate._value(s, W, C, buf), want_value,
+                                      strict=True)
+
     def test_trace_nonincreasing_at_default_rate(self):
         p = make_problem(loss="mse", num_classes=3, dim=8, per_class=10,
                          lambda_w=0.005, lam=0.001, seed=3)
@@ -582,6 +601,33 @@ class TestChain:
         assert value == pytest.approx(expected_value, rel=1e-6)
         for got, want in zip(layers, expected_layers):
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 10])
+    @pytest.mark.parametrize("lr", [0.2, 0.05])
+    def test_descent_matches_per_layer_loop_bit_for_bit(self, depth, lr):
+        def per_layer_loop(X, H_last, num_blocks, lr, iters, seed):
+            # the list-of-layers iteration the stacked update replaced
+            rng = np.random.default_rng(seed)
+            interior = [rng.standard_normal(X.shape) for _ in range(num_blocks - 1)]
+            for _ in range(iters):
+                chain = [X, *interior, H_last]
+                for l in range(1, num_blocks):
+                    grad = 2.0 * (2.0 * chain[l] - chain[l - 1] - chain[l + 1])
+                    interior[l - 1] = chain[l] - lr * grad
+            layers = [X, *interior, H_last]
+            return layers, transport_chain_cost(layers)
+
+        rng = np.random.default_rng([depth, 4])
+        x = rng.standard_normal((4, 6))
+        h = 3.0 * rng.standard_normal((4, 6))
+        layers, value = minimize_transport_chain(x, h, depth, lr=lr, iters=300,
+                                                 seed=[7, depth])
+        want_layers, want_value = per_layer_loop(x, h, depth, lr, 300, [7, depth])
+        assert value == want_value
+        assert len(layers) == len(want_layers) == depth + 1
+        for got, want in zip(layers, want_layers):
+            np.testing.assert_array_equal(got, want, strict=True)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_chain_argument_validation(self):
         x = np.zeros((2, 2))
