@@ -17,7 +17,7 @@ run theorem2
 run equivalence-thm3  # ~ 1.5 s
 run solve-ufm      # ~ 1.2 s
 run solve-mufm     # ~ 1.3 s
-run train-resnet   # ~ 30 s
+run train-resnet   # ~ 29 s
 run sweep-lambda   # ~ 3 s
 
 # pfc-report consumes saved layer snapshots; feed it the ones the

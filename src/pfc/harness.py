@@ -32,7 +32,7 @@ import tempfile
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .geodesic import (
     relative_positions,
     uniform_grid,
 )
-from .metrics import alignment, first_within_error, measure
+from .metrics import PfcReport, alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
     SolveProblem,
@@ -522,17 +522,21 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 _LAMBDA_HEADER = ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "alignment")
 
 
-def _stack_report(stack: LayerStack, p: dict) -> tuple[dict, Artifacts]:
+def _stack_report(stack: LayerStack, p: dict,
+                  reports: Sequence[PfcReport] | None = None) -> tuple[dict, Artifacts]:
     """Observed per-layer metrics side by side with the straight-line
     prediction (report.csv), plus dense predicted curves (curves.csv) and
-    their verdicts."""
+    their verdicts.
+
+    ``reports`` are the stack's per-layer metrics if already measured."""
     positions = relative_positions(stack)
     path = InterpolationPath(
         start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(p["grid_points"])
     )
     predicted = {kind: metric_values(path, kind, positions) for kind in METRIC_KINDS}
 
-    reports = [measure(fs) for fs in stack.layers]
+    if reports is None:
+        reports = [measure(fs) for fs in stack.layers]
     report_rows = [
         (
             layer, float(pos),
@@ -599,7 +603,8 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         (*log_row(epoch), *(getattr(rep, kind) for rep in reports for kind in METRIC_KINDS))
         for epoch, reports in zip(trace.snapshot_epochs, trace.reports)
     ]
-    report, artifacts = _stack_report(trace.final_stack, p)
+    # train measured the final stack at its last recorded epoch, the last one
+    report, artifacts = _stack_report(trace.final_stack, p, trace.reports[-1])
     return {
         "final_loss": float(trace.losses[-1]),
         "final_accuracy": float(trace.accuracies[-1]),

@@ -19,21 +19,32 @@ each layer's pre-activation is formed in that layer's feature buffer, in one
 other epoch rolls through two layers of.  The full-set loss and accuracy are
 formed once per epoch.
 
+Each layer's parameters are one (rows, cols + 1) block [W | b] with the bias
+as its last column, and every feature buffer, the input included, carries a
+constant ones row last, so ``W x + b`` is the one product ``[W | b] @ [x; 1]``
+with no separate bias add.  This keeps the bits where the BLAS sums each dot
+product in order: ``b * 1.0`` is exact, so the kernel's last accumulation
+rounds ``acc + b`` once, which is the rounding the separate ``a += b`` makes.
+Some BLAS kernels split the sum instead (matrix-vector products, and the
+tails of the blocked product at some column counts); at such shapes the
+bias is added separately.  ``_fold_is_exact`` decides per shape by sampling.
+
 Training allocates nothing per batch: parameters, gradients and velocity
-are three flat vectors (the parameter dict holds reshaped views into them),
-the per-layer weights, transposes, bias columns and gradients are bound
-once per run, and the batch passes write pre-activations, features, logits,
-backward scratch (ReLU masks as float64 1.0/0.0) and gradients into a
-workspace of buffers, one per batch width.  ReLUs and masks compare against
-a zero array, not the scalar 0.0 that numpy would broadcast through a
-slower loop.  Every in-place operation is the same floating-point operation
-on the same operands as the allocating formula it replaces, so results are
-bit-identical to it; called without a workspace, ``resnet_forward`` and
-``resnet_backward`` return fresh arrays.
+are three flat vectors of these blocks (the parameter dict holds weight
+and bias views into them), the per-layer blocks, transposes and gradients
+are bound once per run, and the batch passes write pre-activations,
+features, logits, backward scratch (ReLU masks as float64 1.0/0.0) and
+gradients into a workspace of buffers, one per batch width.  ReLUs and
+masks compare against a zero array, not the scalar 0.0 that numpy would
+broadcast through a slower loop.  Every in-place operation is the same
+floating-point operation on the same operands as the allocating formula it
+replaces, so results are bit-identical to it; called without a workspace,
+``resnet_forward`` and ``resnet_backward`` return fresh arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,17 +91,21 @@ class TrainConfig:
                 f"width must be >= num_classes, got width={self.width} < "
                 f"K={self.num_classes}"
             )
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
+        for name in ("lr", "weight_decay"):
+            # written so that NaN fails too
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.lr_decay_factor <= 0:
-            raise ValueError("lr_decay_factor must be positive")
+        if not self.lr_decay_factor > 0:
+            raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         decays = tuple(int(e) for e in self.lr_decay_epochs)
         if any(b <= a for a, b in zip(decays, decays[1:])):
-            raise ValueError("lr_decay_epochs must be strictly increasing")
+            raise ValueError(f"lr_decay_epochs must be strictly increasing, got {list(decays)}")
         if decays and (decays[0] < 1 or decays[-1] > self.epochs):
-            raise ValueError("lr_decay_epochs must lie within 1..epochs")
+            raise ValueError(
+                f"lr_decay_epochs must lie within 1..{self.epochs}, got {list(decays)}"
+            )
         object.__setattr__(self, "lr_decay_epochs", decays)
 
     def learning_rate(self, epoch: int) -> float:
@@ -130,11 +145,60 @@ def init_params(config: TrainConfig) -> dict:
     return params
 
 
+def _layer_names(num_blocks: int) -> list[str]:
+    """Parameter name suffixes in network order: input, residual blocks,
+    output."""
+    return ["in", *(f"block_{l}" for l in range(num_blocks)), "out"]
+
+
+@functools.cache
+def _fold_is_exact(rows: int, depth: int, columns: int) -> bool:
+    """Whether the BLAS in use rounds ``[W | b] @ [X; 1]`` exactly as
+    ``W @ X + b`` for W of shape (rows, depth) and X of (depth, columns).
+
+    It does when its kernel for this shape sums each dot product in order,
+    so that ``b * 1.0`` is the last term.  Some kernels (matrix-vector
+    products, the tails of the blocked matrix product) split the sum, and
+    the bias then rounds with part of it.  The answer is sampled, not
+    derived: random cases of the shape, at least 1024 output entries of
+    them, must all agree bit for bit.
+    """
+    rng = np.random.default_rng([rows, depth, columns])
+    for _ in range(-(-1024 // (rows * columns))):
+        w = rng.standard_normal((rows, depth))
+        x = rng.standard_normal((depth, columns))
+        b = rng.standard_normal((rows, 1))
+        if not np.array_equal(np.hstack((w, b)) @ _with_ones(x), w @ x + b):
+            return False
+    return True
+
+
+def _bias_folds(params: dict, num_blocks: int, columns: int) -> bool:
+    """Whether every layer's bias may ride in its weight product at this
+    column count (:func:`_fold_is_exact`)."""
+    return all(_fold_is_exact(*params[f"w_{name}"].shape, columns)
+               for name in _layer_names(num_blocks))
+
+
+def _feature_block(layers: int, width: int, columns: int) -> np.ndarray:
+    """``layers`` feature buffers of shape (width + 1, columns) whose last
+    row is the constant ones row the weight blocks' bias columns meet."""
+    block = np.empty((layers, width + 1, columns))
+    block[:, -1] = 1.0
+    return block
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    return np.vstack((x, np.ones((1, x.shape[1]))))
+
+
 class _Workspace:
     """Buffers for forward and backward passes over batches of one column
-    width: pre-activations, features, logits, softmax terms, the backward
-    scratch with its float ReLU mask, a zero array for the ReLUs, and the
-    gradient arrays (``grads`` if given, else fresh ones).
+    width: pre-activations, features (each with a ones row last), logits,
+    softmax terms, the backward scratch with its float ReLU mask, a zero
+    array for the ReLUs, and the gradient arrays (``grads`` if given, else
+    fresh ones).  ``fold`` says whether the biases ride in the weight
+    products at this width (:func:`_bias_folds`).
 
     A pass through a workspace overwrites what the previous pass returned.
     """
@@ -144,7 +208,7 @@ class _Workspace:
         width, classes = params["w_in"].shape[0], params["w_out"].shape[0]
         layer = (width, columns)
         self.preacts = [np.empty(layer) for _ in range(num_blocks + 1)]
-        self.features = [np.empty(layer) for _ in range(num_blocks + 1)]
+        self.features = list(_feature_block(num_blocks + 1, width, columns))
         self.logits = np.empty((classes, columns))
         self.shifted = np.empty((classes, columns))
         self.dz = np.empty((classes, columns))
@@ -156,56 +220,70 @@ class _Workspace:
         self.mask = np.empty(layer)
         self.zeros = np.zeros(layer)
         self.columns = np.arange(columns)
+        self.fold = _bias_folds(params, num_blocks, columns)
         if grads is None:
             grads = {name: np.empty(value.shape) for name, value in params.items()}
         self.grads = grads
 
 
 class _Net:
-    """The per-layer arrays of one parameter dict and one gradient dict,
-    looked up once: weights, their transposes, bias columns and gradients.
+    """Per layer, in network order: the ``[W | b]`` parameter block, its
+    weight and bias-column views, the weight's transpose, and the weight
+    and bias gradients of one gradient dict.
 
-    The views follow in-place updates of the arrays, not the replacement of
-    a dict entry.
+    The views follow in-place updates of the blocks and of the gradient
+    arrays, not the replacement of a dict entry.
     """
 
-    def __init__(self, params: dict, grads: dict, num_blocks: int):
-        blocks = range(num_blocks)
-        self.w_in, self.b_in = params["w_in"], params["b_in"][:, None]
-        self.w = [params[f"w_block_{l}"] for l in blocks]
+    def __init__(self, blocks: list, grads: dict):
+        names = _layer_names(len(blocks) - 2)
+        self.blocks = blocks
+        self.w = [block[:, :-1] for block in blocks]
+        self.b = [block[:, -1:] for block in blocks]
         self.w_t = [w.T for w in self.w]
-        self.b = [params[f"b_block_{l}"][:, None] for l in blocks]
-        self.w_out, self.b_out = params["w_out"], params["b_out"][:, None]
-        self.w_out_t = self.w_out.T
-        self.dw_in, self.db_in = grads["w_in"], grads["b_in"]
-        self.dw = [grads[f"w_block_{l}"] for l in blocks]
-        self.db = [grads[f"b_block_{l}"] for l in blocks]
-        self.dw_out, self.db_out = grads["w_out"], grads["b_out"]
+        self.dw = [grads[f"w_{name}"] for name in names]
+        self.db = [grads[f"b_{name}"] for name in names]
+
+
+def _blocks(params: dict, num_blocks: int) -> list:
+    """Fresh ``[W | b]`` blocks of a parameter dict, in network order."""
+    return [np.hstack((params[f"w_{name}"], params[f"b_{name}"][:, None]))
+            for name in _layer_names(num_blocks)]
+
+
+def _affine(net: _Net, l: int, x: np.ndarray, out: np.ndarray, fold: bool) -> None:
+    """Layer l's ``W x + b`` into ``out``, for features ``x`` with a ones
+    row last: one product with the bias column riding against that row if
+    ``fold``, else the product of the weights and the rows above it, then
+    the bias added."""
+    if fold:
+        np.matmul(net.blocks[l], x, out=out)
+    else:
+        np.matmul(net.w[l], x[:-1], out=out)
+        out += net.b[l]
 
 
 def _forward(net: _Net, x: np.ndarray, preacts, features, logits: np.ndarray,
-             zeros: np.ndarray):
+             zeros: np.ndarray, fold: bool) -> np.ndarray:
     """Write layer l's pre-activation to ``preacts[l]`` and its features to
-    ``features[l]``, then the logits.
+    the rows of ``features[l]`` above its ones row, then the logits.
 
-    Consecutive layers need distinct feature buffers; ``preacts[l]`` may be
-    ``features[l]`` itself when the pre-activations are not read later.
-    ``zeros`` is a zero array of the layer shape: against it the ReLU runs
-    numpy's contiguous loop, where a scalar 0.0 would take its slower
-    broadcast loop, with the same result bits.
+    ``x`` also carries a ones row last.  Consecutive layers need distinct
+    feature buffers; ``preacts[l]`` may be ``features[l][:-1]`` itself when
+    the pre-activations are not read later.  ``zeros`` is a zero array of
+    the layer shape: against it the ReLU runs numpy's contiguous loop,
+    where a scalar 0.0 would take its slower broadcast loop, with the same
+    result bits.
     """
-    np.matmul(net.w_in, x, out=preacts[0])
-    preacts[0] += net.b_in
-    np.maximum(preacts[0], zeros, out=features[0])
-    for l, (w, b) in enumerate(zip(net.w, net.b)):
-        a, f = preacts[l + 1], features[l + 1]
-        np.matmul(w, features[l], out=a)
-        a += b
+    _affine(net, 0, x, preacts[0], fold)
+    np.maximum(preacts[0], zeros, out=features[0][:-1])
+    for l in range(1, len(features)):
+        a, f, previous = preacts[l], features[l][:-1], features[l - 1]
+        _affine(net, l, previous, a, fold)
         np.maximum(a, zeros, out=f)
-        f += features[l]
-    np.matmul(net.w_out, features[-1], out=logits)
-    logits += net.b_out
-    return logits, features
+        f += previous[:-1]
+    _affine(net, -1, features[-1], logits, fold)
+    return logits
 
 
 def resnet_forward(params: dict, x: np.ndarray, num_blocks: int,
@@ -217,8 +295,9 @@ def resnet_forward(params: dict, x: np.ndarray, num_blocks: int,
     its buffers until its next pass.  The values are the same either way.
     """
     ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
-    return _forward(_Net(params, ws.grads, num_blocks), x, ws.preacts, ws.features,
-                    ws.logits, ws.zeros)
+    logits = _forward(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x),
+                      ws.preacts, ws.features, ws.logits, ws.zeros, ws.fold)
+    return logits, [f[:-1] for f in ws.features]
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -235,14 +314,14 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> None:
     """Gradients of the batch's mean cross entropy, written to ``net``'s
-    gradient arrays.
+    gradient arrays; ``x`` carries a ones row last.
 
     Leaves in ``ws`` the logits, their column-shifted copy and the softmax
     normalizers, from which :func:`resnet_backward` reads the loss and
     accuracy.
     """
-    logits, _ = _forward(net, x, ws.preacts, ws.features, ws.logits, ws.zeros)
-    preacts, cols = ws.preacts, ws.columns
+    preacts, features, cols = ws.preacts, ws.features, ws.columns
+    logits = _forward(net, x, preacts, features, ws.logits, ws.zeros, ws.fold)
     # np.maximum.reduce and np.add.reduce are the reductions .max and .sum
     # run, minus their argument handling
     np.maximum.reduce(logits, axis=0, keepdims=True, out=ws.maxima)
@@ -253,19 +332,19 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
     dz[labels, cols] -= 1.0
     dz /= x.shape[1]
 
-    np.matmul(dz, ws.features[-1].T, out=net.dw_out)
-    np.add.reduce(dz, axis=1, out=net.db_out)
+    np.matmul(dz, features[-1][:-1].T, out=net.dw[-1])
+    np.add.reduce(dz, axis=1, out=net.db[-1])
     dx, da, mask = ws.dx, ws.da, ws.mask
-    np.matmul(net.w_out_t, dz, out=dx)
-    for l in range(len(net.w) - 1, -1, -1):
+    np.matmul(net.w_t[-1], dz, out=dx)
+    for l in range(len(preacts) - 1, 0, -1):
         # a float mask holds the 1.0/0.0 a bool one would be cast to
-        np.multiply(dx, np.greater(preacts[l + 1], ws.zeros, out=mask), out=da)
-        np.matmul(da, ws.features[l].T, out=net.dw[l])
+        np.multiply(dx, np.greater(preacts[l], ws.zeros, out=mask), out=da)
+        np.matmul(da, features[l - 1][:-1].T, out=net.dw[l])
         np.add.reduce(da, axis=1, out=net.db[l])
         dx += np.matmul(net.w_t[l], da, out=ws.product)
     np.multiply(dx, np.greater(preacts[0], ws.zeros, out=mask), out=da)
-    np.matmul(da, x.T, out=net.dw_in)
-    np.add.reduce(da, axis=1, out=net.db_in)
+    np.matmul(da, x[:-1].T, out=net.dw[0])
+    np.add.reduce(da, axis=1, out=net.db[0])
 
 
 def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int,
@@ -276,21 +355,25 @@ def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks:
     :func:`resnet_forward`); the values do not depend on it.
     """
     ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
-    _gradient(_Net(params, ws.grads, num_blocks), x, labels, ws)
+    _gradient(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x), labels, ws)
     loss = float(np.mean(np.log(ws.total[0]) - ws.shifted[labels, ws.columns]))
     acc = float(np.mean(np.argmax(ws.logits, axis=0) == labels))
     return loss, acc, ws.grads
 
 
-def _views(flat: np.ndarray, like: dict, layout) -> dict:
-    """Consecutive pieces of ``flat``, in ``layout`` order, shaped like the
-    arrays of ``like`` and keyed in its order."""
-    views, offset = {}, 0
-    for name in layout:
-        size = like[name].size
-        views[name] = flat[offset : offset + size].reshape(like[name].shape)
-        offset += size
-    return {name: views[name] for name in like}
+def _split(flat: np.ndarray, shapes) -> list:
+    """Consecutive pieces of ``flat`` with the given 2-d shapes."""
+    ends = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
+    return [piece.reshape(shape) for piece, shape in zip(np.split(flat, ends), shapes)]
+
+
+def _named(blocks: list, names) -> dict:
+    """The weight and bias views of each ``[W | b]`` block, keyed as
+    :func:`init_params` keys them."""
+    views = {}
+    for name, block in zip(names, blocks):
+        views[f"w_{name}"], views[f"b_{name}"] = block[:, :-1], block[:, -1]
+    return views
 
 
 def train(
@@ -322,25 +405,31 @@ def train(
     if labels is not None and not np.array_equal(labels, full_labels):
         raise ValueError("labels must be class-contiguous: 0..K-1 each repeated n times")
 
-    x_full = data.features
-    # Parameters, gradients and velocity are flat vectors, so one update is
-    # a few whole-vector operations; the dicts hold views into them.  Weights
-    # come first, so the entries that weight decay applies to are a prefix.
+    # The input carries a ones row last, and each layer's parameters are one
+    # [W | b] block, so that the bias rides in the weight product where that
+    # rounds as the separate add would (_bias_folds).  Parameters, gradients
+    # and velocity are flat vectors of these blocks, so one update is a few
+    # whole-vector operations; the dicts hold views into them.
+    x_full = _with_ones(data.features)
     init = init_params(config)
-    layout = sorted(init, key=lambda name: name.startswith("b_"))
-    size = sum(value.size for value in init.values())
+    names = _layer_names(config.num_blocks)
+    shapes = [(init[f"w_{name}"].shape[0], init[f"w_{name}"].shape[1] + 1) for name in names]
+    size = sum(rows * cols for rows, cols in shapes)
     theta, grad, velocity, scratch = (np.empty(size), np.empty(size),
                                       np.zeros(size), np.empty(size))
-    params, grads = _views(theta, init, layout), _views(grad, init, layout)
+    blocks, grad_blocks = _split(theta, shapes), _split(grad, shapes)
+    params, grads = _named(blocks, names), _named(grad_blocks, names)
     for name, value in init.items():
         params[name][...] = value
+    # (gradient, parameters, scratch) triples that weight decay applies to
     if config.weight_decay == 0.0:
-        decayed = 0
+        decayed = []
     elif config.decay_biases:
-        decayed = size
+        decayed = [(grad, theta, scratch)]
     else:
-        decayed = sum(init[name].size for name in layout if not name.startswith("b_"))
-    net = _Net(params, grads, config.num_blocks)
+        decayed = [(g[:, :-1], t[:, :-1], s[:, :-1]) for g, t, s in
+                   zip(grad_blocks, blocks, _split(scratch, shapes))]
+    net = _Net(blocks, grads)
 
     workspaces: dict[int, _Workspace] = {}
 
@@ -355,10 +444,11 @@ def train(
     # alternate between block[0] and block[1], as only the last layer feeds
     # the logits.
     num_samples = data.num_samples
-    block = np.empty((config.num_blocks + 1, config.width, num_samples))
+    block = _feature_block(config.num_blocks + 1, config.width, num_samples)
     zeros = np.zeros((config.width, num_samples))
     recorded = list(block)
     rolling = [block[l % 2] for l in range(config.num_blocks + 1)]
+    full_fold = _bias_folds(params, config.num_blocks, num_samples)
     full_logits = np.empty((config.num_classes, num_samples))
 
     losses = np.empty(config.epochs)
@@ -376,16 +466,15 @@ def train(
                 batch_idx = order[start : start + config.batch_size]
                 _gradient(net, x_full[:, batch_idx], full_labels[batch_idx],
                           workspace(len(batch_idx)))
-                if decayed:
-                    grad[:decayed] += np.multiply(
-                        theta[:decayed], config.weight_decay, out=scratch[:decayed]
-                    )
+                for g, t, s in decayed:
+                    g += np.multiply(t, config.weight_decay, out=s)
                 velocity *= config.momentum
                 velocity += grad
                 theta -= np.multiply(velocity, lr, out=scratch)
 
             layers = recorded if record else rolling
-            logits, features = _forward(net, x_full, layers, layers, full_logits, zeros)
+            bodies = [f[:-1] for f in layers]
+            logits = _forward(net, x_full, bodies, layers, full_logits, zeros, full_fold)
             loss = ce_loss(logits, full_labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
@@ -394,7 +483,7 @@ def train(
 
         if record:
             layer_sets = tuple(
-                FeatureSet(f, config.num_classes, config.per_class) for f in features
+                FeatureSet(f, config.num_classes, config.per_class) for f in bodies
             )
             snapshot_epochs.append(epoch)
             reports.append(tuple(measure(fs) for fs in layer_sets))

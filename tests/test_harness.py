@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from pfc import cli, harness, metrics
+from pfc import cli, harness, metrics, resnet
 from pfc.core import (
     DegenerateInputError,
     FeatureSet,
@@ -473,6 +473,30 @@ class TestRunArtifacts:
         assert len(rows) == 3
         assert all(np.isfinite(csv_column(header, rows, "pfc1")))
 
+    def test_train_resnet_measures_each_recorded_layer_once(self, tmp_path, monkeypatch):
+        # report.csv reuses the metrics train took of the final stack at its
+        # last recorded epoch, instead of measuring the stack a second time
+        calls = []
+
+        def counted(fs):
+            calls.append(fs)
+            return metrics.measure(fs)
+
+        monkeypatch.setattr(harness, "measure", counted)
+        monkeypatch.setattr(resnet, "measure", counted)
+        params = {"num_blocks": 2, "width": 8, "input_dim": 4, "num_classes": 3,
+                  "per_class": 8, "epochs": 4, "lr_decay_epochs": [],
+                  "record_stride": 2, "grid_points": 11}
+        out = tmp_path / "run"
+        run(ExperimentConfig(kind="train-resnet", params=params, out_dir=out))
+        assert len(calls) == 2 * 3  # epochs 2 and 4, three layers each
+        trace_header, trace_rows = read_csv(out / "trace.csv")
+        header, rows = read_csv(out / "report.csv")
+        for kind in ("pfc1", "pfc2", "pfc3"):
+            last = [csv_column(trace_header, trace_rows, f"layer{layer}_{kind}")[-1]
+                    for layer in range(3)]
+            assert csv_column(header, rows, kind) == last
+
 
 def _tree(directory):
     return {
@@ -673,6 +697,23 @@ class TestCli:
         args = ["train-resnet", "--out", str(tmp_path / "x"), "--set", f"{name}=0"]
         assert cli.main(args) == 1
         assert f"invalid run: {name} must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ("lr=-0.5", "lr must be >= 0, got -0.5"),
+        ("weight_decay=-1.0", "weight_decay must be >= 0, got -1.0"),
+        ("lr_decay_factor=0.0", "lr_decay_factor must be > 0, got 0.0"),
+        ("lr_decay_epochs=[0, 100]", "lr_decay_epochs must lie within 1..3000, got [0, 100]"),
+    ])
+    def test_bad_train_rate_names_the_parameter_and_value(self, tmp_path, capsys,
+                                                          monkeypatch, setting, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(harness, "train", never)
+        args = ["train-resnet", "--out", str(tmp_path / "x"), "--set", setting]
+        assert cli.main(args) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_grad_tol_names_the_parameter(self, tmp_path, capsys):

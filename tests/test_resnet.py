@@ -1,5 +1,6 @@
 """Toy residual network: schedule, backprop, updates and recording."""
 
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -139,6 +140,19 @@ class TestConfigValidation:
             tiny_config(lr_decay_epochs=(0, 1))
         with pytest.raises(ValueError):
             tiny_config(lr_decay_epochs=(1, 5), epochs=3)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("lr", -0.01, "lr must be >= 0, got -0.01"),
+        ("lr", float("nan"), "lr must be >= 0, got nan"),
+        ("weight_decay", -1.0, "weight_decay must be >= 0, got -1.0"),
+        ("lr_decay_factor", 0.0, "lr_decay_factor must be > 0, got 0.0"),
+        ("lr_decay_factor", -0.5, "lr_decay_factor must be > 0, got -0.5"),
+        ("lr_decay_epochs", (0, 1), "lr_decay_epochs must lie within 1..2, got [0, 1]"),
+        ("lr_decay_epochs", (1, 5), "lr_decay_epochs must lie within 1..2, got [1, 5]"),
+    ])
+    def test_bad_rate_names_its_field_and_value(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_config(**{name: value})
 
     def test_nonnegative_rates(self):
         with pytest.raises(ValueError):
@@ -339,6 +353,61 @@ class TestMatchesAllocatingReference:
         assert not any(
             np.shares_memory(g, f) for g in grads1.values() for f in (logits2, *features2)
         )
+
+
+class TestBiasFold:
+    """The forward passes form ``W x + b`` as one product ``[W | b] @ [x; 1]``
+    wherever ``resnet._fold_is_exact`` finds that the BLAS rounds it as the
+    separate add: each dot product summed in order, so that ``b * 1.0`` is
+    its last term and ``acc + b`` rounds once."""
+
+    @pytest.mark.parametrize("rows", [1, 4, 64, 65])
+    @pytest.mark.parametrize("depth", [1, 16, 64])
+    @pytest.mark.parametrize("columns", [1, 7, 128, 1024])
+    @pytest.mark.parametrize("bias", ["zero", "negative", "large"])
+    def test_fold_is_taken_only_where_it_keeps_the_bits(self, rows, depth, columns, bias):
+        rng = np.random.default_rng([rows, depth, columns, len(bias)])
+        w = rng.standard_normal((rows, depth))
+        x = rng.standard_normal((depth, columns))
+        b = {"zero": np.zeros(rows),
+             "negative": -np.abs(rng.standard_normal(rows)),
+             "large": 1e12 * rng.standard_normal(rows)}[bias]
+        folded = np.hstack((w, b[:, None])) @ np.vstack((x, np.ones((1, columns))))
+        if resnet._fold_is_exact(rows, depth, columns):
+            assert_same_bits(folded, w @ x + b[:, None])
+
+    @pytest.mark.parametrize("columns", [128, 1024])
+    def test_default_training_shapes_fold(self, columns):
+        # a batch of 128 and the full set of 1024 through the default
+        # network (input_dim 16, width 64, K = 4).  This pins the BLAS the
+        # speedup was measured on (OpenBLAS's Haswell kernels); elsewhere
+        # the passes keep their bits through the separate bias add.
+        params = init_params(TrainConfig())
+        assert resnet._bias_folds(params, TrainConfig().num_blocks, columns)
+
+    @pytest.mark.parametrize("columns", [7, 128])
+    def test_separate_bias_add_keeps_the_bits(self, columns, monkeypatch):
+        # the path taken at shapes where the fold would move bits
+        monkeypatch.setattr(resnet, "_fold_is_exact", lambda *shape: False)
+        params, x, labels = network_case(0, columns)
+        assert not _Workspace(params, columns, 3).fold
+        ref_logits, ref_features, _ = reference_forward(params, x, 3)
+        logits, features = resnet_forward(params, x, 3)
+        assert_same_bits(logits, ref_logits)
+        for got, want in zip(features, ref_features, strict=True):
+            assert_same_bits(got, want)
+        _, _, ref_grads = reference_backward(params, x, labels, 3)
+        _, _, grads = resnet_backward(params, x, labels, 3)
+        for name in ref_grads:
+            assert_same_bits(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("decay_biases", [True, False])
+    def test_training_without_the_fold_matches_oracle(self, decay_biases, monkeypatch):
+        monkeypatch.setattr(resnet, "_fold_is_exact", lambda *shape: False)
+        config = tiny_config(epochs=3, batch_size=3, momentum=0.9, weight_decay=0.05,
+                             decay_biases=decay_biases, record_stride=2)
+        data, labels = tiny_data(config)
+        assert_train_matches_emulation(config, data, labels)
 
 
 def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
