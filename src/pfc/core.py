@@ -12,9 +12,13 @@ in the normal float64 range that scaling is exact: it moves exponents and
 keeps every significand bit.  :func:`_to_window` passes arrays whose
 largest magnitude lies in the safe window [2^-200, 2^200] uncopied and
 shifts others by one power of two into [0.5, 1); in the window no square,
-Gram-norm fourth power or sum of them overflows or goes subnormal.  Feature
-sets, paths (one exponent for both ends), layer stacks and centered means
-are shifted before class statistics or Grams are formed from them.
+Gram-norm fourth power or sum of them overflows or goes subnormal.  What
+gets squared is windowed: feature sets, paths (one exponent for both ends)
+and layer stacks are shifted first, then what is formed from them by
+differences: a set's or a path's class offsets and centered means (one
+exponent for all), the centered means a Gram is formed from, and each
+displacement between consecutive layers.  So structure far below a common
+offset (a constant coordinate, say) squares as it would rescaled.
 """
 
 from __future__ import annotations
@@ -24,15 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _to_window(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays shifted by one power of two into the safe window of the
-    scale rule (module docstring); inside it, or all zero, as they are."""
+def _window_exponent(*arrays: np.ndarray) -> int:
+    """The power of two that shifts the arrays into the safe window of the
+    scale rule (module docstring): 0 inside it, or if all are zero."""
     # max and -min instead of abs, which would copy the arrays
     top = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
     if top == 0.0 or 2.0**-200 <= top <= 2.0**200:
-        return arrays
-    _, exponent = np.frexp(top)
-    return tuple(np.ldexp(a, -exponent) for a in arrays)
+        return 0
+    return int(np.frexp(top)[1])
+
+
+def _to_window(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays shifted by one power of two into the safe window of the
+    scale rule (module docstring); inside it, or all zero, as they are."""
+    exponent = _window_exponent(*arrays)
+    return tuple(np.ldexp(a, -exponent) for a in arrays) if exponent else arrays
 
 
 class DegenerateInputError(ValueError):

@@ -20,8 +20,9 @@ set with, so at t = 0 and t = 1 a curve reads the bits of the endpoints'
 metrics.  The coefficients cost O(K n d) once per path; each grid point
 then costs O(K^2) for pfc1/pfc2 and O(K N) for pfc3, and no intermediate
 feature set is built.  Scale rule (``core``): both endpoints, then their
-centered means, and all layers of a stack are shifted into the safe window
-by one exact power of two, which keeps every bit.
+class offsets and centered means, and all layers of a stack, then each
+displacement between consecutive layers, are shifted into the safe window
+by exact powers of two, which keeps every bit.
 
 ``endpoint_mean_alignment`` computes the inner-product condition
 sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)> whose nonnegativity guarantees
@@ -36,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, LayerStack, _to_window
+from .core import DegenerateInputError, FeatureSet, LayerStack, _to_window, _window_exponent
 from .etf import build_etf
 from .metrics import _Moments
 
@@ -222,7 +223,16 @@ def relative_positions(stack: LayerStack) -> np.ndarray:
     if len(stack) < 2:
         raise ValueError("need at least two layers for relative positions")
     layers = _to_window(*(fs.features for fs in stack.layers))
-    steps = [float(np.sum(np.linalg.norm(b - a, axis=0))) for a, b in zip(layers, layers[1:])]
+    steps = []
+    for a, b in zip(layers, layers[1:]):
+        # the displacement is squared in the window, by a power of two that
+        # its length then gives back, so that steps far below the layers'
+        # size keep their length
+        step = b - a
+        exponent = _window_exponent(step)
+        if exponent:
+            np.ldexp(step, -exponent, out=step)
+        steps.append(float(np.ldexp(np.sum(np.linalg.norm(step, axis=0)), exponent)))
     total = sum(steps)
     if total == 0.0:
         raise DegenerateInputError("zero total path length; positions undefined")

@@ -334,10 +334,19 @@ def _nonempty(p: dict, *names: str) -> None:
             raise ValueError(f"{name} must not be empty")
 
 
+def _at_least(p: dict, name: str, low) -> None:
+    """Reject ``p[name]`` below ``low`` (or NaN), naming the parameter."""
+    if not p[name] >= low:
+        raise ValueError(f"{name} must be >= {low}, got {p[name]}")
+
+
 def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     if p["min_classes"] < 2 or p["max_classes"] < p["min_classes"]:
-        raise ValueError("need 2 <= min_classes <= max_classes")
+        raise ValueError(
+            "need 2 <= min_classes <= max_classes, got "
+            f"min_classes={p['min_classes']}, max_classes={p['max_classes']}"
+        )
     _nonempty(p, "extra_dims")
     if min(p["extra_dims"]) < 0:
         raise ValueError(f"extra_dims must be >= 0, got {p['extra_dims']}")
@@ -368,6 +377,7 @@ def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 def _run_interpolate(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
+    _at_least(p, "grid_points", 2)
     path = random_to_collapse_path(
         cfg.seed,
         num_classes=p["num_classes"],
@@ -394,8 +404,8 @@ def _curves(path: InterpolationPath) -> tuple[dict[str, MetricCurve], Table]:
 
 def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifacts]:
     p = cfg.params
-    if p["num_paths"] < 1:
-        raise ValueError(f"num_paths must be >= 1, got {p['num_paths']}")
+    _at_least(p, "num_paths", 1)
+    _at_least(p, "grid_points", 2)
     _nonempty(p, "classes", "per_class", "dims")
     combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))
     rows = []
@@ -569,8 +579,15 @@ _REPORT_HEADER = (
 )
 
 
+def _report_params(p: dict) -> None:
+    """Reject bad parameters of :func:`_stack_report` before any work."""
+    _at_least(p, "grid_points", 2)
+    _at_least(p, "effective_epsilon", 0)
+
+
 def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
+    _report_params(p)
     if bool(p["images"]) != bool(p["labels"]):
         missing = "labels" if p["images"] else "images"
         raise ValueError(f"an IDX run reads images and labels together; set {missing} too")
@@ -620,6 +637,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
+    _report_params(p)
     files = p["stack_files"]
     if len(files) < 2:
         raise ValueError(
@@ -641,6 +659,9 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     _nonempty(p, "depths")
     if min(p["depths"]) < 1:
         raise ValueError(f"depths must be >= 1, got {p['depths']}")
+    if p["chain_lr"] <= 0:  # typed_param has rejected NaN and infinities
+        raise ValueError(f"chain_lr must be > 0, got {p['chain_lr']}")
+    _at_least(p, "chain_iters", 1)
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs, _ = gen_gaussian_mixture(
         k, d, n,

@@ -18,11 +18,11 @@ holds one entry per pair i <= j of its sets ((0, 0) for one set; (0, 0),
 the centered class-mean Gram and the sample-to-class-mean gap table.  Its
 one evaluator, ``values(kind, weights)``, finishes a metric at each row of
 weights over the pairs: ``[[1.0]]`` here, and the quadratic weights of a
-t-grid in ``geodesic``.  So ``measure`` forms class statistics once per
-feature set, and a curve reads at t = 0 and t = 1 the bits of its
-endpoints' metrics.  Scale rule (``core``): the sets, then their centered
-means, are shifted into the safe window by one exact power of two before
-squares are formed, which keeps every bit.
+t-grid in ``geodesic``.  So ``measure`` makes one pass over each feature
+set, and a curve reads at t = 0 and t = 1 the bits of its endpoints'
+metrics.  Scale rule (``core``): the sets are shifted into the safe window,
+then what the metrics square -- the class offsets and the centered means
+-- by one more exact power of two, which keeps every bit.
 
 ``alignment`` compares two matrices after Frobenius normalization, and
 ``first_within_error`` finds, among the pfc3 values of a stack's layers,
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, _to_window, class_stats
+from .core import DegenerateInputError, FeatureSet, _to_window
 from .etf import gram_target
 
 
@@ -71,45 +71,38 @@ def _require_spread(spread, size, ts, kind, why) -> None:
 
 class _Moments:
     """The sums the collapse metrics read, of one feature set or of the two
-    endpoints of a straight path, shifted into the safe window together.
+    endpoints of a straight path.
 
     Each moment stacks along axis 0 one entry per pair (i, j), i <= j, of
-    ``pairs`` and is computed on first use.  A row of weights over the pairs
-    is one point: ``[[1.0]]`` the set itself, the rows (1 - t)^2, 2t(1 - t),
-    t^2 the point h(t) = (1 - t) h0 + t h1 of a path, whose class means are
-    affine in t, so that every sum below is that quadratic in its entries.
+    ``pairs``.  A row of weights over the pairs is one point: ``[[1.0]]``
+    the set itself, the rows (1 - t)^2, 2t(1 - t), t^2 the point
+    h(t) = (1 - t) h0 + t h1 of a path, whose class means are affine in t,
+    so that every sum below is that quadratic in its entries.
+
+    Every moment is formed from what it squares: the class offsets
+    D = X - M[:, y] (each sample minus its class mean) and the centered
+    class means C, built in one pass over the sets shifted into the safe
+    window, then shifted by one more exponent, so that means far below a
+    common offset square to normal numbers.  ``gaps`` releases D.
     """
 
     def __init__(self, *sets: FeatureSet):
-        arrays = _to_window(*(fs.features for fs in sets))
-        if arrays[0] is not sets[0].features:
-            sets = [FeatureSet(x, fs.num_classes, fs.per_class) for x, fs in zip(arrays, sets)]
-        self.sets = sets
-        self.stats = [class_stats(fs) for fs in self.sets]
+        k, n = sets[0].num_classes, sets[0].per_class
+        self.num_classes, self.per_class, self.labels = k, n, sets[0].labels()
         self.pairs = [(i, j) for i in range(len(sets)) for j in range(i, len(sets))]
-
-    @cached_property
-    def within(self) -> np.ndarray:
-        """K n times the within-class trace: <D_i, D_j>, where D is every
-        sample minus its class mean (summed as class_stats sums it)."""
-        k, n, d = self.sets[0].num_classes, self.sets[0].per_class, self.sets[0].dim
-        offsets = [fs.features.reshape(d, k, n) - s.class_means[:, :, None]
-                   for fs, s in zip(self.sets, self.stats)]
-        cross = {(i, j): np.sum(offsets[i] * offsets[j]) for i, j in self.pairs if i != j}
-        # squared in place, after the cross terms: no second array of that size
-        squares = [np.sum(np.square(offset, out=offset)) for offset in offsets]
-        return np.array([squares[i] if i == j else cross[i, j] for i, j in self.pairs])
-
-    @cached_property
-    def centered(self) -> list[np.ndarray]:
-        """Centered class-mean matrices C (d x K)."""
-        return [s.class_means - s.global_mean[:, None] for s in self.stats]
-
-    @cached_property
-    def between(self) -> np.ndarray:
-        """K times the between-class trace: <C_i, C_j>."""
-        c = self.centered
-        return np.array([np.sum(c[i] * c[j]) for i, j in self.pairs])
+        offsets, centered = [], []
+        for x in _to_window(*(fs.features for fs in sets)):
+            blocks = x.reshape(x.shape[0], k, n)
+            means = blocks.mean(axis=2)
+            offsets.append((blocks - means[:, :, None]).reshape(x.shape))
+            centered.append(means - means.mean(axis=1)[:, None])
+        windowed = _to_window(*offsets, *centered)
+        offsets, centered = windowed[: len(sets)], windowed[len(sets) :]
+        # K n times the within-class trace <D_i, D_j>, and K times the
+        # between-class trace <C_i, C_j>
+        self.within = np.array([np.sum(offsets[i] * offsets[j]) for i, j in self.pairs])
+        self.between = np.array([np.sum(centered[i] * centered[j]) for i, j in self.pairs])
+        self.centered, self._offsets = centered, offsets  # D until gaps is formed
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -122,15 +115,22 @@ class _Moments:
 
     @cached_property
     def gaps(self) -> np.ndarray:
-        """<x_i - m_ik, x_j - m_jk> over classes k and samples x: (pairs, K, N)."""
-        gaps = np.empty((len(self.sets), *self.sets[0].features.shape))
-        product = np.empty(self.sets[0].features.shape)
-        out = np.empty((len(self.pairs), self.sets[0].num_classes, self.sets[0].num_samples))
-        for k in range(out.shape[1]):
-            for fs, s, gap in zip(self.sets, self.stats, gaps):
-                np.subtract(fs.features, s.class_means[:, k][:, None], out=gap)
-            for p, (i, j) in enumerate(self.pairs):
-                np.sum(np.multiply(gaps[i], gaps[j], out=product), axis=0, out=out[p, k])
+        """<x_i - m_ik, x_j - m_jk> over classes k and samples x: (pairs, K, N),
+        expanded around each sample's own class mean, x - m_k = D + e_k with
+        e_k = c_y - c_k: <D_i, D_j> + <e_ik, D_j> + <D_i, e_jk> + <e_ik, e_jk>,
+        which is exactly <D_i, D_j> at k = y."""
+        offsets, self._offsets = self._offsets, None  # no longer needed
+        c, labels = self.centered, self.labels
+        # C_i^T D_j of every ordered pair of sets, and c_y - c_k as (d, k, y)
+        projections = [[ci.T @ offset for offset in offsets] for ci in c]
+        spreads = [ci[:, None, :] - ci[:, :, None] for ci in c]
+        samples = np.arange(len(labels))
+        out = np.empty((len(self.pairs), self.num_classes, len(labels)))
+        for gap, (i, j) in zip(out, self.pairs):
+            cross = projections[i][j] + projections[j][i]
+            np.subtract(cross[labels, samples], cross, out=gap)
+            gap += np.einsum("dn,dn->n", offsets[i], offsets[j])
+            gap += np.sum(spreads[i] * spreads[j], axis=0)[:, labels]
         return out
 
     def values(self, kind: str, weights: np.ndarray, ts=None) -> np.ndarray:
@@ -139,7 +139,7 @@ class _Moments:
         A spread at or below ``_ZERO_SHARE`` of the size of its terms raises
         DegenerateInputError, naming the point's t from ``ts`` if given.
         """
-        k, n = self.sets[0].num_classes, self.sets[0].per_class
+        k, n = self.num_classes, self.per_class
         if kind == "pfc1":
             tr_between = weights @ self.between / k
             _require_spread(tr_between, weights @ np.abs(self.between) / k, ts, kind,
@@ -154,12 +154,11 @@ class _Moments:
             gram = gram / np.linalg.norm(gram, axis=(1, 2), keepdims=True)
             return np.linalg.norm(gram - gram_target(k), axis=(1, 2))
         # pfc3: accuracy of the argmin assignment, ties to the smallest class
-        labels = self.sets[0].labels()
         out = np.empty(len(weights))
         step = max(1, _TABLE_BLOCK // self.gaps[0].size)
         for lo in range(0, len(weights), step):
             tables = np.tensordot(weights[lo : lo + step], self.gaps, axes=1)
-            out[lo : lo + step] = np.mean(np.argmin(tables, axis=1) == labels, axis=-1)
+            out[lo : lo + step] = np.mean(np.argmin(tables, axis=1) == self.labels, axis=-1)
         return out
 
 

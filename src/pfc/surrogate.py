@@ -473,6 +473,10 @@ def minimize_transport_chain(
     Serves as an independent check of :func:`collapse_multilayer`: from a
     seeded random initialization of the L-1 interior layers (ends fixed),
     descent converges to the equally spaced collinear chain.
+
+    Raises:
+        DivergenceError: if the descent leaves the float range, naming the
+            depth ``num_blocks``.
     """
     X = np.asarray(X, dtype=np.float64)
     H_last = np.asarray(H_last, dtype=np.float64)
@@ -487,17 +491,24 @@ def minimize_transport_chain(
         chain[l] = rng.standard_normal(X.shape)
     interior, prev, succ = chain[1:-1], chain[:-2], chain[2:]
     step = np.empty_like(interior)
-    for _ in range(iters):
-        # every interior layer steps along 2 (2 c_l - c_{l-1} - c_{l+1}) of
-        # the previous iterate, one whole-stack operation at a time
-        np.multiply(interior, 2.0, out=step)
-        step -= prev
-        step -= succ
-        step *= 2.0
-        step *= lr
-        interior -= step
-    layers = list(chain)
-    return layers, transport_chain_cost(layers)
+    # a step size past the stable range overflows; the cost tells
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            # every interior layer steps along 2 (2 c_l - c_{l-1} - c_{l+1})
+            # of the previous iterate, one whole-stack operation at a time
+            np.multiply(interior, 2.0, out=step)
+            step -= prev
+            step -= succ
+            step *= 2.0
+            step *= lr
+            interior -= step
+        layers = list(chain)
+        cost = transport_chain_cost(layers)
+    if not np.isfinite(cost):
+        raise DivergenceError(
+            f"transport chain descent diverged at depth {num_blocks} (lr={lr}): cost {cost}"
+        )
+    return layers, cost
 
 
 def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:

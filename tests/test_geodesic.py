@@ -216,17 +216,19 @@ class TestClosedForms:
             assert metric_curve(path, "pfc3").values[-1] == 1.0
 
     def test_one_pass_over_the_endpoints(self, monkeypatch):
+        # one moments object of the two ends serves every curve
         import pfc.metrics
 
         calls = []
-        original = pfc.metrics.class_stats
+        original = pfc.metrics._Moments.__init__
         monkeypatch.setattr(
-            pfc.metrics, "class_stats", lambda fs: calls.append(fs) or original(fs)
+            pfc.metrics._Moments, "__init__",
+            lambda moments, *sets: calls.append(sets) or original(moments, *sets),
         )
         path = random_path(12, grid_points=1001)
         for kind in ("pfc1", "pfc2", "pfc3"):
             metric_curve(path, kind)
-        assert [id(fs) for fs in calls] == [id(path.start), id(path.end)]
+        assert [[id(fs) for fs in call] for call in calls] == [[id(path.start), id(path.end)]]
 
     def test_values_at_any_points(self):
         path = random_path(13, grid_points=5)
@@ -343,6 +345,24 @@ class TestScale:
             keep = normal_points(path, scaled_path(path, factor))
             assert keep.tolist() == [True, False, True, True], factor
         self._assert_curves_keep_bits(path)
+
+    def test_structure_far_below_a_constant_coordinate(self):
+        # both ends share a constant coordinate 1, so the features stay in
+        # the safe window while their class structure sits 2^-560 below it
+        rng = np.random.default_rng(4)
+        start = rng.standard_normal((3, 12))
+        end = np.repeat(rng.standard_normal((3, 3)), 4, axis=1)
+
+        def with_structure(scale):
+            def ends(x):
+                return FeatureSet(np.vstack([np.ones((1, 12)), scale * x]), 3, 4)
+            return InterpolationPath(start=ends(start), end=ends(end), grid=uniform_grid(11))
+
+        path, rescaled = with_structure(2.0**-560), with_structure(1.0)
+        for kind in METRIC_KINDS:
+            got = metric_values(path, kind, path.grid)
+            assert got.tobytes() == metric_values(rescaled, kind, path.grid).tobytes(), kind
+        assert metric_values(path, "pfc3", [1.0])[0] == 1.0
 
     @pytest.mark.parametrize("factor", [1e80, 1e160, 1e-160, 1e-300])
     def test_decimal_scaling_keeps_curves(self, factor):
@@ -471,6 +491,18 @@ class TestRelativePositions:
         np.testing.assert_allclose(
             relative_positions(stack), [0.0, 0.25, 0.75, 1.0]
         )
+
+    def test_steps_far_below_a_constant_coordinate(self):
+        # the layers share a constant coordinate 1; the other one moves by
+        # 2^-560 and then 3 * 2^-560, whose squares underflow at that scale
+        def with_steps(scale):
+            return LayerStack(layers=tuple(
+                FeatureSet(np.array([[1.0] * 6, [scale * c] * 6]), 3, 2) for c in (0.0, 1.0, 4.0)
+            ), epoch=0)
+
+        got = relative_positions(with_steps(2.0**-560))
+        assert got.tobytes() == relative_positions(with_steps(1.0)).tobytes()
+        assert got.tolist() == [0.0, 0.25, 1.0]
 
     def test_zero_length_path_rejected(self):
         fs = FeatureSet(np.ones((2, 2)), 2, 1)

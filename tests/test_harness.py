@@ -741,6 +741,63 @@ class TestCli:
         assert cli.main(args) == 1
         assert f"{name} must be >= num_classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, setting, message", [
+        ("train-resnet", "grid_points=1", "grid_points must be >= 2, got 1"),
+        ("train-resnet", "effective_epsilon=-0.1", "effective_epsilon must be >= 0, got -0.1"),
+        ("pfc-report", "grid_points=1", "grid_points must be >= 2, got 1"),
+        ("pfc-report", "effective_epsilon=-1.0", "effective_epsilon must be >= 0, got -1.0"),
+        ("interpolate", "grid_points=1", "grid_points must be >= 2, got 1"),
+        ("theorem1", "grid_points=0", "grid_points must be >= 2, got 0"),
+        ("theorem2", "grid_points=1", "grid_points must be >= 2, got 1"),
+    ])
+    def test_bad_report_parameter_named_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        kind, setting, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for fn in ("train", "load_featureset", "random_to_collapse_path",
+                   "perturbed_collapse_path"):
+            monkeypatch.setattr(harness, fn, never)
+        args = [kind, "--out", str(tmp_path / "x"), "--set", setting]
+        assert cli.main(args) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_class_range_names_both_values(self, tmp_path, capsys):
+        args = ["etf-check", "--out", str(tmp_path / "x"),
+                "--set", "min_classes=5", "--set", "max_classes=3"]
+        assert cli.main(args) == 1
+        assert ("need 2 <= min_classes <= max_classes, got min_classes=5, max_classes=3"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("setting, message", [
+        ("chain_lr=-1.0", "chain_lr must be > 0, got -1.0"),
+        ("chain_lr=0.0", "chain_lr must be > 0, got 0.0"),
+        ("chain_iters=-1", "chain_iters must be >= 1, got -1"),
+        ("chain_iters=0", "chain_iters must be >= 1, got 0"),
+    ])
+    def test_bad_chain_parameter_named_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       setting, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for fn in ("gen_gaussian_mixture", "minimize_transport_chain"):
+            monkeypatch.setattr(harness, fn, never)
+        args = ["equivalence-thm3", "--out", str(tmp_path / "x"), "--set", setting]
+        assert cli.main(args) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diverged_chain_is_numeric_failure_naming_the_depth(self, tmp_path, capsys):
+        # past the stable step size the depth-2 chain overflows: no run
+        # with nan cells may be written
+        args = ["equivalence-thm3", "--out", str(tmp_path / "x"), "--set", "chain_lr=0.6",
+                "--set", "depths=[2]", "--set", "num_classes=3", "--set", "dim=4",
+                "--set", "per_class=3"]
+        assert cli.main(args) == 2
+        assert "diverged at depth 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_flag_beats_config_file(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 5, "params": {"max_classes": 3}}))
@@ -825,7 +882,7 @@ class TestPfcReportRun:
         calls = []
         original = metrics._Moments.gaps.func
         counted = functools.cached_property(
-            lambda moments: calls.append(len(moments.sets)) or original(moments)
+            lambda moments: calls.append(len(moments.centered)) or original(moments)
         )
         counted.__set_name__(metrics._Moments, "gaps")
         monkeypatch.setattr(metrics._Moments, "gaps", counted)

@@ -332,18 +332,34 @@ class TestEffectiveDepth:
 
 class TestMeasure:
     def test_class_statistics_formed_once(self, monkeypatch):
+        # one moments object per set, so one pass over its features
         import pfc.metrics
 
         calls = []
-        original = pfc.metrics.class_stats
+        original = pfc.metrics._Moments.__init__
         monkeypatch.setattr(
-            pfc.metrics, "class_stats", lambda fs: calls.append(fs) or original(fs)
+            pfc.metrics._Moments, "__init__",
+            lambda moments, *sets: calls.append(sets) or original(moments, *sets),
         )
         rng = np.random.default_rng(23)
         sets = [random_featureset(rng) for _ in range(3)]
         for fs in sets:
             measure(fs)
-        assert [id(fs) for fs in calls] == [id(fs) for fs in sets]
+        assert [[id(fs) for fs in call] for call in calls] == [[id(fs)] for fs in sets]
+
+    def test_structure_far_below_a_constant_coordinate(self):
+        # the constant 1 keeps the features in the safe window, while class
+        # means 2^-560 apart and offsets of 2^-561 square to subnormals at
+        # that scale; the offsets and centered means themselves are shifted
+        structure = np.array([[0.0, 2.0, 4.0, 4.0, 0.0, 1.0],
+                              [0.0, 1.0, 3.0, 1.0, 4.0, 4.0]])
+        def with_structure(scale):
+            features = np.vstack([np.ones((1, 6)), scale * structure])
+            return FeatureSet(features, num_classes=3, per_class=2)
+
+        expected = measure(with_structure(1.0))
+        assert measure(with_structure(2.0**-560)) == expected
+        assert expected.pfc3 == 1.0
 
     def test_agrees_with_individual_metrics(self):
         rng = np.random.default_rng(23)

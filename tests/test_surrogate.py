@@ -640,6 +640,12 @@ class TestChain:
         with pytest.raises(ValueError):
             minimize_transport_chain(x, x, 0)
 
+    def test_divergent_step_raises_naming_the_depth(self):
+        rng = np.random.default_rng(3)
+        x, h = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        with pytest.raises(DivergenceError, match="diverged at depth 2"):
+            minimize_transport_chain(x, h, 2, lr=0.6)
+
     def test_cost_of_explicit_chain(self):
         chain = [np.zeros((1, 2)), np.ones((1, 2)), 3.0 * np.ones((1, 2))]
         assert transport_chain_cost(chain) == pytest.approx(2.0 + 8.0)
