@@ -28,22 +28,23 @@ _VALIDATION_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None,
+                        help="JSON config file (kind/seed/out_dir/params)")
+    common.add_argument("--seed", type=int, default=None,
+                        help="run seed (overrides the config file)")
+    common.add_argument("--out", type=Path, default=None,
+                        help="artifact directory (default runs/KIND)")
+    common.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="parameter override, JSON-parsed; repeatable")
     parser = argparse.ArgumentParser(
         prog="pfc",
         description="Seeded collapse experiments writing CSV/JSON artifacts.",
     )
     sub = parser.add_subparsers(dest="kind", required=True, metavar="KIND")
     for kind in KINDS:
-        cmd = sub.add_parser(kind, help=f"run the {kind} experiment")
-        cmd.add_argument("--config", type=Path, default=None,
-                         help="JSON config file (kind/seed/out_dir/params)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="run seed (overrides the config file)")
-        cmd.add_argument("--out", type=Path, default=None,
-                         help="artifact directory (default runs/KIND)")
-        cmd.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="KEY=VALUE",
-                         help="parameter override, JSON-parsed; repeatable")
+        sub.add_parser(kind, parents=[common], help=f"run the {kind} experiment")
     return parser
 
 

@@ -62,9 +62,26 @@ def _as_matrix(features) -> np.ndarray:
     return arr
 
 
+def _adoptable(arr: np.ndarray) -> bool:
+    """Whether a feature set may hold ``arr`` uncopied: no array can write
+    its memory (it is read-only, and so is the array it views, if any), and
+    it is laid out in C order, as a copy would be."""
+    base = arr.base
+    return arr.flags.c_contiguous and not arr.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and not base.flags.writeable
+    )
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """One layer's features for a balanced K-class dataset.
+
+    A set's features never change under it, and are stored in C order.  A
+    C-ordered float64 input that is read-only and owns its memory, or views
+    a read-only array that does, is adopted as it is; any other input is
+    copied, and the copy made read-only.  So a caller that freezes a buffer
+    it will not write again (``arr.setflags(write=False)``) hands it over
+    without a copy, and must not make it writable again.
 
     Attributes:
         features: float64 matrix of shape (dim, num_classes * per_class);
@@ -78,7 +95,9 @@ class FeatureSet:
     per_class: int
 
     def __post_init__(self):
-        arr = _as_matrix(self.features).copy()
+        arr = _as_matrix(self.features)
+        if not _adoptable(arr):
+            arr = arr.copy()
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.per_class < 1:
@@ -101,13 +120,6 @@ class FeatureSet:
     @property
     def num_samples(self) -> int:
         return self.features.shape[1]
-
-    def class_block(self, k: int) -> np.ndarray:
-        """Columns of class k."""
-        if not 0 <= k < self.num_classes:
-            raise IndexError(f"class index {k} out of range [0, {self.num_classes})")
-        n = self.per_class
-        return self.features[:, k * n : (k + 1) * n]
 
     def labels(self) -> np.ndarray:
         """Class index of each column."""
@@ -205,6 +217,8 @@ def load_featureset(path) -> FeatureSet:
             raise ValueError(f"{path}: expected header 'K n d', got {header!r}")
         k, n, d = (int(x) for x in header)
         data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+    # nothing else holds the parsed array, so the set adopts it uncopied
+    data.setflags(write=False)
     if data.shape != (d, k * n):
         raise ValueError(
             f"{path}: expected {d} x {k * n} values, got {data.shape[0]} x {data.shape[1]}"

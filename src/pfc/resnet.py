@@ -17,7 +17,10 @@ buffers it leaves.  The per-epoch pass over the full set runs forward only:
 each layer's pre-activation is formed in that layer's feature buffer, in one
 (L+1) x width x N block that a recorded epoch fills layer by layer and any
 other epoch rolls through two layers of.  The full-set loss and accuracy are
-formed once per epoch.
+formed once per epoch.  A recorded epoch measures one layer at a time, each
+through a transient copy; after the last epoch the block is frozen, and the
+final stack's feature sets adopt views of it, so the returned stack shares
+the forward block and the recorded layers are held once.
 
 Each layer's parameters are one (rows, cols + 1) block [W | b] with the bias
 as its last column, and every feature buffer, the input included, carries a
@@ -482,19 +485,28 @@ def train(
         accuracies[epoch - 1] = accuracy(logits, full_labels)
 
         if record:
-            layer_sets = tuple(
-                FeatureSet(f, config.num_classes, config.per_class) for f in bodies
-            )
             snapshot_epochs.append(epoch)
-            reports.append(tuple(measure(fs) for fs in layer_sets))
+            # each set copies its writable layer and lives while it is
+            # measured; the last epoch, always recorded, is measured below
+            if epoch < config.epochs:
+                reports.append(tuple(
+                    measure(FeatureSet(f, config.num_classes, config.per_class))
+                    for f in bodies
+                ))
 
+    # nothing writes the block again, so the final stack's sets adopt its
+    # layers uncopied: fresh views of a read-only block are read-only
+    block.setflags(write=False)
+    final_stack = LayerStack(tuple(
+        FeatureSet(f, config.num_classes, config.per_class) for f in block[:, :-1]
+    ), epoch=config.epochs)
+    reports.append(tuple(measure(fs) for fs in final_stack.layers))
     return TrainTrace(
         config=config,
         losses=losses,
         accuracies=accuracies,
         snapshot_epochs=tuple(snapshot_epochs),
-        # the last epoch is always recorded
-        final_stack=LayerStack(layer_sets, epoch=config.epochs),
+        final_stack=final_stack,
         reports=tuple(reports),
         params=params,
     )

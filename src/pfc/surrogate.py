@@ -312,13 +312,6 @@ def closed_form_W(H: np.ndarray, Y: np.ndarray, lambda_w: float, per_class: int)
     return np.linalg.solve(system, H @ Y.T).T
 
 
-def closed_form_H(W: np.ndarray, Y: np.ndarray, X: np.ndarray, lam: float) -> np.ndarray:
-    """Minimizer of the MSE transport-regularized objective over the features
-    at fixed W: H* = (W^T W + lam * I)^{-1} (W^T Y + lam * X)."""
-    d = W.shape[1]
-    return np.linalg.solve(W.T @ W + lam * np.eye(d), W.T @ Y + lam * X)
-
-
 def _grad_norms(dw: np.ndarray, dc: np.ndarray, buf: _Buffers) -> np.ndarray:
     """Per-lane joint gradient norms; the squares go to ``buf.w`` and
     ``buf.h``, which :func:`_value` overwrites before it reads them."""

@@ -54,7 +54,7 @@ class TestFeatureSet:
         assert fs.dim == 2
         assert fs.num_samples == 6
         np.testing.assert_array_equal(fs.labels(), [0, 0, 1, 1, 2, 2])
-        np.testing.assert_array_equal(fs.class_block(1), [[2.0, 3.0], [8.0, 9.0]])
+        np.testing.assert_array_equal(fs.features[:, 2:4], [[2.0, 3.0], [8.0, 9.0]])
 
     def test_column_count_must_match(self):
         with pytest.raises(ValueError):
@@ -75,10 +75,43 @@ class TestFeatureSet:
         with pytest.raises(ValueError):
             fs.features[0, 0] = 1.0
 
-    def test_class_block_range(self):
-        fs = FeatureSet(np.zeros((2, 4)), num_classes=2, per_class=2)
-        with pytest.raises(IndexError):
-            fs.class_block(2)
+    def test_adopts_a_read_only_owner(self):
+        arr = np.arange(8.0).reshape(2, 4).copy()
+        arr.setflags(write=False)
+        fs = FeatureSet(arr, num_classes=2, per_class=2)
+        assert np.shares_memory(fs.features, arr)
+
+    def test_adopts_a_read_only_view_of_a_read_only_owner(self):
+        owner = np.arange(24.0).reshape(2, 3, 4).copy()
+        owner.setflags(write=False)
+        fs = FeatureSet(owner[1, :2], num_classes=2, per_class=2)
+        assert np.shares_memory(fs.features, owner)
+
+    def test_copies_a_read_only_input_out_of_c_order(self):
+        f_ordered = np.asfortranarray(np.arange(8.0).reshape(2, 4))
+        owner = np.arange(16.0).reshape(2, 8).copy()
+        for arr in (f_ordered, owner):
+            arr.setflags(write=False)
+        for arr in (f_ordered, owner[:, ::2]):
+            fs = FeatureSet(arr, num_classes=2, per_class=2)
+            assert fs.features.flags.c_contiguous
+            assert not np.shares_memory(fs.features, arr)
+
+    def test_copies_a_writable_input(self):
+        arr = np.arange(8.0).reshape(2, 4).copy()
+        fs = FeatureSet(arr, num_classes=2, per_class=2)
+        arr[0, 0] = 100.0
+        assert not np.shares_memory(fs.features, arr)
+        np.testing.assert_array_equal(fs.features, np.arange(8.0).reshape(2, 4))
+
+    def test_copies_a_read_only_view_of_a_writable_base(self):
+        base = np.arange(8.0).reshape(2, 4).copy()
+        view = base[:]
+        view.setflags(write=False)
+        fs = FeatureSet(view, num_classes=2, per_class=2)
+        base[0, 0] = 100.0
+        assert not np.shares_memory(fs.features, base)
+        assert fs.features[0, 0] == 0.0
 
 
 class TestClassStats:
@@ -201,6 +234,20 @@ class TestSerialization:
         loaded = load_featureset(path)
         assert (loaded.num_classes, loaded.per_class, loaded.dim) == (3, 4, 5)
         np.testing.assert_array_equal(loaded.features, fs.features)
+
+    def test_load_adopts_the_parsed_array(self, tmp_path, monkeypatch):
+        fs = random_featureset(np.random.default_rng(8), num_classes=2, per_class=3, dim=4)
+        path = tmp_path / "features.txt"
+        save_featureset(path, fs)
+        parsed = []
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            parsed.append(real_loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert np.shares_memory(load_featureset(path).features, parsed[0])
 
     @staticmethod
     def per_value_text(fs):

