@@ -28,8 +28,9 @@ def gen_gaussian_mixture(
     ``noise_scale`` * N(0, I) noise.  Columns are class-contiguous, so the
     returned labels are simply 0..K-1 each repeated ``per_class`` times.
     """
-    if noise_scale < 0 or mean_scale < 0:
-        raise ValueError("mean_scale and noise_scale must be >= 0")
+    for name, value in (("mean_scale", mean_scale), ("noise_scale", noise_scale)):
+        if not value >= 0:  # written so that NaN fails too
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((dim, num_classes))
     means /= np.linalg.norm(means, axis=0, keepdims=True)
@@ -41,23 +42,26 @@ def gen_gaussian_mixture(
 
 
 def _read_idx(path: Path, expected_magic: int, rank: int) -> np.ndarray:
-    raw = path.read_bytes()
+    """The uint8 body of an IDX file, mapped read-only rather than read, so
+    that a caller pays in memory only for the items it copies out."""
     header = 4 * (1 + rank)
-    if len(raw) < header:
+    with path.open("rb") as fh:
+        head = fh.read(header)
+    if len(head) < header:
         raise ValueError(f"{path}: truncated IDX header")
-    fields = struct.unpack(f">{1 + rank}i", raw[:header])
+    fields = struct.unpack(f">{1 + rank}i", head)
     if fields[0] != expected_magic:
         raise ValueError(
             f"{path}: bad IDX magic {fields[0]}, expected {expected_magic}"
         )
     shape = fields[1:]
     count = int(np.prod(shape))
-    if len(raw) != header + count:
+    size = path.stat().st_size
+    if size != header + count:
         raise ValueError(
-            f"{path}: expected {header + count} bytes for shape {shape}, "
-            f"got {len(raw)}"
+            f"{path}: expected {header + count} bytes for shape {shape}, got {size}"
         )
-    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape)
+    return np.memmap(path, dtype=np.uint8, mode="r", offset=header, shape=shape)
 
 
 def load_mnist_idx(
@@ -87,15 +91,18 @@ def load_mnist_idx(
     if num_classes < 2 or not np.array_equal(classes, np.arange(num_classes)):
         raise ValueError(f"labels must cover 0..K-1 for K >= 2, got {classes}")
 
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    columns = []
+    picks = []
     for k in range(num_classes):
         idx = np.flatnonzero(labels == k)
         if len(idx) < per_class:
             raise ValueError(
                 f"class {k} has {len(idx)} samples, need {per_class}"
             )
-        columns.append(flat[idx[:per_class]].T)
-    features = np.concatenate(columns, axis=1)
+        picks.append(idx[:per_class])
+    # scale only the picked images, straight into the matrix the set adopts
+    picked = images.reshape(images.shape[0], -1)[np.concatenate(picks)]
+    features = picked.T.astype(np.float64, order="C")
+    features /= 255.0
+    features.setflags(write=False)
     out_labels = np.repeat(np.arange(num_classes), per_class)
     return FeatureSet(features, num_classes, per_class), out_labels

@@ -1,8 +1,12 @@
 """Experiment recipes, artifact serialization, and run manifests.
 
 ``KINDS`` maps each experiment kind to its runner and its parameter
-defaults; a default's type is its parameter's type, so every value a run
-receives has been checked against it (:func:`typed_param`).  A run maps
+table.  A default's type is its parameter's type, and each number or list
+states its :class:`Domain` beside its default; every value a run receives
+is typed and checked against both while its :class:`ExperimentConfig` is
+built (:func:`typed_param`), so a bad value fails, naming the parameter and
+its value, before any work.  Rules that tie two parameters together stay
+with the runner or library class that needs them.  A run maps
 the resolved parameter block plus a seed to a private output directory
 holding CSV tables, a JSON summary, and a manifest that echoes the full
 configuration together with sha256 checksums of every artifact.  The
@@ -81,8 +85,10 @@ class ExperimentConfig:
     """One experiment run: kind, parameter block, seed, output directory.
 
     Parameters not given explicitly resolve to the kind's defaults, and
-    each given value is typed from its default (:func:`typed_param`);
-    unknown keys are rejected so typos cannot silently fall back.
+    each value is typed from its default and checked against its domain
+    (:func:`typed_param`); unknown keys are rejected so typos cannot
+    silently fall back.  A default outside its domain, pfc-report's empty
+    ``stack_files``, makes its parameter one that every run must set.
     """
 
     kind: str
@@ -95,29 +101,48 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
-        defaults = KINDS[self.kind].defaults
-        unknown = sorted(set(self.params) - set(defaults))
+        kind = KINDS[self.kind]
+        unknown = sorted(set(self.params) - set(kind.defaults))
         if unknown:
             raise ValueError(
                 f"unknown parameters for {self.kind}: {unknown}; "
-                f"valid keys: {sorted(defaults)}"
+                f"valid keys: {sorted(kind.defaults)}"
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
+        # given values first, so a bad one is named before a parameter left
+        # at a default that no run can use
         params = {
-            **defaults,
-            **{k: typed_param(k, v, defaults[k]) for k, v in self.params.items()},
+            name: typed_param(name, self.params.get(name, default), default,
+                              kind.domains.get(name, _UNBOUNDED))
+            for name, default in sorted(kind.defaults.items(),
+                                        key=lambda item: item[0] not in self.params)
         }
         object.__setattr__(self, "params", params)
         out = Path("runs") / self.kind if self.out_dir is None else Path(self.out_dir)
         object.__setattr__(self, "out_dir", out)
 
 
-def typed_param(name: str, value, default):
-    """``value`` as the type of the parameter's ``default``.
+class Domain(NamedTuple):
+    """Where a parameter's values lie: a number, or each item of a list, is
+    ``>= low``, or ``> low`` when ``open``; ``low=None`` bounds no value.
+    A list holds at least ``min_len`` items."""
+
+    low: float | None
+    open: bool = False
+    min_len: int = 1
+
+
+_UNBOUNDED = Domain(None, min_len=0)
+_ge = Domain  # values >= low
+_gt = partial(Domain, open=True)  # values > low
+
+
+def typed_param(name: str, value, default, domain: Domain = _UNBOUNDED):
+    """``value`` as the type of the parameter's ``default``, inside ``domain``.
 
     An int takes an int or an integral float, a float takes an int or a
     finite float, a bool only a bool and a str only a str.  A list takes a list
@@ -125,13 +150,26 @@ def typed_param(name: str, value, default):
     default is empty).
 
     Raises:
-        ValueError: naming the parameter, for any other value.
+        ValueError: naming the parameter, for any other value; naming the
+            parameter and its value, for a value outside ``domain``.
     """
+    typed = _typed(name, value, default)
+    if isinstance(typed, list) and len(typed) < domain.min_len:
+        raise ValueError(f"{name} must not be empty" if domain.min_len == 1 else
+                         f"{name} must hold at least {domain.min_len} items, got {typed}")
+    low = domain.low
+    items = typed if isinstance(typed, list) else [typed]
+    if low is not None and not all(v > low or (v == low and not domain.open) for v in items):
+        raise ValueError(f"{name} must be {'>' if domain.open else '>='} {low}, got {typed}")
+    return typed
+
+
+def _typed(name: str, value, default):
     number = isinstance(value, (int, np.integer, float)) and not isinstance(value, bool)
     if isinstance(default, list):
         if isinstance(value, list):
             item = default[0] if default else ""
-            return [typed_param(name, v, item) for v in value]
+            return [_typed(name, v, item) for v in value]
     elif isinstance(default, (bool, str)):
         if isinstance(value, type(default)):
             return value
@@ -324,32 +362,22 @@ def spearman(x, y) -> float:
     return float(np.sum(rx * ry) / denom)
 
 
-def _data_seed(seed: int) -> list[int]:
-    return [seed, 11]
-
-
-def _nonempty(p: dict, *names: str) -> None:
-    for name in names:
-        if not p[name]:
-            raise ValueError(f"{name} must not be empty")
-
-
-def _at_least(p: dict, name: str, low) -> None:
-    """Reject ``p[name]`` below ``low`` (or NaN), naming the parameter."""
-    if not p[name] >= low:
-        raise ValueError(f"{name} must be >= {low}, got {p[name]}")
+def _mixture(cfg: ExperimentConfig, dim: int) -> tuple[FeatureSet, np.ndarray]:
+    """The run's Gaussian-mixture data of ``dim`` rows, from its data seed."""
+    p = cfg.params
+    return gen_gaussian_mixture(
+        p["num_classes"], dim, p["per_class"],
+        mean_scale=p["mean_scale"], noise_scale=p["noise_scale"], seed=[cfg.seed, 11],
+    )
 
 
 def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    if p["min_classes"] < 2 or p["max_classes"] < p["min_classes"]:
+    if p["max_classes"] < p["min_classes"]:
         raise ValueError(
             "need 2 <= min_classes <= max_classes, got "
             f"min_classes={p['min_classes']}, max_classes={p['max_classes']}"
         )
-    _nonempty(p, "extra_dims")
-    if min(p["extra_dims"]) < 0:
-        raise ValueError(f"extra_dims must be >= 0, got {p['extra_dims']}")
     rows = []
     for k in range(p["min_classes"], p["max_classes"] + 1):
         for extra in p["extra_dims"]:
@@ -377,7 +405,6 @@ def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 def _run_interpolate(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    _at_least(p, "grid_points", 2)
     path = random_to_collapse_path(
         cfg.seed,
         num_classes=p["num_classes"],
@@ -404,9 +431,6 @@ def _curves(path: InterpolationPath) -> tuple[dict[str, MetricCurve], Table]:
 
 def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifacts]:
     p = cfg.params
-    _at_least(p, "num_paths", 1)
-    _at_least(p, "grid_points", 2)
-    _nonempty(p, "classes", "per_class", "dims")
     combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))
     rows = []
     for i in range(p["num_paths"]):
@@ -447,15 +471,8 @@ def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifact
 def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
     p = cfg.params
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
-    data_fs = None
-    data = None
-    if kind == "mufm":
-        data_fs, _ = gen_gaussian_mixture(
-            k, d, n,
-            mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
-            seed=_data_seed(cfg.seed),
-        )
-        data = data_fs.features
+    data_fs = _mixture(cfg, d)[0] if kind == "mufm" else None
+    data = None if data_fs is None else data_fs.features
     problem = SolveProblem(
         kind=kind, loss=p["loss"], num_classes=k, dim=d, per_class=n,
         lambda_w=p["lambda_w"], lam=p["lam"], data=data, seed=cfg.seed,
@@ -499,16 +516,9 @@ def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
 
 def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    _nonempty(p, "lambdas")
     lambdas = p["lambdas"]
-    if not all(lam > 0 for lam in lambdas):
-        raise ValueError(f"lambdas must be > 0, got {lambdas}")
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
-    data_fs, _ = gen_gaussian_mixture(
-        k, d, n,
-        mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
-        seed=_data_seed(cfg.seed),
-    )
+    data_fs, _ = _mixture(cfg, d)
     base = SolveProblem(
         kind="mufm", loss=p["loss"], num_classes=k, dim=d, per_class=n,
         lambda_w=p["lambda_w"], lam=lambdas[0], data=data_fs.features,
@@ -579,15 +589,8 @@ _REPORT_HEADER = (
 )
 
 
-def _report_params(p: dict) -> None:
-    """Reject bad parameters of :func:`_stack_report` before any work."""
-    _at_least(p, "grid_points", 2)
-    _at_least(p, "effective_epsilon", 0)
-
-
 def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    _report_params(p)
     if bool(p["images"]) != bool(p["labels"]):
         missing = "labels" if p["images"] else "images"
         raise ValueError(f"an IDX run reads images and labels together; set {missing} too")
@@ -602,11 +605,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
                     f"{name}={p[name]} does not match the IDX files, which hold {value}"
                 )
     else:
-        data, labels = gen_gaussian_mixture(
-            config.num_classes, config.input_dim, config.per_class,
-            mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
-            seed=_data_seed(cfg.seed),
-        )
+        data, labels = _mixture(cfg, config.input_dim)
     trace = train(config, data, labels)
 
     def log_row(epoch):
@@ -637,38 +636,20 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    _report_params(p)
-    files = p["stack_files"]
-    if len(files) < 2:
-        raise ValueError(
-            "pfc-report needs at least two stack files (set stack_files)"
-        )
-    layers = tuple(load_featureset(f) for f in files)
-    stack = LayerStack(layers=layers, epoch=0)
+    stack = LayerStack(layers=tuple(load_featureset(f) for f in p["stack_files"]), epoch=0)
     k, d = stack[0].num_classes, stack[0].dim
     if d < k:
         raise ValueError(
             f"stack_files must hold features of dim >= num_classes, got dim={d} < K={k}"
         )
     report, artifacts = _stack_report(stack, p)
-    return {"stack_files": files, **report}, artifacts
+    return {"stack_files": p["stack_files"], **report}, artifacts
 
 
 def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    _nonempty(p, "depths")
-    if min(p["depths"]) < 1:
-        raise ValueError(f"depths must be >= 1, got {p['depths']}")
-    if p["chain_lr"] <= 0:  # typed_param has rejected NaN and infinities
-        raise ValueError(f"chain_lr must be > 0, got {p['chain_lr']}")
-    _at_least(p, "chain_iters", 1)
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
-    data_fs, _ = gen_gaussian_mixture(
-        k, d, n,
-        mean_scale=p["mean_scale"], noise_scale=p["noise_scale"],
-        seed=_data_seed(cfg.seed),
-    )
-    x = data_fs.features
+    x = _mixture(cfg, d)[0].features
     frame = build_etf(k, d, seed=[cfg.seed, 303])
     h_last = make_nc_featureset(frame, n, scale=p["end_scale"]).features
     w = np.random.default_rng([cfg.seed, 7]).standard_normal((k, d))
@@ -689,6 +670,8 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
             lambda_w=p["lambda_w"], lam=p["lam"], data=x, seed=cfg.seed,
         )
         chained = multilayer_objective(problem, w, layers)
+        if p["lam"] / depth == 0.0:
+            raise DegenerateInputError(f"lam / depth underflows to 0 at depth {depth}")
         collapsed = objective(replace(problem, lam=p["lam"] / depth), w, h_last)
         objective_gap = abs(chained - collapsed) / abs(collapsed)
 
@@ -712,113 +695,127 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 _SOLVE_PARAMS = {
     "loss": "mse",
-    "num_classes": 5,
-    "dim": 20,
-    "per_class": 100,
-    "lambda_w": 0.005,
-    "lam": 0.001,
-    "lr": 0.1,
-    "epochs": 50_000,
-    "init_scale": 0.3,
-    "trace_stride": 500,
-    "grad_tol": 0.0,
+    "num_classes": (5, _ge(2)),
+    "dim": (20, _ge(2)),
+    "per_class": (100, _ge(1)),
+    "lambda_w": (0.005, _gt(0)),
+    "lam": (0.001, _gt(0)),
+    "lr": (0.1, _ge(0)),
+    "epochs": (50_000, _ge(1)),
+    "init_scale": (0.3, _ge(0)),
+    "trace_stride": (500, _ge(1)),
+    "grad_tol": (0.0, _ge(0)),
 }
 
 _PATH_SUITE_PARAMS = {
-    "num_paths": 100,
-    "grid_points": 1001,
-    "classes": [3, 5],
-    "per_class": [4, 20],
-    "dims": [8, 20],
-    "end_scale": 1.0,
-    "final_tolerance": 1e-12,
+    "num_paths": (100, _ge(1)),
+    "grid_points": (1001, _ge(2)),
+    "classes": ([3, 5], _ge(2)),
+    "per_class": ([4, 20], _ge(1)),
+    "dims": ([8, 20], _ge(2)),
+    "end_scale": (1.0, _gt(0)),
+    "final_tolerance": (1e-12, _gt(0)),
 }
 
 
 class Kind(NamedTuple):
-    """One experiment kind: its runner and its parameter defaults, whose
-    types are the parameters' types."""
+    """One experiment kind: its runner, its parameter defaults, whose
+    types are the parameters' types, and the domains of its numbers and
+    lists."""
 
     run: Callable[[ExperimentConfig], tuple[dict, Artifacts]]
     defaults: dict
+    domains: dict[str, Domain]
+
+
+def _kind(run, table: dict) -> Kind:
+    """A kind from its parameter table, which maps each name to its default,
+    or, for a number or a list, to ``(default, domain)``."""
+    return Kind(
+        run,
+        {name: entry[0] if isinstance(entry, tuple) else entry for name, entry in table.items()},
+        {name: entry[1] for name, entry in table.items() if isinstance(entry, tuple)},
+    )
 
 
 KINDS = {
-    "etf-check": Kind(_run_etf_check, {
-        "min_classes": 2,
-        "max_classes": 10,
-        "extra_dims": [0, 3],
-        "tolerance": 1e-12,
+    "etf-check": _kind(_run_etf_check, {
+        "min_classes": (2, _ge(2)),
+        "max_classes": (10, _ge(2)),
+        "extra_dims": ([0, 3], _ge(0)),
+        "tolerance": (1e-12, _ge(0)),
     }),
-    "interpolate": Kind(_run_interpolate, {
-        "num_classes": 4,
-        "per_class": 20,
-        "dim": 8,
-        "grid_points": 101,
-        "end_scale": 1.0,
+    "interpolate": _kind(_run_interpolate, {
+        "num_classes": (4, _ge(2)),
+        "per_class": (20, _ge(1)),
+        "dim": (8, _ge(2)),
+        "grid_points": (101, _ge(2)),
+        "end_scale": (1.0, _gt(0)),
     }),
-    "theorem1": Kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
-    "theorem2": Kind(
-        partial(_run_path_suite, variant=2), {**_PATH_SUITE_PARAMS, "eps_rel": 0.01}
+    "theorem1": _kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
+    "theorem2": _kind(
+        partial(_run_path_suite, variant=2),
+        {**_PATH_SUITE_PARAMS, "eps_rel": (0.01, _ge(0))},
     ),
-    "solve-ufm": Kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
-    "solve-mufm": Kind(
-        partial(_run_solve, kind="mufm"),
-        {**_SOLVE_PARAMS, "mean_scale": 1.0, "noise_scale": 1.0},
-    ),
-    "sweep-lambda": Kind(_run_sweep_lambda, {
+    "solve-ufm": _kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
+    "solve-mufm": _kind(partial(_run_solve, kind="mufm"), {
+        **_SOLVE_PARAMS,
+        "mean_scale": (1.0, _ge(0)),
+        "noise_scale": (1.0, _ge(0)),
+    }),
+    "sweep-lambda": _kind(_run_sweep_lambda, {
         "loss": "mse",
-        "num_classes": 5,
-        "dim": 20,
-        "per_class": 100,
-        "lambda_w": 0.005,
-        "lambdas": [float(v) for v in np.geomspace(0.0005, 0.02, 8)],
-        "lr": 0.1,
-        "epochs": 50_000,
-        "init_scale": 0.05,
-        "mean_scale": 1.0,
-        "noise_scale": 1.0,
+        "num_classes": (5, _ge(2)),
+        "dim": (20, _ge(2)),
+        "per_class": (100, _ge(1)),
+        "lambda_w": (0.005, _gt(0)),
+        "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)], _gt(0)),
+        "lr": (0.1, _ge(0)),
+        "epochs": (50_000, _ge(1)),
+        "init_scale": (0.05, _ge(0)),
+        "mean_scale": (1.0, _ge(0)),
+        "noise_scale": (1.0, _ge(0)),
     }),
-    "train-resnet": Kind(_run_train_resnet, {
-        "num_blocks": 6,
-        "width": 64,
-        "input_dim": 16,
-        "num_classes": 4,
-        "per_class": 256,
-        "epochs": 3000,
-        "batch_size": 128,
-        "lr": 0.02,
-        "lr_decay_factor": 0.1,
-        "lr_decay_epochs": [1000, 2000],
-        "momentum": 0.9,
-        "weight_decay": 0.0025,
+    "train-resnet": _kind(_run_train_resnet, {
+        "num_blocks": (6, _ge(1)),
+        "width": (64, _ge(2)),
+        "input_dim": (16, _ge(1)),
+        "num_classes": (4, _ge(2)),
+        "per_class": (256, _ge(1)),
+        "epochs": (3000, _ge(1)),
+        "batch_size": (128, _ge(1)),
+        "lr": (0.02, _ge(0)),
+        "lr_decay_factor": (0.1, _gt(0)),
+        "lr_decay_epochs": ([1000, 2000], Domain(None, min_len=0)),  # TrainConfig: 1..epochs
+        "momentum": (0.9, _ge(0)),  # TrainConfig bounds it below 1
+        "weight_decay": (0.0025, _ge(0)),
         "decay_biases": True,
-        "record_stride": 250,
-        "mean_scale": 2.0,
-        "noise_scale": 1.0,
-        "grid_points": 1001,
-        "effective_epsilon": 0.05,
+        "record_stride": (250, _ge(1)),
+        "mean_scale": (2.0, _ge(0)),
+        "noise_scale": (1.0, _ge(0)),
+        "grid_points": (1001, _ge(2)),
+        "effective_epsilon": (0.05, _ge(0)),
         "images": "",
         "labels": "",
     }),
-    "pfc-report": Kind(_run_pfc_report, {
-        "stack_files": [],
-        "grid_points": 1001,
-        "effective_epsilon": 0.05,
+    "pfc-report": _kind(_run_pfc_report, {
+        "stack_files": ([], Domain(None, min_len=2)),
+        "grid_points": (1001, _ge(2)),
+        "effective_epsilon": (0.05, _ge(0)),
     }),
-    "equivalence-thm3": Kind(_run_equivalence_thm3, {
-        "depths": [2, 5, 10],
-        "num_classes": 5,
-        "dim": 20,
-        "per_class": 100,
+    "equivalence-thm3": _kind(_run_equivalence_thm3, {
+        "depths": ([2, 5, 10], _ge(1)),
+        "num_classes": (5, _ge(2)),
+        "dim": (20, _ge(2)),
+        "per_class": (100, _ge(1)),
         "loss": "mse",
-        "lambda_w": 0.005,
-        "lam": 0.001,
-        "mean_scale": 1.0,
-        "noise_scale": 1.0,
-        "end_scale": 1.0,
-        "chain_lr": 0.2,
-        "chain_iters": 5000,
+        "lambda_w": (0.005, _gt(0)),
+        "lam": (0.001, _gt(0)),
+        "mean_scale": (1.0, _ge(0)),
+        "noise_scale": (1.0, _ge(0)),
+        "end_scale": (1.0, _gt(0)),
+        "chain_lr": (0.2, _gt(0)),
+        "chain_iters": (5000, _ge(1)),
     }),
 }
 

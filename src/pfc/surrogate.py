@@ -81,14 +81,16 @@ class SolveProblem:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if min(self.num_classes, self.dim, self.per_class) < 1 or self.num_classes < 2:
-            raise ValueError("need num_classes >= 2, dim >= 1, per_class >= 1")
+        for name, low in (("num_classes", 2), ("per_class", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.dim < self.num_classes:
             raise ValueError(
                 f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"
             )
-        if not (0 < self.lambda_w < np.inf and 0 < self.lam < np.inf):
-            raise ValueError("lambda_w and lam must be positive and finite")
+        for name in ("lambda_w", "lam"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         shape = (self.dim, self.num_classes * self.per_class)
         if self.kind == "mufm":
             if self.data is None:

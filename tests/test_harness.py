@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -211,9 +212,20 @@ class TestParamSchema:
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_defaults_pass_through_unchanged(self, kind):
         defaults = KINDS[kind].defaults
+        if kind == "pfc-report":  # stack_files has no default a run can read
+            defaults = {**defaults, "stack_files": ["a.txt", "b.txt"]}
         params = ExperimentConfig(kind=kind, params=defaults).params
         # json tells 1 from 1.0 and true from 1
         assert json.dumps(params, sort_keys=True) == json.dumps(defaults, sort_keys=True)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_numbers_and_lists_state_a_domain_holding_their_default(self, kind):
+        entry = KINDS[kind]
+        for name, default in entry.defaults.items():
+            bounded = not isinstance(default, (bool, str))
+            assert (name in entry.domains) == bounded, name
+            if bounded and (kind, name) != ("pfc-report", "stack_files"):
+                assert typed_param(name, default, default, entry.domains[name]) == default
 
     def test_cli_subcommands_are_the_kinds(self):
         sub = next(
@@ -594,6 +606,48 @@ TINY_RUNS = {
 }
 
 
+STACK = ["layer_0.txt", "layer_1.txt", "layer_2.txt"]
+# each kind at two classes, so that no rule tying two parameters together
+# fires at a boundary value; pfc-report reads STACK, written at two classes
+TWO_CLASSES = {
+    "etf-check": {"min_classes": 2, "max_classes": 2},
+    "theorem1": {"classes": [2]},
+    "theorem2": {"classes": [2]},
+    "pfc-report": {"stack_files": STACK},
+}
+
+
+def _domain_edges():
+    """(kind, name, outside, edge, message) for each bound of a kind's
+    parameter table: a value just outside the domain, the value on its
+    edge, and the message the outside value fails with."""
+    for kind, entry in KINDS.items():
+        for name, domain in entry.domains.items():
+            default = entry.defaults[name]
+            listed = isinstance(default, list)
+            if listed and domain.min_len:
+                sample = default or STACK
+                short = sample[:domain.min_len - 1]
+                message = (f"{name} must hold at least {domain.min_len} items, got {short}"
+                           if short else f"{name} must not be empty")
+                yield pytest.param(kind, name, short, sample[:domain.min_len], message,
+                                   id=f"{kind}-{name}-length")
+            if domain.low is None:
+                continue
+            number = type(default[0] if listed else default)
+            low = number(domain.low)
+            if number is int:
+                outside, edge = (low, low + 1) if domain.open else (low - 1, low)
+            elif domain.open:
+                outside, edge = low, float(np.nextafter(low, np.inf))
+            else:
+                outside, edge = float(np.nextafter(low, -np.inf)), low
+            if listed:
+                outside, edge = [outside], [edge]
+            message = f"{name} must be {'>' if domain.open else '>='} {domain.low}, got {outside}"
+            yield pytest.param(kind, name, outside, edge, message, id=f"{kind}-{name}")
+
+
 class TestRunnerContract:
     """A runner returns its summary and artifacts and touches no disk;
     ``run`` writes exactly those artifacts plus summary.json."""
@@ -645,11 +699,45 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert "artifacts" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("kind", ["theorem1", "theorem2"])
-    def test_zero_paths_names_the_parameter(self, tmp_path, capsys, kind):
-        code = cli.main([kind, "--out", str(tmp_path / "x"), "--set", "num_paths=0"])
-        assert code == 1
-        assert "num_paths must be >= 1" in capsys.readouterr().err
+    @pytest.fixture(scope="class")
+    def two_class_stack(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("two-class-stack")
+        rng = np.random.default_rng(5)
+        for name in STACK:
+            save_featureset(directory / name, FeatureSet(rng.standard_normal((4, 8)), 2, 4))
+        return directory
+
+    @pytest.mark.parametrize("kind, name, outside, edge, message", _domain_edges())
+    def test_parameter_domain_edges(self, tmp_path, capsys, monkeypatch, two_class_stack,
+                                    kind, name, outside, edge, message):
+        # a value just outside its domain fails while the config is built,
+        # so before any work; the value on the edge runs, or fails as a
+        # numeric failure, and a run it writes holds no non-finite cell
+        monkeypatch.chdir(two_class_stack)
+        params = {**TINY_RUNS[kind], **TWO_CLASSES.get(kind, {"num_classes": 2})}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resolve_config(kind, overrides=[*params.items(), (name, outside)])
+        out = tmp_path / "x"
+
+        def main(value):
+            sets = [arg for key, v in {**params, name: value}.items()
+                    for arg in ("--set", f"{key}={json.dumps(v)}")]
+            return cli.main([kind, "--out", str(out), *sets])
+
+        assert main(outside) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        code = main(edge)
+        assert code in (0, 2)
+        if code == 2:
+            assert list(tmp_path.iterdir()) == []
+        for path in out.rglob("*.csv"):
+            header, rows = read_csv(path)
+            for column in header:
+                if (kind, column) == ("solve-ufm", "alignment"):
+                    continue  # UFM has no data to align with: NaN by design
+                cells = [c for c in csv_column(header, rows, column) if isinstance(c, float)]
+                assert np.all(np.isfinite(cells)), (path.name, column)
 
     @pytest.mark.parametrize("kind, setting, message", [
         *((kind, f"{name}=[]", f"{name} must not be empty")
@@ -696,7 +784,8 @@ class TestCli:
         monkeypatch.setattr(harness, "train", never)
         args = ["train-resnet", "--out", str(tmp_path / "x"), "--set", f"{name}=0"]
         assert cli.main(args) == 1
-        assert f"invalid run: {name} must be >= 1, got 0" in capsys.readouterr().err
+        low = KINDS["train-resnet"].domains[name].low
+        assert f"invalid run: {name} must be >= {low}, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("setting, message", [
@@ -715,14 +804,6 @@ class TestCli:
         assert cli.main(args) == 1
         assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_negative_grad_tol_names_the_parameter(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        args = ["solve-mufm", "--out", str(out), "--set", "epochs=5",
-                "--set", "grad_tol=-1.0"]
-        assert cli.main(args) == 1
-        assert "grad_tol must be >= 0" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("kind, name", [
         ("solve-ufm", "dim"),
@@ -911,9 +992,10 @@ class TestPfcReportRun:
         with pytest.raises(ValueError, match="stack_files must hold features of dim"):
             run(cfg)
 
-    def test_fewer_than_two_stacks_rejected(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="pfc-report", params={"stack_files": []}, out_dir=tmp_path / "x"
-        )
-        with pytest.raises(ValueError, match="two stack files"):
-            run(cfg)
+    def test_fewer_than_two_stacks_rejected(self):
+        # the default, empty stack_files lies outside its domain, so every
+        # pfc-report run must set it
+        with pytest.raises(ValueError, match=re.escape("at least 2 items, got []")):
+            ExperimentConfig(kind="pfc-report")
+        with pytest.raises(ValueError, match=re.escape("at least 2 items, got ['a.txt']")):
+            ExperimentConfig(kind="pfc-report", params={"stack_files": ["a.txt"]})

@@ -164,17 +164,20 @@ class TestProblemValidation:
             make_problem(loss="hinge")
 
     def test_needs_two_classes_and_positive_lambdas(self):
-        with pytest.raises(ValueError):
-            make_problem(num_classes=1)
-        with pytest.raises(ValueError):
+        # each message names one parameter and its value
+        with pytest.raises(ValueError, match="^num_classes must be >= 2, got 1$"):
+            make_problem(kind="ufm", num_classes=1)
+        with pytest.raises(ValueError, match="^per_class must be >= 1, got 0$"):
+            make_problem(kind="ufm", per_class=0)
+        with pytest.raises(ValueError, match="^lambda_w must be positive and finite, got 0.0$"):
             make_problem(lambda_w=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lam must be positive and finite, got -1.0$"):
             make_problem(lam=-1.0)
 
     @pytest.mark.parametrize("field", ["lambda_w", "lam"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_lambdas_rejected(self, field, value):
-        with pytest.raises(ValueError, match="lambda_w and lam must be"):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
             make_problem(**{field: value})
 
     @pytest.mark.parametrize("kind", ["ufm", "mufm"])
