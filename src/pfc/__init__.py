@@ -35,7 +35,6 @@ from .metrics import (
 from .surrogate import (
     SolveProblem,
     SolveResult,
-    SweepRow,
     collapse_multilayer,
     objective,
     solve,
@@ -60,7 +59,6 @@ __all__ = [
     "PfcReport",
     "SolveProblem",
     "SolveResult",
-    "SweepRow",
     "TrainConfig",
     "TrainTrace",
     "alignment",

@@ -44,6 +44,7 @@ from .metrics import _Moments
 METRIC_KINDS = ("pfc1", "pfc2", "pfc3")
 
 DEFAULT_GRID_POINTS = 1001
+MONOTONE_SLACK = 1e-10  # relative flat-step size of monotonicity_report
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,6 @@ class MonotonicityVerdict:
 
     kind: str
     first_violation: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.kind != "violated"
 
 
 def uniform_grid(num_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -185,12 +183,12 @@ def endpoint_mean_alignment(path: InterpolationPath) -> tuple[bool, float]:
     return value >= 0.0, value
 
 
-def monotonicity_report(curve: MetricCurve, slack: float = 1e-10) -> MonotonicityVerdict:
+def monotonicity_report(curve: MetricCurve) -> MonotonicityVerdict:
     """Classify a sampled curve as strictly decreasing, nonincreasing or violated.
 
-    ``slack`` is relative: a step up counts as a violation only when
-    values[i+1] - values[i] > slack * max(|values|), and a step counts as a
-    strict decrease only when it falls below -slack * max(|values|).  A
+    The slack is relative: a step up counts as a violation only when
+    values[i+1] - values[i] > MONOTONE_SLACK * max(|values|), and a step
+    counts as a strict decrease only when it falls below the negative.  A
     curve with no violations but some near-flat step is reported
     nonincreasing; so is a single-point curve.
     """
@@ -200,7 +198,7 @@ def monotonicity_report(curve: MetricCurve, slack: float = 1e-10) -> Monotonicit
     if values.size == 1:
         return MonotonicityVerdict(kind="nonincreasing")
     scale = float(np.max(np.abs(values)))
-    tol = slack * scale
+    tol = MONOTONE_SLACK * scale
     diffs = np.diff(values)
     above = np.nonzero(diffs > tol)[0]
     if above.size:
@@ -271,13 +269,12 @@ def random_to_collapse_path(
     dim: int,
     grid_points: int = DEFAULT_GRID_POINTS,
     end_scale: float = 1.0,
-    ensure_alignment: bool = True,
 ) -> InterpolationPath:
     """Seeded random start paired with an exactly collapsed endpoint.
 
-    With ``ensure_alignment`` the start is reflected through its global
-    mean whenever the endpoint-alignment sum comes out negative, so the
-    monotone-decrease condition holds by construction.
+    The start is reflected through its global mean whenever the
+    endpoint-alignment sum comes out negative, so the monotone-decrease
+    condition holds by construction.
     """
     rng = np.random.default_rng(_seed_stream(seed, 101))
     start_features = rng.standard_normal((dim, num_classes * per_class))
@@ -290,15 +287,14 @@ def random_to_collapse_path(
     )
 
     path = InterpolationPath(start=start, end=end, grid=uniform_grid(grid_points))
-    if ensure_alignment:
-        satisfied, _ = endpoint_mean_alignment(path)
-        if not satisfied:
-            reflected = 2.0 * start.features.mean(axis=1, keepdims=True) - start.features
-            path = InterpolationPath(
-                start=FeatureSet(reflected, num_classes, per_class),
-                end=end,
-                grid=path.grid,
-            )
+    satisfied, _ = endpoint_mean_alignment(path)
+    if not satisfied:
+        reflected = 2.0 * start.features.mean(axis=1, keepdims=True) - start.features
+        path = InterpolationPath(
+            start=FeatureSet(reflected, num_classes, per_class),
+            end=end,
+            grid=path.grid,
+        )
     return path
 
 

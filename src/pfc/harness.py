@@ -66,6 +66,7 @@ from .metrics import PfcReport, alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
     SolveProblem,
+    SolveResult,
     collapse_multilayer,
     minimize_transport_chain,
     multilayer_objective,
@@ -371,6 +372,14 @@ def _mixture(cfg: ExperimentConfig, dim: int) -> tuple[FeatureSet, np.ndarray]:
     )
 
 
+def _problem(cfg: ExperimentConfig, kind: str, lam: float, data) -> SolveProblem:
+    """The run's UFM or MUFM problem at coefficient ``lam``."""
+    p = cfg.params
+    return SolveProblem(kind=kind, loss=p["loss"], num_classes=p["num_classes"],
+                        dim=p["dim"], per_class=p["per_class"], lambda_w=p["lambda_w"],
+                        lam=lam, data=data, seed=cfg.seed)
+
+
 def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     if p["max_classes"] < p["min_classes"]:
@@ -468,46 +477,55 @@ def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifact
     )}
 
 
+def _lambda_row(lam: float, result: SolveResult, solution: FeatureSet,
+                data: np.ndarray | None) -> tuple:
+    """The ``_LAMBDA_HEADER`` row of a solve at ``lam``; a DegenerateInputError names it."""
+    try:
+        report = measure(solution)
+        align = float("nan") if data is None else alignment(result.H, data)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"lambda={lam}: {exc}") from exc
+    return (lam, result.epochs_run, float(result.objective_trace[-1]),
+            report.pfc1, report.pfc2, report.pfc3, align)
+
+
+_LAMBDA_HEADER = ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "alignment")
+
+
 def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
     p = cfg.params
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs = _mixture(cfg, d)[0] if kind == "mufm" else None
     data = None if data_fs is None else data_fs.features
-    problem = SolveProblem(
-        kind=kind, loss=p["loss"], num_classes=k, dim=d, per_class=n,
-        lambda_w=p["lambda_w"], lam=p["lam"], data=data, seed=cfg.seed,
-    )
+    problem = _problem(cfg, kind, p["lam"], data)
     result = solve(
         problem,
         lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"],
         trace_stride=p["trace_stride"], grad_tol=p["grad_tol"],
     )
     solution = FeatureSet(result.H, k, n)
-    report = measure(solution)
-    align = alignment(result.H, data) if kind == "mufm" else float("nan")
+    row = _lambda_row(p["lam"], result, solution, data)
+    cells = dict(zip(_LAMBDA_HEADER, row))
     artifacts = {
         "trace.csv": (("epoch", "objective"), [
             (int(e), v) for e, v in zip(result.trace_epochs, result.objective_trace)
         ]),
-        "result.csv": (_LAMBDA_HEADER, [(
-            p["lam"], result.epochs_run, float(result.objective_trace[-1]),
-            report.pfc1, report.pfc2, report.pfc3, align,
-        )]),
+        "result.csv": (_LAMBDA_HEADER, [row]),
         "features.txt": solution,
     }
     summary = {
         "kind": kind,
         "epochs_run": result.epochs_run,
-        "final_objective": float(result.objective_trace[-1]),
+        "final_objective": cells["objective"],
         "final_grad_norm": result.final_grad_norm,
-        "pfc1": report.pfc1,
-        "pfc2": report.pfc2,
-        "pfc3": report.pfc3,
+        "pfc1": cells["pfc1"],
+        "pfc2": cells["pfc2"],
+        "pfc3": cells["pfc3"],
     }
     if kind == "mufm":
         artifacts["data.txt"] = data_fs
         data_report = measure(data_fs)
-        summary["alignment"] = align
+        summary["alignment"] = cells["alignment"]
         summary["data_pfc1"] = data_report.pfc1
         summary["data_pfc2"] = data_report.pfc2
         summary["data_pfc3"] = data_report.pfc3
@@ -519,27 +537,25 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     lambdas = p["lambdas"]
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs, _ = _mixture(cfg, d)
-    base = SolveProblem(
-        kind="mufm", loss=p["loss"], num_classes=k, dim=d, per_class=n,
-        lambda_w=p["lambda_w"], lam=lambdas[0], data=data_fs.features,
-        seed=cfg.seed,
-    )
-    rows = sweep_lambda(
+    base = _problem(cfg, "mufm", lambdas[0], data_fs.features)
+    results = sweep_lambda(
         base, lambdas, lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"]
     )
+    rows = [_lambda_row(lam, result, FeatureSet(result.H, k, n), base.data)
+            for lam, result in zip(lambdas, results)]
     summary = {"lambdas": lambdas}
     if len(lambdas) >= 2:
-        summary["spearman_lambda_pfc1"] = spearman(lambdas, [r.pfc1 for r in rows])
-        summary["spearman_lambda_pfc2"] = spearman(lambdas, [r.pfc2 for r in rows])
-        summary["spearman_lambda_alignment"] = spearman(
-            lambdas, [r.alignment for r in rows]
-        )
-    return summary, {"sweep.csv": (_LAMBDA_HEADER, [
-        (r.lam, r.epoch, r.objective, r.pfc1, r.pfc2, r.pfc3, r.alignment) for r in rows
-    ])}
+        columns = dict(zip(_LAMBDA_HEADER, zip(*rows)))
+        summary["spearman_lambda_pfc1"] = spearman(lambdas, columns["pfc1"])
+        summary["spearman_lambda_pfc2"] = _pfc2_spearman(k, lambdas, columns["pfc2"])
+        summary["spearman_lambda_alignment"] = spearman(lambdas, columns["alignment"])
+    return summary, {"sweep.csv": (_LAMBDA_HEADER, rows)}
 
 
-_LAMBDA_HEADER = ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "alignment")
+def _pfc2_spearman(num_classes: int, x, pfc2) -> float | None:
+    """Rank correlation of ``x`` and pfc2, None at K = 2: two centered class
+    means are m and -m, the target exactly, so pfc2 is rounding noise."""
+    return None if num_classes == 2 else spearman(x, pfc2)
 
 
 def _stack_report(stack: LayerStack, p: dict,
@@ -576,7 +592,8 @@ def _stack_report(stack: LayerStack, p: dict,
             for kind in ("pfc1", "pfc2")
         },
         "spearman_layer_pfc1": spearman(layer_index, [r.pfc1 for r in reports]),
-        "spearman_layer_pfc2": spearman(layer_index, [r.pfc2 for r in reports]),
+        "spearman_layer_pfc2": _pfc2_spearman(stack[0].num_classes, layer_index,
+                                              [r.pfc2 for r in reports]),
         "last_layer_pfc3": reports[-1].pfc3,
         "effective_depth": first_within_error([r.pfc3 for r in reports], p["effective_epsilon"]),
     }, {"report.csv": (_REPORT_HEADER, report_rows), "curves.csv": _curves(path)[1]}
@@ -598,15 +615,15 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         seed=cfg.seed, **{f.name: p[f.name] for f in fields(TrainConfig) if f.name != "seed"}
     )
     if p["images"]:
-        data, labels = load_mnist_idx(p["images"], p["labels"], config.per_class)
+        data = load_mnist_idx(p["images"], p["labels"], config.per_class)[0]
         for name, value in (("num_classes", data.num_classes), ("input_dim", data.dim)):
             if p[name] != value:
                 raise ValueError(
                     f"{name}={p[name]} does not match the IDX files, which hold {value}"
                 )
     else:
-        data, labels = _mixture(cfg, config.input_dim)
-    trace = train(config, data, labels)
+        data = _mixture(cfg, config.input_dim)[0]
+    trace = train(config, data)
 
     def log_row(epoch):
         return epoch, float(trace.losses[epoch - 1]), float(trace.accuracies[epoch - 1])
@@ -653,6 +670,7 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     frame = build_etf(k, d, seed=[cfg.seed, 303])
     h_last = make_nc_featureset(frame, n, scale=p["end_scale"]).features
     w = np.random.default_rng([cfg.seed, 7]).standard_normal((k, d))
+    problem = _problem(cfg, "mufm", p["lam"], x)
 
     rows = []
     max_cost_gap = 0.0
@@ -664,11 +682,6 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
             lr=p["chain_lr"], iters=p["chain_iters"], seed=[cfg.seed, depth],
         )
         cost_gap = abs(cost_descent - cost_closed) / abs(cost_closed)
-
-        problem = SolveProblem(
-            kind="mufm", loss=p["loss"], num_classes=k, dim=d, per_class=n,
-            lambda_w=p["lambda_w"], lam=p["lam"], data=x, seed=cfg.seed,
-        )
         chained = multilayer_objective(problem, w, layers)
         if p["lam"] / depth == 0.0:
             raise DegenerateInputError(f"lam / depth underflows to 0 at depth {depth}")

@@ -41,8 +41,8 @@ gradients into a workspace of buffers, one per batch width.  ReLUs and
 masks compare against a zero array, not the scalar 0.0 that numpy would
 broadcast through a slower loop.  Every in-place operation is the same
 floating-point operation on the same operands as the allocating formula it
-replaces, so results are bit-identical to it; called without a workspace,
-``resnet_forward`` and ``resnet_backward`` return fresh arrays.
+replaces, so results are bit-identical to it; ``resnet_forward`` and
+``resnet_backward`` return fresh arrays.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ class TrainTrace:
     """Per-epoch history, per-layer metrics at each recorded epoch, the
     last recorded layer stack, and the final parameters."""
 
-    config: TrainConfig
     losses: np.ndarray
     accuracies: np.ndarray
     snapshot_epochs: tuple[int, ...]
@@ -289,15 +288,10 @@ def _forward(net: _Net, x: np.ndarray, preacts, features, logits: np.ndarray,
     return logits
 
 
-def resnet_forward(params: dict, x: np.ndarray, num_blocks: int,
-                   workspace: _Workspace | None = None):
+def resnet_forward(params: dict, x: np.ndarray, num_blocks: int):
     """Logits (K x B) and the post-activation features [x0 .. xL] for a
-    batch of input columns.
-
-    Without a workspace the results are fresh arrays; with one they live in
-    its buffers until its next pass.  The values are the same either way.
-    """
-    ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
+    batch of input columns, in fresh arrays."""
+    ws = _Workspace(params, x.shape[1], num_blocks)
     logits = _forward(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x),
                       ws.preacts, ws.features, ws.logits, ws.zeros, ws.fold)
     return logits, [f[:-1] for f in ws.features]
@@ -350,14 +344,9 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
     np.add.reduce(da, axis=1, out=net.db[0])
 
 
-def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int,
-                    workspace: _Workspace | None = None):
-    """Loss, accuracy, and gradient dict for one batch of input columns.
-
-    The workspace, if given, holds the returned gradients (as in
-    :func:`resnet_forward`); the values do not depend on it.
-    """
-    ws = workspace if workspace is not None else _Workspace(params, x.shape[1], num_blocks)
+def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int):
+    """Loss, accuracy and a fresh gradient dict for one batch of input columns."""
+    ws = _Workspace(params, x.shape[1], num_blocks)
     _gradient(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x), labels, ws)
     loss = float(np.mean(np.log(ws.total[0]) - ws.shifted[labels, ws.columns]))
     acc = float(np.mean(np.argmax(ws.logits, axis=0) == labels))
@@ -382,7 +371,6 @@ def _named(blocks: list, names) -> dict:
 def train(
     config: TrainConfig,
     data: FeatureSet,
-    labels: np.ndarray | None = None,
 ) -> TrainTrace:
     """Train on a class-contiguous feature set and record collapse metrics.
 
@@ -405,8 +393,6 @@ def train(
             f"d={config.input_dim})"
         )
     full_labels = data.labels()
-    if labels is not None and not np.array_equal(labels, full_labels):
-        raise ValueError("labels must be class-contiguous: 0..K-1 each repeated n times")
 
     # The input carries a ones row last, and each layer's parameters are one
     # [W | b] block, so that the bias rides in the weight product where that
@@ -502,7 +488,6 @@ def train(
     ), epoch=config.epochs)
     reports.append(tuple(measure(fs) for fs in final_stack.layers))
     return TrainTrace(
-        config=config,
         losses=losses,
         accuracies=accuracies,
         snapshot_epochs=tuple(snapshot_epochs),

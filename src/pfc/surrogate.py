@@ -24,7 +24,8 @@ problems that share everything but ``lam``: classifiers (m, K, d), features
 ``solve`` is a stack of one and ``sweep_lambda`` runs all its coefficients
 as one stack.  It writes into scratch buffers allocated once per stack, and
 the iterates are updated in place; each lane takes the same floating-point
-operations as the allocating single-problem formulas.
+operations as the allocating single-problem formulas.  Both return each
+lane's :class:`SolveResult` whole and measure nothing; callers do.
 
 Under the MSE loss the descent runs in exact row-space coordinates.  The
 feature gradient W^T (W H - Y) / Kn plus lam H (UFM) or (lam / Kn)(H - X)
@@ -50,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateInputError, DivergenceError, FeatureSet
-from .metrics import alignment, measure
+from .core import DivergenceError
 
 KINDS = ("ufm", "mufm")
 LOSSES = ("ce", "mse")
@@ -122,19 +122,6 @@ class SolveResult:
     trace_epochs: np.ndarray
     final_grad_norm: float
     epochs_run: int
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Collapse metrics of the solution at one transport coefficient."""
-
-    lam: float
-    epoch: int
-    objective: float
-    pfc1: float
-    pfc2: float
-    pfc3: float
-    alignment: float
 
 
 def label_matrix(num_classes: int, per_class: int) -> np.ndarray:
@@ -537,14 +524,14 @@ def sweep_lambda(
     lr: float = 0.1,
     epochs: int = 50_000,
     init_scale: float = 1.0,
-) -> list[SweepRow]:
-    """Solve the MUFM at each transport coefficient and report final metrics.
+) -> list[SolveResult]:
+    """Solve the MUFM at each transport coefficient: one result per coefficient.
 
-    All solves share the base problem's data and seed, so rows differ only
-    through ``lam``, and they run as one stacked descent whose lanes each
-    match a separate :func:`solve`.  Every coefficient is validated before
-    any descent; failures are raised with the offending coefficient in the
-    message.
+    All solves share the base problem's data and seed, so results differ
+    only through ``lam``, and they run as one stacked descent whose lanes
+    each match, bit for bit, a separate :func:`solve` traced every
+    max(1, epochs // 100) epochs.  Every coefficient is validated before
+    any descent; a divergence names the offending coefficient.
     """
     if base.kind != "mufm":
         raise ValueError("sweep_lambda operates on mufm problems")
@@ -554,24 +541,5 @@ def sweep_lambda(
             raise ValueError(f"lambda values must be positive and finite, got {lam}")
     if not lams:
         return []
-    results = _solve_stack(base, lams, lr, epochs, init_scale,
-                           trace_stride=max(1, epochs // 100), grad_tol=0.0)
-    rows = []
-    for lam, result in zip(lams, results):
-        try:
-            report = measure(FeatureSet(result.H, base.num_classes, base.per_class))
-            align = alignment(result.H, base.data)
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"lambda={lam}: {exc}") from exc
-        rows.append(
-            SweepRow(
-                lam=lam,
-                epoch=result.epochs_run,
-                objective=float(result.objective_trace[-1]),
-                pfc1=report.pfc1,
-                pfc2=report.pfc2,
-                pfc3=report.pfc3,
-                alignment=align,
-            )
-        )
-    return rows
+    return _solve_stack(base, lams, lr, epochs, init_scale,
+                        trace_stride=max(1, epochs // 100), grad_tol=0.0)

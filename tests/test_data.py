@@ -244,7 +244,7 @@ class TestIdxTraining:
             lr_decay_epochs=(), weight_decay=0.0025, seed=1,
             record_stride=p["record_stride"],
         )
-        trace = train(config, *load_mnist_idx(files["images"], files["labels"], 4))
+        trace = train(config, load_mnist_idx(files["images"], files["labels"], 4)[0])
         header, rows = read_csv(out / "train_log.csv")
         assert csv_column(header, rows, "loss") == [float(v) for v in trace.losses]
 

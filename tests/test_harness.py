@@ -617,6 +617,12 @@ TWO_CLASSES = {
 }
 
 
+def _sets(params: dict) -> list[str]:
+    """``--set`` arguments for each parameter, its value written as JSON."""
+    return [arg for name, value in params.items()
+            for arg in ("--set", f"{name}={json.dumps(value)}")]
+
+
 def _domain_edges():
     """(kind, name, outside, edge, message) for each bound of a kind's
     parameter table: a value just outside the domain, the value on its
@@ -720,9 +726,7 @@ class TestCli:
         out = tmp_path / "x"
 
         def main(value):
-            sets = [arg for key, v in {**params, name: value}.items()
-                    for arg in ("--set", f"{key}={json.dumps(v)}")]
-            return cli.main([kind, "--out", str(out), *sets])
+            return cli.main([kind, "--out", str(out), *_sets({**params, name: value})])
 
         assert main(outside) == 1
         assert f"invalid run: {message}\n" in capsys.readouterr().err
@@ -877,6 +881,34 @@ class TestCli:
                 "--set", "per_class=3"]
         assert cli.main(args) == 2
         assert "diverged at depth 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, key", [("sweep-lambda", "spearman_lambda_pfc2"),
+                                           ("train-resnet", "spearman_layer_pfc2")])
+    def test_two_class_pfc2_rank_correlation_is_null(self, tmp_path, kind, key):
+        # two centered class means are m and -m, whose normalized Gram is the
+        # K = 2 target exactly, so pfc2 is rounding noise with no ranks
+        out = tmp_path / "x"
+        assert cli.main([kind, "--out", str(out),
+                         *_sets({**TINY_RUNS[kind], "num_classes": 2})]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary[key] is None
+        assert -1.0 <= summary[key.replace("pfc2", "pfc1")] <= 1.0
+
+    def test_degenerate_sweep_lane_names_its_lambda(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def degenerate_second(fs):
+            calls.append(fs)
+            if len(calls) == 2:
+                raise DegenerateInputError("all class means coincide")
+            return metrics.measure(fs)
+
+        monkeypatch.setattr(harness, "measure", degenerate_second)
+        args = ["sweep-lambda", "--out", str(tmp_path / "x"), *_sets(TINY_RUNS["sweep-lambda"])]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure: lambda=0.002: all class means coincide\n" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_beats_config_file(self, tmp_path):
