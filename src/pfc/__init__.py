@@ -14,7 +14,6 @@ from .core import (
 from .etf import build_etf, gram_target
 from .geodesic import (
     InterpolationPath,
-    MetricCurve,
     MonotonicityVerdict,
     interpolate,
     metric_curve,
@@ -54,7 +53,6 @@ __all__ = [
     "FeatureSet",
     "InterpolationPath",
     "LayerStack",
-    "MetricCurve",
     "MonotonicityVerdict",
     "PfcReport",
     "SolveProblem",

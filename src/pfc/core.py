@@ -144,7 +144,7 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Ordered per-layer feature sets of one network at one training epoch.
+    """Ordered per-layer feature sets of one network.
 
     Index 0 holds the input features of the first residual block ("layer 0");
     the last index holds the last-layer features.  All layers must share
@@ -152,7 +152,6 @@ class LayerStack:
     """
 
     layers: tuple[FeatureSet, ...]
-    epoch: int | None = None
 
     def __post_init__(self):
         layers = tuple(self.layers)

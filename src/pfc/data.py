@@ -20,13 +20,13 @@ def gen_gaussian_mixture(
     mean_scale: float = 1.0,
     noise_scale: float = 1.0,
     seed=0,
-) -> tuple[FeatureSet, np.ndarray]:
+) -> FeatureSet:
     """Balanced isotropic Gaussian mixture with class means on a sphere.
 
     Class means are drawn uniformly on the unit sphere and scaled by
     ``mean_scale``; each sample is its class mean plus
     ``noise_scale`` * N(0, I) noise.  Columns are class-contiguous, so the
-    returned labels are simply 0..K-1 each repeated ``per_class`` times.
+    labels are the set's ``labels()``.
     """
     for name, value in (("mean_scale", mean_scale), ("noise_scale", noise_scale)):
         if not value >= 0:  # written so that NaN fails too
@@ -37,8 +37,7 @@ def gen_gaussian_mixture(
     means *= mean_scale
     features = np.repeat(means, per_class, axis=1)
     features += noise_scale * rng.standard_normal(features.shape)
-    labels = np.repeat(np.arange(num_classes), per_class)
-    return FeatureSet(features, num_classes, per_class), labels
+    return FeatureSet(features, num_classes, per_class)
 
 
 def _read_idx(path: Path, expected_magic: int, rank: int) -> np.ndarray:
@@ -64,14 +63,13 @@ def _read_idx(path: Path, expected_magic: int, rank: int) -> np.ndarray:
     return np.memmap(path, dtype=np.uint8, mode="r", offset=header, shape=shape)
 
 
-def load_mnist_idx(
-    images_path, labels_path, per_class: int
-) -> tuple[FeatureSet, np.ndarray]:
+def load_mnist_idx(images_path, labels_path, per_class: int) -> FeatureSet:
     """Balanced subset of an IDX image/label file pair.
 
     Takes the first ``per_class`` samples of every class in label order,
     flattens images to columns, and scales pixels to [0, 1].  The label
-    values must cover 0..K-1 for some K >= 2.
+    values must cover 0..K-1 for some K >= 2; class k's samples are the
+    set's class k, so its labels are the set's ``labels()``.
 
     Raises:
         ValueError: on bad magic numbers, truncated files, mismatched image
@@ -104,5 +102,4 @@ def load_mnist_idx(
     features = picked.T.astype(np.float64, order="C")
     features /= 255.0
     features.setflags(write=False)
-    out_labels = np.repeat(np.arange(num_classes), per_class)
-    return FeatureSet(features, num_classes, per_class), out_labels
+    return FeatureSet(features, num_classes, per_class)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ORTHONORMALITY_TOL = 1e-10
-
 
 def gram_target(num_classes: int) -> np.ndarray:
     """The K x K target Gram matrix E (unit Frobenius norm, zero row sums)."""
@@ -30,22 +28,16 @@ def gram_target(num_classes: int) -> np.ndarray:
     return (np.eye(k) - np.full((k, k), 1.0 / k)) / np.sqrt(k - 1)
 
 
-def build_etf(
-    num_classes: int,
-    dim: int,
-    orthonormal_basis: np.ndarray | None = None,
-    seed=0,
-) -> np.ndarray:
+def build_etf(num_classes: int, dim: int, seed=0) -> np.ndarray:
     """The read-only d x K simplex ETF over ``num_classes`` classes in
     dimension ``dim``.
 
-    When no basis is supplied, a partial orthogonal d x K matrix is obtained
-    by QR-orthonormalizing a seeded Gaussian matrix, so results are
-    deterministic under a fixed seed.
+    The partial orthogonal d x K matrix is obtained by QR-orthonormalizing
+    a seeded Gaussian matrix, so results are deterministic under a fixed
+    seed.
 
     Raises:
-        ValueError: if dim < num_classes, or the supplied basis is not
-            orthonormal to within ``ORTHONORMALITY_TOL``.
+        ValueError: if dim < num_classes.
     """
     k, d = num_classes, dim
     if k < 2:
@@ -53,19 +45,7 @@ def build_etf(
     if d < k:
         raise ValueError(f"dim must be >= num_classes, got dim={d} < K={k}")
 
-    if orthonormal_basis is None:
-        rng = np.random.default_rng(seed)
-        basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    else:
-        basis = np.asarray(orthonormal_basis, dtype=np.float64)
-        if basis.shape != (d, k):
-            raise ValueError(f"basis must be {d} x {k}, got {basis.shape}")
-        defect = np.max(np.abs(basis.T @ basis - np.eye(k)))
-        if defect > ORTHONORMALITY_TOL:
-            raise ValueError(
-                f"basis columns are not orthonormal (max |U^T U - I| = {defect:.3e})"
-            )
-
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, k)))
     centering = np.eye(k) - np.full((k, k), 1.0 / k)
     frame = np.sqrt(k / (k - 1.0)) * basis @ centering
     frame.setflags(write=False)

@@ -80,25 +80,6 @@ class InterpolationPath:
 
 
 @dataclass(frozen=True)
-class MetricCurve:
-    """One collapse metric sampled along a path."""
-
-    ts: np.ndarray
-    values: np.ndarray
-    metric_kind: str
-
-    def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if ts.shape != values.shape:
-            raise ValueError("ts and values must have the same length")
-        if self.metric_kind not in METRIC_KINDS:
-            raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class MonotonicityVerdict:
     """Outcome of a monotone-decrease check on a sampled curve.
 
@@ -160,31 +141,30 @@ def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
     return path._moments.values(kind, _quadratic_weights(ts), ts)
 
 
-def metric_curve(path: InterpolationPath, kind: str) -> MetricCurve:
-    """Evaluate one collapse metric at every grid point of a path.
+def metric_curve(path: InterpolationPath, kind: str) -> np.ndarray:
+    """One collapse metric's values at the grid points of a path.
 
     Raises:
         DegenerateInputError: if a grid point hits a zero denominator; the
             message names the offending t.
     """
-    values = metric_values(path, kind, path.grid)
-    return MetricCurve(ts=path.grid, values=values, metric_kind=kind)
+    return metric_values(path, kind, path.grid)
 
 
-def endpoint_mean_alignment(path: InterpolationPath) -> tuple[bool, float]:
-    """Inner product of centered start and end class means, summed over classes.
+def endpoint_mean_alignment(path: InterpolationPath) -> float:
+    """Inner product of centered start and end class means, summed over
+    classes, for the endpoints as shifted into the safe window.
 
-    Returns (value >= 0, value), the value for the endpoints as shifted into
-    the safe window.  Nonnegativity of this sum is the condition under which
-    the variance-ratio curve of the path decreases monotonically when the
+    Nonnegativity of this sum is the condition under which the
+    variance-ratio curve of the path decreases monotonically when the
     endpoint is exactly collapsed.
     """
-    value = float(path._moments.between[1])
-    return value >= 0.0, value
+    return float(path._moments.between[1])
 
 
-def monotonicity_report(curve: MetricCurve) -> MonotonicityVerdict:
-    """Classify a sampled curve as strictly decreasing, nonincreasing or violated.
+def monotonicity_report(values: np.ndarray) -> MonotonicityVerdict:
+    """Classify a sampled curve's values as strictly decreasing,
+    nonincreasing or violated.
 
     The slack is relative: a step up counts as a violation only when
     values[i+1] - values[i] > MONOTONE_SLACK * max(|values|), and a step
@@ -192,7 +172,6 @@ def monotonicity_report(curve: MetricCurve) -> MonotonicityVerdict:
     curve with no violations but some near-flat step is reported
     nonincreasing; so is a single-point curve.
     """
-    values = curve.values
     if values.size == 0:
         raise ValueError("empty curve")
     if values.size == 1:
@@ -287,8 +266,7 @@ def random_to_collapse_path(
     )
 
     path = InterpolationPath(start=start, end=end, grid=uniform_grid(grid_points))
-    satisfied, _ = endpoint_mean_alignment(path)
-    if not satisfied:
+    if endpoint_mean_alignment(path) < 0.0:
         reflected = 2.0 * start.features.mean(axis=1, keepdims=True) - start.features
         path = InterpolationPath(
             start=FeatureSet(reflected, num_classes, per_class),

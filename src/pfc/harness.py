@@ -52,7 +52,6 @@ from .etf import build_etf, gram_target
 from .geodesic import (
     METRIC_KINDS,
     InterpolationPath,
-    MetricCurve,
     make_nc_featureset,
     metric_curve,
     metric_values,
@@ -363,7 +362,7 @@ def spearman(x, y) -> float:
     return float(np.sum(rx * ry) / denom)
 
 
-def _mixture(cfg: ExperimentConfig, dim: int) -> tuple[FeatureSet, np.ndarray]:
+def _mixture(cfg: ExperimentConfig, dim: int) -> FeatureSet:
     """The run's Gaussian-mixture data of ``dim`` rows, from its data seed."""
     p = cfg.params
     return gen_gaussian_mixture(
@@ -424,18 +423,22 @@ def _run_interpolate(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     )
     curves, table = _curves(path)
     return {
-        "verdicts": {kind: monotonicity_report(curves[kind]).kind for kind in ("pfc1", "pfc2")},
-        "final_values": {kind: float(curve.values[-1]) for kind, curve in curves.items()},
+        "verdicts": {kind: _verdict(curves[kind]) for kind in ("pfc1", "pfc2")},
+        "final_values": {kind: float(values[-1]) for kind, values in curves.items()},
     }, {"curves.csv": table}
 
 
-def _curves(path: InterpolationPath) -> tuple[dict[str, MetricCurve], Table]:
-    """Every metric's curve along a path, and the curves.csv table of them."""
+def _curves(path: InterpolationPath) -> tuple[dict[str, np.ndarray], Table]:
+    """Every metric's values on a path's grid, and the curves.csv table of them."""
     curves = {kind: metric_curve(path, kind) for kind in METRIC_KINDS}
     return curves, (("t", "value", "metric_kind"), [
         (float(t), float(v), kind)
-        for kind, curve in curves.items() for t, v in zip(curve.ts, curve.values)
+        for kind, values in curves.items() for t, v in zip(path.grid, values)
     ])
+
+
+def _verdict(values: np.ndarray) -> str:
+    return monotonicity_report(values).kind
 
 
 def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifacts]:
@@ -461,7 +464,7 @@ def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifact
             accept = ("strictly-decreasing", "nonincreasing")
         verdict = monotonicity_report(curve)
         first = -1 if verdict.first_violation is None else verdict.first_violation
-        rows.append((i, k, n, d, verdict.kind, first, float(curve.values[-1])))
+        rows.append((i, k, n, d, verdict.kind, first, float(curve[-1])))
     verdict_ok = sum(row[4] in accept for row in rows)
     max_final = max(row[-1] for row in rows)
     return {
@@ -495,7 +498,7 @@ _LAMBDA_HEADER = ("lambda", "epoch", "objective", "pfc1", "pfc2", "pfc3", "align
 def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
     p = cfg.params
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
-    data_fs = _mixture(cfg, d)[0] if kind == "mufm" else None
+    data_fs = _mixture(cfg, d) if kind == "mufm" else None
     data = None if data_fs is None else data_fs.features
     problem = _problem(cfg, kind, p["lam"], data)
     result = solve(
@@ -536,7 +539,7 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     lambdas = p["lambdas"]
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
-    data_fs, _ = _mixture(cfg, d)
+    data_fs = _mixture(cfg, d)
     base = _problem(cfg, "mufm", lambdas[0], data_fs.features)
     results = sweep_lambda(
         base, lambdas, lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"]
@@ -547,15 +550,16 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     if len(lambdas) >= 2:
         columns = dict(zip(_LAMBDA_HEADER, zip(*rows)))
         summary["spearman_lambda_pfc1"] = spearman(lambdas, columns["pfc1"])
-        summary["spearman_lambda_pfc2"] = _pfc2_spearman(k, lambdas, columns["pfc2"])
+        summary["spearman_lambda_pfc2"] = _judge_pfc2(k, spearman, lambdas, columns["pfc2"])
         summary["spearman_lambda_alignment"] = spearman(lambdas, columns["alignment"])
     return summary, {"sweep.csv": (_LAMBDA_HEADER, rows)}
 
 
-def _pfc2_spearman(num_classes: int, x, pfc2) -> float | None:
-    """Rank correlation of ``x`` and pfc2, None at K = 2: two centered class
-    means are m and -m, the target exactly, so pfc2 is rounding noise."""
-    return None if num_classes == 2 else spearman(x, pfc2)
+def _judge_pfc2(num_classes: int, judge: Callable, *args):
+    """``judge(*args)``, a rank correlation or a verdict of pfc2 values, or
+    None at K = 2: two centered class means are m and -m, the target
+    exactly, so pfc2 is rounding noise and has nothing to judge."""
+    return None if num_classes == 2 else judge(*args)
 
 
 def _stack_report(stack: LayerStack, p: dict,
@@ -582,18 +586,18 @@ def _stack_report(stack: LayerStack, p: dict,
         for layer, (pos, rep) in enumerate(zip(positions, reports))
     ]
 
+    k = stack[0].num_classes
     layer_index = list(range(len(stack)))
     return {
         "relative_positions": [float(v) for v in positions],
         # the verdicts apply to the prediction at the layer positions, the
         # curve the report table publishes
         "predicted_verdicts": {
-            kind: monotonicity_report(MetricCurve(positions, predicted[kind], kind)).kind
-            for kind in ("pfc1", "pfc2")
+            "pfc1": _verdict(predicted["pfc1"]),
+            "pfc2": _judge_pfc2(k, _verdict, predicted["pfc2"]),
         },
         "spearman_layer_pfc1": spearman(layer_index, [r.pfc1 for r in reports]),
-        "spearman_layer_pfc2": _pfc2_spearman(stack[0].num_classes, layer_index,
-                                              [r.pfc2 for r in reports]),
+        "spearman_layer_pfc2": _judge_pfc2(k, spearman, layer_index, [r.pfc2 for r in reports]),
         "last_layer_pfc3": reports[-1].pfc3,
         "effective_depth": first_within_error([r.pfc3 for r in reports], p["effective_epsilon"]),
     }, {"report.csv": (_REPORT_HEADER, report_rows), "curves.csv": _curves(path)[1]}
@@ -615,14 +619,14 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         seed=cfg.seed, **{f.name: p[f.name] for f in fields(TrainConfig) if f.name != "seed"}
     )
     if p["images"]:
-        data = load_mnist_idx(p["images"], p["labels"], config.per_class)[0]
+        data = load_mnist_idx(p["images"], p["labels"], config.per_class)
         for name, value in (("num_classes", data.num_classes), ("input_dim", data.dim)):
             if p[name] != value:
                 raise ValueError(
                     f"{name}={p[name]} does not match the IDX files, which hold {value}"
                 )
     else:
-        data = _mixture(cfg, config.input_dim)[0]
+        data = _mixture(cfg, config.input_dim)
     trace = train(config, data)
 
     def log_row(epoch):
@@ -653,7 +657,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    stack = LayerStack(layers=tuple(load_featureset(f) for f in p["stack_files"]), epoch=0)
+    stack = LayerStack(layers=tuple(load_featureset(f) for f in p["stack_files"]))
     k, d = stack[0].num_classes, stack[0].dim
     if d < k:
         raise ValueError(
@@ -666,7 +670,7 @@ def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
-    x = _mixture(cfg, d)[0].features
+    x = _mixture(cfg, d).features
     frame = build_etf(k, d, seed=[cfg.seed, 303])
     h_last = make_nc_featureset(frame, n, scale=p["end_scale"]).features
     w = np.random.default_rng([cfg.seed, 7]).standard_normal((k, d))
@@ -706,12 +710,18 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     )}
 
 
-_SOLVE_PARAMS = {
+# the surrogate problem (_problem) and its Gaussian-mixture data (_mixture)
+_PROBLEM_PARAMS = {
     "loss": "mse",
     "num_classes": (5, _ge(2)),
     "dim": (20, _ge(2)),
     "per_class": (100, _ge(1)),
     "lambda_w": (0.005, _gt(0)),
+}
+_MIXTURE_PARAMS = {"mean_scale": (1.0, _ge(0)), "noise_scale": (1.0, _ge(0))}
+
+_SOLVE_PARAMS = {
+    **_PROBLEM_PARAMS,
     "lam": (0.001, _gt(0)),
     "lr": (0.1, _ge(0)),
     "epochs": (50_000, _ge(1)),
@@ -771,23 +781,14 @@ KINDS = {
         {**_PATH_SUITE_PARAMS, "eps_rel": (0.01, _ge(0))},
     ),
     "solve-ufm": _kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
-    "solve-mufm": _kind(partial(_run_solve, kind="mufm"), {
-        **_SOLVE_PARAMS,
-        "mean_scale": (1.0, _ge(0)),
-        "noise_scale": (1.0, _ge(0)),
-    }),
+    "solve-mufm": _kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **_MIXTURE_PARAMS}),
     "sweep-lambda": _kind(_run_sweep_lambda, {
-        "loss": "mse",
-        "num_classes": (5, _ge(2)),
-        "dim": (20, _ge(2)),
-        "per_class": (100, _ge(1)),
-        "lambda_w": (0.005, _gt(0)),
+        **_PROBLEM_PARAMS,
+        **_MIXTURE_PARAMS,
         "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)], _gt(0)),
         "lr": (0.1, _ge(0)),
         "epochs": (50_000, _ge(1)),
         "init_scale": (0.05, _ge(0)),
-        "mean_scale": (1.0, _ge(0)),
-        "noise_scale": (1.0, _ge(0)),
     }),
     "train-resnet": _kind(_run_train_resnet, {
         "num_blocks": (6, _ge(1)),
@@ -817,15 +818,10 @@ KINDS = {
         "effective_epsilon": (0.05, _ge(0)),
     }),
     "equivalence-thm3": _kind(_run_equivalence_thm3, {
+        **_PROBLEM_PARAMS,
+        **_MIXTURE_PARAMS,
         "depths": ([2, 5, 10], _ge(1)),
-        "num_classes": (5, _ge(2)),
-        "dim": (20, _ge(2)),
-        "per_class": (100, _ge(1)),
-        "loss": "mse",
-        "lambda_w": (0.005, _gt(0)),
         "lam": (0.001, _gt(0)),
-        "mean_scale": (1.0, _ge(0)),
-        "noise_scale": (1.0, _ge(0)),
         "end_scale": (1.0, _gt(0)),
         "chain_lr": (0.2, _gt(0)),
         "chain_iters": (5000, _ge(1)),

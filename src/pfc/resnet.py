@@ -313,9 +313,8 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
     """Gradients of the batch's mean cross entropy, written to ``net``'s
     gradient arrays; ``x`` carries a ones row last.
 
-    Leaves in ``ws`` the logits, their column-shifted copy and the softmax
-    normalizers, from which :func:`resnet_backward` reads the loss and
-    accuracy.
+    Leaves the batch's logits in ``ws.logits``, from which
+    :func:`resnet_backward` reads the loss and accuracy.
     """
     preacts, features, cols = ws.preacts, ws.features, ws.columns
     logits = _forward(net, x, preacts, features, ws.logits, ws.zeros, ws.fold)
@@ -348,9 +347,7 @@ def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks:
     """Loss, accuracy and a fresh gradient dict for one batch of input columns."""
     ws = _Workspace(params, x.shape[1], num_blocks)
     _gradient(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x), labels, ws)
-    loss = float(np.mean(np.log(ws.total[0]) - ws.shifted[labels, ws.columns]))
-    acc = float(np.mean(np.argmax(ws.logits, axis=0) == labels))
-    return loss, acc, ws.grads
+    return ce_loss(ws.logits, labels), accuracy(ws.logits, labels), ws.grads
 
 
 def _split(flat: np.ndarray, shapes) -> list:
@@ -485,7 +482,7 @@ def train(
     block.setflags(write=False)
     final_stack = LayerStack(tuple(
         FeatureSet(f, config.num_classes, config.per_class) for f in block[:, :-1]
-    ), epoch=config.epochs)
+    ))
     reports.append(tuple(measure(fs) for fs in final_stack.layers))
     return TrainTrace(
         losses=losses,

@@ -220,7 +220,7 @@ def _tiny_problem(loss, kind, seed):
     k, d, n = 3, 4, 3
     data = None
     if kind == "mufm":
-        data = gen_gaussian_mixture(k, d, n, seed=[seed, 9])[0].features
+        data = gen_gaussian_mixture(k, d, n, seed=[seed, 9]).features
     return SolveProblem(
         kind=kind, loss=loss, num_classes=k, dim=d, per_class=n,
         lambda_w=0.05, lam=0.02, data=data, seed=seed,

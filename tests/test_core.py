@@ -210,19 +210,18 @@ class TestLayerStack:
         a = FeatureSet(np.zeros((2, 4)), 2, 2)
         b = FeatureSet(np.zeros((3, 4)), 2, 2)
         with pytest.raises(ValueError):
-            LayerStack(layers=(a, b), epoch=1)
+            LayerStack(layers=(a, b))
 
     def test_len_and_getitem(self):
         a = FeatureSet(np.zeros((2, 4)), 2, 2)
         b = FeatureSet(np.ones((2, 4)), 2, 2)
-        stack = LayerStack(layers=(a, b), epoch=5)
+        stack = LayerStack(layers=(a, b))
         assert len(stack) == 2
         assert stack[1] is b
-        assert stack.epoch == 5
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            LayerStack(layers=(), epoch=0)
+            LayerStack(layers=())
 
 
 class TestSerialization:

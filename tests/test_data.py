@@ -43,43 +43,41 @@ def tiny_digit_pair(tmp_path, labels, side=3):
 
 class TestGaussianMixture:
     def test_shapes_and_labels(self):
-        fs, labels = gen_gaussian_mixture(3, 5, 7, seed=0)
+        fs = gen_gaussian_mixture(3, 5, 7, seed=0)
         assert fs.features.shape == (5, 21)
         assert (fs.num_classes, fs.per_class, fs.dim) == (3, 7, 5)
-        np.testing.assert_array_equal(labels, np.repeat(np.arange(3), 7))
+        np.testing.assert_array_equal(fs.labels(), np.repeat(np.arange(3), 7))
 
     def test_deterministic_under_seed(self):
-        a, _ = gen_gaussian_mixture(4, 6, 10, seed=42)
-        b, _ = gen_gaussian_mixture(4, 6, 10, seed=42)
-        c, _ = gen_gaussian_mixture(4, 6, 10, seed=43)
+        a = gen_gaussian_mixture(4, 6, 10, seed=42)
+        b = gen_gaussian_mixture(4, 6, 10, seed=42)
+        c = gen_gaussian_mixture(4, 6, 10, seed=43)
         assert np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
     def test_sequence_seed_accepted(self):
-        a, _ = gen_gaussian_mixture(4, 6, 10, seed=[3, 11])
-        b, _ = gen_gaussian_mixture(4, 6, 10, seed=[3, 11])
+        a = gen_gaussian_mixture(4, 6, 10, seed=[3, 11])
+        b = gen_gaussian_mixture(4, 6, 10, seed=[3, 11])
         assert np.array_equal(a.features, b.features)
 
     def test_zero_mean_scale_is_chance_level(self):
-        fs, _ = gen_gaussian_mixture(4, 8, 1000, mean_scale=0.0, seed=1)
+        fs = gen_gaussian_mixture(4, 8, 1000, mean_scale=0.0, seed=1)
         assert pfc3(fs) == pytest.approx(0.25, abs=0.1)
 
     def test_zero_noise_collapses_to_means(self):
-        fs, _ = gen_gaussian_mixture(3, 6, 1, noise_scale=0.0, seed=2)
+        fs = gen_gaussian_mixture(3, 6, 1, noise_scale=0.0, seed=2)
         assert pfc1(fs) == pytest.approx(0.0, abs=1e-30)
         assert pfc3(fs) == 1.0
 
     def test_means_on_scaled_sphere(self):
-        fs, _ = gen_gaussian_mixture(5, 9, 1, mean_scale=2.5, noise_scale=0.0,
-                                     seed=3)
+        fs = gen_gaussian_mixture(5, 9, 1, mean_scale=2.5, noise_scale=0.0, seed=3)
         norms = np.linalg.norm(fs.features, axis=0)
         np.testing.assert_allclose(norms, 2.5, rtol=1e-12)
 
     def test_sample_means_approach_true_means(self):
         k, d, n = 3, 10, 4000
-        fs, _ = gen_gaussian_mixture(k, d, n, mean_scale=1.0, seed=4)
-        exact, _ = gen_gaussian_mixture(k, d, 1, mean_scale=1.0,
-                                        noise_scale=0.0, seed=4)
+        fs = gen_gaussian_mixture(k, d, n, mean_scale=1.0, seed=4)
+        exact = gen_gaussian_mixture(k, d, 1, mean_scale=1.0, noise_scale=0.0, seed=4)
         stats = class_stats(fs)
         gap = np.linalg.norm(stats.class_means - exact.features, axis=0)
         assert np.all(gap < 3.0 * np.sqrt(d / n))
@@ -98,10 +96,10 @@ class TestIdxLoading:
     def test_round_trip_balanced_subset(self, tmp_path):
         labels = [0, 1, 0, 1, 1, 0]
         img_path, lbl_path, images = tiny_digit_pair(tmp_path, labels)
-        fs, out_labels = load_mnist_idx(img_path, lbl_path, per_class=2)
+        fs = load_mnist_idx(img_path, lbl_path, per_class=2)
         assert fs.features.shape == (9, 4)
         assert (fs.num_classes, fs.per_class) == (2, 2)
-        np.testing.assert_array_equal(out_labels, [0, 0, 1, 1])
+        np.testing.assert_array_equal(fs.labels(), [0, 0, 1, 1])
         # class 0 columns are the first two label-0 images, in file order.
         np.testing.assert_allclose(
             fs.features[:, 0], images[0].reshape(-1) / 255.0
@@ -115,16 +113,16 @@ class TestIdxLoading:
 
     def test_pixels_scaled_to_unit_interval(self, tmp_path):
         img_path, lbl_path, _ = tiny_digit_pair(tmp_path, [0, 1, 0, 1])
-        fs, _ = load_mnist_idx(img_path, lbl_path, per_class=2)
+        fs = load_mnist_idx(img_path, lbl_path, per_class=2)
         assert fs.features.min() >= 0.0
         assert fs.features.max() <= 1.0
 
     def test_balanced_among_all_classes(self, tmp_path):
         labels = [2, 0, 1, 0, 2, 1, 1, 0, 2]
         img_path, lbl_path, _ = tiny_digit_pair(tmp_path, labels)
-        fs, out_labels = load_mnist_idx(img_path, lbl_path, per_class=3)
+        fs = load_mnist_idx(img_path, lbl_path, per_class=3)
         assert fs.num_samples == 9
-        counts = np.bincount(out_labels)
+        counts = np.bincount(fs.labels())
         np.testing.assert_array_equal(counts, [3, 3, 3])
 
     def test_converts_only_the_picked_images(self, tmp_path):
@@ -139,7 +137,7 @@ class TestIdxLoading:
         write_idx_labels(lbl_path, labels)
         tracemalloc.start()
         try:
-            fs, _ = load_mnist_idx(img_path, lbl_path, per_class)
+            fs = load_mnist_idx(img_path, lbl_path, per_class)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,7 +242,7 @@ class TestIdxTraining:
             lr_decay_epochs=(), weight_decay=0.0025, seed=1,
             record_stride=p["record_stride"],
         )
-        trace = train(config, load_mnist_idx(files["images"], files["labels"], 4)[0])
+        trace = train(config, load_mnist_idx(files["images"], files["labels"], 4))
         header, rows = read_csv(out / "train_log.csv")
         assert csv_column(header, rows, "loss") == [float(v) for v in trace.losses]
 

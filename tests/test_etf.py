@@ -27,11 +27,15 @@ class TestGramTarget:
 
 class TestBuildEtf:
     def test_identity_basis_three_classes(self):
-        frame = build_etf(3, 3, orthonormal_basis=np.eye(3))
+        # the module docstring's frame at U = I, built by hand; a built
+        # frame is a rotation of it, so the two share their Gram
+        frame = np.sqrt(1.5) * (np.eye(3) - 1.0 / 3.0)
         np.testing.assert_allclose(
             frame[:, 0], [0.81649658, -0.40824829, -0.40824829], atol=1e-8
         )
-        gram = frame.T @ frame
+        built = build_etf(3, 3, seed=0)
+        gram = built.T @ built
+        np.testing.assert_allclose(gram, frame.T @ frame, atol=1e-12)
         off = gram[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, -0.5, atol=1e-12)
 
@@ -66,16 +70,6 @@ class TestBuildEtf:
     def test_dim_below_classes_rejected(self):
         with pytest.raises(ValueError):
             build_etf(4, 3)
-
-    def test_non_orthonormal_basis_rejected(self):
-        basis = np.eye(4)[:, :3]
-        basis[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            build_etf(3, 4, orthonormal_basis=basis)
-
-    def test_wrong_basis_shape_rejected(self):
-        with pytest.raises(ValueError):
-            build_etf(3, 4, orthonormal_basis=np.eye(3))
 
     def test_seed_determinism(self):
         a = build_etf(4, 9, seed=5)

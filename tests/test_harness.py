@@ -743,20 +743,6 @@ class TestCli:
                 cells = [c for c in csv_column(header, rows, column) if isinstance(c, float)]
                 assert np.all(np.isfinite(cells)), (path.name, column)
 
-    @pytest.mark.parametrize("kind, setting, message", [
-        *((kind, f"{name}=[]", f"{name} must not be empty")
-          for kind in ("theorem1", "theorem2") for name in ("classes", "per_class", "dims")),
-        ("etf-check", "extra_dims=[]", "extra_dims must not be empty"),
-        ("equivalence-thm3", "depths=[]", "depths must not be empty"),
-        ("equivalence-thm3", "depths=[0]", "depths must be >= 1"),
-        ("sweep-lambda", "lambdas=[]", "lambdas must not be empty"),
-    ])
-    def test_empty_list_names_the_parameter(self, tmp_path, capsys, kind, setting, message):
-        args = [kind, "--out", str(tmp_path / "x"), "--set", setting]
-        assert cli.main(args) == 1
-        assert f"invalid run: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("kind, setting, message, target", [
         ("sweep-lambda", "lambdas=[-1.0]", "lambdas must be > 0, got [-1.0]",
          "SolveProblem"),
@@ -894,6 +880,18 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary[key] is None
         assert -1.0 <= summary[key.replace("pfc2", "pfc1")] <= 1.0
+
+    @pytest.mark.parametrize("kind", ["train-resnet", "pfc-report"])
+    def test_two_class_pfc2_verdict_is_null(self, tmp_path, monkeypatch, two_class_stack, kind):
+        # the predicted pfc2 curve is rounding noise at K = 2 as well, so it
+        # gets no monotonicity verdict, as the observed one gets no ranks
+        monkeypatch.chdir(two_class_stack)
+        out = tmp_path / "x"
+        params = {**TINY_RUNS[kind], **TWO_CLASSES.get(kind, {"num_classes": 2})}
+        assert cli.main([kind, "--out", str(out), *_sets(params)]) == 0
+        verdicts = json.loads((out / "summary.json").read_text())["predicted_verdicts"]
+        assert verdicts["pfc2"] is None
+        assert verdicts["pfc1"] in ("strictly-decreasing", "nonincreasing", "violated")
 
     def test_degenerate_sweep_lane_names_its_lambda(self, tmp_path, capsys, monkeypatch):
         calls = []

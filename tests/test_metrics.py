@@ -131,8 +131,8 @@ class TestPfc2:
         assert pfc2(bent) == pytest.approx(0.0, abs=1e-12)
 
     def test_perturbed_mean_gives_positive_value(self):
-        frame = build_etf(3, 3, orthonormal_basis=np.eye(3))
-        means = frame.copy()
+        # the simplex ETF of the identity basis
+        means = np.sqrt(1.5) * (np.eye(3) - 1.0 / 3.0)
         means[1, 0] += 0.5
         fs = FeatureSet(means, num_classes=3, per_class=1)
         assert pfc2(fs) > 1e-3
@@ -303,7 +303,6 @@ class TestEffectiveDepth:
     def test_example_thresholds(self):
         stack = LayerStack(
             layers=(accuracy_layer(6), accuracy_layer(2), accuracy_layer(0)),
-            epoch=0,
         )
         observed = [pfc3(fs) for fs in stack.layers]
         assert observed == [0.7, 0.9, 1.0]
@@ -315,7 +314,7 @@ class TestEffectiveDepth:
             assert first_within_error(observed, epsilon) == effective_depth(stack, epsilon)
 
     def test_none_when_no_layer_qualifies(self):
-        stack = LayerStack(layers=(accuracy_layer(6), accuracy_layer(4)), epoch=0)
+        stack = LayerStack(layers=(accuracy_layer(6), accuracy_layer(4)))
         observed = [pfc3(fs) for fs in stack.layers]
         assert first_within_error(observed, 0.05) is None
         assert effective_depth(stack, 0.05) is None

@@ -32,11 +32,10 @@ def tiny_config(**overrides):
 
 
 def tiny_data(config, seed=0, mean_scale=2.0, noise_scale=0.5):
-    fs, labels = gen_gaussian_mixture(
+    return gen_gaussian_mixture(
         config.num_classes, config.input_dim, config.per_class,
         mean_scale=mean_scale, noise_scale=noise_scale, seed=seed,
     )
-    return fs, labels
 
 
 def reference_forward(params, x, num_blocks):
@@ -409,8 +408,8 @@ class TestBiasFold:
         monkeypatch.setattr(resnet, "_fold_is_exact", lambda *shape: False)
         config = tiny_config(epochs=3, batch_size=3, momentum=0.9, weight_decay=0.05,
                              decay_biases=decay_biases, record_stride=2)
-        data, labels = tiny_data(config)
-        assert_train_matches_emulation(config, data, labels)
+        data = tiny_data(config)
+        assert_train_matches_emulation(config, data)
 
 
 def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
@@ -442,11 +441,12 @@ def emulate_one_epoch(config, data, epoch=1, params=None, velocity=None):
     return params, velocity
 
 
-def assert_train_matches_emulation(config, data, labels):
+def assert_train_matches_emulation(config, data):
     """train() against emulate_one_epoch epoch by epoch: parameters, the
     full-set losses and accuracies, every recorded epoch's per-layer
     metrics, and the final stack's features."""
     trace = train(config, data)
+    labels = data.labels()
     params, velocity = None, None
     recorded = 0
     for epoch in range(1, config.epochs + 1):
@@ -460,7 +460,6 @@ def assert_train_matches_emulation(config, data, labels):
                 assert_same_bits(np.array(astuple(rep)), np.array(astuple(want)))
             recorded += 1
     assert recorded == len(trace.snapshot_epochs) == len(trace.reports)
-    assert trace.final_stack.epoch == config.epochs
     for fs, want in zip(trace.final_stack.layers, features, strict=True):
         assert_same_bits(fs.features, want)
     assert trace.params.keys() == params.keys()
@@ -472,11 +471,11 @@ def assert_train_matches_emulation(config, data, labels):
 class TestTrainUpdates:
     def test_single_step_is_exactly_lr_times_gradient(self):
         config = tiny_config(epochs=1, momentum=0.0, weight_decay=0.0)
-        data, labels = tiny_data(config)
+        data = tiny_data(config)
         before = init_params(config)
         order = np.random.default_rng([config.seed, 1]).permutation(8)
         _, _, grads = resnet_backward(
-            before, data.features[:, order], labels[order], config.num_blocks
+            before, data.features[:, order], data.labels()[order], config.num_blocks
         )
         trace = train(config, data)
         for name in before:
@@ -487,15 +486,15 @@ class TestTrainUpdates:
     def test_momentum_and_decay_update_oracle(self):
         config = tiny_config(epochs=2, batch_size=4, momentum=0.9,
                              weight_decay=0.01)
-        data, labels = tiny_data(config)
-        assert_train_matches_emulation(config, data, labels)
+        data = tiny_data(config)
+        assert_train_matches_emulation(config, data)
 
     def test_bias_decay_can_be_disabled(self):
         # biases start at zero, so decay on them only bites from step 2 on.
         kept = tiny_config(epochs=2, weight_decay=0.05, decay_biases=False)
         decayed = tiny_config(epochs=2, weight_decay=0.05, decay_biases=True)
-        data, labels = tiny_data(kept)
-        trace = assert_train_matches_emulation(kept, data, labels)
+        data = tiny_data(kept)
+        trace = assert_train_matches_emulation(kept, data)
         other = train(decayed, data)
         assert not np.array_equal(trace.params["b_in"], other.params["b_in"])
 
@@ -505,16 +504,16 @@ class TestTrainUpdates:
         config = tiny_config(epochs=3, batch_size=3, momentum=0.9,
                              weight_decay=0.05, decay_biases=decay_biases,
                              record_stride=2)
-        data, labels = tiny_data(config)
-        assert_train_matches_emulation(config, data, labels)
+        data = tiny_data(config)
+        assert_train_matches_emulation(config, data)
 
     def test_rolling_layers_between_records_match_oracle(self):
         # epochs 1, 3 and 5 roll through the block's first two layers,
         # overwriting what epochs 2 and 4 recorded there
         config = tiny_config(num_blocks=3, epochs=5, batch_size=3, momentum=0.9,
                              weight_decay=0.01, record_stride=2)
-        data, labels = tiny_data(config)
-        trace = assert_train_matches_emulation(config, data, labels)
+        data = tiny_data(config)
+        trace = assert_train_matches_emulation(config, data)
         assert trace.snapshot_epochs == (2, 4, 5)
 
     def test_loss_and_accuracy_formed_once_per_epoch(self, monkeypatch):
@@ -529,13 +528,13 @@ class TestTrainUpdates:
         for name in calls:
             monkeypatch.setattr(resnet, name, counted(name, getattr(resnet, name)))
         config = tiny_config(epochs=4, batch_size=3)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         train(config, data)
         assert calls == {"ce_loss": 4, "accuracy": 4}
 
     def test_batches_run_the_gradient_kernel_alone(self, monkeypatch):
         config = tiny_config(epochs=3, batch_size=3, momentum=0.9, record_stride=2)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         want = train(config, data)
 
         def never(*args, **kwargs):
@@ -551,7 +550,7 @@ class TestTrainUpdates:
     def test_deterministic(self):
         config = tiny_config(epochs=3, momentum=0.9, weight_decay=1e-3,
                              batch_size=4)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         a = train(config, data)
         b = train(config, data)
         assert np.array_equal(a.losses, b.losses)
@@ -562,8 +561,7 @@ class TestTrainUpdates:
         # alive, so the iterates blow up instead of freezing.
         config = tiny_config(num_blocks=4, width=16, epochs=60, lr=5.0,
                              momentum=0.9)
-        data, _ = gen_gaussian_mixture(2, 3, 4, mean_scale=4.0,
-                                       noise_scale=1.0, seed=0)
+        data = gen_gaussian_mixture(2, 3, 4, mean_scale=4.0, noise_scale=1.0, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train(config, data)
 
@@ -571,13 +569,13 @@ class TestTrainUpdates:
 class TestTrainValidation:
     def test_data_shape_mismatch(self):
         config = tiny_config()
-        data, _ = gen_gaussian_mixture(2, 4, 4, seed=0)
+        data = gen_gaussian_mixture(2, 4, 4, seed=0)
         with pytest.raises(ValueError, match="does not match"):
             train(config, data)
 
     def test_labels_optional(self):
         config = tiny_config(epochs=1)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         trace = train(config, data)
         assert trace.losses.shape == (1,)
 
@@ -585,15 +583,14 @@ class TestTrainValidation:
 class TestRecording:
     def test_snapshot_epochs_follow_stride(self):
         config = tiny_config(epochs=10, record_stride=4)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         trace = train(config, data)
         assert trace.snapshot_epochs == (4, 8, 10)
         assert len(trace.reports) == 3
-        assert trace.final_stack.epoch == 10
 
     def test_stack_holds_all_layers(self):
         config = tiny_config(epochs=1)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         trace = train(config, data)
         stack = trace.final_stack
         assert len(stack) == config.num_blocks + 1
@@ -602,7 +599,7 @@ class TestRecording:
 
     def test_snapshot_matches_forward_pass(self):
         config = tiny_config(epochs=2)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         trace = train(config, data)
         _, features = resnet_forward(
             trace.params, data.features, config.num_blocks
@@ -614,7 +611,7 @@ class TestRecording:
 
     def test_final_stack_shares_one_read_only_buffer(self):
         config = tiny_config(epochs=3, record_stride=2)
-        data, _ = tiny_data(config)
+        data = tiny_data(config)
         layers = [fs.features for fs in train(config, data).final_stack.layers]
         owner = layers[0].base
         assert owner is not None and not owner.flags.writeable
@@ -629,7 +626,7 @@ class TestRecording:
         record epoch's copies are alive would pass 3."""
         config = TrainConfig(num_classes=4, per_class=256, epochs=8, record_stride=2,
                              lr_decay_epochs=())
-        data, _ = gen_gaussian_mixture(
+        data = gen_gaussian_mixture(
             config.num_classes, config.input_dim, config.per_class, seed=4
         )
         block_bytes = 8 * (config.num_blocks + 1) * (config.width + 1) * data.num_samples
@@ -649,8 +646,7 @@ class TestLearning:
             epochs=40, batch_size=40, lr=0.05, lr_decay_epochs=(),
             momentum=0.9, weight_decay=0.0, seed=0, record_stride=40,
         )
-        data, _ = gen_gaussian_mixture(2, 4, 20, mean_scale=3.0,
-                                       noise_scale=0.3, seed=1)
+        data = gen_gaussian_mixture(2, 4, 20, mean_scale=3.0, noise_scale=0.3, seed=1)
         trace = train(config, data)
         assert trace.accuracies[-1] == 1.0
         assert trace.losses[-1] < trace.losses[0]

@@ -29,8 +29,7 @@ def make_problem(kind="mufm", loss="mse", num_classes=3, dim=5, per_class=4,
                  lambda_w=0.05, lam=0.02, seed=0):
     data = None
     if kind == "mufm":
-        data, _ = gen_gaussian_mixture(num_classes, dim, per_class, seed=[seed, 9])
-        data = data.features
+        data = gen_gaussian_mixture(num_classes, dim, per_class, seed=[seed, 9]).features
     return SolveProblem(
         kind=kind, loss=loss, num_classes=num_classes, dim=dim,
         per_class=per_class, lambda_w=lambda_w, lam=lam, data=data, seed=seed,
