@@ -14,11 +14,12 @@ largest magnitude lies in the safe window [2^-200, 2^200] uncopied and
 shifts others by one power of two into [0.5, 1); in the window no square,
 Gram-norm fourth power or sum of them overflows or goes subnormal.  What
 gets squared is windowed: feature sets, paths (one exponent for both ends)
-and layer stacks are shifted first, then what is formed from them by
-differences: a set's or a path's class offsets and centered means (one
-exponent for all), the centered means a Gram is formed from, and each
-displacement between consecutive layers.  So structure far below a common
-offset (a constant coordinate, say) squares as it would rescaled.
+and pairs of consecutive layers are shifted first, then what is formed
+from them by differences: a set's or a path's class offsets and centered
+means (one exponent for all), the centered means a Gram is formed from,
+and each displacement between consecutive layers.  So structure far below
+a common offset (a constant coordinate, say) squares as it would
+rescaled.
 """
 
 from __future__ import annotations
@@ -157,13 +158,7 @@ class LayerStack:
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("LayerStack needs at least one layer")
-        k, n, d = layers[0].num_classes, layers[0].per_class, layers[0].dim
-        for i, fs in enumerate(layers):
-            if (fs.num_classes, fs.per_class, fs.dim) != (k, n, d):
-                raise ValueError(
-                    f"layer {i} has shape (K={fs.num_classes}, n={fs.per_class}, d={fs.dim}), "
-                    f"expected (K={k}, n={n}, d={d})"
-                )
+        check_layer_shapes([(fs.num_classes, fs.per_class, fs.dim) for fs in layers])
         object.__setattr__(self, "layers", layers)
 
     def __len__(self) -> int:
@@ -171,6 +166,16 @@ class LayerStack:
 
     def __getitem__(self, i: int) -> FeatureSet:
         return self.layers[i]
+
+
+def check_layer_shapes(shapes: list[tuple[int, int, int]]) -> None:
+    """Raise ValueError naming the first layer whose (K, n, d) differs from layer 0's."""
+    for i, (k, n, d) in enumerate(shapes):
+        if (k, n, d) != shapes[0]:
+            k0, n0, d0 = shapes[0]
+            raise ValueError(
+                f"layer {i} has shape (K={k}, n={n}, d={d}), expected (K={k0}, n={n0}, d={d0})"
+            )
 
 
 def class_stats(fs: FeatureSet) -> ClassStats:
@@ -208,13 +213,20 @@ def save_featureset(path, fs: FeatureSet) -> None:
             f.write(row_format % tuple(row.tolist()))
 
 
+def read_header(f) -> tuple[int, int, int]:
+    """K, n and d from the header line of a layer file open at its start;
+    the file is left at its first body row."""
+    header = f.readline().split()
+    if len(header) != 3:
+        raise ValueError(f"{f.name}: expected header 'K n d', got {header!r}")
+    k, n, d = (int(x) for x in header)
+    return k, n, d
+
+
 def load_featureset(path) -> FeatureSet:
     """Read a feature set written by :func:`save_featureset`."""
     with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: expected header 'K n d', got {header!r}")
-        k, n, d = (int(x) for x in header)
+        k, n, d = read_header(f)
         data = np.loadtxt(f, dtype=np.float64, ndmin=2)
     # nothing else holds the parsed array, so the set adopts it uncopied
     data.setflags(write=False)

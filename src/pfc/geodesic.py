@@ -20,9 +20,9 @@ set with, so at t = 0 and t = 1 a curve reads the bits of the endpoints'
 metrics.  The coefficients cost O(K n d) once per path; each grid point
 then costs O(K^2) for pfc1/pfc2 and O(K N) for pfc3, and no intermediate
 feature set is built.  Scale rule (``core``): both endpoints, then their
-class offsets and centered means, and all layers of a stack, then each
-displacement between consecutive layers, are shifted into the safe window
-by exact powers of two, which keeps every bit.
+class offsets and centered means, and each pair of consecutive layers of a
+stack, then its displacement, are shifted into the safe window by exact
+powers of two, which keeps every bit.
 
 ``endpoint_mean_alignment`` computes the inner-product condition
 sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)> whose nonnegativity guarantees
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, LayerStack, _to_window, _window_exponent
+from .core import DegenerateInputError, FeatureSet, LayerStack, _window_exponent
 from .etf import build_etf
 from .metrics import _Moments
 
@@ -187,33 +187,61 @@ def monotonicity_report(values: np.ndarray) -> MonotonicityVerdict:
     return MonotonicityVerdict(kind="nonincreasing")
 
 
+def step_length(a: FeatureSet, b: FeatureSet) -> tuple[float, int]:
+    """The total columnwise displacement norm from layer ``a`` to layer
+    ``b``, as a pair (value, exponent): the length is value * 2**exponent.
+
+    The pair is shifted into the safe window, and its displacement by one
+    more power of two, so that the displacement is squared in the window;
+    the exponent carries both shifts, so that no length overflows or
+    underflows before :func:`positions_from_steps` scales them together.
+    """
+    a, b = a.features, b.features
+    exponent = _window_exponent(a, b)
+    if exponent:
+        a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
+    step = b - a
+    shift = _window_exponent(step)
+    if shift:
+        np.ldexp(step, -shift, out=step)
+    return float(np.sum(np.linalg.norm(step, axis=0))), exponent + shift
+
+
+def positions_from_steps(lengths: list[tuple[float, int]]) -> np.ndarray:
+    """Relative positions of the layers between the steps of ``lengths``,
+    the :func:`step_length` of each consecutive pair in order.
+
+    The lengths are put on one scale, the largest nonzero one's exponent,
+    so that the ratios keep their bits whatever power of two scales the
+    layers.
+
+    Raises:
+        DegenerateInputError: if the total path length is zero.
+    """
+    if not lengths:
+        raise ValueError("need at least two layers for relative positions")
+    top = max((exponent for value, exponent in lengths if value), default=0)
+    steps = [float(np.ldexp(value, exponent - top)) for value, exponent in lengths]
+    total = sum(steps)
+    if total == 0.0:
+        raise DegenerateInputError("zero total path length; positions undefined")
+    return np.concatenate([[0.0], np.cumsum(steps) / total])
+
+
 def relative_positions(stack: LayerStack) -> np.ndarray:
     """Position of each layer in [0, 1] along the cumulative displacement.
 
     Layer l sits at the sum over earlier blocks of the total columnwise
     displacement norms, normalized by the full path length; layer 0 maps
-    to 0 and the last layer to 1.
+    to 0 and the last layer to 1.  Each step is one :func:`step_length`,
+    and :func:`positions_from_steps` scales and sums them; a report that
+    streams its layers calls the same two.
 
     Raises:
         DegenerateInputError: if the total path length is zero.
     """
-    if len(stack) < 2:
-        raise ValueError("need at least two layers for relative positions")
-    layers = _to_window(*(fs.features for fs in stack.layers))
-    steps = []
-    for a, b in zip(layers, layers[1:]):
-        # the displacement is squared in the window, by a power of two that
-        # its length then gives back, so that steps far below the layers'
-        # size keep their length
-        step = b - a
-        exponent = _window_exponent(step)
-        if exponent:
-            np.ldexp(step, -exponent, out=step)
-        steps.append(float(np.ldexp(np.sum(np.linalg.norm(step, axis=0)), exponent)))
-    total = sum(steps)
-    if total == 0.0:
-        raise DegenerateInputError("zero total path length; positions undefined")
-    return np.concatenate([[0.0], np.cumsum(steps) / total])
+    layers = stack.layers
+    return positions_from_steps([step_length(a, b) for a, b in zip(layers, layers[1:])])
 
 
 def make_nc_featureset(

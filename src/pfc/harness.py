@@ -36,15 +36,16 @@ import tempfile
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     DegenerateInputError,
     FeatureSet,
-    LayerStack,
+    check_layer_shapes,
     load_featureset,
+    read_header,
     save_featureset,
 )
 from .data import gen_gaussian_mixture, load_mnist_idx
@@ -57,8 +58,9 @@ from .geodesic import (
     metric_values,
     monotonicity_report,
     perturbed_collapse_path,
+    positions_from_steps,
     random_to_collapse_path,
-    relative_positions,
+    step_length,
     uniform_grid,
 )
 from .metrics import PfcReport, alignment, first_within_error, measure
@@ -423,7 +425,10 @@ def _run_interpolate(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     )
     curves, table = _curves(path)
     return {
-        "verdicts": {kind: _verdict(curves[kind]) for kind in ("pfc1", "pfc2")},
+        "verdicts": {
+            "pfc1": _verdict(curves["pfc1"]),
+            "pfc2": _judge_pfc2(p["num_classes"], _verdict, curves["pfc2"]),
+        },
         "final_values": {kind: float(values[-1]) for kind, values in curves.items()},
     }, {"curves.csv": table}
 
@@ -453,6 +458,7 @@ def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifact
                 grid_points=p["grid_points"], end_scale=p["end_scale"],
             )
             curve = metric_curve(path, "pfc1")
+            verdict = monotonicity_report(curve)
             accept = ("strictly-decreasing",)
         else:
             path = perturbed_collapse_path(
@@ -461,16 +467,22 @@ def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifact
                 eps_rel=p["eps_rel"],
             )
             curve = metric_curve(path, "pfc2")
+            verdict = _judge_pfc2(k, monotonicity_report, curve)
             accept = ("strictly-decreasing", "nonincreasing")
-        verdict = monotonicity_report(curve)
-        first = -1 if verdict.first_violation is None else verdict.first_violation
-        rows.append((i, k, n, d, verdict.kind, first, float(curve[-1])))
+        if verdict is None:
+            cells = (_UNDEFINED, -1)
+        else:
+            first = verdict.first_violation
+            cells = (verdict.kind, -1 if first is None else first)
+        rows.append((i, k, n, d, *cells, float(curve[-1])))
     verdict_ok = sum(row[4] in accept for row in rows)
+    judged = sum(row[4] != _UNDEFINED for row in rows)
     max_final = max(row[-1] for row in rows)
     return {
         "paths": p["num_paths"],
         "monotone_count": verdict_ok,
-        "all_monotone": bool(verdict_ok == p["num_paths"]),
+        # a path with no verdict is not counted against the theorem
+        "all_monotone": bool(verdict_ok == judged),
         "max_final_value": max_final,
         "final_tolerance": p["final_tolerance"],
         "all_final_below_tolerance": bool(max_final < p["final_tolerance"]),
@@ -555,6 +567,10 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     return summary, {"sweep.csv": (_LAMBDA_HEADER, rows)}
 
 
+# the verdict cell of a theorem2 path whose pfc2 curve has nothing to judge
+_UNDEFINED = "undefined"
+
+
 def _judge_pfc2(num_classes: int, judge: Callable, *args):
     """``judge(*args)``, a rank correlation or a verdict of pfc2 values, or
     None at K = 2: two centered class means are m and -m, the target
@@ -562,21 +578,34 @@ def _judge_pfc2(num_classes: int, judge: Callable, *args):
     return None if num_classes == 2 else judge(*args)
 
 
-def _stack_report(stack: LayerStack, p: dict,
+def _stack_report(layers: Iterable[FeatureSet], p: dict,
                   reports: Sequence[PfcReport] | None = None) -> tuple[dict, Artifacts]:
     """Observed per-layer metrics side by side with the straight-line
     prediction (report.csv), plus dense predicted curves (curves.csv) and
     their verdicts.
 
-    ``reports`` are the stack's per-layer metrics if already measured."""
-    positions = relative_positions(stack)
-    path = InterpolationPath(
-        start=stack[0], end=stack[len(stack) - 1], grid=uniform_grid(p["grid_points"])
-    )
+    The layers are taken one at a time: each one's step length from the
+    previous layer is taken, the previous layer is dropped, and the new one
+    is measured.  Only the first layer, the start of the prediction path,
+    and the latest are kept, so layers that ``layers`` loads as they are
+    asked for are held at most three at once.  ``reports`` are the layers'
+    metrics if already measured."""
+    lengths, measured = [], []
+    first = last = None
+    for layer in layers:
+        if last is None:
+            first = layer
+        else:
+            lengths.append(step_length(last, layer))
+        last = layer
+        if reports is None:
+            measured.append(measure(layer))
+    positions = positions_from_steps(lengths)
+    if reports is None:
+        reports = measured
+    path = InterpolationPath(start=first, end=last, grid=uniform_grid(p["grid_points"]))
     predicted = {kind: metric_values(path, kind, positions) for kind in METRIC_KINDS}
 
-    if reports is None:
-        reports = [measure(fs) for fs in stack.layers]
     report_rows = [
         (
             layer, float(pos),
@@ -586,8 +615,8 @@ def _stack_report(stack: LayerStack, p: dict,
         for layer, (pos, rep) in enumerate(zip(positions, reports))
     ]
 
-    k = stack[0].num_classes
-    layer_index = list(range(len(stack)))
+    k = first.num_classes
+    layer_index = list(range(len(positions)))
     return {
         "relative_positions": [float(v) for v in positions],
         # the verdicts apply to the prediction at the layer positions, the
@@ -641,7 +670,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         for epoch, reports in zip(trace.snapshot_epochs, trace.reports)
     ]
     # train measured the final stack at its last recorded epoch, the last one
-    report, artifacts = _stack_report(trace.final_stack, p, trace.reports[-1])
+    report, artifacts = _stack_report(trace.final_stack.layers, p, trace.reports[-1])
     return {
         "final_loss": float(trace.losses[-1]),
         "final_accuracy": float(trace.accuracies[-1]),
@@ -657,13 +686,19 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
-    stack = LayerStack(layers=tuple(load_featureset(f) for f in p["stack_files"]))
-    k, d = stack[0].num_classes, stack[0].dim
+    files = p["stack_files"]
+    # every header is checked before any body is parsed
+    shapes = []
+    for name in files:
+        with open(name) as f:
+            shapes.append(read_header(f))
+    check_layer_shapes(shapes)
+    k, _, d = shapes[0]
     if d < k:
         raise ValueError(
             f"stack_files must hold features of dim >= num_classes, got dim={d} < K={k}"
         )
-    report, artifacts = _stack_report(stack, p)
+    report, artifacts = _stack_report((load_featureset(f) for f in files), p)
     return {"stack_files": p["stack_files"], **report}, artifacts
 
 

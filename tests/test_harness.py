@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from pfc.core import (
     save_featureset,
 )
 from pfc.etf import build_etf
-from pfc.geodesic import make_nc_featureset
+from pfc.geodesic import make_nc_featureset, relative_positions
 from pfc.harness import (
     KINDS,
     ExperimentConfig,
@@ -893,6 +894,29 @@ class TestCli:
         assert verdicts["pfc2"] is None
         assert verdicts["pfc1"] in ("strictly-decreasing", "nonincreasing", "violated")
 
+    def test_two_class_interpolate_pfc2_verdict_is_null(self, tmp_path):
+        out = tmp_path / "x"
+        params = {**TINY_RUNS["interpolate"], "num_classes": 2}
+        assert cli.main(["interpolate", "--out", str(out), *_sets(params)]) == 0
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        assert verdicts["pfc2"] is None
+        assert verdicts["pfc1"] in ("strictly-decreasing", "nonincreasing", "violated")
+
+    def test_two_class_theorem2_paths_have_no_verdict(self, tmp_path):
+        # a K = 2 path's pfc2 curve is rounding noise: its verdict cell is a
+        # marker, and it counts neither for nor against the theorem; the
+        # K = 3 paths beside it are judged as before
+        out = tmp_path / "x"
+        params = {**TINY_RUNS["theorem2"], "classes": [2, 3], "num_paths": 4}
+        assert cli.main(["theorem2", "--out", str(out), *_sets(params)]) == 0
+        header, rows = read_csv(out / "paths.csv")
+        cells = [(row[1], row[4], row[5]) for row in rows]
+        assert [c for c in cells if c[0] == 2] == [(2, "undefined", -1)] * 2
+        assert [c[1] for c in cells if c[0] == 3] == ["strictly-decreasing"] * 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["monotone_count"] == 2
+        assert summary["all_monotone"] is True
+
     def test_degenerate_sweep_lane_names_its_lambda(self, tmp_path, capsys, monkeypatch):
         calls = []
 
@@ -1008,6 +1032,66 @@ class TestPfcReportRun:
             (i for i, fs in enumerate(stack.layers) if 1.0 - metrics.pfc3(fs) <= 0.05), None
         )
         assert summary["effective_depth"] == first
+
+    def test_layers_are_held_at_most_three_at_once(self, tmp_path, monkeypatch):
+        # the layer files are read one at a time, and only the first layer
+        # and the latest are kept between reads
+        rng = np.random.default_rng(8)
+        files = []
+        for layer in range(7):
+            path = tmp_path / f"layer{layer}.txt"
+            save_featureset(path, FeatureSet(rng.standard_normal((4, 12)), 3, 4))
+            files.append(str(path))
+        loaded, alive = [], []
+
+        def count_alive():
+            alive.append(sum(ref() is not None for ref in loaded))
+
+        def tracked_load(path):
+            fs = load_featureset(path)
+            loaded.append(weakref.ref(fs))
+            count_alive()
+            return fs
+
+        def tracked_measure(fs):
+            count_alive()
+            return metrics.measure(fs)
+
+        monkeypatch.setattr(harness, "load_featureset", tracked_load)
+        monkeypatch.setattr(harness, "measure", tracked_measure)
+        out = tmp_path / "report"
+        run(ExperimentConfig(kind="pfc-report",
+                             params={"stack_files": files, "grid_points": 5},
+                             out_dir=out))
+        assert len(loaded) == 7
+        assert max(alive) <= 3
+        summary = json.loads((out / "summary.json").read_text())
+        stack = LayerStack(tuple(load_featureset(f) for f in files))
+        assert summary["relative_positions"] == relative_positions(stack).tolist()
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([(6, 3, 4), (6, 3, 4), (4, 3, 4)],
+         "layer 2 has shape (K=3, n=4, d=4), expected (K=3, n=4, d=6)"),
+        ([(2, 3, 4)] * 3, "stack_files must hold features of dim >= num_classes, got dim=2 < K=3"),
+    ], ids=["last-header-mismatch", "dim-below-classes"])
+    def test_header_error_before_any_body_is_parsed(self, tmp_path, capsys, monkeypatch,
+                                                    shapes, message):
+        # shapes are (d, K, n) per layer file
+        rng = np.random.default_rng(9)
+        files = []
+        for layer, (d, k, n) in enumerate(shapes):
+            path = tmp_path / f"layer{layer}.txt"
+            save_featureset(path, FeatureSet(rng.standard_normal((d, k * n)), k, n))
+            files.append(str(path))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a layer file body was parsed")
+
+        monkeypatch.setattr(np, "loadtxt", never)
+        args = ["pfc-report", "--out", str(tmp_path / "x"), *_sets({"stack_files": files})]
+        assert cli.main(args) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_stack_narrower_than_classes_rejected(self, tmp_path):
         files = []
