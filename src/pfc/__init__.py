@@ -6,7 +6,6 @@ from .core import (
     DegenerateInputError,
     DivergenceError,
     FeatureSet,
-    LayerStack,
     class_stats,
     load_featureset,
     save_featureset,
@@ -19,7 +18,6 @@ from .geodesic import (
     metric_curve,
     metric_values,
     monotonicity_report,
-    relative_positions,
     uniform_grid,
 )
 from .metrics import (
@@ -52,7 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "FeatureSet",
     "InterpolationPath",
-    "LayerStack",
     "MonotonicityVerdict",
     "PfcReport",
     "SolveProblem",
@@ -77,7 +74,6 @@ __all__ = [
     "pfc1",
     "pfc2",
     "pfc3",
-    "relative_positions",
     "resolve_config",
     "run",
     "save_featureset",

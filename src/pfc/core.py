@@ -143,31 +143,6 @@ class ClassStats:
     tr_between: float
 
 
-@dataclass(frozen=True)
-class LayerStack:
-    """Ordered per-layer feature sets of one network.
-
-    Index 0 holds the input features of the first residual block ("layer 0");
-    the last index holds the last-layer features.  All layers must share
-    K, n and d.
-    """
-
-    layers: tuple[FeatureSet, ...]
-
-    def __post_init__(self):
-        layers = tuple(self.layers)
-        if not layers:
-            raise ValueError("LayerStack needs at least one layer")
-        check_layer_shapes([(fs.num_classes, fs.per_class, fs.dim) for fs in layers])
-        object.__setattr__(self, "layers", layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, i: int) -> FeatureSet:
-        return self.layers[i]
-
-
 def check_layer_shapes(shapes: list[tuple[int, int, int]]) -> None:
     """Raise ValueError naming the first layer whose (K, n, d) differs from layer 0's."""
     for i, (k, n, d) in enumerate(shapes):
@@ -217,21 +192,25 @@ def read_header(f) -> tuple[int, int, int]:
     """K, n and d from the header line of a layer file open at its start;
     the file is left at its first body row."""
     header = f.readline().split()
-    if len(header) != 3:
-        raise ValueError(f"{f.name}: expected header 'K n d', got {header!r}")
-    k, n, d = (int(x) for x in header)
+    try:
+        k, n, d = (int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"{f.name}: expected an integer header 'K n d', got {header!r}") from None
     return k, n, d
 
 
 def load_featureset(path) -> FeatureSet:
-    """Read a feature set written by :func:`save_featureset`."""
+    """Read a feature set written by :func:`save_featureset`; a ValueError names the file."""
     with open(path) as f:
         k, n, d = read_header(f)
-        data = np.loadtxt(f, dtype=np.float64, ndmin=2)
-    # nothing else holds the parsed array, so the set adopts it uncopied
-    data.setflags(write=False)
-    if data.shape != (d, k * n):
-        raise ValueError(
-            f"{path}: expected {d} x {k * n} values, got {data.shape[0]} x {data.shape[1]}"
-        )
-    return FeatureSet(features=data, num_classes=k, per_class=n)
+        try:
+            data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+            # nothing else holds the parsed array, so the set adopts it uncopied
+            data.setflags(write=False)
+            if data.shape != (d, k * n):
+                raise ValueError(
+                    f"expected {d} x {k * n} values, got {data.shape[0]} x {data.shape[1]}"
+                )
+            return FeatureSet(features=data, num_classes=k, per_class=n)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, LayerStack, _window_exponent
+from .core import DegenerateInputError, FeatureSet, _window_exponent
 from .etf import build_etf
 from .metrics import _Moments
 
@@ -208,8 +208,10 @@ def step_length(a: FeatureSet, b: FeatureSet) -> tuple[float, int]:
 
 
 def positions_from_steps(lengths: list[tuple[float, int]]) -> np.ndarray:
-    """Relative positions of the layers between the steps of ``lengths``,
-    the :func:`step_length` of each consecutive pair in order.
+    """Position of each layer in [0, 1] along the cumulative displacement,
+    from ``lengths``, the :func:`step_length` of each consecutive pair of
+    layers in order: layer l sits at the sum of the first l lengths over
+    their total, so layer 0 maps to 0 and the last layer to 1.
 
     The lengths are put on one scale, the largest nonzero one's exponent,
     so that the ratios keep their bits whatever power of two scales the
@@ -226,22 +228,6 @@ def positions_from_steps(lengths: list[tuple[float, int]]) -> np.ndarray:
     if total == 0.0:
         raise DegenerateInputError("zero total path length; positions undefined")
     return np.concatenate([[0.0], np.cumsum(steps) / total])
-
-
-def relative_positions(stack: LayerStack) -> np.ndarray:
-    """Position of each layer in [0, 1] along the cumulative displacement.
-
-    Layer l sits at the sum over earlier blocks of the total columnwise
-    displacement norms, normalized by the full path length; layer 0 maps
-    to 0 and the last layer to 1.  Each step is one :func:`step_length`,
-    and :func:`positions_from_steps` scales and sums them; a report that
-    streams its layers calls the same two.
-
-    Raises:
-        DegenerateInputError: if the total path length is zero.
-    """
-    layers = stack.layers
-    return positions_from_steps([step_length(a, b) for a, b in zip(layers, layers[1:])])
 
 
 def make_nc_featureset(

@@ -584,12 +584,13 @@ def _stack_report(layers: Iterable[FeatureSet], p: dict,
     prediction (report.csv), plus dense predicted curves (curves.csv) and
     their verdicts.
 
-    The layers are taken one at a time: each one's step length from the
-    previous layer is taken, the previous layer is dropped, and the new one
-    is measured.  Only the first layer, the start of the prediction path,
-    and the latest are kept, so layers that ``layers`` loads as they are
-    asked for are held at most three at once.  ``reports`` are the layers'
-    metrics if already measured."""
+    The layers are taken one at a time: each one's :func:`step_length` from
+    the previous layer is taken, the previous layer is dropped, and the new
+    one is measured; :func:`positions_from_steps` then places the layers.
+    Only the first layer, the start of the prediction path, and the latest
+    are kept, so layers that ``layers`` loads as they are asked for are held
+    at most three at once.  ``reports`` are the layers' metrics if already
+    measured."""
     lengths, measured = [], []
     first = last = None
     for layer in layers:
@@ -670,7 +671,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         for epoch, reports in zip(trace.snapshot_epochs, trace.reports)
     ]
     # train measured the final stack at its last recorded epoch, the last one
-    report, artifacts = _stack_report(trace.final_stack.layers, p, trace.reports[-1])
+    report, artifacts = _stack_report(trace.final_stack, p, trace.reports[-1])
     return {
         "final_loss": float(trace.losses[-1]),
         "final_accuracy": float(trace.accuracies[-1]),
@@ -680,7 +681,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         "train_log.csv": (log_header, [log_row(e) for e in range(1, config.epochs + 1)]),
         "trace.csv": (trace_header, trace_rows),
         **artifacts,
-        **{f"layers/layer_{i:02d}.txt": fs for i, fs in enumerate(trace.final_stack.layers)},
+        **{f"layers/layer_{i:02d}.txt": fs for i, fs in enumerate(trace.final_stack)},
     }
 
 
@@ -868,12 +869,15 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and return its manifest.
 
     The run writes into a fresh sibling of ``config.out_dir`` that replaces
-    the directory only once the run has succeeded, so ``out_dir`` always
-    holds exactly one complete run: a failed run leaves an earlier one
-    untouched.  The runner's artifacts and summary are the only files
-    written besides the manifest, which echoes the resolved configuration
-    and records a sha256 checksum for each of them, so two runs agree iff
-    their manifests' artifact blocks agree.
+    the directory only once the run has succeeded, so ``out_dir`` holds
+    exactly one complete run: a failed run, a failed final move included,
+    leaves an earlier one untouched.  One gap remains: a process killed
+    between moving the earlier run aside and moving the new one in leaves no
+    ``out_dir``, and the earlier run stays in the hidden ``.NAME-*`` staging
+    directory beside it.  The runner's artifacts and summary are the only
+    files written besides the manifest, which echoes the resolved
+    configuration and records a sha256 checksum for each of them, so two
+    runs agree iff their manifests' artifact blocks agree.
 
     Raises:
         ValueError: before any work, if ``out_dir`` is not empty and holds
@@ -912,9 +916,15 @@ def run(config: ExperimentConfig) -> dict:
             "artifacts": {rel: sha256_file(new / rel) for rel in written},
         }
         write_json(new / "manifest.json", manifest)
-        if out.exists():
+        moved = out.exists()
+        if moved:
             out.rename(staging / "old")
-        new.rename(out)
+        try:
+            new.rename(out)
+        except BaseException:
+            if moved:
+                (staging / "old").rename(out)
+            raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return manifest

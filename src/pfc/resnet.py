@@ -7,8 +7,8 @@ and a step learning-rate schedule on the softmax cross entropy.
 
 Training records per-epoch loss and accuracy on the full training set and,
 at a configurable epoch stride, a snapshot of all post-activation layer
-outputs [x0 .. xL] as a LayerStack together with collapse metrics per
-layer.
+outputs [x0 .. xL] as a tuple of feature sets together with collapse
+metrics per layer.
 
 An epoch does only the work its outputs read.  Each batch runs
 ``_gradient``, which fills the gradients and forms no loss or accuracy;
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DivergenceError, FeatureSet, LayerStack
+from .core import DivergenceError, FeatureSet
 from .metrics import PfcReport, measure
 
 
@@ -120,12 +120,12 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainTrace:
     """Per-epoch history, per-layer metrics at each recorded epoch, the
-    last recorded layer stack, and the final parameters."""
+    last recorded layers [x0 .. xL] as feature sets, and the final params."""
 
     losses: np.ndarray
     accuracies: np.ndarray
     snapshot_epochs: tuple[int, ...]
-    final_stack: LayerStack
+    final_stack: tuple[FeatureSet, ...]
     reports: tuple[tuple[PfcReport, ...], ...]
     params: dict = field(repr=False, default_factory=dict)
 
@@ -480,10 +480,10 @@ def train(
     # nothing writes the block again, so the final stack's sets adopt its
     # layers uncopied: fresh views of a read-only block are read-only
     block.setflags(write=False)
-    final_stack = LayerStack(tuple(
+    final_stack = tuple(
         FeatureSet(f, config.num_classes, config.per_class) for f in block[:, :-1]
-    ))
-    reports.append(tuple(measure(fs) for fs in final_stack.layers))
+    )
+    reports.append(tuple(measure(fs) for fs in final_stack))
     return TrainTrace(
         losses=losses,
         accuracies=accuracies,

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from pfc.core import (
     FeatureSet,
-    LayerStack,
     _to_window,
+    check_layer_shapes,
     class_stats,
     load_featureset,
     save_featureset,
@@ -205,23 +205,14 @@ class TestScaleWindow:
         np.testing.assert_array_equal(shifted[1], b / 4.0)
 
 
-class TestLayerStack:
+class TestCheckLayerShapes:
     def test_requires_shared_shape(self):
         a = FeatureSet(np.zeros((2, 4)), 2, 2)
         b = FeatureSet(np.zeros((3, 4)), 2, 2)
-        with pytest.raises(ValueError):
-            LayerStack(layers=(a, b))
-
-    def test_len_and_getitem(self):
-        a = FeatureSet(np.zeros((2, 4)), 2, 2)
-        b = FeatureSet(np.ones((2, 4)), 2, 2)
-        stack = LayerStack(layers=(a, b))
-        assert len(stack) == 2
-        assert stack[1] is b
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            LayerStack(layers=())
+        shapes = [(fs.num_classes, fs.per_class, fs.dim) for fs in (a, b)]
+        with pytest.raises(ValueError, match=r"^layer 1 has shape \(K=2, n=2, d=3\), "
+                                             r"expected \(K=2, n=2, d=2\)$"):
+            check_layer_shapes(shapes)
 
 
 class TestSerialization:
@@ -292,8 +283,26 @@ class TestSerialization:
     def test_load_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 4\n0 0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.txt: "):
             load_featureset(path)
+
+    @pytest.mark.parametrize("text, cause", [
+        ("a b c\n0 0\n0 0\n", "expected an integer header"),
+        ("2.0 1 2\n0 0\n0 0\n", "expected an integer header"),
+        ("2 1 2\n0 0\n0 abc\n", "could not convert string 'abc'"),
+        ("2 1 2\n0 0\n0\n", "the number of columns changed"),
+        ("2 1 2\n0 nan\n0 0\n", "features contain NaN or Inf"),
+        ("1 2 2\n0 0\n0 0\n", "num_classes must be >= 2, got 1"),
+        ("2 1 2\n0 0\n", "expected 2 x 2 values, got 1 x 2"),
+    ], ids=["letters", "float", "cell", "ragged", "nan", "one-class", "row-count"])
+    def test_load_error_names_the_file_once(self, tmp_path, text, cause):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_featureset(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+        assert cause in message
 
     def test_load_rejects_wrong_row_count(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfc.core import DegenerateInputError, FeatureSet, LayerStack, class_stats
+from conftest import stack_positions
+from pfc.core import DegenerateInputError, FeatureSet, class_stats
 from pfc.etf import build_etf
 from pfc.geodesic import (
     METRIC_KINDS,
@@ -20,7 +21,6 @@ from pfc.geodesic import (
     monotonicity_report,
     perturbed_collapse_path,
     random_to_collapse_path,
-    relative_positions,
     uniform_grid,
 )
 from pfc.metrics import pfc1, pfc2, pfc3
@@ -306,10 +306,10 @@ def normal_points(*paths):
 
 def random_stack(seed, layers=4, num_classes=3, per_class=2, dim=4):
     rng = np.random.default_rng(seed)
-    return LayerStack(layers=tuple(
+    return tuple(
         FeatureSet(rng.standard_normal((dim, num_classes * per_class)), num_classes, per_class)
         for _ in range(layers)
-    ))
+    )
 
 
 class TestScale:
@@ -380,24 +380,18 @@ class TestScale:
     def test_power_of_two_scaling_keeps_position_bits(self):
         for seed in range(20):
             stack = random_stack(seed)
-            expected = relative_positions(stack)
+            expected = stack_positions(stack)
             for factor in POWERS_OF_TWO:
-                if not exactly_scaled(stack.layers, factor):
+                if not exactly_scaled(stack, factor):
                     continue
-                scaled = LayerStack(
-                    layers=tuple(scaled_set(fs, factor) for fs in stack.layers)
-                )
-                assert relative_positions(scaled).tobytes() == expected.tobytes(), factor
+                scaled = tuple(scaled_set(fs, factor) for fs in stack)
+                assert stack_positions(scaled).tobytes() == expected.tobytes(), factor
 
     @pytest.mark.parametrize("factor", [1e160, 1e-170])
     def test_decimal_scaling_keeps_positions(self, factor):
         stack = random_stack(1)
-        scaled = LayerStack(
-            layers=tuple(scaled_set(fs, factor) for fs in stack.layers)
-        )
-        np.testing.assert_allclose(
-            relative_positions(scaled), relative_positions(stack), rtol=1e-12
-        )
+        scaled = tuple(scaled_set(fs, factor) for fs in stack)
+        np.testing.assert_allclose(stack_positions(scaled), stack_positions(stack), rtol=1e-12)
 
 
 class TestEndpointAlignment:
@@ -471,44 +465,43 @@ class TestRelativePositions:
         for s in sums:
             offset += s / 2.0
             layers.append(FeatureSet(np.full((1, 2), offset), 2, 1))
-        return LayerStack(layers=tuple(layers))
+        return tuple(layers)
 
     def test_equal_steps(self):
         stack = self._stack_with_displacements([1.0, 1.0])
-        np.testing.assert_allclose(relative_positions(stack), [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(stack_positions(stack), [0.0, 0.5, 1.0])
 
     def test_single_block(self):
         stack = self._stack_with_displacements([2.0])
-        np.testing.assert_allclose(relative_positions(stack), [0.0, 1.0])
+        np.testing.assert_allclose(stack_positions(stack), [0.0, 1.0])
 
     def test_cumulative_sums_example(self):
         stack = self._stack_with_displacements([1.0, 2.0, 1.0])
         np.testing.assert_allclose(
-            relative_positions(stack), [0.0, 0.25, 0.75, 1.0]
+            stack_positions(stack), [0.0, 0.25, 0.75, 1.0]
         )
 
     def test_steps_far_below_a_constant_coordinate(self):
         # the layers share a constant coordinate 1; the other one moves by
         # 2^-560 and then 3 * 2^-560, whose squares underflow at that scale
         def with_steps(scale):
-            return LayerStack(layers=tuple(
+            return tuple(
                 FeatureSet(np.array([[1.0] * 6, [scale * c] * 6]), 3, 2) for c in (0.0, 1.0, 4.0)
-            ))
+            )
 
-        got = relative_positions(with_steps(2.0**-560))
-        assert got.tobytes() == relative_positions(with_steps(1.0)).tobytes()
+        got = stack_positions(with_steps(2.0**-560))
+        assert got.tobytes() == stack_positions(with_steps(1.0)).tobytes()
         assert got.tolist() == [0.0, 0.25, 1.0]
 
     def test_zero_length_path_rejected(self):
         fs = FeatureSet(np.ones((2, 2)), 2, 1)
-        stack = LayerStack(layers=(fs, fs))
         with pytest.raises(DegenerateInputError):
-            relative_positions(stack)
+            stack_positions((fs, fs))
 
     def test_needs_two_layers(self):
         fs = FeatureSet(np.ones((2, 2)), 2, 1)
         with pytest.raises(ValueError):
-            relative_positions(LayerStack(layers=(fs,)))
+            stack_positions((fs,))
 
 
 class TestCollapsedFixture:

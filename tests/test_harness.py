@@ -17,16 +17,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import stack_positions
 from pfc import cli, harness, metrics, resnet
 from pfc.core import (
     DegenerateInputError,
     FeatureSet,
-    LayerStack,
     load_featureset,
     save_featureset,
 )
 from pfc.etf import build_etf
-from pfc.geodesic import make_nc_featureset, relative_positions
+from pfc.geodesic import make_nc_featureset
 from pfc.harness import (
     KINDS,
     ExperimentConfig,
@@ -560,6 +560,23 @@ class TestRunDirectory:
         assert _tree(out) == before
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_failed_final_move_keeps_the_earlier_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "etf"
+        first = run(ExperimentConfig(kind="etf-check", out_dir=out))
+        rename = Path.rename
+
+        def refuse_run(self, target):
+            if self.name == "run":
+                raise OSError("rename refused")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", refuse_run)
+        with pytest.raises(OSError, match="rename refused"):
+            run(ExperimentConfig(kind="etf-check", out_dir=out))
+        assert json.loads((out / "manifest.json").read_text()) == first
+        assert {rel: sha256_file(out / rel) for rel in first["artifacts"]} == first["artifacts"]
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_foreign_directory_refused_before_any_work(self, tmp_path, capsys,
                                                        monkeypatch):
         def never(*args):
@@ -1027,10 +1044,8 @@ class TestPfcReportRun:
                              out_dir=out))
         assert sorted(calls) == [1, 1, 1, 2]
         summary = json.loads((out / "summary.json").read_text())
-        stack = LayerStack(tuple(load_featureset(f) for f in files))
-        first = next(
-            (i for i, fs in enumerate(stack.layers) if 1.0 - metrics.pfc3(fs) <= 0.05), None
-        )
+        stack = tuple(load_featureset(f) for f in files)
+        first = next((i for i, fs in enumerate(stack) if 1.0 - metrics.pfc3(fs) <= 0.05), None)
         assert summary["effective_depth"] == first
 
     def test_layers_are_held_at_most_three_at_once(self, tmp_path, monkeypatch):
@@ -1066,8 +1081,8 @@ class TestPfcReportRun:
         assert len(loaded) == 7
         assert max(alive) <= 3
         summary = json.loads((out / "summary.json").read_text())
-        stack = LayerStack(tuple(load_featureset(f) for f in files))
-        assert summary["relative_positions"] == relative_positions(stack).tolist()
+        stack = tuple(load_featureset(f) for f in files)
+        assert summary["relative_positions"] == stack_positions(stack).tolist()
 
     @pytest.mark.parametrize("shapes, message", [
         ([(6, 3, 4), (6, 3, 4), (4, 3, 4)],
@@ -1091,6 +1106,20 @@ class TestPfcReportRun:
         args = ["pfc-report", "--out", str(tmp_path / "x"), *_sets({"stack_files": files})]
         assert cli.main(args) == 1
         assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["a b c\n0 0\n0 0\n", "2 1 2\n0 0\n0\n"],
+                             ids=["header", "body"])
+    def test_bad_layer_file_among_good_ones_is_named(self, tmp_path, capsys, text):
+        rng = np.random.default_rng(10)
+        files = [tmp_path / f"layer{layer}.txt" for layer in range(3)]
+        for path in files[::2]:
+            save_featureset(path, FeatureSet(rng.standard_normal((2, 2)), 2, 1))
+        files[1].write_text(text)
+        args = ["pfc-report", "--out", str(tmp_path / "x"),
+                *_sets({"stack_files": [str(f) for f in files]})]
+        assert cli.main(args) == 1
+        assert f"invalid run: {files[1]}: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_stack_narrower_than_classes_rejected(self, tmp_path):

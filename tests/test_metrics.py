@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfc.core import DegenerateInputError, FeatureSet, LayerStack
+from pfc.core import DegenerateInputError, FeatureSet
 from pfc.etf import build_etf, gram_target
 from pfc.metrics import (
     first_within_error,
@@ -290,10 +290,10 @@ def accuracy_layer(wrong: int) -> FeatureSet:
     return FeatureSet(np.array([values]), num_classes=2, per_class=10)
 
 
-def effective_depth(stack: LayerStack, epsilon: float) -> int | None:
+def effective_depth(stack: tuple[FeatureSet, ...], epsilon: float) -> int | None:
     """Oracle for ``first_within_error``: the first layer of the stack whose
     NCC error rate is at most ``epsilon``, measured layer by layer."""
-    for idx, fs in enumerate(stack.layers):
+    for idx, fs in enumerate(stack):
         if 1.0 - pfc3(fs) <= epsilon:
             return idx
     return None
@@ -301,10 +301,8 @@ def effective_depth(stack: LayerStack, epsilon: float) -> int | None:
 
 class TestEffectiveDepth:
     def test_example_thresholds(self):
-        stack = LayerStack(
-            layers=(accuracy_layer(6), accuracy_layer(2), accuracy_layer(0)),
-        )
-        observed = [pfc3(fs) for fs in stack.layers]
+        stack = (accuracy_layer(6), accuracy_layer(2), accuracy_layer(0))
+        observed = [pfc3(fs) for fs in stack]
         assert observed == [0.7, 0.9, 1.0]
         assert first_within_error(observed, 0.1) == 1
         assert first_within_error(observed, 0.0) == 2
@@ -314,8 +312,8 @@ class TestEffectiveDepth:
             assert first_within_error(observed, epsilon) == effective_depth(stack, epsilon)
 
     def test_none_when_no_layer_qualifies(self):
-        stack = LayerStack(layers=(accuracy_layer(6), accuracy_layer(4)))
-        observed = [pfc3(fs) for fs in stack.layers]
+        stack = (accuracy_layer(6), accuracy_layer(4))
+        observed = [pfc3(fs) for fs in stack]
         assert first_within_error(observed, 0.05) is None
         assert effective_depth(stack, 0.05) is None
 

@@ -460,7 +460,7 @@ def assert_train_matches_emulation(config, data):
                 assert_same_bits(np.array(astuple(rep)), np.array(astuple(want)))
             recorded += 1
     assert recorded == len(trace.snapshot_epochs) == len(trace.reports)
-    for fs, want in zip(trace.final_stack.layers, features, strict=True):
+    for fs, want in zip(trace.final_stack, features, strict=True):
         assert_same_bits(fs.features, want)
     assert trace.params.keys() == params.keys()
     for name in params:
@@ -612,7 +612,7 @@ class TestRecording:
     def test_final_stack_shares_one_read_only_buffer(self):
         config = tiny_config(epochs=3, record_stride=2)
         data = tiny_data(config)
-        layers = [fs.features for fs in train(config, data).final_stack.layers]
+        layers = [fs.features for fs in train(config, data).final_stack]
         owner = layers[0].base
         assert owner is not None and not owner.flags.writeable
         for features in layers:
