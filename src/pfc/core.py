@@ -24,6 +24,7 @@ rescaled.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,14 +189,24 @@ def save_featureset(path, fs: FeatureSet) -> None:
             f.write(row_format % tuple(row.tolist()))
 
 
+# each header field: its letter, the name it has elsewhere, and its least value
+_HEADER_FIELDS = (("K", "num_classes", 2), ("n", "per_class", 1), ("d", "dim", 1))
+
+
 def read_header(f) -> tuple[int, int, int]:
-    """K, n and d from the header line of a layer file open at its start;
-    the file is left at its first body row."""
+    """K, n and d from the header line of a layer file open at its start,
+    each checked against its least value (K >= 2, n >= 1, d >= 1); the file
+    is left at its first body row."""
     header = f.readline().split()
     try:
-        k, n, d = (int(x) for x in header)
+        k, n, d = values = tuple(int(x) for x in header)
     except ValueError:
         raise ValueError(f"{f.name}: expected an integer header 'K n d', got {header!r}") from None
+    for (letter, name, low), value in zip(_HEADER_FIELDS, values):
+        if value < low:
+            raise ValueError(
+                f"{f.name}: header field {letter}: {name} must be >= {low}, got {value}"
+            )
     return k, n, d
 
 
@@ -204,13 +215,15 @@ def load_featureset(path) -> FeatureSet:
     with open(path) as f:
         k, n, d = read_header(f)
         try:
-            data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                # a body with no rows fails the shape check below instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(f, dtype=np.float64, ndmin=2)
             # nothing else holds the parsed array, so the set adopts it uncopied
             data.setflags(write=False)
             if data.shape != (d, k * n):
-                raise ValueError(
-                    f"expected {d} x {k * n} values, got {data.shape[0]} x {data.shape[1]}"
-                )
+                got = f"{data.shape[0]} x {data.shape[1]}" if data.size else "none"
+                raise ValueError(f"expected {d} x {k * n} values, got {got}")
             return FeatureSet(features=data, num_classes=k, per_class=n)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

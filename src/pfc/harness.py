@@ -19,9 +19,10 @@ byte-identical artifacts.
 A runner takes only its :class:`ExperimentConfig` and touches no disk.
 It returns ``(summary, artifacts)``: the summary is the dict that becomes
 ``summary.json``, and ``artifacts`` maps each relative POSIX path to a
-``(header, rows)`` table or a :class:`~pfc.core.FeatureSet`.  :func:`run`
-is the one writer: it writes the artifacts in sorted path order, then the
-summary, and hashes exactly the files it wrote.
+``(header, rows)`` table, a :class:`~pfc.core.FeatureSet`, or a function
+that forms the feature set when its file is written.  :func:`run` is the
+one writer: it writes the artifacts in the order the runner lists them,
+then the summary, and hashes exactly the files it wrote.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ from .surrogate import (
 )
 
 
-# a runner's artifacts: relative POSIX path -> CSV table (header, rows) or layer file
+# a runner's artifacts: relative POSIX path -> CSV table (header, rows) or
+# layer file, given as a feature set or a function that forms one
 Table = tuple[tuple[str, ...], list[tuple]]
-Artifacts = dict[str, Table | FeatureSet]
+Artifacts = dict[str, Table | FeatureSet | Callable[[], FeatureSet]]
 
 
 @dataclass(frozen=True)
@@ -670,8 +672,10 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         (*log_row(epoch), *(getattr(rep, kind) for rep in reports for kind in METRIC_KINDS))
         for epoch, reports in zip(trace.snapshot_epochs, trace.reports)
     ]
-    # train measured the final stack at its last recorded epoch, the last one
-    report, artifacts = _stack_report(trace.final_stack, p, trace.reports[-1])
+    # train measured the final layers at its last recorded epoch, the last
+    # one; run writes the layer files in order, each the next of one stream
+    report, artifacts = _stack_report(trace.final_layers(), p, trace.reports[-1])
+    layers = trace.final_layers()
     return {
         "final_loss": float(trace.losses[-1]),
         "final_accuracy": float(trace.accuracies[-1]),
@@ -681,7 +685,8 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         "train_log.csv": (log_header, [log_row(e) for e in range(1, config.epochs + 1)]),
         "trace.csv": (trace_header, trace_rows),
         **artifacts,
-        **{f"layers/layer_{i:02d}.txt": fs for i, fs in enumerate(trace.final_stack)},
+        **{f"layers/layer_{i:02d}.txt": partial(next, layers)
+           for i in range(config.num_blocks + 1)},
     }
 
 
@@ -877,7 +882,11 @@ def run(config: ExperimentConfig) -> dict:
     directory beside it.  The runner's artifacts and summary are the only
     files written besides the manifest, which echoes the resolved
     configuration and records a sha256 checksum for each of them, so two
-    runs agree iff their manifests' artifact blocks agree.
+    runs agree iff their manifests' artifact blocks agree.  An artifact is
+    a table, a feature set, or a function that returns a feature set, called
+    as its file is written; the artifacts are written in the order given,
+    so such functions may draw in turn from one stream, and the feature set
+    is dropped before the next artifact is formed.
 
     Raises:
         ValueError: before any work, if ``out_dir`` is not empty and holds
@@ -895,9 +904,11 @@ def run(config: ExperimentConfig) -> dict:
         new = staging / "run"
         new.mkdir()
         summary, artifacts = KINDS[config.kind].run(config)
-        for rel, item in sorted(artifacts.items()):
+        for rel, item in artifacts.items():
             path = new / rel
             path.parent.mkdir(exist_ok=True)
+            if callable(item):
+                item = item()
             if isinstance(item, FeatureSet):
                 save_featureset(path, item)
             else:

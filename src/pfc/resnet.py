@@ -6,21 +6,23 @@ trained by mini-batch SGD with heavy-ball momentum, coupled weight decay,
 and a step learning-rate schedule on the softmax cross entropy.
 
 Training records per-epoch loss and accuracy on the full training set and,
-at a configurable epoch stride, a snapshot of all post-activation layer
-outputs [x0 .. xL] as a tuple of feature sets together with collapse
-metrics per layer.
+at a configurable epoch stride, collapse metrics of every post-activation
+layer output [x0 .. xL].  The final layers are formed again on demand
+(``TrainTrace.final_layers``).
 
 An epoch does only the work its outputs read.  Each batch runs
 ``_gradient``, which fills the gradients and forms no loss or accuracy;
 ``resnet_backward`` is that kernel plus the loss and accuracy read from the
-buffers it leaves.  The per-epoch pass over the full set runs forward only:
-each layer's pre-activation is formed in that layer's feature buffer, in one
-(L+1) x width x N block that a recorded epoch fills layer by layer and any
-other epoch rolls through two layers of.  The full-set loss and accuracy are
-formed once per epoch.  A recorded epoch measures one layer at a time, each
-through a transient copy; after the last epoch the block is frozen, and the
-final stack's feature sets adopt views of it, so the returned stack shares
-the forward block and the recorded layers are held once.
+buffers it leaves.  The per-epoch pass over the full set runs forward only,
+forming each layer's pre-activation in that layer's feature buffer, and no
+pass holds more than two layers: an epoch that records nothing rolls
+through two buffers, and a recorded epoch forms each layer in a fresh
+array (``_layers``), measures it while the pass goes on, and drops it once
+the next layer is formed.  A fresh layer is read-only once formed, so its
+feature set adopts it uncopied.  The full-set loss and accuracy are formed
+once per epoch.  The final layers' stream runs the same layer kernel
+(``_layer``) on the final parameters, so it gives the bits the last epoch,
+which is always recorded, measured.
 
 Each layer's parameters are one (rows, cols + 1) block [W | b] with the bias
 as its last column, and every feature buffer, the input included, carries a
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -120,13 +123,20 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainTrace:
     """Per-epoch history, per-layer metrics at each recorded epoch, the
-    last recorded layers [x0 .. xL] as feature sets, and the final params."""
+    final params, and the final layers [x0 .. xL] on demand.
+
+    No layer is held.  Each call of ``final_layers`` starts a stream that
+    forms the layers again from the final params and the training inputs,
+    one fresh read-only feature set at a time, with the bits the last epoch
+    measured; the stream drops each layer once it has formed the next, so a
+    caller that keeps none holds at most two.
+    """
 
     losses: np.ndarray
     accuracies: np.ndarray
     snapshot_epochs: tuple[int, ...]
-    final_stack: tuple[FeatureSet, ...]
     reports: tuple[tuple[PfcReport, ...], ...]
+    final_layers: Callable[[], Iterator[FeatureSet]] = field(repr=False)
     params: dict = field(repr=False, default_factory=dict)
 
 
@@ -265,27 +275,55 @@ def _affine(net: _Net, l: int, x: np.ndarray, out: np.ndarray, fold: bool) -> No
         out += net.b[l]
 
 
+def _layer(net: _Net, l: int, x: np.ndarray, a: np.ndarray, f: np.ndarray,
+           zeros: np.ndarray, fold: bool) -> None:
+    """Layer l from the features ``x`` before it (the input at l = 0): its
+    pre-activation into ``a`` and its features into the rows of ``f`` above
+    its ones row.
+
+    ``x`` and ``f`` carry a ones row last and must be distinct buffers;
+    ``a`` may be ``f[:-1]`` itself when the pre-activation is not read
+    later.  ``zeros`` is a zero array of the layer shape: against it the
+    ReLU runs numpy's contiguous loop, where a scalar 0.0 would take its
+    slower broadcast loop, with the same result bits.
+    """
+    body = f[:-1]
+    _affine(net, l, x, a, fold)
+    np.maximum(a, zeros, out=body)
+    if l:
+        body += x[:-1]
+
+
 def _forward(net: _Net, x: np.ndarray, preacts, features, logits: np.ndarray,
              zeros: np.ndarray, fold: bool) -> np.ndarray:
     """Write layer l's pre-activation to ``preacts[l]`` and its features to
-    the rows of ``features[l]`` above its ones row, then the logits.
-
-    ``x`` also carries a ones row last.  Consecutive layers need distinct
-    feature buffers; ``preacts[l]`` may be ``features[l][:-1]`` itself when
-    the pre-activations are not read later.  ``zeros`` is a zero array of
-    the layer shape: against it the ReLU runs numpy's contiguous loop,
-    where a scalar 0.0 would take its slower broadcast loop, with the same
-    result bits.
-    """
-    _affine(net, 0, x, preacts[0], fold)
-    np.maximum(preacts[0], zeros, out=features[0][:-1])
-    for l in range(1, len(features)):
-        a, f, previous = preacts[l], features[l][:-1], features[l - 1]
-        _affine(net, l, previous, a, fold)
-        np.maximum(a, zeros, out=f)
-        f += previous[:-1]
-    _affine(net, -1, features[-1], logits, fold)
+    ``features[l]`` (:func:`_layer`), then the logits; ``x`` also carries a
+    ones row last, and consecutive layers need distinct feature buffers."""
+    for l, (a, f) in enumerate(zip(preacts, features)):
+        _layer(net, l, x, a, f, zeros, fold)
+        x = f
+    _affine(net, -1, x, logits, fold)
     return logits
+
+
+def _layers(net: _Net, x: np.ndarray, zeros: np.ndarray, fold: bool) -> Iterator[np.ndarray]:
+    """The features [x0 .. xL] of the input columns ``x`` (ones row last),
+    formed one at a time as they are asked for.
+
+    Each layer is a fresh array with a ones row last, its pre-activation
+    formed in place by :func:`_layer`, and it is read-only once formed, so a
+    feature set adopts its rows uncopied.  The stream drops each layer once
+    it has formed the next.  Overflow is not reported here: a diverged
+    layer holds a non-finite value, which its caller checks for.
+    """
+    for l in range(len(net.blocks) - 1):
+        f = np.empty((zeros.shape[0] + 1, x.shape[1]))
+        f[-1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _layer(net, l, x, f[:-1], f, zeros, fold)
+        f.setflags(write=False)
+        x = f
+        yield f
 
 
 def resnet_forward(params: dict, x: np.ndarray, num_blocks: int):
@@ -376,7 +414,8 @@ def train(
     seeded by (config.seed, epoch), so runs are reproducible.
 
     Raises:
-        DivergenceError: if the full-set loss becomes non-finite.
+        DivergenceError: if the full-set loss, or a layer of a recorded
+            epoch, becomes non-finite.
     """
     if (data.num_classes, data.per_class, data.dim) != (
         config.num_classes,
@@ -425,17 +464,21 @@ def train(
         return workspaces[columns]
 
     # The full-set pass only runs forward, so each layer's pre-activation is
-    # formed in that layer's own feature buffer, in one (L+1) x width x N
-    # block.  A recorded epoch writes layer l to block[l]; the others
-    # alternate between block[0] and block[1], as only the last layer feeds
-    # the logits.
+    # formed in that layer's own feature buffer.  An epoch that records
+    # nothing alternates between two buffers, as only the last layer feeds
+    # the logits; a recorded epoch forms fresh layers (_layers).
     num_samples = data.num_samples
-    block = _feature_block(config.num_blocks + 1, config.width, num_samples)
+    pair = _feature_block(2, config.width, num_samples)
+    rolling = [pair[l % 2] for l in range(config.num_blocks + 1)]
+    bodies = [f[:-1] for f in rolling]
     zeros = np.zeros((config.width, num_samples))
-    recorded = list(block)
-    rolling = [block[l % 2] for l in range(config.num_blocks + 1)]
     full_fold = _bias_folds(params, config.num_blocks, num_samples)
     full_logits = np.empty((config.num_classes, num_samples))
+
+    def final_layers() -> Iterator[FeatureSet]:
+        # nothing writes the parameters once train returns
+        for f in _layers(net, x_full, np.zeros((config.width, num_samples)), full_fold):
+            yield FeatureSet(f[:-1], config.num_classes, config.per_class)
 
     losses = np.empty(config.epochs)
     accuracies = np.empty(config.epochs)
@@ -457,38 +500,33 @@ def train(
                 velocity *= config.momentum
                 velocity += grad
                 theta -= np.multiply(velocity, lr, out=scratch)
-
-            layers = recorded if record else rolling
-            bodies = [f[:-1] for f in layers]
-            logits = _forward(net, x_full, bodies, layers, full_logits, zeros, full_fold)
-            loss = ce_loss(logits, full_labels)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
-        losses[epoch - 1] = loss
-        accuracies[epoch - 1] = accuracy(logits, full_labels)
+            if not record:
+                _forward(net, x_full, bodies, rolling, full_logits, zeros, full_fold)
 
         if record:
             snapshot_epochs.append(epoch)
-            # each set copies its writable layer and lives while it is
-            # measured; the last epoch, always recorded, is measured below
-            if epoch < config.epochs:
-                reports.append(tuple(
-                    measure(FeatureSet(f, config.num_classes, config.per_class))
-                    for f in bodies
-                ))
+            measured = []
+            # each layer is measured as it is formed, by an adopting set
+            for l, last in enumerate(_layers(net, x_full, zeros, full_fold)):
+                if not np.all(np.isfinite(last)):
+                    raise DivergenceError(f"layer {l} became non-finite at epoch {epoch}")
+                measured.append(measure(FeatureSet(last[:-1], config.num_classes,
+                                                   config.per_class)))
+            reports.append(tuple(measured))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if record:
+                _affine(net, -1, last, full_logits, full_fold)
+            loss = ce_loss(full_logits, full_labels)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
+        losses[epoch - 1] = loss
+        accuracies[epoch - 1] = accuracy(full_logits, full_labels)
 
-    # nothing writes the block again, so the final stack's sets adopt its
-    # layers uncopied: fresh views of a read-only block are read-only
-    block.setflags(write=False)
-    final_stack = tuple(
-        FeatureSet(f, config.num_classes, config.per_class) for f in block[:, :-1]
-    )
-    reports.append(tuple(measure(fs) for fs in final_stack))
     return TrainTrace(
         losses=losses,
         accuracies=accuracies,
         snapshot_epochs=tuple(snapshot_epochs),
-        final_stack=final_stack,
         reports=tuple(reports),
+        final_layers=final_layers,
         params=params,
     )

@@ -10,6 +10,7 @@ from pfc.core import (
     check_layer_shapes,
     class_stats,
     load_featureset,
+    read_header,
     save_featureset,
 )
 
@@ -303,6 +304,33 @@ class TestSerialization:
         message = str(info.value)
         assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
         assert cause in message
+
+    @pytest.mark.parametrize("header, message", [
+        ("1 2 2", "header field K: num_classes must be >= 2, got 1"),
+        ("0 1 2", "header field K: num_classes must be >= 2, got 0"),
+        ("2 -1 2", "header field n: per_class must be >= 1, got -1"),
+        ("2 0 2", "header field n: per_class must be >= 1, got 0"),
+        ("2 1 0", "header field d: dim must be >= 1, got 0"),
+        ("2 1 -3", "header field d: dim must be >= 1, got -3"),
+    ], ids=["K=1", "K=0", "n=-1", "n=0", "d=0", "d=-3"])
+    def test_header_out_of_domain_names_the_file_and_field(self, tmp_path, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n0 0\n0 0\n")
+        with open(path) as f, pytest.raises(ValueError) as info:
+            read_header(f)
+        assert str(info.value) == f"{path}: {message}"
+        with pytest.raises(ValueError) as info:
+            load_featureset(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"], ids=["none", "blank", "blanks"])
+    def test_header_without_body_raises_one_named_error(self, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 1 2\n{body}")
+        with pytest.raises(ValueError) as info:
+            load_featureset(path)
+        assert str(info.value) == f"{path}: expected 2 x 2 values, got none"
 
     def test_load_rejects_wrong_row_count(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -510,6 +510,29 @@ class TestRunArtifacts:
                     for layer in range(3)]
             assert csv_column(header, rows, kind) == last
 
+    def test_train_resnet_writes_layer_files_holding_at_most_two(self, tmp_path, monkeypatch):
+        # the layer files are written from a stream of the final layers,
+        # formed again one at a time, each dropped once the next is formed
+        made, alive = [], []
+
+        def tracked_set(*args):
+            fs = FeatureSet(*args)
+            made.append(weakref.ref(fs))
+            return fs
+
+        def tracked_save(path, fs):
+            alive.append(sum(ref() is not None for ref in made))
+            save_featureset(path, fs)
+
+        monkeypatch.setattr(resnet, "FeatureSet", tracked_set)
+        monkeypatch.setattr(harness, "save_featureset", tracked_save)
+        params = {"num_blocks": 4, "width": 8, "input_dim": 4, "num_classes": 3,
+                  "per_class": 8, "epochs": 3, "lr_decay_epochs": [],
+                  "record_stride": 2, "grid_points": 11}
+        out = tmp_path / "run"
+        run(ExperimentConfig(kind="train-resnet", params=params, out_dir=out))
+        assert len(alive) == 5 and max(alive) <= 2
+
 
 def _tree(directory):
     return {
@@ -705,6 +728,9 @@ class TestRunnerContract:
         assert isinstance(summary, dict)
         for rel, item in artifacts.items():
             assert Path(rel).as_posix() == rel and not Path(rel).is_absolute()
+            if callable(item):
+                item = item()
+                assert isinstance(item, FeatureSet), rel
             if not isinstance(item, FeatureSet):
                 header, rows = item
                 assert rows, rel
@@ -1108,8 +1134,9 @@ class TestPfcReportRun:
         assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("text", ["a b c\n0 0\n0 0\n", "2 1 2\n0 0\n0\n"],
-                             ids=["header", "body"])
+    @pytest.mark.parametrize("text", ["a b c\n0 0\n0 0\n", "2 -1 2\n0 0\n0 0\n",
+                                      "2 1 2\n0 0\n0\n"],
+                             ids=["header", "header-field", "body"])
     def test_bad_layer_file_among_good_ones_is_named(self, tmp_path, capsys, text):
         rng = np.random.default_rng(10)
         files = [tmp_path / f"layer{layer}.txt" for layer in range(3)]
