@@ -12,7 +12,8 @@ holding CSV tables, a JSON summary, and a manifest that echoes the full
 configuration together with sha256 checksums of every artifact.  The
 directory is replaced only by a run that succeeds, so it always holds
 exactly one run.  All CSV numbers are written with 17 significant digits
-so re-reading them reproduces the exact float bits, and every random
+so re-reading them reproduces the exact float bits, none of them is ``nan``
+or ``inf`` (:func:`write_csv` fails the run instead), and every random
 stream is derived from the run seed, so a repeated run yields
 byte-identical artifacts.
 
@@ -43,6 +44,7 @@ import numpy as np
 
 from .core import (
     DegenerateInputError,
+    DivergenceError,
     FeatureSet,
     check_layer_shapes,
     load_featureset,
@@ -275,17 +277,24 @@ def parse_cell(text: str):
         return text
 
 
+_NON_FINITE = {"nan", "inf", "-inf"}
+
+
 def write_csv(path, header, rows) -> None:
-    """Comma-separated table with a header line; floats keep full precision."""
+    """Comma-separated table with a header line; floats keep full precision,
+    and a non-finite cell raises DivergenceError naming its file (not the
+    directory, which for a run is a staging one), row and column."""
     header = list(header)
     lines = [",".join(header)]
-    for row in rows:
-        row = list(row)
+    for i, row in enumerate(rows, 1):
         if len(row) != len(header):
-            raise ValueError(
-                f"row has {len(row)} cells, header has {len(header)}"
-            )
-        lines.append(",".join(format_cell(v) for v in row))
+            raise ValueError(f"row has {len(row)} cells, header has {len(header)}")
+        cells = [format_cell(v) for v in row]
+        for column, cell in zip(header, cells):
+            if cell in _NON_FINITE:
+                raise DivergenceError(f"{Path(path).name}: row {i}, column {column}: "
+                                      f"non-finite value {cell}")
+        lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -499,7 +508,7 @@ def _lambda_row(lam: float, result: SolveResult, solution: FeatureSet,
     """The ``_LAMBDA_HEADER`` row of a solve at ``lam``; a DegenerateInputError names it."""
     try:
         report = measure(solution)
-        align = float("nan") if data is None else alignment(result.H, data)
+        align = _UNDEFINED if data is None else alignment(result.H, data)
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"lambda={lam}: {exc}") from exc
     return (lam, result.epochs_run, float(result.objective_trace[-1]),
@@ -569,7 +578,7 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     return summary, {"sweep.csv": (_LAMBDA_HEADER, rows)}
 
 
-# the verdict cell of a theorem2 path whose pfc2 curve has nothing to judge
+# a cell with no value: a K = 2 theorem2 verdict, a UFM solve's alignment
 _UNDEFINED = "undefined"
 
 

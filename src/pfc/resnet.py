@@ -14,15 +14,13 @@ An epoch does only the work its outputs read.  Each batch runs
 ``_gradient``, which fills the gradients and forms no loss or accuracy;
 ``resnet_backward`` is that kernel plus the loss and accuracy read from the
 buffers it leaves.  The per-epoch pass over the full set runs forward only,
-forming each layer's pre-activation in that layer's feature buffer, and no
-pass holds more than two layers: an epoch that records nothing rolls
-through two buffers, and a recorded epoch forms each layer in a fresh
-array (``_layers``), measures it while the pass goes on, and drops it once
-the next layer is formed.  A fresh layer is read-only once formed, so its
-feature set adopts it uncopied.  The full-set loss and accuracy are formed
-once per epoch.  The final layers' stream runs the same layer kernel
-(``_layer``) on the final parameters, so it gives the bits the last epoch,
-which is always recorded, measured.
+forming each layer's pre-activation in that layer's feature buffer, and
+every such pass, recorded or not, rolls through two buffers (``_layers``).
+A recorded epoch measures each layer, through a feature set that copies
+it, before the pass overwrites it.  The full-set loss and accuracy are
+formed once per epoch.  The final layers' stream runs the same pass on the
+final parameters in two buffers of its own, so it gives the bits the last
+epoch, which is always recorded, measured.
 
 Each layer's parameters are one (rows, cols + 1) block [W | b] with the bias
 as its last column, and every feature buffer, the input included, carries a
@@ -127,9 +125,9 @@ class TrainTrace:
 
     No layer is held.  Each call of ``final_layers`` starts a stream that
     forms the layers again from the final params and the training inputs,
-    one fresh read-only feature set at a time, with the bits the last epoch
-    measured; the stream drops each layer once it has formed the next, so a
-    caller that keeps none holds at most two.
+    with the bits the last epoch measured, in two buffers of its own; each
+    feature set it yields is a copy, so no two streams or sets share
+    memory.
     """
 
     losses: np.ndarray
@@ -306,22 +304,21 @@ def _forward(net: _Net, x: np.ndarray, preacts, features, logits: np.ndarray,
     return logits
 
 
-def _layers(net: _Net, x: np.ndarray, zeros: np.ndarray, fold: bool) -> Iterator[np.ndarray]:
+def _layers(net: _Net, x: np.ndarray, pair: np.ndarray, zeros: np.ndarray,
+            fold: bool) -> Iterator[np.ndarray]:
     """The features [x0 .. xL] of the input columns ``x`` (ones row last),
     formed one at a time as they are asked for.
 
-    Each layer is a fresh array with a ones row last, its pre-activation
-    formed in place by :func:`_layer`, and it is read-only once formed, so a
-    feature set adopts its rows uncopied.  The stream drops each layer once
-    it has formed the next.  Overflow is not reported here: a diverged
-    layer holds a non-finite value, which its caller checks for.
+    Layer l is formed by :func:`_layer` in ``pair[l % 2]`` (``pair`` is a
+    :func:`_feature_block` of two), its pre-activation in place, so each
+    layer overwrites the one two before it: a caller that keeps a layer
+    copies it.  Overflow is not reported here: a diverged layer holds a
+    non-finite value, which its caller checks for.
     """
     for l in range(len(net.blocks) - 1):
-        f = np.empty((zeros.shape[0] + 1, x.shape[1]))
-        f[-1] = 1.0
+        f = pair[l % 2]
         with np.errstate(over="ignore", invalid="ignore"):
             _layer(net, l, x, f[:-1], f, zeros, fold)
-        f.setflags(write=False)
         x = f
         yield f
 
@@ -456,29 +453,25 @@ def train(
                    zip(grad_blocks, blocks, _split(scratch, shapes))]
     net = _Net(blocks, grads)
 
-    workspaces: dict[int, _Workspace] = {}
-
+    @functools.cache
     def workspace(columns: int) -> _Workspace:
-        if columns not in workspaces:
-            workspaces[columns] = _Workspace(params, columns, config.num_blocks, grads)
-        return workspaces[columns]
+        return _Workspace(params, columns, config.num_blocks, grads)
 
     # The full-set pass only runs forward, so each layer's pre-activation is
-    # formed in that layer's own feature buffer.  An epoch that records
-    # nothing alternates between two buffers, as only the last layer feeds
-    # the logits; a recorded epoch forms fresh layers (_layers).
+    # formed in its own feature buffer, and the layers alternate between two
+    # buffers, as only the last one feeds the logits (_layers).
     num_samples = data.num_samples
+    K, n = config.num_classes, config.per_class
     pair = _feature_block(2, config.width, num_samples)
-    rolling = [pair[l % 2] for l in range(config.num_blocks + 1)]
-    bodies = [f[:-1] for f in rolling]
     zeros = np.zeros((config.width, num_samples))
     full_fold = _bias_folds(params, config.num_blocks, num_samples)
-    full_logits = np.empty((config.num_classes, num_samples))
+    full_logits = np.empty((K, num_samples))
 
     def final_layers() -> Iterator[FeatureSet]:
-        # nothing writes the parameters once train returns
-        for f in _layers(net, x_full, np.zeros((config.width, num_samples)), full_fold):
-            yield FeatureSet(f[:-1], config.num_classes, config.per_class)
+        # nothing writes the parameters once train returns; each stream owns its pair
+        own = _feature_block(2, config.width, num_samples)
+        for f in _layers(net, x_full, own, zeros, full_fold):
+            yield FeatureSet(f[:-1], K, n)
 
     losses = np.empty(config.epochs)
     accuracies = np.empty(config.epochs)
@@ -500,22 +493,18 @@ def train(
                 velocity *= config.momentum
                 velocity += grad
                 theta -= np.multiply(velocity, lr, out=scratch)
-            if not record:
-                _forward(net, x_full, bodies, rolling, full_logits, zeros, full_fold)
 
-        if record:
-            snapshot_epochs.append(epoch)
-            measured = []
-            # each layer is measured as it is formed, by an adopting set
-            for l, last in enumerate(_layers(net, x_full, zeros, full_fold)):
+        measured = []  # each recorded layer, before the pass overwrites it
+        for l, last in enumerate(_layers(net, x_full, pair, zeros, full_fold)):
+            if record:
                 if not np.all(np.isfinite(last)):
                     raise DivergenceError(f"layer {l} became non-finite at epoch {epoch}")
-                measured.append(measure(FeatureSet(last[:-1], config.num_classes,
-                                                   config.per_class)))
+                measured.append(measure(FeatureSet(last[:-1], K, n)))
+        if record:
+            snapshot_epochs.append(epoch)
             reports.append(tuple(measured))
         with np.errstate(over="ignore", invalid="ignore"):
-            if record:
-                _affine(net, -1, last, full_logits, full_fold)
+            _affine(net, -1, last, full_logits, full_fold)
             loss = ce_loss(full_logits, full_labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at epoch {epoch}")

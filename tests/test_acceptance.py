@@ -3,7 +3,9 @@
 Each test prints one PASS/FAIL line on the raw stdout so the verdicts
 stay visible under pytest's capture.  The expensive experiment runs are
 shared through session fixtures; the final criterion repeats two of them
-to check bit-level reproducibility of the artifacts.
+to check bit-level reproducibility of the artifacts.  A criterion's
+verdict is a predicate over its measured values, and the teeth tests
+show, in short runs, that a plausible defect makes the predicate fail.
 """
 
 import json
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
+from pfc import harness
 from pfc.core import FeatureSet
 from pfc.data import gen_gaussian_mixture
 from pfc.etf import build_etf, gram_target
@@ -36,9 +39,9 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
 
 
-def _run_kind(kind, out_dir):
+def _run_kind(kind, out_dir, **params):
     start = time.perf_counter()
-    manifest = run(ExperimentConfig(kind=kind, out_dir=out_dir))
+    manifest = run(ExperimentConfig(kind=kind, params=params, out_dir=out_dir))
     elapsed = time.perf_counter() - start
     summary = json.loads((out_dir / "summary.json").read_text())
     return manifest, summary, elapsed
@@ -170,16 +173,20 @@ def test_02_metrics_match_brute_force_oracles():
     )
 
 
-def test_03_straight_paths_decrease_variance_ratio(theorem1_run):
-    _, summary, elapsed = theorem1_run
-    ok = (
+def _paths_hold(summary, elapsed):
+    """Criteria 3 and 4: every path's curve is monotone and ends collapsed."""
+    return (
         summary["all_monotone"]
         and summary["max_final_value"] < 1e-12
         and elapsed < 30.0
     )
+
+
+def test_03_straight_paths_decrease_variance_ratio(theorem1_run):
+    _, summary, elapsed = theorem1_run
     _verdict(
         3, "straight-path variance ratio decreases",
-        ok,
+        _paths_hold(summary, elapsed),
         f"{summary['monotone_count']}/{summary['paths']} strictly decreasing, "
         f"max final {summary['max_final_value']:.2e}, {elapsed:.1f}s (limit 30s)",
     )
@@ -187,14 +194,9 @@ def test_03_straight_paths_decrease_variance_ratio(theorem1_run):
 
 def test_04_perturbed_paths_decrease_frame_distance(theorem2_run):
     _, summary, elapsed = theorem2_run
-    ok = (
-        summary["all_monotone"]
-        and summary["max_final_value"] < 1e-12
-        and elapsed < 30.0
-    )
     _verdict(
         4, "perturbed-path frame distance decreases",
-        ok,
+        _paths_hold(summary, elapsed),
         f"{summary['monotone_count']}/{summary['paths']} nonincreasing, "
         f"max final {summary['max_final_value']:.2e}, {elapsed:.1f}s (limit 30s)",
     )
@@ -232,6 +234,17 @@ _TINY_NET = dict(
     epochs=2, batch_size=8, lr=0.05, lr_decay_epochs=(), momentum=0.0,
     weight_decay=0.0, record_stride=1,
 )
+
+
+def _gradients_match(worst, elapsed):
+    """Criterion 5: each analytic gradient's worst relative gap to central
+    differences is within its tolerance."""
+    return (
+        worst["mse"] <= 1e-5
+        and worst["ce"] <= 1e-4
+        and worst["net"] <= 1e-4
+        and elapsed < 30.0
+    )
 
 
 def test_05_gradients_match_finite_differences():
@@ -278,18 +291,18 @@ def test_05_gradients_match_finite_differences():
             )
             worst["net"] = max(worst["net"], err)
     elapsed = time.perf_counter() - start
-    ok = (
-        worst["mse"] <= 1e-5
-        and worst["ce"] <= 1e-4
-        and worst["net"] <= 1e-4
-        and elapsed < 30.0
-    )
     _verdict(
         5, "analytic gradients match finite differences",
-        ok,
+        _gradients_match(worst, elapsed),
         f"mse {worst['mse']:.2e} (<=1e-5), ce {worst['ce']:.2e} (<=1e-4), "
         f"net {worst['net']:.2e} (<=1e-4), {elapsed:.1f}s (limit 30s)",
     )
+
+
+def _closed_form_holds(worst_grad, worst_gap, elapsed):
+    """Criterion 6: the closed-form classifier is stationary, and descent
+    reaches it."""
+    return worst_grad <= 1e-8 and worst_gap <= 1e-6 and elapsed < 30.0
 
 
 def test_06_closed_form_classifier():
@@ -315,70 +328,89 @@ def test_06_closed_form_classifier():
             W = W - (1.0 / lipschitz) * dw
         worst_gap = max(worst_gap, float(np.max(np.abs(W - w_star))))
     elapsed = time.perf_counter() - start
-    ok = worst_grad <= 1e-8 and worst_gap <= 1e-6 and elapsed < 30.0
     _verdict(
         6, "ridge classifier closed form",
-        ok,
+        _closed_form_holds(worst_grad, worst_gap, elapsed),
         f"20 instances, stationarity {worst_grad:.2e} (<=1e-8), "
         f"descent gap {worst_gap:.2e} (<=1e-6), {elapsed:.1f}s (limit 30s)",
     )
 
 
-def test_07_transport_solver_keeps_data_geometry(mufm_run):
-    _, s, elapsed = mufm_run
-    ok = (
+def _keeps_data_geometry(s):
+    """Criterion 7: the MUFM solution collapses more than its data, but not
+    fully."""
+    return (
         s["pfc1"] < s["data_pfc1"]
         and s["pfc2"] < s["data_pfc2"]
         and s["pfc3"] == 1.0
         and s["pfc1"] > 1e-6
     )
+
+
+def test_07_transport_solver_keeps_data_geometry(mufm_run):
+    _, s, elapsed = mufm_run
     _verdict(
         7, "transport-coupled solver keeps data geometry",
-        ok,
+        _keeps_data_geometry(s),
         f"pfc1 {s['pfc1']:.3f} < data {s['data_pfc1']:.3f}, "
         f"pfc2 {s['pfc2']:.3f} < data {s['data_pfc2']:.3f}, "
         f"pfc3 {s['pfc3']}, pfc1 > 1e-6, {elapsed:.0f}s",
     )
 
 
+def _collapses_harder(ufm, mufm):
+    """Criterion 8: the UFM solution's pfc1 and pfc2 are a tenth of the
+    MUFM one's or less."""
+    return ufm["pfc1"] <= 0.1 * mufm["pfc1"] and ufm["pfc2"] <= 0.1 * mufm["pfc2"]
+
+
 def test_08_free_feature_solver_collapses_harder(mufm_run, ufm_run):
     _, mufm, _ = mufm_run
     _, ufm, elapsed = ufm_run
-    ok = ufm["pfc1"] <= 0.1 * mufm["pfc1"] and ufm["pfc2"] <= 0.1 * mufm["pfc2"]
     _verdict(
         8, "free-feature solver collapses harder",
-        ok,
+        _collapses_harder(ufm, mufm),
         f"pfc1 {ufm['pfc1']:.2e} <= 0.1 x {mufm['pfc1']:.3f}, "
         f"pfc2 {ufm['pfc2']:.2e} <= 0.1 x {mufm['pfc2']:.3f}, {elapsed:.0f}s",
     )
 
 
-def test_09_transport_coefficient_tradeoff(sweep_run):
-    _, s, elapsed = sweep_run
-    ok = (
+def _tradeoff_holds(s):
+    """Criterion 9: a larger coefficient gives less collapse and closer
+    alignment with the data."""
+    return (
         s["spearman_lambda_pfc1"] >= 0.8
         and s["spearman_lambda_pfc2"] >= 0.8
         and s["spearman_lambda_alignment"] <= -0.8
     )
+
+
+def test_09_transport_coefficient_tradeoff(sweep_run):
+    _, s, elapsed = sweep_run
     _verdict(
         9, "transport coefficient trade-off",
-        ok,
+        _tradeoff_holds(s),
         f"{len(s['lambdas'])} points, spearman pfc1 {s['spearman_lambda_pfc1']:+.3f}, "
         f"pfc2 {s['spearman_lambda_pfc2']:+.3f}, "
         f"alignment {s['spearman_lambda_alignment']:+.3f}, {elapsed:.0f}s",
     )
 
 
-def test_10_chain_equals_collapsed_objective(equivalence_run):
-    _, s, elapsed = equivalence_run
-    ok = (
+def _chain_equals_collapsed(s, elapsed):
+    """Criterion 10: the transport chain's minimum is the collapsed
+    objective at every depth."""
+    return (
         s["max_cost_rel_gap"] <= 1e-6
         and s["max_objective_rel_gap"] <= 1e-10
         and elapsed < 60.0
     )
+
+
+def test_10_chain_equals_collapsed_objective(equivalence_run):
+    _, s, elapsed = equivalence_run
     _verdict(
         10, "chain minimum equals collapsed objective",
-        ok,
+        _chain_equals_collapsed(s, elapsed),
         f"depths {s['depths']}, cost gap {s['max_cost_rel_gap']:.2e} (<=1e-6), "
         f"objective gap {s['max_objective_rel_gap']:.2e} (<=1e-10), "
         f"{elapsed:.0f}s (limit 60s)",
@@ -410,11 +442,12 @@ def test_11_regularizer_expansion_identity():
     )
 
 
-def test_12_trained_stack_collapses_progressively(resnet_run):
-    _, s, elapsed = resnet_run
+def _collapses_progressively(s, elapsed):
+    """Criterion 12: the trained net fits its data, and collapse falls with
+    depth, both observed and on the predicted path."""
     verdicts = s["predicted_verdicts"]
     monotone = {"strictly-decreasing", "nonincreasing"}
-    ok = (
+    return (
         s["final_accuracy"] == 1.0
         and s["last_layer_pfc3"] == 1.0
         and s["spearman_layer_pfc1"] <= -0.9
@@ -423,14 +456,25 @@ def test_12_trained_stack_collapses_progressively(resnet_run):
         and verdicts["pfc2"] in monotone
         and elapsed <= 900.0
     )
+
+
+def test_12_trained_stack_collapses_progressively(resnet_run):
+    _, s, elapsed = resnet_run
+    verdicts = s["predicted_verdicts"]
     _verdict(
         12, "trained stack collapses progressively",
-        ok,
+        _collapses_progressively(s, elapsed),
         f"accuracy {s['final_accuracy']}, last pfc3 {s['last_layer_pfc3']}, "
         f"spearman pfc1 {s['spearman_layer_pfc1']:+.3f}, "
         f"pfc2 {s['spearman_layer_pfc2']:+.3f}, verdicts "
         f"{verdicts['pfc1']}/{verdicts['pfc2']}, {elapsed:.0f}s (limit 900s)",
     )
+
+
+def _bit_identical(first, again):
+    """Criterion 13, per kind: a repeated run's manifest lists the same
+    artifact digests."""
+    return again["artifacts"] == first["artifacts"]
 
 
 def test_13_repeated_runs_are_bit_identical(mufm_run, resnet_run, workdir):
@@ -442,8 +486,8 @@ def test_13_repeated_runs_are_bit_identical(mufm_run, resnet_run, workdir):
         ExperimentConfig(kind="train-resnet", out_dir=workdir / "train-resnet-again")
     )
     elapsed = time.perf_counter() - start
-    mufm_match = mufm_again["artifacts"] == mufm_run[0]["artifacts"]
-    resnet_match = resnet_again["artifacts"] == resnet_run[0]["artifacts"]
+    mufm_match = _bit_identical(mufm_run[0], mufm_again)
+    resnet_match = _bit_identical(resnet_run[0], resnet_again)
     _verdict(
         13, "repeated runs are bit-identical",
         mufm_match and resnet_match,
@@ -451,3 +495,26 @@ def test_13_repeated_runs_are_bit_identical(mufm_run, resnet_run, workdir):
         f"({len(mufm_again['artifacts'])} files), trained-net artifacts match: "
         f"{resnet_match} ({len(resnet_again['artifacts'])} files), {elapsed:.0f}s",
     )
+
+
+_TINY_SOLVE = dict(num_classes=3, dim=6, per_class=4, epochs=20, trace_stride=10)
+
+
+def test_12_teeth_untrained_net_fails(tmp_path):
+    # the network and data of criterion 12's run, at lr=0: the net keeps its
+    # random initial weights, so one epoch stands for all of them
+    _, s, elapsed = _run_kind("train-resnet", tmp_path / "x", lr=0.0, epochs=1,
+                              lr_decay_epochs=[])
+    assert not _collapses_progressively(s, elapsed)
+
+
+def test_13_teeth_unseeded_draw_fails(tmp_path, monkeypatch):
+    first, _, _ = _run_kind("solve-mufm", tmp_path / "a", **_TINY_SOLVE)
+    again, _, _ = _run_kind("solve-mufm", tmp_path / "b", **_TINY_SOLVE)
+    assert _bit_identical(first, again)
+    # the mixture drawn from fresh entropy instead of the run seed
+    seeded = harness.gen_gaussian_mixture
+    monkeypatch.setattr(harness, "gen_gaussian_mixture",
+                        lambda *args, seed, **kwargs: seeded(*args, **kwargs, seed=None))
+    unseeded, _, _ = _run_kind("solve-mufm", tmp_path / "c", **_TINY_SOLVE)
+    assert not _bit_identical(first, unseeded)

@@ -21,6 +21,7 @@ from conftest import stack_positions
 from pfc import cli, harness, metrics, resnet
 from pfc.core import (
     DegenerateInputError,
+    DivergenceError,
     FeatureSet,
     load_featureset,
     save_featureset,
@@ -334,6 +335,18 @@ class TestCsvFiles:
     def test_row_width_checked_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="cells"):
             write_csv(tmp_path / "bad.csv", self.HEADER, [("alpha", 3)])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, "nan"],
+                             ids=["nan", "inf", "-inf", "nan-text"])
+    def test_non_finite_cell_checked_on_write(self, tmp_path, value):
+        # a cell that would read back as a non-finite float is refused
+        # before the file is written
+        path = tmp_path / "bad.csv"
+        rows = [*self.ROWS[:1], ("delta", 1, value), *self.ROWS[1:]]
+        with pytest.raises(DivergenceError,
+                           match="^bad.csv: row 2, column value: non-finite"):
+            write_csv(path, self.HEADER, rows)
+        assert not path.exists()
 
     def test_row_width_checked_on_read(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -782,8 +795,6 @@ class TestCli:
         for path in out.rglob("*.csv"):
             header, rows = read_csv(path)
             for column in header:
-                if (kind, column) == ("solve-ufm", "alignment"):
-                    continue  # UFM has no data to align with: NaN by design
                 cells = [c for c in csv_column(header, rows, column) if isinstance(c, float)]
                 assert np.all(np.isfinite(cells)), (path.name, column)
 
@@ -902,6 +913,29 @@ class TestCli:
         assert cli.main(args) == 1
         assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    # the overflow warns, as it does outside the tests, before the cell is
+    # refused
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_curve_cell_is_numeric_failure_naming_the_file(self, tmp_path,
+                                                                       capsys):
+        # at end_scale=1e100 the pfc2 curve overflows to inf at t = 0; the
+        # run must not be written, and the earlier run stays
+        out = tmp_path / "x"
+        assert cli.main(["interpolate", "--out", str(out)]) == 0
+        before = (out / "manifest.json").read_bytes()
+        assert cli.main(["interpolate", "--out", str(out), "--set", "end_scale=1e100"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"numeric failure: curves.csv: row \d+, column value: "
+                         r"non-finite value inf\n", err)
+        assert (out / "manifest.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x"]
+
+    def test_ufm_alignment_cell_is_undefined(self, tmp_path):
+        out = tmp_path / "x"
+        assert cli.main(["solve-ufm", "--out", str(out), *_sets(TINY_RUNS["solve-ufm"])]) == 0
+        header, rows = read_csv(out / "result.csv")
+        assert csv_column(header, rows, "alignment") == ["undefined"]
 
     def test_diverged_chain_is_numeric_failure_naming_the_depth(self, tmp_path, capsys):
         # past the stable step size the depth-2 chain overflows: no run

@@ -508,8 +508,9 @@ class TestTrainUpdates:
         assert_train_matches_emulation(config, data)
 
     def test_rolling_layers_between_records_match_oracle(self):
-        # epochs 1 and 3 roll through two layer buffers, and epochs 2, 4
-        # and 5 form fresh layers
+        # every epoch's full-set pass rolls through the same two layer
+        # buffers, and epochs 2, 4 and 5 measure each layer before the pass
+        # overwrites it
         config = tiny_config(num_blocks=3, epochs=5, batch_size=3, momentum=0.9,
                              weight_decay=0.01, record_stride=2)
         data = tiny_data(config)
@@ -628,11 +629,29 @@ class TestRecording:
             assert_same_bits(a.features, b.features)
             for fs in (a, b):
                 assert not fs.features.flags.writeable
-                assert not fs.features.base.flags.writeable
+                base = fs.features.base
+                assert base is None or not base.flags.writeable
         arrays = [fs.features for fs in first + second]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    def test_final_layer_streams_advanced_in_turn_agree(self):
+        # two live streams own their buffers: with one stream a layer ahead,
+        # each layer it forms would overwrite the input of the other's next
+        # layer if they shared their two buffers
+        config = tiny_config(num_blocks=3, epochs=3, record_stride=2)
+        data = tiny_data(config)
+        trace = train(config, data)
+        a, b = trace.final_layers(), trace.final_layers()
+        ahead, behind = [next(a)], []
+        for fs in a:
+            ahead.append(fs)
+            behind.append(next(b))
+        behind.extend(b)
+        assert len(ahead) == len(behind) == config.num_blocks + 1
+        for fa, fb in zip(ahead, behind):
+            assert_same_bits(fa.features, fb.features)
 
     def test_peak_memory_stays_near_one_forward_block(self):
         """train() holds no whole stack: its traced allocation peak stays
