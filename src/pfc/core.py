@@ -5,6 +5,8 @@ the toy ResNet) works on ``FeatureSet``: a dense d x (K*n) matrix whose
 columns are feature vectors, stored class-contiguously so that columns
 [k*n, (k+1)*n) belong to class k.  Only traces of the within/between-class
 covariances are ever computed; the full d x d matrices are never formed.
+:func:`check_domain` checks a parameter against its bounds, for the
+library and the CLI alike.
 
 Scale rule.  The collapse metrics are ratios and argmins of sums of
 squares, so scaling features by a power of two leaves them unchanged, and
@@ -25,7 +27,9 @@ rescaled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +49,38 @@ def _to_window(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     scale rule (module docstring); inside it, or all zero, as they are."""
     exponent = _window_exponent(*arrays)
     return tuple(np.ldexp(a, -exponent) for a in arrays) if exponent else arrays
+
+
+class Domain(NamedTuple):
+    """Where a parameter's values lie: a number, or each item of a list or
+    tuple, is ``>= low``, or ``> low`` when ``open``; ``low=None`` bounds no
+    value.  A list or tuple holds at least ``min_len`` items."""
+
+    low: float | None
+    open: bool = False
+    min_len: int = 1
+
+
+UNBOUNDED = Domain(None, min_len=0)
+ge = Domain  # values >= low
+gt = partial(Domain, open=True)  # values > low
+
+
+def check_domain(name: str, value, domain: Domain) -> None:
+    """Raise ValueError naming the parameter and its value if ``value``
+    lies outside ``domain``; NaN lies outside every bound."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if len(items) < domain.min_len:
+        raise ValueError(f"{name} must not be empty" if domain.min_len == 1 else
+                         f"{name} must hold at least {domain.min_len} items, got {value}")
+    low = domain.low
+    if low is not None and not all(v > low if domain.open else v >= low for v in items):
+        raise ValueError(f"{name} must be {'>' if domain.open else '>='} {low}, got {value}")
+
+
+def param(default, domain: Domain = UNBOUNDED):
+    """A dataclass field with its default and, as ``metadata["domain"]``, its domain."""
+    return field(default=default, metadata={"domain": domain})
 
 
 class DegenerateInputError(ValueError):
@@ -100,10 +136,8 @@ class FeatureSet:
         arr = _as_matrix(self.features)
         if not _adoptable(arr):
             arr = arr.copy()
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.per_class < 1:
-            raise ValueError(f"per_class must be >= 1, got {self.per_class}")
+        check_domain("num_classes", self.num_classes, ge(2))
+        check_domain("per_class", self.per_class, ge(1))
         expected = self.num_classes * self.per_class
         if arr.shape[1] != expected:
             raise ValueError(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureSet
+from .core import FeatureSet, check_domain, ge
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -28,9 +28,8 @@ def gen_gaussian_mixture(
     ``noise_scale`` * N(0, I) noise.  Columns are class-contiguous, so the
     labels are the set's ``labels()``.
     """
-    for name, value in (("mean_scale", mean_scale), ("noise_scale", noise_scale)):
-        if not value >= 0:  # written so that NaN fails too
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    check_domain("mean_scale", mean_scale, ge(0))
+    check_domain("noise_scale", noise_scale, ge(0))
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((dim, num_classes))
     means /= np.linalg.norm(means, axis=0, keepdims=True)
@@ -76,8 +75,7 @@ def load_mnist_idx(images_path, labels_path, per_class: int) -> FeatureSet:
             and label counts, or classes with fewer than ``per_class``
             samples.
     """
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
+    check_domain("per_class", per_class, ge(1))
     images = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, rank=3)
     labels = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, rank=1)
     if images.shape[0] != labels.shape[0]:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_domain, ge
+
 
 def gram_target(num_classes: int) -> np.ndarray:
     """The K x K target Gram matrix E (unit Frobenius norm, zero row sums)."""
     k = num_classes
-    if k < 2:
-        raise ValueError(f"num_classes must be >= 2, got {k}")
+    check_domain("num_classes", k, ge(2))
     return (np.eye(k) - np.full((k, k), 1.0 / k)) / np.sqrt(k - 1)
 
 
@@ -40,8 +41,7 @@ def build_etf(num_classes: int, dim: int, seed=0) -> np.ndarray:
         ValueError: if dim < num_classes.
     """
     k, d = num_classes, dim
-    if k < 2:
-        raise ValueError(f"num_classes must be >= 2, got {k}")
+    check_domain("num_classes", k, ge(2))
     if d < k:
         raise ValueError(f"dim must be >= num_classes, got dim={d} < K={k}")
 

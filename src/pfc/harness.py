@@ -2,7 +2,9 @@
 
 ``KINDS`` maps each experiment kind to its runner and its parameter
 table.  A default's type is its parameter's type, and each number or list
-states its :class:`Domain` beside its default; every value a run receives
+has one :class:`~pfc.core.Domain`: beside its default, or where the library
+states it, as for train-resnet's knobs (``TrainConfig``'s fields, defaults
+too) and the descents' (``surrogate.DESCENT``).  Every value a run receives
 is typed and checked against both while its :class:`ExperimentConfig` is
 built (:func:`typed_param`), so a bad value fails, naming the parameter and
 its value, before any work.  Rules that tie two parameters together stay
@@ -43,10 +45,15 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    UNBOUNDED,
     DegenerateInputError,
     DivergenceError,
+    Domain,
     FeatureSet,
+    check_domain,
     check_layer_shapes,
+    ge,
+    gt,
     load_featureset,
     read_header,
     save_featureset,
@@ -69,6 +76,7 @@ from .geodesic import (
 from .metrics import PfcReport, alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
+    DESCENT,
     SolveProblem,
     SolveResult,
     collapse_multilayer,
@@ -116,14 +124,13 @@ class ExperimentConfig:
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_domain("seed", self.seed, ge(0))
         object.__setattr__(self, "seed", int(self.seed))
         # given values first, so a bad one is named before a parameter left
         # at a default that no run can use
         params = {
             name: typed_param(name, self.params.get(name, default), default,
-                              kind.domains.get(name, _UNBOUNDED))
+                              kind.domains.get(name, UNBOUNDED))
             for name, default in sorted(kind.defaults.items(),
                                         key=lambda item: item[0] not in self.params)
         }
@@ -132,22 +139,7 @@ class ExperimentConfig:
         object.__setattr__(self, "out_dir", out)
 
 
-class Domain(NamedTuple):
-    """Where a parameter's values lie: a number, or each item of a list, is
-    ``>= low``, or ``> low`` when ``open``; ``low=None`` bounds no value.
-    A list holds at least ``min_len`` items."""
-
-    low: float | None
-    open: bool = False
-    min_len: int = 1
-
-
-_UNBOUNDED = Domain(None, min_len=0)
-_ge = Domain  # values >= low
-_gt = partial(Domain, open=True)  # values > low
-
-
-def typed_param(name: str, value, default, domain: Domain = _UNBOUNDED):
+def typed_param(name: str, value, default, domain: Domain = UNBOUNDED):
     """``value`` as the type of the parameter's ``default``, inside ``domain``.
 
     An int takes an int or an integral float, a float takes an int or a
@@ -160,13 +152,7 @@ def typed_param(name: str, value, default, domain: Domain = _UNBOUNDED):
             parameter and its value, for a value outside ``domain``.
     """
     typed = _typed(name, value, default)
-    if isinstance(typed, list) and len(typed) < domain.min_len:
-        raise ValueError(f"{name} must not be empty" if domain.min_len == 1 else
-                         f"{name} must hold at least {domain.min_len} items, got {typed}")
-    low = domain.low
-    items = typed if isinstance(typed, list) else [typed]
-    if low is not None and not all(v > low or (v == low and not domain.open) for v in items):
-        raise ValueError(f"{name} must be {'>' if domain.open else '>='} {low}, got {typed}")
+    check_domain(name, typed, domain)
     return typed
 
 
@@ -763,31 +749,33 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 # the surrogate problem (_problem) and its Gaussian-mixture data (_mixture)
 _PROBLEM_PARAMS = {
     "loss": "mse",
-    "num_classes": (5, _ge(2)),
-    "dim": (20, _ge(2)),
-    "per_class": (100, _ge(1)),
-    "lambda_w": (0.005, _gt(0)),
+    "num_classes": (5, ge(2)),
+    "dim": (20, ge(2)),
+    "per_class": (100, ge(1)),
+    "lambda_w": (0.005, gt(0)),
 }
-_MIXTURE_PARAMS = {"mean_scale": (1.0, _ge(0)), "noise_scale": (1.0, _ge(0))}
+_MIXTURE_PARAMS = {"mean_scale": (1.0, ge(0)), "noise_scale": (1.0, ge(0))}
+
+
+def _descent(**defaults) -> dict:
+    """Descent knobs with this kind's defaults and the library's domains."""
+    return {name: (default, DESCENT[name]) for name, default in defaults.items()}
+
 
 _SOLVE_PARAMS = {
     **_PROBLEM_PARAMS,
-    "lam": (0.001, _gt(0)),
-    "lr": (0.1, _ge(0)),
-    "epochs": (50_000, _ge(1)),
-    "init_scale": (0.3, _ge(0)),
-    "trace_stride": (500, _ge(1)),
-    "grad_tol": (0.0, _ge(0)),
+    "lam": (0.001, gt(0)),
+    **_descent(lr=0.1, epochs=50_000, init_scale=0.3, trace_stride=500, grad_tol=0.0),
 }
 
 _PATH_SUITE_PARAMS = {
-    "num_paths": (100, _ge(1)),
-    "grid_points": (1001, _ge(2)),
-    "classes": ([3, 5], _ge(2)),
-    "per_class": ([4, 20], _ge(1)),
-    "dims": ([8, 20], _ge(2)),
-    "end_scale": (1.0, _gt(0)),
-    "final_tolerance": (1e-12, _gt(0)),
+    "num_paths": (100, ge(1)),
+    "grid_points": (1001, ge(2)),
+    "classes": ([3, 5], ge(2)),
+    "per_class": ([4, 20], ge(1)),
+    "dims": ([8, 20], ge(2)),
+    "end_scale": (1.0, gt(0)),
+    "final_tolerance": (1e-12, gt(0)),
 }
 
 
@@ -811,70 +799,63 @@ def _kind(run, table: dict) -> Kind:
     )
 
 
+# TrainConfig's fields but the seed, which is the run's: each default, a
+# tuple as a list, with the domain the field states, if any
+_TRAIN_PARAMS = {
+    f.name: (list(f.default) if isinstance(f.default, tuple) else f.default, f.metadata["domain"])
+    if "domain" in f.metadata else f.default
+    for f in fields(TrainConfig) if f.name != "seed"
+}
+
 KINDS = {
     "etf-check": _kind(_run_etf_check, {
-        "min_classes": (2, _ge(2)),
-        "max_classes": (10, _ge(2)),
-        "extra_dims": ([0, 3], _ge(0)),
-        "tolerance": (1e-12, _ge(0)),
+        "min_classes": (2, ge(2)),
+        "max_classes": (10, ge(2)),
+        "extra_dims": ([0, 3], ge(0)),
+        "tolerance": (1e-12, ge(0)),
     }),
     "interpolate": _kind(_run_interpolate, {
-        "num_classes": (4, _ge(2)),
-        "per_class": (20, _ge(1)),
-        "dim": (8, _ge(2)),
-        "grid_points": (101, _ge(2)),
-        "end_scale": (1.0, _gt(0)),
+        "num_classes": (4, ge(2)),
+        "per_class": (20, ge(1)),
+        "dim": (8, ge(2)),
+        "grid_points": (101, ge(2)),
+        "end_scale": (1.0, gt(0)),
     }),
     "theorem1": _kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
     "theorem2": _kind(
         partial(_run_path_suite, variant=2),
-        {**_PATH_SUITE_PARAMS, "eps_rel": (0.01, _ge(0))},
+        {**_PATH_SUITE_PARAMS, "eps_rel": (0.01, ge(0))},
     ),
     "solve-ufm": _kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
     "solve-mufm": _kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **_MIXTURE_PARAMS}),
     "sweep-lambda": _kind(_run_sweep_lambda, {
         **_PROBLEM_PARAMS,
         **_MIXTURE_PARAMS,
-        "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)], _gt(0)),
-        "lr": (0.1, _ge(0)),
-        "epochs": (50_000, _ge(1)),
-        "init_scale": (0.05, _ge(0)),
+        "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)], gt(0)),
+        **_descent(lr=0.1, epochs=50_000, init_scale=0.05),
     }),
     "train-resnet": _kind(_run_train_resnet, {
-        "num_blocks": (6, _ge(1)),
-        "width": (64, _ge(2)),
-        "input_dim": (16, _ge(1)),
-        "num_classes": (4, _ge(2)),
-        "per_class": (256, _ge(1)),
-        "epochs": (3000, _ge(1)),
-        "batch_size": (128, _ge(1)),
-        "lr": (0.02, _ge(0)),
-        "lr_decay_factor": (0.1, _gt(0)),
-        "lr_decay_epochs": ([1000, 2000], Domain(None, min_len=0)),  # TrainConfig: 1..epochs
-        "momentum": (0.9, _ge(0)),  # TrainConfig bounds it below 1
-        "weight_decay": (0.0025, _ge(0)),
-        "decay_biases": True,
-        "record_stride": (250, _ge(1)),
-        "mean_scale": (2.0, _ge(0)),
-        "noise_scale": (1.0, _ge(0)),
-        "grid_points": (1001, _ge(2)),
-        "effective_epsilon": (0.05, _ge(0)),
+        **_TRAIN_PARAMS,
+        "mean_scale": (2.0, ge(0)),
+        "noise_scale": (1.0, ge(0)),
+        "grid_points": (1001, ge(2)),
+        "effective_epsilon": (0.05, ge(0)),
         "images": "",
         "labels": "",
     }),
     "pfc-report": _kind(_run_pfc_report, {
         "stack_files": ([], Domain(None, min_len=2)),
-        "grid_points": (1001, _ge(2)),
-        "effective_epsilon": (0.05, _ge(0)),
+        "grid_points": (1001, ge(2)),
+        "effective_epsilon": (0.05, ge(0)),
     }),
     "equivalence-thm3": _kind(_run_equivalence_thm3, {
         **_PROBLEM_PARAMS,
         **_MIXTURE_PARAMS,
-        "depths": ([2, 5, 10], _ge(1)),
-        "lam": (0.001, _gt(0)),
-        "end_scale": (1.0, _gt(0)),
-        "chain_lr": (0.2, _gt(0)),
-        "chain_iters": (5000, _ge(1)),
+        "depths": ([2, 5, 10], ge(1)),
+        "lam": (0.001, gt(0)),
+        "end_scale": (1.0, gt(0)),
+        "chain_lr": (0.2, gt(0)),
+        "chain_iters": (5000, ge(1)),
     }),
 }
 

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, _to_window
+from .core import DegenerateInputError, FeatureSet, _to_window, check_domain, ge
 from .etf import gram_target
 
 
@@ -151,7 +151,9 @@ class _Moments:
             size = weights @ np.abs(np.trace(self.gram, axis1=1, axis2=2))
             _require_spread(np.trace(gram, axis1=1, axis2=2), size, ts, kind,
                             "centered class means are all zero; Gram cannot be normalized")
-            gram = gram / np.linalg.norm(gram, axis=(1, 2), keepdims=True)
+            # a Gram that underflowed to 0 gives a non-finite value, refused on writing
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gram = gram / np.linalg.norm(gram, axis=(1, 2), keepdims=True)
             return np.linalg.norm(gram - gram_target(k), axis=(1, 2))
         # pfc3: accuracy of the argmin assignment, ties to the smallest class
         out = np.empty(len(weights))
@@ -227,8 +229,7 @@ def first_within_error(ncc_accuracies, epsilon: float = 0.0) -> int | None:
     """Index of the first pfc3 value whose NCC error rate ``1 - pfc3`` is at
     most ``epsilon``, or None.  Values are read lazily, up to the first hit.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    check_domain("epsilon", epsilon, ge(0))
     for idx, accuracy in enumerate(ncc_accuracies):
         if 1.0 - accuracy <= epsilon:
             return idx

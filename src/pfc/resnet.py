@@ -48,18 +48,19 @@ replaces, so results are bit-identical to it; ``resnet_forward`` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import DivergenceError, FeatureSet
+from .core import DivergenceError, FeatureSet, check_domain, ge, gt, param
 from .metrics import PfcReport, measure
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.
+    """Hyperparameters of one training run: the ``pfc train-resnet``
+    defaults, each number's domain beside it (``harness.KINDS`` reads both).
 
     ``lr_decay_epochs`` lists the 1-indexed epochs at which the learning
     rate is multiplied by ``lr_decay_factor`` (taking effect from that
@@ -67,42 +68,33 @@ class TrainConfig:
     are recorded; the final epoch is always recorded.
     """
 
-    num_blocks: int = 6
-    width: int = 64
-    input_dim: int = 16
-    num_classes: int = 4
-    per_class: int = 256
-    epochs: int = 300
-    batch_size: int = 128
-    lr: float = 0.01
-    lr_decay_factor: float = 0.1
-    lr_decay_epochs: tuple[int, ...] = (100, 200)
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
+    num_blocks: int = param(6, ge(1))
+    width: int = param(64, ge(2))
+    input_dim: int = param(16, ge(1))
+    num_classes: int = param(4, ge(2))
+    per_class: int = param(256, ge(1))
+    epochs: int = param(3000, ge(1))
+    batch_size: int = param(128, ge(1))
+    lr: float = param(0.02, ge(0))
+    lr_decay_factor: float = param(0.1, gt(0))
+    lr_decay_epochs: tuple[int, ...] = param((1000, 2000))  # each in 1..epochs: __post_init__
+    momentum: float = param(0.9, ge(0))  # and < 1: __post_init__
+    weight_decay: float = param(0.0025, ge(0))
     decay_biases: bool = True
     seed: int = 0
-    record_stride: int = 25
+    record_stride: int = param(250, ge(1))
 
     def __post_init__(self):
-        for name in ("num_blocks", "width", "input_dim", "per_class", "epochs",
-                     "batch_size", "record_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_classes < 2:
-            raise ValueError(f"need num_classes >= 2, got {self.num_classes}")
+        for f in fields(self):
+            if "domain" in f.metadata:
+                check_domain(f.name, getattr(self, f.name), f.metadata["domain"])
         if self.width < self.num_classes:
             raise ValueError(
                 f"width must be >= num_classes, got width={self.width} < "
                 f"K={self.num_classes}"
             )
-        for name in ("lr", "weight_decay"):
-            # written so that NaN fails too
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.momentum < 1.0:
+        if not self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.lr_decay_factor > 0:
-            raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         decays = tuple(int(e) for e in self.lr_decay_epochs)
         if any(b <= a for a, b in zip(decays, decays[1:])):
             raise ValueError(f"lr_decay_epochs must be strictly increasing, got {list(decays)}")
@@ -433,16 +425,14 @@ def train(
     # and velocity are flat vectors of these blocks, so one update is a few
     # whole-vector operations; the dicts hold views into them.
     x_full = _with_ones(data.features)
-    init = init_params(config)
     names = _layer_names(config.num_blocks)
-    shapes = [(init[f"w_{name}"].shape[0], init[f"w_{name}"].shape[1] + 1) for name in names]
-    size = sum(rows * cols for rows, cols in shapes)
-    theta, grad, velocity, scratch = (np.empty(size), np.empty(size),
-                                      np.zeros(size), np.empty(size))
+    init = _blocks(init_params(config), config.num_blocks)
+    shapes = [block.shape for block in init]
+    theta = np.concatenate([block.ravel() for block in init])
+    del init  # copied into theta; the run holds no second set of weights
+    grad, velocity, scratch = np.empty(theta.size), np.zeros(theta.size), np.empty(theta.size)
     blocks, grad_blocks = _split(theta, shapes), _split(grad, shapes)
     params, grads = _named(blocks, names), _named(grad_blocks, names)
-    for name, value in init.items():
-        params[name][...] = value
     # (gradient, parameters, scratch) triples that weight decay applies to
     if config.weight_decay == 0.0:
         decayed = []

@@ -51,10 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError
+from .core import DivergenceError, check_domain, ge
 
 KINDS = ("ufm", "mufm")
 LOSSES = ("ce", "mse")
+# each descent knob's domain, in _solve_stack's order; each caller has its defaults
+DESCENT = {"lr": ge(0), "epochs": ge(1), "init_scale": ge(0), "trace_stride": ge(1),
+           "grad_tol": ge(0)}
 
 
 @dataclass(frozen=True)
@@ -317,14 +320,9 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
     All lanes run the same epochs; ``grad_tol`` stops the stack once every
     lane's gradient norm is at most it.
     """
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if trace_stride < 1:
-        raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
-    if not grad_tol >= 0:
-        raise ValueError(f"grad_tol must be >= 0, got {grad_tol}")
+    for (name, domain), value in zip(DESCENT.items(),
+                                     (lr, epochs, init_scale, trace_stride, grad_tol)):
+        check_domain(name, value, domain)
 
     rng = np.random.default_rng(p.seed)
     W0 = init_scale * rng.standard_normal((p.num_classes, p.dim))
@@ -408,8 +406,7 @@ def solve(
     iterates near 1e154 to shrink back within one stride.
 
     Raises:
-        ValueError: for a negative ``lr`` or ``grad_tol``, or for ``epochs``
-            or ``trace_stride`` below 1.
+        ValueError: for a knob outside its ``DESCENT`` domain.
         DivergenceError: if the objective becomes non-finite, reporting the
             coefficient and the first epoch at which it happened.
     """
@@ -428,8 +425,7 @@ def collapse_multilayer(X: np.ndarray, H_last: np.ndarray, num_blocks: int):
     H_last = np.asarray(H_last, dtype=np.float64)
     if X.shape != H_last.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {H_last.shape}")
-    if num_blocks < 1:
-        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+    check_domain("num_blocks", num_blocks, ge(1))
     layers = [X + (l / num_blocks) * (H_last - X) for l in range(num_blocks + 1)]
     value = transport_chain_cost(layers)
     return layers, value
@@ -464,8 +460,7 @@ def minimize_transport_chain(
     H_last = np.asarray(H_last, dtype=np.float64)
     if X.shape != H_last.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {H_last.shape}")
-    if num_blocks < 1:
-        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+    check_domain("num_blocks", num_blocks, ge(1))
     rng = np.random.default_rng(seed)
     chain = np.empty((num_blocks + 1, *X.shape))
     chain[0], chain[-1] = X, H_last

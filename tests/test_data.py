@@ -238,9 +238,8 @@ class TestIdxTraining:
         config = TrainConfig(
             num_blocks=p["num_blocks"], width=p["width"], input_dim=p["input_dim"],
             num_classes=p["num_classes"], per_class=p["per_class"],
-            epochs=p["epochs"], batch_size=p["batch_size"], lr=0.02,
-            lr_decay_epochs=(), weight_decay=0.0025, seed=1,
-            record_stride=p["record_stride"],
+            epochs=p["epochs"], batch_size=p["batch_size"], lr_decay_epochs=(),
+            seed=1, record_stride=p["record_stride"],
         )
         trace = train(config, load_mnist_idx(files["images"], files["labels"], 4))
         header, rows = read_csv(out / "train_log.csv")

@@ -46,6 +46,39 @@ from pfc.harness import (
     write_json,
 )
 from pfc.resnet import TrainConfig
+from pfc.surrogate import DESCENT, SolveProblem, solve, sweep_lambda
+
+
+def _library_bounds():
+    """(kind, name, outside) for each bound of the library's two knob
+    tables, TrainConfig's fields and the descents' ``DESCENT``: each kind
+    that takes the knob, and a value just outside the bound, typed as the
+    kind's default."""
+    tables = {
+        "train-resnet": {f.name: f.metadata["domain"] for f in dataclasses.fields(TrainConfig)
+                         if "domain" in f.metadata},
+        "solve-ufm": DESCENT,
+        "sweep-lambda": {name: DESCENT[name] for name in ("lr", "epochs", "init_scale")},
+    }
+    for kind, domains in tables.items():
+        for name, domain in domains.items():
+            if domain.low is not None:
+                number = type(KINDS[kind].defaults[name])
+                outside = number(domain.low) - (0 if domain.open else 1)
+                yield pytest.param(kind, name, outside, id=f"{kind}-{name}")
+
+
+def _library_call(kind: str, name: str, value) -> None:
+    """The library entry point of ``kind``, with ``name`` set to ``value``."""
+    ufm = SolveProblem(kind="ufm", loss="mse", num_classes=2, dim=2, per_class=1,
+                       lambda_w=0.1, lam=0.1)
+    if kind == "train-resnet":
+        TrainConfig(**{name: value})
+    elif kind == "solve-ufm":
+        solve(ufm, **{name: value})
+    else:
+        mufm = dataclasses.replace(ufm, kind="mufm", data=np.zeros((2, 2)))
+        sweep_lambda(mufm, [0.1], **{name: value})
 
 
 class TestExperimentConfig:
@@ -201,6 +234,26 @@ class TestParamSchema:
                 for value in values:
                     if isinstance(value, float):
                         assert np.isfinite(value), (kind, name)
+
+    @pytest.mark.parametrize("kind, name, outside", _library_bounds())
+    def test_library_and_cli_share_each_bound_and_its_message(self, kind, name, outside):
+        # each bound is declared once, in the library, and the CLI reads it
+        domain = KINDS[kind].domains[name]
+        message = f"{name} must be {'>' if domain.open else '>='} {domain.low}, got {outside}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _library_call(kind, name, outside)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resolve_config(kind, overrides=[(name, outside)])
+
+    def test_train_config_defaults_are_the_cli_defaults(self):
+        defaults = KINDS["train-resnet"].defaults
+        config = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            if f.name != "seed":
+                value = getattr(config, f.name)
+                value = list(value) if isinstance(value, tuple) else value
+                # json tells 1 from 1.0
+                assert json.dumps(value) == json.dumps(defaults[f.name]), f.name
 
     def test_train_config_fields_are_train_resnet_params(self):
         # the runner builds TrainConfig by field name; only seed comes from the run
@@ -914,9 +967,6 @@ class TestCli:
         assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    # the overflow warns, as it does outside the tests, before the cell is
-    # refused
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_non_finite_curve_cell_is_numeric_failure_naming_the_file(self, tmp_path,
                                                                        capsys):
         # at end_scale=1e100 the pfc2 curve overflows to inf at t = 0; the

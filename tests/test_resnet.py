@@ -119,7 +119,8 @@ class TestConfigValidation:
                                       "epochs", "batch_size", "record_stride"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_nonpositive_size_names_its_field(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        low = TrainConfig.__dataclass_fields__[name].metadata["domain"].low  # 2 for width
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
             tiny_config(**{name: value})
 
     def test_width_below_classes_rejected(self):
