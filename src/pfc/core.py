@@ -27,7 +27,7 @@ rescaled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -68,19 +68,27 @@ gt = partial(Domain, open=True)  # values > low
 
 def check_domain(name: str, value, domain: Domain) -> None:
     """Raise ValueError naming the parameter and its value if ``value``
-    lies outside ``domain``; NaN lies outside every bound."""
+    lies outside ``domain``; NaN and +-inf lie outside every bound."""
     items = value if isinstance(value, (list, tuple)) else [value]
     if len(items) < domain.min_len:
         raise ValueError(f"{name} must not be empty" if domain.min_len == 1 else
                          f"{name} must hold at least {domain.min_len} items, got {value}")
     low = domain.low
-    if low is not None and not all(v > low if domain.open else v >= low for v in items):
+    if low is not None and not all((v > low if domain.open else v >= low) and v < np.inf
+                                   for v in items):
         raise ValueError(f"{name} must be {'>' if domain.open else '>='} {low}, got {value}")
 
 
 def param(default, domain: Domain = UNBOUNDED):
     """A dataclass field with its default and, as ``metadata["domain"]``, its domain."""
     return field(default=default, metadata={"domain": domain})
+
+
+def check_fields(obj) -> None:
+    """Check each field of the dataclass ``obj`` against its :func:`param` domain."""
+    for f in fields(obj):
+        if "domain" in f.metadata:
+            check_domain(f.name, getattr(obj, f.name), f.metadata["domain"])
 
 
 class DegenerateInputError(ValueError):

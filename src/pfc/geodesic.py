@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, _window_exponent
+from .core import DegenerateInputError, FeatureSet, _window_exponent, check_domain, ge
 from .etf import build_etf
 from .metrics import _Moments
 
@@ -93,8 +93,7 @@ class MonotonicityVerdict:
 
 
 def uniform_grid(num_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    if num_points < 2:
-        raise ValueError("need at least two grid points")
+    check_domain("num_points", num_points, ge(2))
     return np.linspace(0.0, 1.0, num_points)
 
 

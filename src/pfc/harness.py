@@ -3,12 +3,14 @@
 ``KINDS`` maps each experiment kind to its runner and its parameter
 table.  A default's type is its parameter's type, and each number or list
 has one :class:`~pfc.core.Domain`: beside its default, or where the library
-states it, as for train-resnet's knobs (``TrainConfig``'s fields, defaults
-too) and the descents' (``surrogate.DESCENT``).  Every value a run receives
-is typed and checked against both while its :class:`ExperimentConfig` is
-built (:func:`typed_param`), so a bad value fails, naming the parameter and
-its value, before any work.  Rules that tie two parameters together stay
-with the runner or library class that needs them.  A run maps
+states it.  train-resnet's knobs and the surrogate problem's are the fields
+of ``TrainConfig`` and ``SolveProblem``, defaults too (sweep-lambda's
+``lambdas`` take ``SolveProblem.lam``'s domain), and the descents' are in
+``surrogate.DESCENT``.  Every value a run receives is typed and checked
+against both while its :class:`ExperimentConfig` is built
+(:func:`typed_param`), so a bad value fails, naming the parameter and its
+value, before any work.  Rules that tie two parameters together stay with
+the runner or library class that needs them.  A run maps
 the resolved parameter block plus a seed to a private output directory
 holding CSV tables, a JSON summary, and a manifest that echoes the full
 configuration together with sha256 checksums of every artifact.  The
@@ -370,12 +372,12 @@ def _mixture(cfg: ExperimentConfig, dim: int) -> FeatureSet:
     )
 
 
-def _problem(cfg: ExperimentConfig, kind: str, lam: float, data) -> SolveProblem:
-    """The run's UFM or MUFM problem at coefficient ``lam``."""
+def _problem(cfg: ExperimentConfig, kind: str, data, **fixed) -> SolveProblem:
+    """The run's UFM or MUFM problem: ``fixed``, and each other field from
+    the run's parameter of its name, where the run has one."""
     p = cfg.params
-    return SolveProblem(kind=kind, loss=p["loss"], num_classes=p["num_classes"],
-                        dim=p["dim"], per_class=p["per_class"], lambda_w=p["lambda_w"],
-                        lam=lam, data=data, seed=cfg.seed)
+    return SolveProblem(kind=kind, data=data, seed=cfg.seed, **fixed,
+                        **{name: p[name] for name in _PROBLEM_PARAMS if name in p})
 
 
 def _run_etf_check(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
@@ -509,7 +511,7 @@ def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs = _mixture(cfg, d) if kind == "mufm" else None
     data = None if data_fs is None else data_fs.features
-    problem = _problem(cfg, kind, p["lam"], data)
+    problem = _problem(cfg, kind, data)
     result = solve(
         problem,
         lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"],
@@ -549,7 +551,7 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     lambdas = p["lambdas"]
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs = _mixture(cfg, d)
-    base = _problem(cfg, "mufm", lambdas[0], data_fs.features)
+    base = _problem(cfg, "mufm", data_fs.features, lam=lambdas[0])
     results = sweep_lambda(
         base, lambdas, lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"]
     )
@@ -710,7 +712,7 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     frame = build_etf(k, d, seed=[cfg.seed, 303])
     h_last = make_nc_featureset(frame, n, scale=p["end_scale"]).features
     w = np.random.default_rng([cfg.seed, 7]).standard_normal((k, d))
-    problem = _problem(cfg, "mufm", p["lam"], x)
+    problem = _problem(cfg, "mufm", x)
 
     rows = []
     max_cost_gap = 0.0
@@ -746,14 +748,18 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     )}
 
 
-# the surrogate problem (_problem) and its Gaussian-mixture data (_mixture)
-_PROBLEM_PARAMS = {
-    "loss": "mse",
-    "num_classes": (5, ge(2)),
-    "dim": (20, ge(2)),
-    "per_class": (100, ge(1)),
-    "lambda_w": (0.005, gt(0)),
-}
+def _field_params(cls, *skip) -> dict:
+    """The parameter table of a library class's fields but ``skip``: each
+    default, a tuple as a list, with the domain the field states, if any."""
+    return {f.name: (list(f.default) if isinstance(f.default, tuple) else f.default,
+                     f.metadata["domain"]) if "domain" in f.metadata else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
+# TrainConfig's fields but the run's seed, SolveProblem's but those the
+# runner sets (_problem), and the problem's Gaussian-mixture data (_mixture)
+_TRAIN_PARAMS = _field_params(TrainConfig, "seed")
+_PROBLEM_PARAMS = _field_params(SolveProblem, "kind", "data", "seed")
 _MIXTURE_PARAMS = {"mean_scale": (1.0, ge(0)), "noise_scale": (1.0, ge(0))}
 
 
@@ -764,7 +770,6 @@ def _descent(**defaults) -> dict:
 
 _SOLVE_PARAMS = {
     **_PROBLEM_PARAMS,
-    "lam": (0.001, gt(0)),
     **_descent(lr=0.1, epochs=50_000, init_scale=0.3, trace_stride=500, grad_tol=0.0),
 }
 
@@ -799,14 +804,6 @@ def _kind(run, table: dict) -> Kind:
     )
 
 
-# TrainConfig's fields but the seed, which is the run's: each default, a
-# tuple as a list, with the domain the field states, if any
-_TRAIN_PARAMS = {
-    f.name: (list(f.default) if isinstance(f.default, tuple) else f.default, f.metadata["domain"])
-    if "domain" in f.metadata else f.default
-    for f in fields(TrainConfig) if f.name != "seed"
-}
-
 KINDS = {
     "etf-check": _kind(_run_etf_check, {
         "min_classes": (2, ge(2)),
@@ -829,9 +826,10 @@ KINDS = {
     "solve-ufm": _kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
     "solve-mufm": _kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **_MIXTURE_PARAMS}),
     "sweep-lambda": _kind(_run_sweep_lambda, {
-        **_PROBLEM_PARAMS,
+        **{name: entry for name, entry in _PROBLEM_PARAMS.items() if name != "lam"},
         **_MIXTURE_PARAMS,
-        "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)], gt(0)),
+        "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)],
+                    _PROBLEM_PARAMS["lam"][1]),
         **_descent(lr=0.1, epochs=50_000, init_scale=0.05),
     }),
     "train-resnet": _kind(_run_train_resnet, {
@@ -852,7 +850,6 @@ KINDS = {
         **_PROBLEM_PARAMS,
         **_MIXTURE_PARAMS,
         "depths": ([2, 5, 10], ge(1)),
-        "lam": (0.001, gt(0)),
         "end_scale": (1.0, gt(0)),
         "chain_lr": (0.2, gt(0)),
         "chain_iters": (5000, ge(1)),

@@ -48,12 +48,12 @@ replaces, so results are bit-identical to it; ``resnet_forward`` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import DivergenceError, FeatureSet, check_domain, ge, gt, param
+from .core import DivergenceError, FeatureSet, check_fields, ge, gt, param
 from .metrics import PfcReport, measure
 
 
@@ -85,9 +85,7 @@ class TrainConfig:
     record_stride: int = param(250, ge(1))
 
     def __post_init__(self):
-        for f in fields(self):
-            if "domain" in f.metadata:
-                check_domain(f.name, getattr(self, f.name), f.metadata["domain"])
+        check_fields(self)
         if self.width < self.num_classes:
             raise ValueError(
                 f"width must be >= num_classes, got width={self.width} < "
@@ -95,6 +93,10 @@ class TrainConfig:
             )
         if not self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        for e in self.lr_decay_epochs:
+            if not (isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+                    or isinstance(e, float) and e.is_integer()):
+                raise ValueError(f"parameter 'lr_decay_epochs' must be of type int, got {e!r}")
         decays = tuple(int(e) for e in self.lr_decay_epochs)
         if any(b <= a for a, b in zip(decays, decays[1:])):
             raise ValueError(f"lr_decay_epochs must be strictly increasing, got {list(decays)}")

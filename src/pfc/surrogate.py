@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, check_domain, ge
+from .core import DivergenceError, check_domain, check_fields, ge, gt, param
 
 KINDS = ("ufm", "mufm")
 LOSSES = ("ce", "mse")
@@ -62,7 +62,8 @@ DESCENT = {"lr": ge(0), "epochs": ge(1), "init_scale": ge(0), "trace_stride": ge
 
 @dataclass(frozen=True)
 class SolveProblem:
-    """One UFM or MUFM instance.
+    """One UFM or MUFM instance: the ``pfc solve-ufm`` defaults, each
+    number's domain beside it (``harness.KINDS`` reads both).
 
     ``lam`` is the coefficient on ||H||_F^2 for UFM and on the transport
     term ||H - X||_F^2 for MUFM.  ``data`` (the d x K*n matrix X) is
@@ -70,12 +71,12 @@ class SolveProblem:
     """
 
     kind: str
-    loss: str
-    num_classes: int
-    dim: int
-    per_class: int
-    lambda_w: float
-    lam: float
+    loss: str = "mse"
+    num_classes: int = param(5, ge(2))
+    dim: int = param(20, ge(2))  # and >= num_classes: __post_init__
+    per_class: int = param(100, ge(1))
+    lambda_w: float = param(0.005, gt(0))
+    lam: float = param(0.001, gt(0))
     data: np.ndarray | None = None
     seed: int = 0
 
@@ -84,16 +85,11 @@ class SolveProblem:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        for name, low in (("num_classes", 2), ("per_class", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self)
         if self.dim < self.num_classes:
             raise ValueError(
                 f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"
             )
-        for name in ("lambda_w", "lam"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         shape = (self.dim, self.num_classes * self.per_class)
         if self.kind == "mufm":
             if self.data is None:
@@ -525,16 +521,13 @@ def sweep_lambda(
     All solves share the base problem's data and seed, so results differ
     only through ``lam``, and they run as one stacked descent whose lanes
     each match, bit for bit, a separate :func:`solve` traced every
-    max(1, epochs // 100) epochs.  Every coefficient is validated before
-    any descent; a divergence names the offending coefficient.
+    max(1, epochs // 100) epochs.  The coefficients, at least one, are
+    checked against ``SolveProblem.lam``'s domain before any descent; a
+    divergence names the offending coefficient.
     """
     if base.kind != "mufm":
         raise ValueError("sweep_lambda operates on mufm problems")
     lams = [float(lam) for lam in lambdas]
-    for lam in lams:
-        if not 0 < lam < np.inf:
-            raise ValueError(f"lambda values must be positive and finite, got {lam}")
-    if not lams:
-        return []
+    check_domain("lambdas", lams, SolveProblem.__dataclass_fields__["lam"].metadata["domain"])
     return _solve_stack(base, lams, lr, epochs, init_scale,
                         trace_stride=max(1, epochs // 100), grad_tol=0.0)

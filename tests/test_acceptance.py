@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from pfc import harness
+from pfc import harness, surrogate
 from pfc.core import FeatureSet
 from pfc.data import gen_gaussian_mixture
 from pfc.etf import build_etf, gram_target
@@ -247,10 +247,11 @@ def _gradients_match(worst, elapsed):
     )
 
 
-def test_05_gradients_match_finite_differences():
-    start = time.perf_counter()
-    worst = {"mse": 0.0, "ce": 0.0, "net": 0.0}
-    for seed in range(10):
+def _surrogate_gaps(seeds):
+    """The worst relative gap of the surrogate's analytic gradients to
+    central differences, per loss, over tiny problems of ``seeds``."""
+    worst = {"mse": 0.0, "ce": 0.0}
+    for seed in seeds:
         for loss in ("mse", "ce"):
             p = _tiny_problem(loss, "mufm" if seed % 2 else "ufm", seed)
             rng = np.random.default_rng([seed, 21])
@@ -263,7 +264,12 @@ def test_05_gradients_match_finite_differences():
                 float(np.linalg.norm(dw - fw)), float(np.linalg.norm(dh - fh))
             ) / scale
             worst[loss] = max(worst[loss], err)
+    return worst
 
+
+def test_05_gradients_match_finite_differences():
+    start = time.perf_counter()
+    worst = {**_surrogate_gaps(range(10)), "net": 0.0}
     for seed in range(20):
         config = TrainConfig(**{**_TINY_NET, "seed": seed})
         params = init_params(config)
@@ -518,3 +524,33 @@ def test_13_teeth_unseeded_draw_fails(tmp_path, monkeypatch):
                         lambda *args, seed, **kwargs: seeded(*args, **kwargs, seed=None))
     unseeded, _, _ = _run_kind("solve-mufm", tmp_path / "c", **_TINY_SOLVE)
     assert not _bit_identical(first, unseeded)
+
+
+def test_05_teeth_wrong_sign_weight_decay_fails(monkeypatch):
+    assert _gradients_match({**_surrogate_gaps(range(2)), "net": 0.0}, 0.0)
+    # the classifier penalty's gradient term with the wrong sign
+    init = surrogate._Stack.__init__
+
+    def flipped(self, *args):
+        init(self, *args)
+        self.w_grad = -self.w_grad
+
+    monkeypatch.setattr(surrogate._Stack, "__init__", flipped)
+    assert not _gradients_match({**_surrogate_gaps(range(2)), "net": 0.0}, 0.0)
+
+
+_TINY_CHAIN = dict(num_classes=3, dim=6, per_class=4)
+
+
+def test_10_teeth_misplaced_layers_fail(tmp_path, monkeypatch):
+    _, s, elapsed = _run_kind("equivalence-thm3", tmp_path / "a", **_TINY_CHAIN)
+    assert _chain_equals_collapsed(s, elapsed)
+
+    def misplaced(X, H_last, num_blocks):
+        # layers spaced at l / (L + 1), so the chain stops short of H_last
+        layers = [X + (l / (num_blocks + 1)) * (H_last - X) for l in range(num_blocks + 1)]
+        return layers, surrogate.transport_chain_cost(layers)
+
+    monkeypatch.setattr(harness, "collapse_multilayer", misplaced)
+    _, s, elapsed = _run_kind("equivalence-thm3", tmp_path / "b", **_TINY_CHAIN)
+    assert not _chain_equals_collapsed(s, elapsed)

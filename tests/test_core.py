@@ -7,8 +7,11 @@ from hypothesis.extra.numpy import arrays
 from pfc.core import (
     FeatureSet,
     _to_window,
+    check_domain,
     check_layer_shapes,
     class_stats,
+    ge,
+    gt,
     load_featureset,
     read_header,
     save_featureset,
@@ -204,6 +207,18 @@ class TestScaleWindow:
         # -3.5 = -0.875 * 2^2 lands at -0.875: every entry moves by 2^-2
         np.testing.assert_array_equal(shifted[0], a / 4.0)
         np.testing.assert_array_equal(shifted[1], b / 4.0)
+
+
+class TestCheckDomain:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.inf]])
+    @pytest.mark.parametrize("domain, sign", [(ge(0), ">="), (gt(0), ">")])
+    def test_nonfinite_lies_outside_every_bound(self, value, domain, sign):
+        with pytest.raises(ValueError, match=f"^x must be {sign} 0, got "):
+            check_domain("x", value, domain)
+
+    def test_finite_values_inside_the_bound_pass(self):
+        check_domain("x", [0.0, 1e308], ge(0))
+        check_domain("x", 5e-324, gt(0))
 
 
 class TestCheckLayerShapes:

@@ -102,7 +102,7 @@ class TestPathValidation:
             path.grid[0] = 0.5
 
     def test_uniform_grid_needs_two_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^num_points must be >= 2, got 1$"):
             uniform_grid(1)
 
     def test_metric_curve_shape_and_kind_checks(self):

@@ -49,36 +49,48 @@ from pfc.resnet import TrainConfig
 from pfc.surrogate import DESCENT, SolveProblem, solve, sweep_lambda
 
 
+def _domains(cls) -> dict:
+    """The domain of each field of a library class that states one."""
+    return {f.name: f.metadata["domain"] for f in dataclasses.fields(cls)
+            if "domain" in f.metadata}
+
+
 def _library_bounds():
-    """(kind, name, outside) for each bound of the library's two knob
-    tables, TrainConfig's fields and the descents' ``DESCENT``: each kind
-    that takes the knob, and a value just outside the bound, typed as the
-    kind's default."""
+    """(kind, name, outside) for each bound of the library's knob tables:
+    TrainConfig's fields, SolveProblem's fields, the descents' ``DESCENT``
+    and sweep_lambda's ``lambdas``; each kind that takes the knob, and a
+    value just outside the bound, typed as the kind's default (as a
+    one-item list for a list)."""
     tables = {
-        "train-resnet": {f.name: f.metadata["domain"] for f in dataclasses.fields(TrainConfig)
-                         if "domain" in f.metadata},
-        "solve-ufm": DESCENT,
-        "sweep-lambda": {name: DESCENT[name] for name in ("lr", "epochs", "init_scale")},
+        "train-resnet": _domains(TrainConfig),
+        "solve-ufm": {**_domains(SolveProblem), **DESCENT},
+        "sweep-lambda": {"lambdas": _domains(SolveProblem)["lam"],
+                         **{name: DESCENT[name] for name in ("lr", "epochs", "init_scale")}},
     }
     for kind, domains in tables.items():
         for name, domain in domains.items():
             if domain.low is not None:
-                number = type(KINDS[kind].defaults[name])
+                default = KINDS[kind].defaults[name]
+                number = type(default[0] if isinstance(default, list) else default)
                 outside = number(domain.low) - (0 if domain.open else 1)
+                if isinstance(default, list):
+                    outside = [outside]
                 yield pytest.param(kind, name, outside, id=f"{kind}-{name}")
 
 
 def _library_call(kind: str, name: str, value) -> None:
-    """The library entry point of ``kind``, with ``name`` set to ``value``."""
+    """The library entry point of ``kind``'s ``name``, with it set to ``value``."""
     ufm = SolveProblem(kind="ufm", loss="mse", num_classes=2, dim=2, per_class=1,
                        lambda_w=0.1, lam=0.1)
     if kind == "train-resnet":
         TrainConfig(**{name: value})
+    elif name in _domains(SolveProblem):
+        SolveProblem(kind="ufm", **{name: value})
     elif kind == "solve-ufm":
         solve(ufm, **{name: value})
     else:
         mufm = dataclasses.replace(ufm, kind="mufm", data=np.zeros((2, 2)))
-        sweep_lambda(mufm, [0.1], **{name: value})
+        sweep_lambda(mufm, **{"lambdas": [0.1], name: value})
 
 
 class TestExperimentConfig:
@@ -254,6 +266,19 @@ class TestParamSchema:
                 value = list(value) if isinstance(value, tuple) else value
                 # json tells 1 from 1.0
                 assert json.dumps(value) == json.dumps(defaults[f.name]), f.name
+
+    @pytest.mark.parametrize("kind", ["solve-ufm", "solve-mufm", "sweep-lambda",
+                                      "equivalence-thm3"])
+    def test_solve_problem_defaults_are_the_cli_defaults(self, kind):
+        # each kind that builds a SolveProblem takes its fields' defaults
+        defaults = KINDS[kind].defaults
+        problem = SolveProblem(kind="ufm")
+        names = {f.name for f in dataclasses.fields(SolveProblem)} - {"kind", "data", "seed"}
+        if kind == "sweep-lambda":  # its lambdas stand for lam
+            names.remove("lam")
+        for name in names:
+            # json tells 1 from 1.0
+            assert json.dumps(getattr(problem, name)) == json.dumps(defaults[name]), name
 
     def test_train_config_fields_are_train_resnet_params(self):
         # the runner builds TrainConfig by field name; only seed comes from the run

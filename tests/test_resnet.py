@@ -142,6 +142,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(lr_decay_epochs=(1, 5), epochs=3)
 
+    @pytest.mark.parametrize("item", [1.5, True, float("nan"), "1"])
+    def test_non_integral_decay_epoch_names_its_field_and_value(self, item):
+        # int() made (1.5, 2) into (1, 2) and True into 1; the CLI's message
+        message = f"parameter 'lr_decay_epochs' must be of type int, got {item!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_config(lr_decay_epochs=(item, 2))
+
+    def test_integral_decay_epochs_become_ints(self):
+        config = tiny_config(lr_decay_epochs=(1.0, np.int64(2)))
+        assert config.lr_decay_epochs == (1, 2)
+        assert all(type(e) is int for e in config.lr_decay_epochs)
+
     @pytest.mark.parametrize("name, value, message", [
         ("lr", -0.01, "lr must be >= 0, got -0.01"),
         ("lr", float("nan"), "lr must be >= 0, got nan"),

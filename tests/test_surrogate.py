@@ -166,15 +166,15 @@ class TestProblemValidation:
             make_problem(kind="ufm", num_classes=1)
         with pytest.raises(ValueError, match="^per_class must be >= 1, got 0$"):
             make_problem(kind="ufm", per_class=0)
-        with pytest.raises(ValueError, match="^lambda_w must be positive and finite, got 0.0$"):
+        with pytest.raises(ValueError, match="^lambda_w must be > 0, got 0.0$"):
             make_problem(lambda_w=0.0)
-        with pytest.raises(ValueError, match="^lam must be positive and finite, got -1.0$"):
+        with pytest.raises(ValueError, match="^lam must be > 0, got -1.0$"):
             make_problem(lam=-1.0)
 
     @pytest.mark.parametrize("field", ["lambda_w", "lam"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_lambdas_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{field} must be > 0, got {value}$"):
             make_problem(**{field: value})
 
     @pytest.mark.parametrize("kind", ["ufm", "mufm"])
@@ -744,11 +744,17 @@ class TestSweep:
             raise AssertionError("descent started before every lambda was checked")
 
         monkeypatch.setattr(surrogate, "_gradient", unreachable)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^lambdas must be > 0, got \[0.001, -1.0\]$"):
             sweep_lambda(base, [0.001, -1.0], epochs=10)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"lambda values must be .*, got {bad}"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=rf"^lambdas must be > 0, got \[0.001, {bad}\]$"):
                 sweep_lambda(base, [0.001, bad], epochs=10)
+
+    def test_empty_lambdas_rejected(self):
+        # as the CLI rejects them
+        base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4)
+        with pytest.raises(ValueError, match="^lambdas must not be empty$"):
+            sweep_lambda(base, [], epochs=10)
 
     def test_divergence_names_the_diverging_lambda(self):
         base = make_problem(loss="mse", num_classes=3, dim=6, per_class=4, seed=13)
