@@ -33,12 +33,13 @@ root, work, rev = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 sys.path[:0] = [str(root), str(root / "src")]
 from perfbench.workloads import REPORT_STACK, WORKLOADS, write_stack  # noqa: E402
 from pfc.harness import KINDS  # noqa: E402
+from pfc.resnet import TrainConfig  # noqa: E402
 
 SEED = 3
 stack = [str(p) for p in write_stack(SEED, work / "inputs" / "stack", **REPORT_STACK)]
 default_layers = [
     str(work / "runs" / "rev" / "train-resnet" / "layers" / f"layer_{i:02d}.txt")
-    for i in range(KINDS["train-resnet"].defaults["num_blocks"] + 1)
+    for i in range(TrainConfig().num_blocks + 1)
 ]
 # (run name, kind, overrides); pfc-report's default run reads the layers
 # of REV's default train-resnet, which runs before it

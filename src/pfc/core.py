@@ -5,8 +5,9 @@ the toy ResNet) works on ``FeatureSet``: a dense d x (K*n) matrix whose
 columns are feature vectors, stored class-contiguously so that columns
 [k*n, (k+1)*n) belong to class k.  Only traces of the within/between-class
 covariances are ever computed; the full d x d matrices are never formed.
-:func:`check_domain` checks a parameter against its bounds, for the
-library and the CLI alike.
+:func:`param` declares each knob of a run, its default and its domain, and
+:func:`typed_param` types and bounds a value for it, for the library and
+the CLI alike.
 
 Scale rule.  The collapse metrics are ratios and argmins of sums of
 squares, so scaling features by a power of two leaves them unchanged, and
@@ -80,15 +81,56 @@ def check_domain(name: str, value, domain: Domain) -> None:
 
 
 def param(default, domain: Domain = UNBOUNDED):
-    """A dataclass field with its default and, as ``metadata["domain"]``, its domain."""
+    """A knob: a dataclass field with its default, whose type is the knob's
+    type, and, as ``metadata["domain"]``, its domain."""
     return field(default=default, metadata={"domain": domain})
 
 
+def typed_param(name: str, value, spec):
+    """``value`` as the type of the :func:`param` ``spec``'s default, inside
+    its domain.
+
+    An int takes an int or an integral float, a float takes an int or a
+    finite float, a bool only a bool and a str only a str.  A list or tuple
+    takes a list or a tuple, returned as the default's container, its items
+    typed from the default's first item (str when the default is empty).
+
+    Raises:
+        ValueError: naming the parameter, for any other value; naming the
+            parameter and its value, for a value outside the domain.
+    """
+    typed = _typed(name, value, spec.default)
+    check_domain(name, typed, spec.metadata["domain"])
+    return typed
+
+
+def _typed(name: str, value, default):
+    number = isinstance(value, (int, np.integer, float)) and not isinstance(value, bool)
+    if isinstance(default, (list, tuple)):
+        if isinstance(value, (list, tuple)):
+            item = default[0] if default else ""
+            return type(default)(_typed(name, v, item) for v in value)
+    elif isinstance(default, (bool, str)):
+        if isinstance(value, type(default)):
+            return value
+    elif isinstance(default, int):
+        if number and (not isinstance(value, float) or value.is_integer()):
+            return int(value)
+    elif number:
+        if not np.isfinite(value):
+            raise ValueError(f"parameter {name!r} must be finite, got {value!r}")
+        return float(value)
+    raise ValueError(
+        f"parameter {name!r} must be of type {type(default).__name__}, got {value!r}"
+    )
+
+
 def check_fields(obj) -> None:
-    """Check each field of the dataclass ``obj`` against its :func:`param` domain."""
+    """Type each :func:`param` field of the dataclass ``obj`` and check it
+    against its domain (:func:`typed_param`), keeping the typed value."""
     for f in fields(obj):
         if "domain" in f.metadata:
-            check_domain(f.name, getattr(obj, f.name), f.metadata["domain"])
+            object.__setattr__(obj, f.name, typed_param(f.name, getattr(obj, f.name), f))
 
 
 class DegenerateInputError(ValueError):

@@ -1,25 +1,26 @@
 """Experiment recipes, artifact serialization, and run manifests.
 
-``KINDS`` maps each experiment kind to its runner and its parameter
-table.  A default's type is its parameter's type, and each number or list
-has one :class:`~pfc.core.Domain`: beside its default, or where the library
-states it.  train-resnet's knobs and the surrogate problem's are the fields
-of ``TrainConfig`` and ``SolveProblem``, defaults too (sweep-lambda's
-``lambdas`` take ``SolveProblem.lam``'s domain), and the descents' are in
-``surrogate.DESCENT``.  Every value a run receives is typed and checked
-against both while its :class:`ExperimentConfig` is built
-(:func:`typed_param`), so a bad value fails, naming the parameter and its
-value, before any work.  Rules that tie two parameters together stay with
-the runner or library class that needs them.  A run maps
-the resolved parameter block plus a seed to a private output directory
-holding CSV tables, a JSON summary, and a manifest that echoes the full
-configuration together with sha256 checksums of every artifact.  The
-directory is replaced only by a run that succeeds, so it always holds
-exactly one run.  All CSV numbers are written with 17 significant digits
-so re-reading them reproduces the exact float bits, none of them is ``nan``
-or ``inf`` (:func:`write_csv` fails the run instead), and every random
-stream is derived from the run seed, so a repeated run yields
-byte-identical artifacts.
+``KINDS`` maps each experiment kind to its runner and its knobs.  Each
+knob is declared once, as a :func:`~pfc.core.param`: its default, whose
+type is the knob's type, and its :class:`~pfc.core.Domain`.  Knobs that
+only a kind reads are declared here; train-resnet's and the surrogate
+problem's are the fields of ``TrainConfig`` and ``SolveProblem``, and
+sweep-lambda's ``lambdas`` are ``surrogate.LAMBDAS``.  The descents take
+each kind's defaults here and their domains from ``surrogate.DESCENT``.
+One checker, :func:`~pfc.core.typed_param`, types and bounds every value,
+in the library as its classes are built and its solvers called, and in
+the CLI as an :class:`ExperimentConfig` is built, so a bad value fails
+with one message, naming the parameter and its value, before any work.
+Rules that tie two parameters together stay with the runner or library
+class that needs them.  A run maps the resolved parameter block plus a
+seed to a private output directory holding CSV tables, a JSON summary,
+and a manifest that echoes the full configuration together with sha256
+checksums of every artifact.  The directory is replaced only by a run
+that succeeds, so it always holds exactly one run.  All CSV numbers are
+written with 17 significant digits so re-reading them reproduces the
+exact float bits, none of them is ``nan`` or ``inf`` (:func:`write_csv`
+fails the run instead), and every random stream is derived from the run
+seed, so a repeated run yields byte-identical artifacts.
 
 A runner takes only its :class:`ExperimentConfig` and touches no disk.
 It returns ``(summary, artifacts)``: the summary is the dict that becomes
@@ -39,7 +40,7 @@ import os
 import platform
 import shutil
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -47,18 +48,19 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    UNBOUNDED,
     DegenerateInputError,
     DivergenceError,
     Domain,
     FeatureSet,
-    check_domain,
+    check_fields,
     check_layer_shapes,
     ge,
     gt,
     load_featureset,
+    param,
     read_header,
     save_featureset,
+    typed_param,
 )
 from .data import gen_gaussian_mixture, load_mnist_idx
 from .etf import build_etf, gram_target
@@ -79,6 +81,7 @@ from .metrics import PfcReport, alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
     DESCENT,
+    LAMBDAS,
     SolveProblem,
     SolveResult,
     collapse_multilayer,
@@ -102,14 +105,14 @@ class ExperimentConfig:
 
     Parameters not given explicitly resolve to the kind's defaults, and
     each value is typed from its default and checked against its domain
-    (:func:`typed_param`); unknown keys are rejected so typos cannot
+    (:func:`~pfc.core.typed_param`); unknown keys are rejected so typos cannot
     silently fall back.  A default outside its domain, pfc-report's empty
     ``stack_files``, makes its parameter one that every run must set.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int = 1
+    seed: int = param(1, ge(0))
     out_dir: Path | None = None
 
     def __post_init__(self):
@@ -117,66 +120,23 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
-        kind = KINDS[self.kind]
-        unknown = sorted(set(self.params) - set(kind.defaults))
+        specs = KINDS[self.kind].params
+        unknown = sorted(set(self.params) - set(specs))
         if unknown:
             raise ValueError(
                 f"unknown parameters for {self.kind}: {unknown}; "
-                f"valid keys: {sorted(kind.defaults)}"
+                f"valid keys: {sorted(specs)}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        check_domain("seed", self.seed, ge(0))
-        object.__setattr__(self, "seed", int(self.seed))
+        check_fields(self)
         # given values first, so a bad one is named before a parameter left
         # at a default that no run can use
         params = {
-            name: typed_param(name, self.params.get(name, default), default,
-                              kind.domains.get(name, UNBOUNDED))
-            for name, default in sorted(kind.defaults.items(),
-                                        key=lambda item: item[0] not in self.params)
+            name: typed_param(name, self.params.get(name, spec.default), spec)
+            for name, spec in sorted(specs.items(), key=lambda item: item[0] not in self.params)
         }
         object.__setattr__(self, "params", params)
         out = Path("runs") / self.kind if self.out_dir is None else Path(self.out_dir)
         object.__setattr__(self, "out_dir", out)
-
-
-def typed_param(name: str, value, default, domain: Domain = UNBOUNDED):
-    """``value`` as the type of the parameter's ``default``, inside ``domain``.
-
-    An int takes an int or an integral float, a float takes an int or a
-    finite float, a bool only a bool and a str only a str.  A list takes a list
-    whose items are typed from the default's first item (str when the
-    default is empty).
-
-    Raises:
-        ValueError: naming the parameter, for any other value; naming the
-            parameter and its value, for a value outside ``domain``.
-    """
-    typed = _typed(name, value, default)
-    check_domain(name, typed, domain)
-    return typed
-
-
-def _typed(name: str, value, default):
-    number = isinstance(value, (int, np.integer, float)) and not isinstance(value, bool)
-    if isinstance(default, list):
-        if isinstance(value, list):
-            item = default[0] if default else ""
-            return [_typed(name, v, item) for v in value]
-    elif isinstance(default, (bool, str)):
-        if isinstance(value, type(default)):
-            return value
-    elif isinstance(default, int):
-        if number and (not isinstance(value, float) or value.is_integer()):
-            return int(value)
-    elif number:
-        if not np.isfinite(value):
-            raise ValueError(f"parameter {name!r} must be finite, got {value!r}")
-        return float(value)
-    raise ValueError(
-        f"parameter {name!r} must be of type {type(default).__name__}, got {value!r}"
-    )
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -749,23 +709,21 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
 
 
 def _field_params(cls, *skip) -> dict:
-    """The parameter table of a library class's fields but ``skip``: each
-    default, a tuple as a list, with the domain the field states, if any."""
-    return {f.name: (list(f.default) if isinstance(f.default, tuple) else f.default,
-                     f.metadata["domain"]) if "domain" in f.metadata else f.default
-            for f in fields(cls) if f.name not in skip}
+    """The knobs of a library class: its fields but ``skip``."""
+    return {f.name: f for f in fields(cls) if f.name not in skip}
 
 
 # TrainConfig's fields but the run's seed, SolveProblem's but those the
 # runner sets (_problem), and the problem's Gaussian-mixture data (_mixture)
 _TRAIN_PARAMS = _field_params(TrainConfig, "seed")
 _PROBLEM_PARAMS = _field_params(SolveProblem, "kind", "data", "seed")
-_MIXTURE_PARAMS = {"mean_scale": (1.0, ge(0)), "noise_scale": (1.0, ge(0))}
+_MIXTURE_PARAMS = {"mean_scale": param(1.0, ge(0)), "noise_scale": param(1.0, ge(0))}
 
 
 def _descent(**defaults) -> dict:
     """Descent knobs with this kind's defaults and the library's domains."""
-    return {name: (default, DESCENT[name]) for name, default in defaults.items()}
+    return {name: param(default, DESCENT[name].metadata["domain"])
+            for name, default in defaults.items()}
 
 
 _SOLVE_PARAMS = {
@@ -774,85 +732,72 @@ _SOLVE_PARAMS = {
 }
 
 _PATH_SUITE_PARAMS = {
-    "num_paths": (100, ge(1)),
-    "grid_points": (1001, ge(2)),
-    "classes": ([3, 5], ge(2)),
-    "per_class": ([4, 20], ge(1)),
-    "dims": ([8, 20], ge(2)),
-    "end_scale": (1.0, gt(0)),
-    "final_tolerance": (1e-12, gt(0)),
+    "num_paths": param(100, ge(1)),
+    "grid_points": param(1001, ge(2)),
+    "classes": param([3, 5], ge(2)),
+    "per_class": param([4, 20], ge(1)),
+    "dims": param([8, 20], ge(2)),
+    "end_scale": param(1.0, gt(0)),
+    "final_tolerance": param(1e-12, gt(0)),
 }
 
 
 class Kind(NamedTuple):
-    """One experiment kind: its runner, its parameter defaults, whose
-    types are the parameters' types, and the domains of its numbers and
-    lists."""
+    """One experiment kind: its runner and its knobs, each a
+    :func:`~pfc.core.param` whose default's type is the knob's type."""
 
     run: Callable[[ExperimentConfig], tuple[dict, Artifacts]]
-    defaults: dict
-    domains: dict[str, Domain]
-
-
-def _kind(run, table: dict) -> Kind:
-    """A kind from its parameter table, which maps each name to its default,
-    or, for a number or a list, to ``(default, domain)``."""
-    return Kind(
-        run,
-        {name: entry[0] if isinstance(entry, tuple) else entry for name, entry in table.items()},
-        {name: entry[1] for name, entry in table.items() if isinstance(entry, tuple)},
-    )
+    params: dict[str, Field]
 
 
 KINDS = {
-    "etf-check": _kind(_run_etf_check, {
-        "min_classes": (2, ge(2)),
-        "max_classes": (10, ge(2)),
-        "extra_dims": ([0, 3], ge(0)),
-        "tolerance": (1e-12, ge(0)),
+    "etf-check": Kind(_run_etf_check, {
+        "min_classes": param(2, ge(2)),
+        "max_classes": param(10, ge(2)),
+        "extra_dims": param([0, 3], ge(0)),
+        "tolerance": param(1e-12, ge(0)),
     }),
-    "interpolate": _kind(_run_interpolate, {
-        "num_classes": (4, ge(2)),
-        "per_class": (20, ge(1)),
-        "dim": (8, ge(2)),
-        "grid_points": (101, ge(2)),
-        "end_scale": (1.0, gt(0)),
+    "interpolate": Kind(_run_interpolate, {
+        "num_classes": param(4, ge(2)),
+        "per_class": param(20, ge(1)),
+        "dim": param(8, ge(2)),
+        "grid_points": param(101, ge(2)),
+        "end_scale": param(1.0, gt(0)),
     }),
-    "theorem1": _kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
-    "theorem2": _kind(
+    "theorem1": Kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
+    "theorem2": Kind(
         partial(_run_path_suite, variant=2),
-        {**_PATH_SUITE_PARAMS, "eps_rel": (0.01, ge(0))},
+        {**_PATH_SUITE_PARAMS, "eps_rel": param(0.01, ge(0))},
     ),
-    "solve-ufm": _kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
-    "solve-mufm": _kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **_MIXTURE_PARAMS}),
-    "sweep-lambda": _kind(_run_sweep_lambda, {
-        **{name: entry for name, entry in _PROBLEM_PARAMS.items() if name != "lam"},
+    "solve-ufm": Kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
+    "solve-mufm": Kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **_MIXTURE_PARAMS}),
+    "sweep-lambda": Kind(_run_sweep_lambda, {
+        **{name: spec for name, spec in _PROBLEM_PARAMS.items() if name != "lam"},
         **_MIXTURE_PARAMS,
-        "lambdas": ([float(v) for v in np.geomspace(0.0005, 0.02, 8)],
-                    _PROBLEM_PARAMS["lam"][1]),
+        "lambdas": LAMBDAS,
         **_descent(lr=0.1, epochs=50_000, init_scale=0.05),
     }),
-    "train-resnet": _kind(_run_train_resnet, {
+    "train-resnet": Kind(_run_train_resnet, {
         **_TRAIN_PARAMS,
-        "mean_scale": (2.0, ge(0)),
-        "noise_scale": (1.0, ge(0)),
-        "grid_points": (1001, ge(2)),
-        "effective_epsilon": (0.05, ge(0)),
-        "images": "",
-        "labels": "",
+        "mean_scale": param(2.0, ge(0)),
+        "noise_scale": param(1.0, ge(0)),
+        "grid_points": param(1001, ge(2)),
+        "effective_epsilon": param(0.05, ge(0)),
+        "images": param(""),
+        "labels": param(""),
     }),
-    "pfc-report": _kind(_run_pfc_report, {
-        "stack_files": ([], Domain(None, min_len=2)),
-        "grid_points": (1001, ge(2)),
-        "effective_epsilon": (0.05, ge(0)),
+    "pfc-report": Kind(_run_pfc_report, {
+        "stack_files": param([], Domain(None, min_len=2)),
+        "grid_points": param(1001, ge(2)),
+        "effective_epsilon": param(0.05, ge(0)),
     }),
-    "equivalence-thm3": _kind(_run_equivalence_thm3, {
+    "equivalence-thm3": Kind(_run_equivalence_thm3, {
         **_PROBLEM_PARAMS,
         **_MIXTURE_PARAMS,
-        "depths": ([2, 5, 10], ge(1)),
-        "end_scale": (1.0, gt(0)),
-        "chain_lr": (0.2, gt(0)),
-        "chain_iters": (5000, ge(1)),
+        "depths": param([2, 5, 10], ge(1)),
+        "end_scale": param(1.0, gt(0)),
+        "chain_lr": param(0.2, gt(0)),
+        "chain_iters": param(5000, ge(1)),
     }),
 }
 

@@ -59,8 +59,9 @@ from .metrics import PfcReport, measure
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run: the ``pfc train-resnet``
-    defaults, each number's domain beside it (``harness.KINDS`` reads both).
+    """Hyperparameters of one training run, each a :func:`~pfc.core.param`
+    typed and bounded on construction: the ``pfc train-resnet`` knobs,
+    defaults and domains (``harness.KINDS`` reads them), and the seed.
 
     ``lr_decay_epochs`` lists the 1-indexed epochs at which the learning
     rate is multiplied by ``lr_decay_factor`` (taking effect from that
@@ -80,8 +81,8 @@ class TrainConfig:
     lr_decay_epochs: tuple[int, ...] = param((1000, 2000))  # each in 1..epochs: __post_init__
     momentum: float = param(0.9, ge(0))  # and < 1: __post_init__
     weight_decay: float = param(0.0025, ge(0))
-    decay_biases: bool = True
-    seed: int = 0
+    decay_biases: bool = param(True)
+    seed: int = param(0)
     record_stride: int = param(250, ge(1))
 
     def __post_init__(self):
@@ -93,18 +94,13 @@ class TrainConfig:
             )
         if not self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        for e in self.lr_decay_epochs:
-            if not (isinstance(e, (int, np.integer)) and not isinstance(e, bool)
-                    or isinstance(e, float) and e.is_integer()):
-                raise ValueError(f"parameter 'lr_decay_epochs' must be of type int, got {e!r}")
-        decays = tuple(int(e) for e in self.lr_decay_epochs)
+        decays = self.lr_decay_epochs
         if any(b <= a for a, b in zip(decays, decays[1:])):
             raise ValueError(f"lr_decay_epochs must be strictly increasing, got {list(decays)}")
         if decays and (decays[0] < 1 or decays[-1] > self.epochs):
             raise ValueError(
                 f"lr_decay_epochs must lie within 1..{self.epochs}, got {list(decays)}"
             )
-        object.__setattr__(self, "lr_decay_epochs", decays)
 
     def learning_rate(self, epoch: int) -> float:
         """Stepped learning rate in effect during a 1-indexed epoch."""

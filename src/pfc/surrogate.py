@@ -51,19 +51,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, check_domain, check_fields, ge, gt, param
+from .core import DivergenceError, check_domain, check_fields, ge, gt, param, typed_param
 
 KINDS = ("ufm", "mufm")
 LOSSES = ("ce", "mse")
-# each descent knob's domain, in _solve_stack's order; each caller has its defaults
-DESCENT = {"lr": ge(0), "epochs": ge(1), "init_scale": ge(0), "trace_stride": ge(1),
-           "grad_tol": ge(0)}
+# each descent knob with solve's default and its domain, in _solve_stack's order
+DESCENT = {"lr": param(0.1, ge(0)), "epochs": param(50_000, ge(1)),
+           "init_scale": param(1.0, ge(0)), "trace_stride": param(1, ge(1)),
+           "grad_tol": param(0.0, ge(0))}
+# sweep_lambda's coefficients, each a SolveProblem.lam; the default is pfc sweep-lambda's
+LAMBDAS = param([float(v) for v in np.geomspace(0.0005, 0.02, 8)], gt(0))
 
 
 @dataclass(frozen=True)
 class SolveProblem:
-    """One UFM or MUFM instance: the ``pfc solve-ufm`` defaults, each
-    number's domain beside it (``harness.KINDS`` reads both).
+    """One UFM or MUFM instance, each knob a :func:`~pfc.core.param` typed
+    and bounded on construction: the ``pfc solve-ufm`` knobs, defaults and
+    domains (``harness.KINDS`` reads them), and the seed.
 
     ``lam`` is the coefficient on ||H||_F^2 for UFM and on the transport
     term ||H - X||_F^2 for MUFM.  ``data`` (the d x K*n matrix X) is
@@ -71,21 +75,21 @@ class SolveProblem:
     """
 
     kind: str
-    loss: str = "mse"
+    loss: str = param("mse")
     num_classes: int = param(5, ge(2))
     dim: int = param(20, ge(2))  # and >= num_classes: __post_init__
     per_class: int = param(100, ge(1))
     lambda_w: float = param(0.005, gt(0))
-    lam: float = param(0.001, gt(0))
+    lam: float = param(0.001, LAMBDAS.metadata["domain"])
     data: np.ndarray | None = None
-    seed: int = 0
+    seed: int = param(0)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_fields(self)
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        check_fields(self)
         if self.dim < self.num_classes:
             raise ValueError(
                 f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"
@@ -316,9 +320,9 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
     All lanes run the same epochs; ``grad_tol`` stops the stack once every
     lane's gradient norm is at most it.
     """
-    for (name, domain), value in zip(DESCENT.items(),
-                                     (lr, epochs, init_scale, trace_stride, grad_tol)):
-        check_domain(name, value, domain)
+    lr, epochs, init_scale, trace_stride, grad_tol = (
+        typed_param(name, value, spec) for (name, spec), value
+        in zip(DESCENT.items(), (lr, epochs, init_scale, trace_stride, grad_tol)))
 
     rng = np.random.default_rng(p.seed)
     W0 = init_scale * rng.standard_normal((p.num_classes, p.dim))
@@ -402,7 +406,7 @@ def solve(
     iterates near 1e154 to shrink back within one stride.
 
     Raises:
-        ValueError: for a knob outside its ``DESCENT`` domain.
+        ValueError: for a knob not of its ``DESCENT`` type or outside its domain.
         DivergenceError: if the objective becomes non-finite, reporting the
             coefficient and the first epoch at which it happened.
     """
@@ -522,12 +526,11 @@ def sweep_lambda(
     only through ``lam``, and they run as one stacked descent whose lanes
     each match, bit for bit, a separate :func:`solve` traced every
     max(1, epochs // 100) epochs.  The coefficients, at least one, are
-    checked against ``SolveProblem.lam``'s domain before any descent; a
-    divergence names the offending coefficient.
+    typed and checked as ``LAMBDAS`` before any descent; a divergence names
+    the offending coefficient.
     """
     if base.kind != "mufm":
         raise ValueError("sweep_lambda operates on mufm problems")
-    lams = [float(lam) for lam in lambdas]
-    check_domain("lambdas", lams, SolveProblem.__dataclass_fields__["lam"].metadata["domain"])
+    lams = typed_param("lambdas", list(lambdas), LAMBDAS)
     return _solve_stack(base, lams, lr, epochs, init_scale,
                         trace_stride=max(1, epochs // 100), grad_tol=0.0)

@@ -423,27 +423,39 @@ def test_10_chain_equals_collapsed_objective(equivalence_run):
     )
 
 
-def test_11_regularizer_expansion_identity():
-    start = time.perf_counter()
+def _expansion_gap(seeds):
+    """The largest relative gap, over ``seeds``, between the transport term
+    lam / 2Kn ||H - X||^2 as the chain cost of [X, H] and its expansion."""
     worst = 0.0
-    for seed in range(20):
+    for seed in seeds:
         rng = np.random.default_rng([seed, 13])
         k, n = int(rng.integers(2, 6)), int(rng.integers(1, 8))
         lam = float(rng.uniform(0.01, 1.0))
         h = rng.standard_normal((6, k * n))
         x = rng.standard_normal((6, k * n))
         kn = k * n
-        lhs = lam / (2 * kn) * float(np.sum((h - x) ** 2))
+        lhs = lam / (2 * kn) * surrogate.transport_chain_cost([x, h])
         rhs = (
             lam / (2 * kn) * float(np.sum(h * h))
             - lam / kn * float(np.trace(x @ h.T))
             + lam / (2 * kn) * float(np.sum(x * x))
         )
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return worst
+
+
+def _expansion_holds(worst, elapsed):
+    """Criterion 11: the transport term equals its expansion to rounding."""
+    return worst <= 1e-12 and elapsed < 1.0
+
+
+def test_11_regularizer_expansion_identity():
+    start = time.perf_counter()
+    worst = _expansion_gap(range(20))
     elapsed = time.perf_counter() - start
     _verdict(
         11, "transport regularizer expansion identity",
-        worst <= 1e-12 and elapsed < 1.0,
+        _expansion_holds(worst, elapsed),
         f"20 instances, max relative gap {worst:.2e}, {elapsed:.2f}s (limit 1s)",
     )
 
@@ -554,3 +566,14 @@ def test_10_teeth_misplaced_layers_fail(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "collapse_multilayer", misplaced)
     _, s, elapsed = _run_kind("equivalence-thm3", tmp_path / "b", **_TINY_CHAIN)
     assert not _chain_equals_collapsed(s, elapsed)
+
+
+def test_11_teeth_unsquared_transport_cost_fails(monkeypatch):
+    assert _expansion_holds(_expansion_gap(range(20)), 0.0)
+
+    def unsquared(layers):
+        # step norms summed without squaring them
+        return float(sum(np.linalg.norm(b - a) for a, b in zip(layers[:-1], layers[1:])))
+
+    monkeypatch.setattr(surrogate, "transport_chain_cost", unsquared)
+    assert not _expansion_holds(_expansion_gap(range(20)), 0.0)

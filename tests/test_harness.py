@@ -20,11 +20,14 @@ from scipy import stats
 from conftest import stack_positions
 from pfc import cli, harness, metrics, resnet
 from pfc.core import (
+    UNBOUNDED,
     DegenerateInputError,
     DivergenceError,
     FeatureSet,
     load_featureset,
+    param,
     save_featureset,
+    typed_param,
 )
 from pfc.etf import build_etf
 from pfc.geodesic import make_nc_featureset
@@ -41,36 +44,44 @@ from pfc.harness import (
     run,
     sha256_file,
     spearman,
-    typed_param,
     write_csv,
     write_json,
 )
 from pfc.resnet import TrainConfig
-from pfc.surrogate import DESCENT, SolveProblem, solve, sweep_lambda
+from pfc.surrogate import DESCENT, LAMBDAS, SolveProblem, solve, sweep_lambda
 
 
-def _domains(cls) -> dict:
-    """The domain of each field of a library class that states one."""
-    return {f.name: f.metadata["domain"] for f in dataclasses.fields(cls)
-            if "domain" in f.metadata}
+def _defaults(kind: str) -> dict:
+    """Each knob of ``kind`` with its default."""
+    return {name: spec.default for name, spec in KINDS[kind].params.items()}
+
+
+def _domain(kind: str, name: str):
+    return KINDS[kind].params[name].metadata["domain"]
+
+
+def _fields(cls) -> dict:
+    """The knobs of a library class: its fields declared by ``param``."""
+    return {f.name: f for f in dataclasses.fields(cls) if "domain" in f.metadata}
 
 
 def _library_bounds():
     """(kind, name, outside) for each bound of the library's knob tables:
     TrainConfig's fields, SolveProblem's fields, the descents' ``DESCENT``
-    and sweep_lambda's ``lambdas``; each kind that takes the knob, and a
+    and sweep_lambda's ``LAMBDAS``; each kind that takes the knob, and a
     value just outside the bound, typed as the kind's default (as a
     one-item list for a list)."""
     tables = {
-        "train-resnet": _domains(TrainConfig),
-        "solve-ufm": {**_domains(SolveProblem), **DESCENT},
-        "sweep-lambda": {"lambdas": _domains(SolveProblem)["lam"],
+        "train-resnet": _fields(TrainConfig),
+        "solve-ufm": {**_fields(SolveProblem), **DESCENT},
+        "sweep-lambda": {"lambdas": LAMBDAS,
                          **{name: DESCENT[name] for name in ("lr", "epochs", "init_scale")}},
     }
-    for kind, domains in tables.items():
-        for name, domain in domains.items():
+    for kind, specs in tables.items():
+        for name, spec in specs.items():
+            domain = spec.metadata["domain"]
             if domain.low is not None:
-                default = KINDS[kind].defaults[name]
+                default = KINDS[kind].params[name].default
                 number = type(default[0] if isinstance(default, list) else default)
                 outside = number(domain.low) - (0 if domain.open else 1)
                 if isinstance(default, list):
@@ -84,7 +95,7 @@ def _library_call(kind: str, name: str, value) -> None:
                        lambda_w=0.1, lam=0.1)
     if kind == "train-resnet":
         TrainConfig(**{name: value})
-    elif name in _domains(SolveProblem):
+    elif name in _fields(SolveProblem):
         SolveProblem(kind="ufm", **{name: value})
     elif kind == "solve-ufm":
         solve(ufm, **{name: value})
@@ -96,14 +107,14 @@ def _library_call(kind: str, name: str, value) -> None:
 class TestExperimentConfig:
     def test_defaults_fill_missing_params(self):
         cfg = ExperimentConfig(kind="etf-check")
-        assert cfg.params == KINDS["etf-check"].defaults
+        assert cfg.params == _defaults("etf-check")
         assert cfg.seed == 1
         assert cfg.out_dir == Path("runs") / "etf-check"
 
     def test_explicit_params_win_over_defaults(self):
         cfg = ExperimentConfig(kind="etf-check", params={"max_classes": 4})
         assert cfg.params["max_classes"] == 4
-        assert cfg.params["min_classes"] == KINDS["etf-check"].defaults["min_classes"]
+        assert cfg.params["min_classes"] == _defaults("etf-check")["min_classes"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment kind"):
@@ -141,7 +152,7 @@ class TestResolveConfig:
         cfg = resolve_config("interpolate", config_path=path)
         assert cfg.seed == 7
         assert cfg.params["dim"] == 10
-        assert cfg.params["per_class"] == KINDS["interpolate"].defaults["per_class"]
+        assert cfg.params["per_class"] == _defaults("interpolate")["per_class"]
 
     def test_overrides_beat_file(self, tmp_path):
         path = self.write(tmp_path, {"params": {"dim": 10, "per_class": 5}})
@@ -241,8 +252,9 @@ class TestParamSchema:
 
     def test_float_defaults_are_finite(self):
         for kind, entry in KINDS.items():
-            for name, default in entry.defaults.items():
-                values = default if isinstance(default, list) else [default]
+            for name, spec in entry.params.items():
+                default = spec.default
+                values = default if isinstance(default, (list, tuple)) else [default]
                 for value in values:
                     if isinstance(value, float):
                         assert np.isfinite(value), (kind, name)
@@ -250,15 +262,45 @@ class TestParamSchema:
     @pytest.mark.parametrize("kind, name, outside", _library_bounds())
     def test_library_and_cli_share_each_bound_and_its_message(self, kind, name, outside):
         # each bound is declared once, in the library, and the CLI reads it
-        domain = KINDS[kind].domains[name]
+        domain = _domain(kind, name)
         message = f"{name} must be {'>' if domain.open else '>='} {domain.low}, got {outside}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _library_call(kind, name, outside)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             resolve_config(kind, overrides=[(name, outside)])
 
+    @pytest.mark.parametrize("kind, name, value, expected", [
+        ("train-resnet", "num_blocks", True, "int"),
+        ("train-resnet", "batch_size", 8.5, "int"),
+        ("train-resnet", "epochs", 2.5, "int"),
+        ("train-resnet", "lr", "0.1", "float"),
+        ("train-resnet", "decay_biases", 1, "bool"),
+        ("solve-ufm", "per_class", 2.5, "int"),
+        ("solve-ufm", "lam", True, "float"),
+        ("solve-ufm", "epochs", 2.5, "int"),
+        ("solve-ufm", "trace_stride", True, "int"),
+        ("sweep-lambda", "lambdas", [True], "float"),
+    ])
+    def test_library_and_cli_share_each_type_and_its_message(self, kind, name, value,
+                                                             expected):
+        # each knob is typed by one checker, for the library and the CLI
+        item = value[0] if isinstance(value, list) else value
+        message = f"parameter {name!r} must be of type {expected}, got {item!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _library_call(kind, name, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resolve_config(kind, overrides=[(name, value)])
+
+    @pytest.mark.parametrize("make", [TrainConfig, functools.partial(SolveProblem, kind="ufm")])
+    @pytest.mark.parametrize("seed", [True, 2.5])
+    def test_library_seeds_are_typed(self, make, seed):
+        # a run's seed is not a --set key, but the library types it the same way
+        message = f"parameter 'seed' must be of type int, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(seed=seed)
+
     def test_train_config_defaults_are_the_cli_defaults(self):
-        defaults = KINDS["train-resnet"].defaults
+        defaults = _defaults("train-resnet")
         config = TrainConfig()
         for f in dataclasses.fields(TrainConfig):
             if f.name != "seed":
@@ -271,7 +313,7 @@ class TestParamSchema:
                                       "equivalence-thm3"])
     def test_solve_problem_defaults_are_the_cli_defaults(self, kind):
         # each kind that builds a SolveProblem takes its fields' defaults
-        defaults = KINDS[kind].defaults
+        defaults = _defaults(kind)
         problem = SolveProblem(kind="ufm")
         names = {f.name for f in dataclasses.fields(SolveProblem)} - {"kind", "data", "seed"}
         if kind == "sweep-lambda":  # its lambdas stand for lam
@@ -283,7 +325,7 @@ class TestParamSchema:
     def test_train_config_fields_are_train_resnet_params(self):
         # the runner builds TrainConfig by field name; only seed comes from the run
         names = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
-        assert names <= set(KINDS["train-resnet"].defaults)
+        assert names <= set(KINDS["train-resnet"].params)
 
     def test_integral_float_resolves_to_int(self):
         epochs = resolve_config("solve-ufm", overrides=["epochs=1e3"]).params["epochs"]
@@ -291,7 +333,7 @@ class TestParamSchema:
 
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_defaults_pass_through_unchanged(self, kind):
-        defaults = KINDS[kind].defaults
+        defaults = _defaults(kind)
         if kind == "pfc-report":  # stack_files has no default a run can read
             defaults = {**defaults, "stack_files": ["a.txt", "b.txt"]}
         params = ExperimentConfig(kind=kind, params=defaults).params
@@ -300,12 +342,11 @@ class TestParamSchema:
 
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_numbers_and_lists_state_a_domain_holding_their_default(self, kind):
-        entry = KINDS[kind]
-        for name, default in entry.defaults.items():
-            bounded = not isinstance(default, (bool, str))
-            assert (name in entry.domains) == bounded, name
-            if bounded and (kind, name) != ("pfc-report", "stack_files"):
-                assert typed_param(name, default, default, entry.domains[name]) == default
+        for name, spec in KINDS[kind].params.items():
+            if isinstance(spec.default, (bool, str)):
+                assert spec.metadata["domain"] == UNBOUNDED, name
+            elif (kind, name) != ("pfc-report", "stack_files"):
+                assert typed_param(name, spec.default, spec) == spec.default
 
     def test_cli_subcommands_are_the_kinds(self):
         sub = next(
@@ -323,10 +364,12 @@ class TestParamSchema:
         ([1, 2], [0.5], [1.0, 2.0]),
         ([], [0.5], []),
         (["a.txt"], [], ["a.txt"]),
+        ([1.0, np.int64(2)], (7,), (1, 2)),
+        ((1, 2), [0.5], [1.0, 2.0]),
     ])
     def test_values_take_the_default_type(self, value, default, expected):
-        out = typed_param("p", value, default)
-        assert json.dumps(out) == json.dumps(expected)
+        out = typed_param("p", value, param(default))
+        assert json.dumps(out) == json.dumps(expected) and type(out) is type(expected)
 
     @pytest.mark.parametrize("value, default", [
         (True, 7), (2.5, 7), (float("inf"), 7), (None, 7), (True, 0.5), ("1", 0.5),
@@ -335,7 +378,7 @@ class TestParamSchema:
     ])
     def test_other_values_rejected(self, value, default):
         with pytest.raises(ValueError, match="parameter 'p' must be of type"):
-            typed_param("p", value, default)
+            typed_param("p", value, param(default))
 
     @pytest.mark.parametrize("value, default", [
         (float("nan"), 0.5), (float("inf"), 0.5), (-float("inf"), 0.5),
@@ -343,7 +386,7 @@ class TestParamSchema:
     ])
     def test_nonfinite_floats_rejected(self, value, default):
         with pytest.raises(ValueError, match="parameter 'p' must be finite"):
-            typed_param("p", value, default)
+            typed_param("p", value, param(default))
 
 
 class TestCells:
@@ -760,9 +803,9 @@ def _domain_edges():
     parameter table: a value just outside the domain, the value on its
     edge, and the message the outside value fails with."""
     for kind, entry in KINDS.items():
-        for name, domain in entry.domains.items():
-            default = entry.defaults[name]
-            listed = isinstance(default, list)
+        for name, spec in entry.params.items():
+            default, domain = spec.default, spec.metadata["domain"]
+            listed = isinstance(default, (list, tuple))
             if listed and domain.min_len:
                 sample = default or STACK
                 short = sample[:domain.min_len - 1]
@@ -907,7 +950,7 @@ class TestCli:
         monkeypatch.setattr(harness, "train", never)
         args = ["train-resnet", "--out", str(tmp_path / "x"), "--set", f"{name}=0"]
         assert cli.main(args) == 1
-        low = KINDS["train-resnet"].domains[name].low
+        low = _domain("train-resnet", name).low
         assert f"invalid run: {name} must be >= {low}, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

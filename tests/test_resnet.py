@@ -156,7 +156,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value, message", [
         ("lr", -0.01, "lr must be >= 0, got -0.01"),
-        ("lr", float("nan"), "lr must be >= 0, got nan"),
+        ("lr", float("nan"), "parameter 'lr' must be finite, got nan"),
         ("weight_decay", -1.0, "weight_decay must be >= 0, got -1.0"),
         ("lr_decay_factor", 0.0, "lr_decay_factor must be > 0, got 0.0"),
         ("lr_decay_factor", -0.5, "lr_decay_factor must be > 0, got -0.5"),

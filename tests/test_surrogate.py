@@ -1,5 +1,7 @@
 """Surrogate model objectives, gradients, solvers and the chain identity."""
 
+import inspect
+import json
 import math
 import re
 from dataclasses import replace
@@ -174,7 +176,8 @@ class TestProblemValidation:
     @pytest.mark.parametrize("field", ["lambda_w", "lam"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_lambdas_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be > 0, got {value}$"):
+        message = f"parameter {field!r} must be finite, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_problem(**{field: value})
 
     @pytest.mark.parametrize("kind", ["ufm", "mufm"])
@@ -390,6 +393,14 @@ class TestSolve:
         h0 = rng.standard_normal((p.dim, p.num_classes * p.per_class))
         np.testing.assert_array_equal(result.W, w0)
         np.testing.assert_array_equal(result.H, h0)
+
+    @pytest.mark.parametrize("function", [solve, sweep_lambda])
+    def test_descent_defaults_are_the_signatures(self, function):
+        # DESCENT types the knobs from these defaults; json tells 1 from 1.0
+        for name, arg in inspect.signature(function).parameters.items():
+            if name in surrogate.DESCENT:
+                default = surrogate.DESCENT[name].default
+                assert json.dumps(arg.default) == json.dumps(default), name
 
     def test_argument_validation(self):
         p = make_problem()
@@ -747,7 +758,8 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^lambdas must be > 0, got \[0.001, -1.0\]$"):
             sweep_lambda(base, [0.001, -1.0], epochs=10)
         for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=rf"^lambdas must be > 0, got \[0.001, {bad}\]$"):
+            message = f"^parameter 'lambdas' must be finite, got {bad}$"
+            with pytest.raises(ValueError, match=message):
                 sweep_lambda(base, [0.001, bad], epochs=10)
 
     def test_empty_lambdas_rejected(self):
