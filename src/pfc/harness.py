@@ -188,7 +188,7 @@ def resolve_config(
     for item in overrides:
         key, value = parse_override(item) if isinstance(item, str) else item
         params[key] = value
-    resolved_seed = seed if seed is not None else data.get("seed", 1)
+    resolved_seed = seed if seed is not None else data.get("seed", ExperimentConfig.seed)
     resolved_out = out_dir if out_dir is not None else data.get("out_dir")
     return ExperimentConfig(
         kind=kind, params=params, seed=resolved_seed, out_dir=resolved_out

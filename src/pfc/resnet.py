@@ -35,7 +35,8 @@ bias is added separately.  ``_fold_is_exact`` decides per shape by sampling.
 Training allocates nothing per batch: parameters, gradients and velocity
 are three flat vectors of these blocks (the parameter dict holds weight
 and bias views into them), the per-layer blocks, transposes and gradients
-are bound once per run, and the batch passes write pre-activations,
+are bound once per run, each batch's input columns and labels are gathered
+into buffers of its width, and the batch passes write pre-activations,
 features, logits, backward scratch (ReLU masks as float64 1.0/0.0) and
 gradients into a workspace of buffers, one per batch width.  ReLUs and
 masks compare against a zero array, not the scalar 0.0 that numpy would
@@ -43,6 +44,16 @@ broadcast through a slower loop.  Every in-place operation is the same
 floating-point operation on the same operands as the allocating formula it
 replaces, so results are bit-identical to it; ``resnet_forward`` and
 ``resnet_backward`` return fresh arrays.
+
+The operands of training's products start on 64-byte boundaries
+(``_aligned``): the flat vectors, the feature buffers, the workspace's
+pre-activations and backward scratch, and the gathered batch input.
+OpenBLAS's small-matrix kernels read their operands in place, and the
+default batch's forward product takes about a quarter less time on aligned
+ones, with the same bits.  The batch input is gathered column-major, as
+rows of the input's transpose, which is the layout ``x[:, batch]``
+indexing gives: a row-major batch sends layer 0's products down another
+kernel path, which changes their bits.
 """
 
 from __future__ import annotations
@@ -180,11 +191,22 @@ def _bias_folds(params: dict, num_blocks: int, columns: int) -> bool:
                for name in _layer_names(num_blocks))
 
 
-def _feature_block(layers: int, width: int, columns: int) -> np.ndarray:
-    """``layers`` feature buffers of shape (width + 1, columns) whose last
-    row is the constant ones row the weight blocks' bias columns meet."""
-    block = np.empty((layers, width + 1, columns))
-    block[:, -1] = 1.0
+def _aligned(*shape: int) -> np.ndarray:
+    """An uninitialised C-ordered float64 array of ``shape`` whose first
+    element sits on a 64-byte boundary: a slice of one 8 doubles longer."""
+    size = int(np.prod(shape))
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
+
+
+def _feature_block(layers: int, width: int, columns: int) -> list:
+    """``layers`` aligned feature buffers of shape (width + 1, columns)
+    whose last row is the constant ones row the weight blocks' bias columns
+    meet."""
+    block = [_aligned(width + 1, columns) for _ in range(layers)]
+    for f in block:
+        f[-1] = 1.0
     return block
 
 
@@ -207,17 +229,17 @@ class _Workspace:
                  grads: dict | None = None):
         width, classes = params["w_in"].shape[0], params["w_out"].shape[0]
         layer = (width, columns)
-        self.preacts = [np.empty(layer) for _ in range(num_blocks + 1)]
-        self.features = list(_feature_block(num_blocks + 1, width, columns))
+        self.preacts = [_aligned(*layer) for _ in range(num_blocks + 1)]
+        self.features = _feature_block(num_blocks + 1, width, columns)
         self.logits = np.empty((classes, columns))
         self.shifted = np.empty((classes, columns))
         self.dz = np.empty((classes, columns))
         self.maxima = np.empty((1, columns))
         self.total = np.empty((1, columns))
-        self.dx = np.empty(layer)
-        self.da = np.empty(layer)
-        self.product = np.empty(layer)
-        self.mask = np.empty(layer)
+        self.dx = _aligned(*layer)
+        self.da = _aligned(*layer)
+        self.product = _aligned(*layer)
+        self.mask = _aligned(*layer)
         self.zeros = np.zeros(layer)
         self.columns = np.arange(columns)
         self.fold = _bias_folds(params, num_blocks, columns)
@@ -421,14 +443,18 @@ def train(
     # [W | b] block, so that the bias rides in the weight product where that
     # rounds as the separate add would (_bias_folds).  Parameters, gradients
     # and velocity are flat vectors of these blocks, so one update is a few
-    # whole-vector operations; the dicts hold views into them.
+    # whole-vector operations; the dicts hold views into them.  A batch's
+    # input columns are gathered as rows of x_rows, the input's transpose.
     x_full = _with_ones(data.features)
+    x_rows = np.ascontiguousarray(x_full.T)
     names = _layer_names(config.num_blocks)
     init = _blocks(init_params(config), config.num_blocks)
     shapes = [block.shape for block in init]
-    theta = np.concatenate([block.ravel() for block in init])
+    size = sum(block.size for block in init)
+    theta, grad, velocity, scratch = (_aligned(size) for _ in range(4))
+    np.concatenate([block.ravel() for block in init], out=theta)
     del init  # copied into theta; the run holds no second set of weights
-    grad, velocity, scratch = np.empty(theta.size), np.zeros(theta.size), np.empty(theta.size)
+    velocity.fill(0.0)
     blocks, grad_blocks = _split(theta, shapes), _split(grad, shapes)
     params, grads = _named(blocks, names), _named(grad_blocks, names)
     # (gradient, parameters, scratch) triples that weight decay applies to
@@ -442,8 +468,11 @@ def train(
     net = _Net(blocks, grads)
 
     @functools.cache
-    def workspace(columns: int) -> _Workspace:
-        return _Workspace(params, columns, config.num_blocks, grads)
+    def workspace(columns: int) -> tuple[_Workspace, np.ndarray, np.ndarray]:
+        """The workspace of a batch width, and the buffers its batch's input
+        rows and labels are gathered into."""
+        return (_Workspace(params, columns, config.num_blocks, grads),
+                _aligned(columns, x_rows.shape[1]), np.empty(columns, full_labels.dtype))
 
     # The full-set pass only runs forward, so each layer's pre-activation is
     # formed in its own feature buffer, and the layers alternate between two
@@ -474,8 +503,13 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, num_samples, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
-                _gradient(net, x_full[:, batch_idx], full_labels[batch_idx],
-                          workspace(len(batch_idx)))
+                ws, rows, labels = workspace(len(batch_idx))
+                # mode="clip" writes straight into out, where the default
+                # "raise" gathers into a temporary first; a permutation's
+                # indices are all in range
+                np.take(x_rows, batch_idx, axis=0, out=rows, mode="clip")
+                np.take(full_labels, batch_idx, out=labels, mode="clip")
+                _gradient(net, rows.T, labels, ws)
                 for g, t, s in decayed:
                     g += np.multiply(t, config.weight_decay, out=s)
                 velocity *= config.momentum

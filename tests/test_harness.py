@@ -8,6 +8,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -193,6 +195,13 @@ class TestResolveConfig:
         path = self.write(tmp_path, {"params": [1]})
         with pytest.raises(ValueError, match="params"):
             load_config_file(path)
+
+    def test_seed_default_is_the_declared_one(self, monkeypatch):
+        # with no seed given anywhere the run takes ExperimentConfig's
+        # declared default, not a copy of it
+        assert resolve_config("interpolate").seed == ExperimentConfig(kind="interpolate").seed
+        monkeypatch.setattr(ExperimentConfig, "seed", 5)
+        assert resolve_config("interpolate").seed == 5
 
     def test_override_pairs_accepted_directly(self):
         cfg = resolve_config("interpolate", overrides=[("dim", 12)])
@@ -1127,6 +1136,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numeric failure: lambda=0.002: all class means coincide\n" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_train_resnet_keeps_its_bits_in_a_fresh_process(self, tmp_path):
+        # buffer addresses and heap layout are process state: a run of the
+        # default network here, after many others, and one in a fresh
+        # interpreter write the same artifacts
+        args = ["train-resnet", "--seed", "3",
+                *_sets({"epochs": 2, "lr_decay_epochs": [], "grid_points": 11})]
+        assert cli.main([*args, "--out", str(tmp_path / "here")]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "pfc", *args, "--out", str(tmp_path / "fresh")],
+                       env=env, check=True, capture_output=True, timeout=60)
+        here, fresh = (json.loads((tmp_path / name / "manifest.json").read_text())["artifacts"]
+                       for name in ("here", "fresh"))
+        differ = [rel for rel in sorted(here.keys() | fresh.keys())
+                  if here.get(rel) != fresh.get(rel)]
+        assert not differ, f"first differing file: {differ[0]}"
 
     def test_seed_flag_beats_config_file(self, tmp_path):
         config = tmp_path / "config.json"

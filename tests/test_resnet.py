@@ -520,6 +520,18 @@ class TestTrainUpdates:
         data = tiny_data(config)
         assert_train_matches_emulation(config, data)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_default_shapes_match_oracle(self, seed):
+        # the default network, data and batch for one epoch.  The batch
+        # input's memory order picks layer 0's OpenBLAS path at these shapes:
+        # gathering it row-major moves bits at both seeds, where the tiny
+        # shapes keep them
+        config = TrainConfig(epochs=1, lr_decay_epochs=(), seed=seed)
+        data = gen_gaussian_mixture(
+            config.num_classes, config.input_dim, config.per_class, seed=seed
+        )
+        assert_train_matches_emulation(config, data)
+
     def test_rolling_layers_between_records_match_oracle(self):
         # every epoch's full-set pass rolls through the same two layer
         # buffers, and epochs 2, 4 and 5 measure each layer before the pass
@@ -587,6 +599,49 @@ class TestTrainUpdates:
         data = tiny_data(config)
         with pytest.raises(DivergenceError, match="non-finite at epoch 1"):
             train(config, data)
+
+
+class TestAlignment:
+    """Every buffer of a training run's products starts on a 64-byte
+    boundary, where OpenBLAS's small-matrix kernels read it fastest."""
+
+    def test_aligned_buffer(self):
+        for shape in [(1,), (7,), (3, 5), (2, 65, 128)]:
+            a = resnet._aligned(*shape)
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
+
+    def test_training_buffers_are_aligned(self, monkeypatch):
+        # 10 samples in batches of 4 make a full width (4) and a ragged one (2)
+        buffers, widths, pairs = {}, set(), {}
+        gradient, layers = resnet._gradient, resnet._layers
+
+        def gradient_spy(net, x, labels, ws):
+            width = x.shape[1]
+            widths.add(width)
+            named = {"batch input": x, "gradients": net.dw[0], "dx": ws.dx, "da": ws.da,
+                     "product": ws.product, "mask": ws.mask,
+                     **{f"preacts[{l}]": a for l, a in enumerate(ws.preacts)},
+                     **{f"features[{l}]": f for l, f in enumerate(ws.features)}}
+            buffers.update({f"{name} at width {width}": a for name, a in named.items()})
+            gradient(net, x, labels, ws)
+
+        def layers_spy(net, x, pair, *rest):
+            pairs[id(pair)] = pair
+            return layers(net, x, pair, *rest)
+
+        monkeypatch.setattr(resnet, "_gradient", gradient_spy)
+        monkeypatch.setattr(resnet, "_layers", layers_spy)
+        config = tiny_config(width=12, per_class=5, batch_size=4)
+        trace = train(config, tiny_data(config))
+        tuple(trace.final_layers())
+        assert widths == {4, 2}
+        assert len(pairs) == 2  # the epochs' pair and the final layers' own
+        for i, pair in enumerate(pairs.values()):
+            buffers.update({f"pair {i} buffer {j}": f for j, f in enumerate(pair)})
+        buffers["parameters"] = trace.params["w_in"]
+        unaligned = [name for name, a in buffers.items() if a.ctypes.data % 64]
+        assert not unaligned
 
 
 class TestTrainValidation:
