@@ -39,9 +39,7 @@ import numpy as np
 
 from .core import DegenerateInputError, FeatureSet, _window_exponent, check_domain, ge
 from .etf import build_etf
-from .metrics import _Moments
-
-METRIC_KINDS = ("pfc1", "pfc2", "pfc3")
+from .metrics import METRIC_KINDS, _Moments
 
 DEFAULT_GRID_POINTS = 1001
 MONOTONE_SLACK = 1e-10  # relative flat-step size of monotonicity_report
@@ -314,10 +312,6 @@ def perturbed_collapse_path(
     delta -= delta.mean(axis=1, keepdims=True)  # keep columns zero-sum
     delta /= np.linalg.norm(delta)
     eps = eps_rel * float(np.linalg.norm(end_scale * frame))
-    start_means = end_scale * frame + eps * delta + global_mean[:, None]
-    start = FeatureSet(
-        features=np.repeat(start_means, per_class, axis=1),
-        num_classes=num_classes,
-        per_class=per_class,
-    )
+    start = make_nc_featureset(end_scale * frame + eps * delta, per_class,
+                               global_mean=global_mean)
     return InterpolationPath(start=start, end=end, grid=uniform_grid(grid_points))

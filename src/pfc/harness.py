@@ -5,7 +5,8 @@ knob is declared once, as a :func:`~pfc.core.param`: its default, whose
 type is the knob's type, and its :class:`~pfc.core.Domain`.  Knobs that
 only a kind reads are declared here; train-resnet's and the surrogate
 problem's are the fields of ``TrainConfig`` and ``SolveProblem``, and
-sweep-lambda's ``lambdas`` are ``surrogate.LAMBDAS``.  The descents take
+sweep-lambda's ``lambdas`` are ``surrogate.LAMBDAS``, equivalence-thm3's
+``chain_lr`` and ``chain_iters`` ``surrogate.CHAIN``'s.  The solvers take
 each kind's defaults here and their domains from ``surrogate.DESCENT``.
 One checker, :func:`~pfc.core.typed_param`, types and bounds every value,
 in the library as its classes are built and its solvers called, and in
@@ -65,7 +66,6 @@ from .core import (
 from .data import gen_gaussian_mixture, load_mnist_idx
 from .etf import build_etf, gram_target
 from .geodesic import (
-    METRIC_KINDS,
     InterpolationPath,
     make_nc_featureset,
     metric_curve,
@@ -77,9 +77,10 @@ from .geodesic import (
     step_length,
     uniform_grid,
 )
-from .metrics import PfcReport, alignment, first_within_error, measure
+from .metrics import METRIC_KINDS, PfcReport, alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
+    CHAIN,
     DESCENT,
     LAMBDAS,
     SolveProblem,
@@ -296,13 +297,8 @@ def sha256_file(path) -> str:
 
 def _avg_ranks(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    _, inverse, counts = np.unique(v[order], return_inverse=True, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    ranks_sorted = starts[inverse] + (counts[inverse] - 1) / 2.0
-    ranks = np.empty_like(ranks_sorted)
-    ranks[order] = ranks_sorted
-    return ranks
+    s = np.sort(v)
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") - 1) / 2.0
 
 
 def spearman(x, y) -> float:
@@ -567,11 +563,8 @@ def _stack_report(layers: Iterable[FeatureSet], p: dict,
     predicted = {kind: metric_values(path, kind, positions) for kind in METRIC_KINDS}
 
     report_rows = [
-        (
-            layer, float(pos),
-            rep.pfc1, rep.pfc2, rep.pfc3,
-            *(float(predicted[kind][layer]) for kind in METRIC_KINDS),
-        )
+        (layer, float(pos), *(getattr(rep, kind) for kind in METRIC_KINDS),
+         *(float(predicted[kind][layer]) for kind in METRIC_KINDS))
         for layer, (pos, rep) in enumerate(zip(positions, reports))
     ]
 
@@ -593,9 +586,7 @@ def _stack_report(layers: Iterable[FeatureSet], p: dict,
 
 
 _REPORT_HEADER = (
-    "layer", "relative_position",
-    "pfc1", "pfc2", "pfc3",
-    "pred_pfc1", "pred_pfc2", "pred_pfc3",
+    "layer", "relative_position", *METRIC_KINDS, *(f"pred_{kind}" for kind in METRIC_KINDS),
 )
 
 
@@ -731,6 +722,9 @@ _SOLVE_PARAMS = {
     **_descent(lr=0.1, epochs=50_000, init_scale=0.3, trace_stride=500, grad_tol=0.0),
 }
 
+# the knobs _stack_report reads
+_REPORT_PARAMS = {"grid_points": param(1001, ge(2)), "effective_epsilon": param(0.05, ge(0))}
+
 _PATH_SUITE_PARAMS = {
     "num_paths": param(100, ge(1)),
     "grid_points": param(1001, ge(2)),
@@ -781,23 +775,21 @@ KINDS = {
         **_TRAIN_PARAMS,
         "mean_scale": param(2.0, ge(0)),
         "noise_scale": param(1.0, ge(0)),
-        "grid_points": param(1001, ge(2)),
-        "effective_epsilon": param(0.05, ge(0)),
+        **_REPORT_PARAMS,
         "images": param(""),
         "labels": param(""),
     }),
     "pfc-report": Kind(_run_pfc_report, {
         "stack_files": param([], Domain(None, min_len=2)),
-        "grid_points": param(1001, ge(2)),
-        "effective_epsilon": param(0.05, ge(0)),
+        **_REPORT_PARAMS,
     }),
     "equivalence-thm3": Kind(_run_equivalence_thm3, {
         **_PROBLEM_PARAMS,
         **_MIXTURE_PARAMS,
         "depths": param([2, 5, 10], ge(1)),
         "end_scale": param(1.0, gt(0)),
-        "chain_lr": param(0.2, gt(0)),
-        "chain_iters": param(5000, ge(1)),
+        "chain_lr": CHAIN["lr"],
+        "chain_iters": CHAIN["iters"],
     }),
 }
 

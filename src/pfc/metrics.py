@@ -49,6 +49,8 @@ class PfcReport:
     pfc3: float
 
 
+METRIC_KINDS = ("pfc1", "pfc2", "pfc3")  # PfcReport's fields, in order
+
 # A between-class sum at or below this share of the size of its terms is
 # rounding noise: the class means coincide there.
 _ZERO_SHARE = 1e-12
@@ -95,7 +97,9 @@ class _Moments:
             blocks = x.reshape(x.shape[0], k, n)
             means = blocks.mean(axis=2)
             offsets.append((blocks - means[:, :, None]).reshape(x.shape))
-            centered.append(means - means.mean(axis=1)[:, None])
+            # K equal means center to exactly zero, not to their mean's rounding
+            same = np.all(means == means[:, :1])
+            centered.append(means - (means[:, :1] if same else means.mean(axis=1)[:, None]))
         windowed = _to_window(*offsets, *centered)
         offsets, centered = windowed[: len(sets)], windowed[len(sets) :]
         # K n times the within-class trace <D_i, D_j>, and K times the
@@ -199,7 +203,7 @@ def pfc3(fs: FeatureSet) -> float:
 def measure(fs: FeatureSet) -> PfcReport:
     """All three collapse metrics of one feature set, from one set of moments."""
     moments = _Moments(fs)
-    return PfcReport(*(float(moments.values(kind, _ONE)[0]) for kind in ("pfc1", "pfc2", "pfc3")))
+    return PfcReport(*(float(moments.values(kind, _ONE)[0]) for kind in METRIC_KINDS))
 
 
 def alignment(h: np.ndarray, x: np.ndarray) -> float:

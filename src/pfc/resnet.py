@@ -37,13 +37,13 @@ are three flat vectors of these blocks (the parameter dict holds weight
 and bias views into them), the per-layer blocks, transposes and gradients
 are bound once per run, each batch's input columns and labels are gathered
 into buffers of its width, and the batch passes write pre-activations,
-features, logits, backward scratch (ReLU masks as float64 1.0/0.0) and
-gradients into a workspace of buffers, one per batch width.  ReLUs and
-masks compare against a zero array, not the scalar 0.0 that numpy would
-broadcast through a slower loop.  Every in-place operation is the same
+features, logits and backward scratch (ReLU masks as float64 1.0/0.0) into
+a workspace of buffers, one per batch width.  ReLUs and masks compare
+against a zero array, not the scalar 0.0 that numpy would broadcast
+through a slower loop.  Every in-place operation is the same
 floating-point operation on the same operands as the allocating formula it
-replaces, so results are bit-identical to it; ``resnet_forward`` and
-``resnet_backward`` return fresh arrays.
+replaces, so results are bit-identical to it.  ``resnet_forward`` returns
+fresh arrays, ``resnet_backward`` views of fresh gradient blocks.
 
 The operands of training's products start on 64-byte boundaries
 (``_aligned``): the flat vectors, the feature buffers, the workspace's
@@ -184,13 +184,6 @@ def _fold_is_exact(rows: int, depth: int, columns: int) -> bool:
     return True
 
 
-def _bias_folds(params: dict, num_blocks: int, columns: int) -> bool:
-    """Whether every layer's bias may ride in its weight product at this
-    column count (:func:`_fold_is_exact`)."""
-    return all(_fold_is_exact(*params[f"w_{name}"].shape, columns)
-               for name in _layer_names(num_blocks))
-
-
 def _aligned(*shape: int) -> np.ndarray:
     """An uninitialised C-ordered float64 array of ``shape`` whose first
     element sits on a 64-byte boundary: a slice of one 8 doubles longer."""
@@ -214,23 +207,43 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return np.vstack((x, np.ones((1, x.shape[1]))))
 
 
+class _Net:
+    """Per layer, in network order: the ``[W | b]`` parameter block, its
+    weight and bias-column views, the weight's transpose, and the views of
+    its ``[dW | db]`` gradient block (none for a net that only runs
+    forward).  The views follow in-place updates of the blocks.
+    """
+
+    def __init__(self, blocks: list, grads: list = ()):
+        self.blocks = blocks
+        self.w = [block[:, :-1] for block in blocks]
+        self.b = [block[:, -1:] for block in blocks]
+        self.w_t = [w.T for w in self.w]
+        self.dw = [g[:, :-1] for g in grads]
+        self.db = [g[:, -1] for g in grads]
+
+    def folds(self, columns: int) -> bool:
+        """Whether every layer's bias may ride in its weight product at this
+        column count (:func:`_fold_is_exact`)."""
+        return all(_fold_is_exact(*w.shape, columns) for w in self.w)
+
+
 class _Workspace:
-    """Buffers for forward and backward passes over batches of one column
-    width: pre-activations, features (each with a ones row last), logits,
-    softmax terms, the backward scratch with its float ReLU mask, a zero
-    array for the ReLUs, and the gradient arrays (``grads`` if given, else
-    fresh ones).  ``fold`` says whether the biases ride in the weight
-    products at this width (:func:`_bias_folds`).
+    """Buffers for forward and backward passes of ``net`` over batches of
+    one column width: pre-activations, features (each with a ones row
+    last), logits, softmax terms, the backward scratch with its float ReLU
+    mask, and a zero array for the ReLUs; the gradients go to ``net``'s
+    blocks.  ``fold`` says whether the biases ride in the weight products
+    at this width (:meth:`_Net.folds`).
 
     A pass through a workspace overwrites what the previous pass returned.
     """
 
-    def __init__(self, params: dict, columns: int, num_blocks: int,
-                 grads: dict | None = None):
-        width, classes = params["w_in"].shape[0], params["w_out"].shape[0]
+    def __init__(self, net: _Net, columns: int):
+        width, classes, layers = net.w[0].shape[0], net.w[-1].shape[0], len(net.w) - 1
         layer = (width, columns)
-        self.preacts = [_aligned(*layer) for _ in range(num_blocks + 1)]
-        self.features = _feature_block(num_blocks + 1, width, columns)
+        self.preacts = [_aligned(*layer) for _ in range(layers)]
+        self.features = _feature_block(layers, width, columns)
         self.logits = np.empty((classes, columns))
         self.shifted = np.empty((classes, columns))
         self.dz = np.empty((classes, columns))
@@ -242,29 +255,7 @@ class _Workspace:
         self.mask = _aligned(*layer)
         self.zeros = np.zeros(layer)
         self.columns = np.arange(columns)
-        self.fold = _bias_folds(params, num_blocks, columns)
-        if grads is None:
-            grads = {name: np.empty(value.shape) for name, value in params.items()}
-        self.grads = grads
-
-
-class _Net:
-    """Per layer, in network order: the ``[W | b]`` parameter block, its
-    weight and bias-column views, the weight's transpose, and the weight
-    and bias gradients of one gradient dict.
-
-    The views follow in-place updates of the blocks and of the gradient
-    arrays, not the replacement of a dict entry.
-    """
-
-    def __init__(self, blocks: list, grads: dict):
-        names = _layer_names(len(blocks) - 2)
-        self.blocks = blocks
-        self.w = [block[:, :-1] for block in blocks]
-        self.b = [block[:, -1:] for block in blocks]
-        self.w_t = [w.T for w in self.w]
-        self.dw = [grads[f"w_{name}"] for name in names]
-        self.db = [grads[f"b_{name}"] for name in names]
+        self.fold = net.folds(columns)
 
 
 def _blocks(params: dict, num_blocks: int) -> list:
@@ -338,9 +329,9 @@ def _layers(net: _Net, x: np.ndarray, pair: np.ndarray, zeros: np.ndarray,
 def resnet_forward(params: dict, x: np.ndarray, num_blocks: int):
     """Logits (K x B) and the post-activation features [x0 .. xL] for a
     batch of input columns, in fresh arrays."""
-    ws = _Workspace(params, x.shape[1], num_blocks)
-    logits = _forward(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x),
-                      ws.preacts, ws.features, ws.logits, ws.zeros, ws.fold)
+    net = _Net(_blocks(params, num_blocks))
+    ws = _Workspace(net, x.shape[1])
+    logits = _forward(net, _with_ones(x), ws.preacts, ws.features, ws.logits, ws.zeros, ws.fold)
     return logits, [f[:-1] for f in ws.features]
 
 
@@ -358,7 +349,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> None:
     """Gradients of the batch's mean cross entropy, written to ``net``'s
-    gradient arrays; ``x`` carries a ones row last.
+    gradient blocks; ``x`` carries a ones row last.
 
     Leaves the batch's logits in ``ws.logits``, from which
     :func:`resnet_backward` reads the loss and accuracy.
@@ -391,10 +382,16 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
 
 
 def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int):
-    """Loss, accuracy and a fresh gradient dict for one batch of input columns."""
-    ws = _Workspace(params, x.shape[1], num_blocks)
-    _gradient(_Net(_blocks(params, num_blocks), ws.grads), _with_ones(x), labels, ws)
-    return ce_loss(ws.logits, labels), accuracy(ws.logits, labels), ws.grads
+    """Loss, accuracy and the gradients for one batch of input columns, keyed
+    as :func:`init_params` keys the parameters: views of fresh ``[dW | db]``
+    blocks, which no two calls share."""
+    blocks = _blocks(params, num_blocks)
+    grads = [np.empty(block.shape) for block in blocks]
+    net = _Net(blocks, grads)
+    ws = _Workspace(net, x.shape[1])
+    _gradient(net, _with_ones(x), labels, ws)
+    return (ce_loss(ws.logits, labels), accuracy(ws.logits, labels),
+            _named(grads, _layer_names(num_blocks)))
 
 
 def _split(flat: np.ndarray, shapes) -> list:
@@ -441,13 +438,12 @@ def train(
 
     # The input carries a ones row last, and each layer's parameters are one
     # [W | b] block, so that the bias rides in the weight product where that
-    # rounds as the separate add would (_bias_folds).  Parameters, gradients
+    # rounds as the separate add would (_Net.folds).  Parameters, gradients
     # and velocity are flat vectors of these blocks, so one update is a few
-    # whole-vector operations; the dicts hold views into them.  A batch's
+    # whole-vector operations; params holds views into them.  A batch's
     # input columns are gathered as rows of x_rows, the input's transpose.
     x_full = _with_ones(data.features)
     x_rows = np.ascontiguousarray(x_full.T)
-    names = _layer_names(config.num_blocks)
     init = _blocks(init_params(config), config.num_blocks)
     shapes = [block.shape for block in init]
     size = sum(block.size for block in init)
@@ -456,7 +452,7 @@ def train(
     del init  # copied into theta; the run holds no second set of weights
     velocity.fill(0.0)
     blocks, grad_blocks = _split(theta, shapes), _split(grad, shapes)
-    params, grads = _named(blocks, names), _named(grad_blocks, names)
+    params = _named(blocks, _layer_names(config.num_blocks))
     # (gradient, parameters, scratch) triples that weight decay applies to
     if config.weight_decay == 0.0:
         decayed = []
@@ -465,13 +461,13 @@ def train(
     else:
         decayed = [(g[:, :-1], t[:, :-1], s[:, :-1]) for g, t, s in
                    zip(grad_blocks, blocks, _split(scratch, shapes))]
-    net = _Net(blocks, grads)
+    net = _Net(blocks, grad_blocks)
 
     @functools.cache
     def workspace(columns: int) -> tuple[_Workspace, np.ndarray, np.ndarray]:
         """The workspace of a batch width, and the buffers its batch's input
         rows and labels are gathered into."""
-        return (_Workspace(params, columns, config.num_blocks, grads),
+        return (_Workspace(net, columns),
                 _aligned(columns, x_rows.shape[1]), np.empty(columns, full_labels.dtype))
 
     # The full-set pass only runs forward, so each layer's pre-activation is
@@ -481,7 +477,7 @@ def train(
     K, n = config.num_classes, config.per_class
     pair = _feature_block(2, config.width, num_samples)
     zeros = np.zeros((config.width, num_samples))
-    full_fold = _bias_folds(params, config.num_blocks, num_samples)
+    full_fold = net.folds(num_samples)
     full_logits = np.empty((K, num_samples))
 
     def final_layers() -> Iterator[FeatureSet]:

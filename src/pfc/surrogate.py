@@ -59,6 +59,8 @@ LOSSES = ("ce", "mse")
 DESCENT = {"lr": param(0.1, ge(0)), "epochs": param(50_000, ge(1)),
            "init_scale": param(1.0, ge(0)), "trace_stride": param(1, ge(1)),
            "grad_tol": param(0.0, ge(0))}
+# minimize_transport_chain's knobs, each with its default and domain
+CHAIN = {"lr": param(0.2, gt(0)), "iters": param(5000, ge(1))}
 # sweep_lambda's coefficients, each a SolveProblem.lam; the default is pfc sweep-lambda's
 LAMBDAS = param([float(v) for v in np.geomspace(0.0005, 0.02, 8)], gt(0))
 
@@ -421,14 +423,19 @@ def collapse_multilayer(X: np.ndarray, H_last: np.ndarray, num_blocks: int):
     of the transport sum over free intermediates, equal to
     (1/L) ||H_last - X||_F^2.
     """
-    X = np.asarray(X, dtype=np.float64)
-    H_last = np.asarray(H_last, dtype=np.float64)
-    if X.shape != H_last.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {H_last.shape}")
-    check_domain("num_blocks", num_blocks, ge(1))
+    X, H_last = _chain_ends(X, H_last, num_blocks)
     layers = [X + (l / num_blocks) * (H_last - X) for l in range(num_blocks + 1)]
     value = transport_chain_cost(layers)
     return layers, value
+
+
+def _chain_ends(X, H_last, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's two ends as float64 arrays of one shape, for a depth >= 1."""
+    X, H_last = np.asarray(X, dtype=np.float64), np.asarray(H_last, dtype=np.float64)
+    if X.shape != H_last.shape:
+        raise ValueError(f"shape mismatch: {X.shape} vs {H_last.shape}")
+    check_domain("num_blocks", num_blocks, ge(1))
+    return X, H_last
 
 
 def transport_chain_cost(layers) -> float:
@@ -453,14 +460,13 @@ def minimize_transport_chain(
     descent converges to the equally spaced collinear chain.
 
     Raises:
+        ValueError: for ``lr`` or ``iters`` not of its ``CHAIN`` type or
+            outside its domain.
         DivergenceError: if the descent leaves the float range, naming the
             depth ``num_blocks``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    H_last = np.asarray(H_last, dtype=np.float64)
-    if X.shape != H_last.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {H_last.shape}")
-    check_domain("num_blocks", num_blocks, ge(1))
+    X, H_last = _chain_ends(X, H_last, num_blocks)
+    lr, iters = typed_param("lr", lr, CHAIN["lr"]), typed_param("iters", iters, CHAIN["iters"])
     rng = np.random.default_rng(seed)
     chain = np.empty((num_blocks + 1, *X.shape))
     chain[0], chain[-1] = X, H_last
@@ -505,11 +511,10 @@ def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:
     buf = _Buffers(W_stack, H_stack)
     _fit_gradient(s, W_stack, H_stack, buf)
     fit = _fit_value(s, buf)[0]
-    k, kn = p.num_classes, p.num_classes * p.per_class
     return (
         fit
-        + p.lambda_w / (2.0 * k) * float(np.sum(W * W))
-        + p.lam / (2.0 * kn) * transport_chain_cost(layers)
+        + s.w_value * float(np.sum(W * W))
+        + s.h_value[0] * transport_chain_cost(layers)
     )
 
 

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 import conftest
-from pfc import harness, surrogate
+from pfc import harness, metrics, surrogate
 from pfc.core import FeatureSet
 from pfc.data import gen_gaussian_mixture
 from pfc.etf import build_etf, gram_target
 from pfc.harness import ExperimentConfig, run
 from pfc.metrics import alignment, pfc1, pfc2, pfc3
 from pfc.resnet import TrainConfig, init_params, resnet_backward
-from pfc.surrogate import SolveProblem, closed_form_W, gradients, objective
+from pfc.surrogate import SolveProblem, gradients, objective
 
 
 def _verdict(num, title, ok, detail):
@@ -144,10 +144,17 @@ def _naive_alignment(h, x):
     return float(np.sqrt(total))
 
 
-def test_02_metrics_match_brute_force_oracles():
-    start = time.perf_counter()
+def _oracles_match(worst, elapsed):
+    """Criterion 2: every metric's worst relative gap to its brute-force
+    oracle is at rounding level."""
+    return worst <= 1e-12 and elapsed < 10.0
+
+
+def _oracle_gap(seeds):
+    """The worst relative gap of the three metrics and the alignment to
+    their brute-force oracles, over random feature sets of ``seeds``."""
     worst = 0.0
-    for seed in range(100):
+    for seed in seeds:
         rng = np.random.default_rng([seed, 202])
         k = int(rng.integers(2, 6))
         n = int(rng.integers(1, 11))
@@ -165,10 +172,16 @@ def test_02_metrics_match_brute_force_oracles():
         ]
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(1e-30, abs(want)))
+    return worst
+
+
+def test_02_metrics_match_brute_force_oracles():
+    start = time.perf_counter()
+    worst = _oracle_gap(range(100))
     elapsed = time.perf_counter() - start
     _verdict(
         2, "metric brute-force oracles",
-        worst <= 1e-12 and elapsed < 10.0,
+        _oracles_match(worst, elapsed),
         f"100 instances, max relative error {worst:.2e}, {elapsed:.1f}s (limit 10s)",
     )
 
@@ -311,15 +324,16 @@ def _closed_form_holds(worst_grad, worst_gap, elapsed):
     return worst_grad <= 1e-8 and worst_gap <= 1e-6 and elapsed < 30.0
 
 
-def test_06_closed_form_classifier():
-    start = time.perf_counter()
+def _closed_form_gaps(seeds):
+    """The worst stationarity gap of the closed-form classifier, and the
+    worst gap of 4000 descent steps to it, over tiny problems of ``seeds``."""
     worst_grad = 0.0
     worst_gap = 0.0
-    for seed in range(20):
+    for seed in seeds:
         p = _tiny_problem("mse", "mufm", seed)
         rng = np.random.default_rng([seed, 31])
         H = rng.standard_normal((p.dim, p.num_classes * p.per_class))
-        w_star = closed_form_W(H, p.label_matrix(), p.lambda_w, p.per_class)
+        w_star = surrogate.closed_form_W(H, p.label_matrix(), p.lambda_w, p.per_class)
         dw, _ = gradients(p, w_star, H)
         worst_grad = max(
             worst_grad,
@@ -333,6 +347,12 @@ def test_06_closed_form_classifier():
             dw, _ = gradients(p, W, H)
             W = W - (1.0 / lipschitz) * dw
         worst_gap = max(worst_gap, float(np.max(np.abs(W - w_star))))
+    return worst_grad, worst_gap
+
+
+def test_06_closed_form_classifier():
+    start = time.perf_counter()
+    worst_grad, worst_gap = _closed_form_gaps(range(20))
     elapsed = time.perf_counter() - start
     _verdict(
         6, "ridge classifier closed form",
@@ -552,6 +572,30 @@ def test_05_teeth_wrong_sign_weight_decay_fails(monkeypatch):
 
 
 _TINY_CHAIN = dict(num_classes=3, dim=6, per_class=4)
+
+
+def test_02_teeth_variance_ratio_without_its_1_over_k_fails(monkeypatch):
+    assert _oracles_match(_oracle_gap(range(10)), 0.0)
+    # pfc1's between-class trace without its 1/K, so the ratio is K times too small
+    values = metrics._Moments.values
+
+    def unscaled(self, kind, weights, ts=None):
+        out = values(self, kind, weights, ts)
+        return out / self.num_classes if kind == "pfc1" else out
+
+    monkeypatch.setattr(metrics._Moments, "values", unscaled)
+    assert not _oracles_match(_oracle_gap(range(10)), 0.0)
+
+
+def test_06_teeth_closed_form_without_ridge_fails(monkeypatch):
+    assert _closed_form_holds(*_closed_form_gaps(range(2)), 0.0)
+
+    def unridged(H, Y, lambda_w, per_class):
+        # least squares: the n * lambda_w * I ridge term dropped
+        return np.linalg.solve(H @ H.T, H @ Y.T).T
+
+    monkeypatch.setattr(surrogate, "closed_form_W", unridged)
+    assert not _closed_form_holds(*_closed_form_gaps(range(2)), 0.0)
 
 
 def test_10_teeth_misplaced_layers_fail(tmp_path, monkeypatch):

@@ -50,7 +50,15 @@ from pfc.harness import (
     write_json,
 )
 from pfc.resnet import TrainConfig
-from pfc.surrogate import DESCENT, LAMBDAS, SolveProblem, solve, sweep_lambda
+from pfc.surrogate import (
+    CHAIN,
+    DESCENT,
+    LAMBDAS,
+    SolveProblem,
+    minimize_transport_chain,
+    solve,
+    sweep_lambda,
+)
 
 
 def _defaults(kind: str) -> dict:
@@ -277,6 +285,24 @@ class TestParamSchema:
             _library_call(kind, name, outside)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             resolve_config(kind, overrides=[(name, outside)])
+
+    @pytest.mark.parametrize("name", list(CHAIN))
+    def test_chain_descent_and_cli_share_each_bound(self, name):
+        # equivalence-thm3's chain_<name> is the chain descent's <name>, one
+        # default and one bound; each message names the knob as its caller does
+        spec, key = CHAIN[name], f"chain_{name}"
+        domain = spec.metadata["domain"]
+        assert (_defaults("equivalence-thm3")[key], _domain("equivalence-thm3", key)) == (
+            spec.default, domain)
+        outside = type(spec.default)(domain.low) - (0 if domain.open else 1)
+        x = np.zeros((3, 4))
+        for shown, call in (
+            (name, lambda: minimize_transport_chain(x, x, 3, **{name: outside})),
+            (key, lambda: resolve_config("equivalence-thm3", overrides=[(key, outside)])),
+        ):
+            message = f"{shown} must be {'>' if domain.open else '>='} {domain.low}, got {outside}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
     @pytest.mark.parametrize("kind, name, value, expected", [
         ("train-resnet", "num_blocks", True, "int"),
@@ -1137,12 +1163,22 @@ class TestCli:
         assert "numeric failure: lambda=0.002: all class means coincide\n" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_train_resnet_keeps_its_bits_in_a_fresh_process(self, tmp_path):
-        # buffer addresses and heap layout are process state: a run of the
-        # default network here, after many others, and one in a fresh
-        # interpreter write the same artifacts
-        args = ["train-resnet", "--seed", "3",
-                *_sets({"epochs": 2, "lr_decay_epochs": [], "grid_points": 11})]
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_keeps_its_bits_in_a_fresh_process(self, tmp_path, kind):
+        # buffer addresses and heap layout are process state: a run here,
+        # after many others, and one in a fresh interpreter write the same
+        # artifacts.  train-resnet trains the default network; pfc-report
+        # reads a tiny train-resnet run's layers
+        params = TINY_RUNS[kind]
+        if kind == "train-resnet":
+            params = {"epochs": 2, "lr_decay_epochs": [], "grid_points": 11}
+        elif kind == "pfc-report":
+            stack = tmp_path / "stack"
+            assert cli.main(["train-resnet", "--out", str(stack),
+                             *_sets(TINY_RUNS["train-resnet"])]) == 0
+            layers = sorted(str(path) for path in (stack / "layers").iterdir())
+            params = {**params, "stack_files": layers}
+        args = [kind, "--seed", "3", *_sets(params)]
         assert cli.main([*args, "--out", str(tmp_path / "here")]) == 0
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

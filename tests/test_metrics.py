@@ -358,6 +358,19 @@ class TestMeasure:
         assert measure(with_structure(2.0**-560)) == expected
         assert expected.pfc3 == 1.0
 
+    @pytest.mark.parametrize("k, n", [(10, 100), (5, 7), (3, 5), (4, 256)])
+    def test_one_vector_in_every_column_is_degenerate(self, k, n):
+        # a dead ReLU layer: every column is relu(b).  K bit-identical class
+        # means center to zero, not to the rounding of their mean, so the
+        # metrics are not read from that noise
+        for seed in range(10):
+            column = np.maximum(np.random.default_rng([seed, k, n]).standard_normal((64, 1)), 0.0)
+            fs = FeatureSet(np.repeat(column, k * n, axis=1), k, n)
+            with pytest.raises(DegenerateInputError, match="all class means coincide"):
+                measure(fs)
+            with pytest.raises(DegenerateInputError, match="centered class means are all zero"):
+                pfc2(fs)
+
     def test_agrees_with_individual_metrics(self):
         rng = np.random.default_rng(23)
         fs = random_featureset(rng)

@@ -332,14 +332,17 @@ class TestMatchesAllocatingReference:
         workspace = None
         for seed in range(3):
             params, x, labels = network_case(seed, columns)
+            blocks = resnet._blocks(params, 3)
             if workspace is None:
-                workspace = _Workspace(params, columns, 3)
-            net = resnet._Net(resnet._blocks(params, 3), workspace.grads)
+                grads = [np.empty(block.shape) for block in blocks]
+                workspace = _Workspace(resnet._Net(blocks), columns)
+            net = resnet._Net(blocks, grads)
+            named = resnet._named(grads, resnet._layer_names(3))
             x_ones = resnet._with_ones(x)
             _, _, ref_grads = reference_backward(params, x, labels, 3)
             resnet._gradient(net, x_ones, labels, workspace)
             for name in ref_grads:
-                assert_same_bits(workspace.grads[name], ref_grads[name])
+                assert_same_bits(named[name], ref_grads[name])
             ref_logits, ref_features, _ = reference_forward(params, x, 3)
             logits = resnet._forward(net, x_ones, workspace.preacts, workspace.features,
                                      workspace.logits, workspace.zeros, workspace.fold)
@@ -398,14 +401,14 @@ class TestBiasFold:
         # speedup was measured on (OpenBLAS's Haswell kernels); elsewhere
         # the passes keep their bits through the separate bias add.
         params = init_params(TrainConfig())
-        assert resnet._bias_folds(params, TrainConfig().num_blocks, columns)
+        assert resnet._Net(resnet._blocks(params, TrainConfig().num_blocks)).folds(columns)
 
     @pytest.mark.parametrize("columns", [7, 128])
     def test_separate_bias_add_keeps_the_bits(self, columns, monkeypatch):
         # the path taken at shapes where the fold would move bits
         monkeypatch.setattr(resnet, "_fold_is_exact", lambda *shape: False)
         params, x, labels = network_case(0, columns)
-        assert not _Workspace(params, columns, 3).fold
+        assert not _Workspace(resnet._Net(resnet._blocks(params, 3)), columns).fold
         ref_logits, ref_features, _ = reference_forward(params, x, 3)
         logits, features = resnet_forward(params, x, 3)
         assert_same_bits(logits, ref_logits)

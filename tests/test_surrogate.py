@@ -394,13 +394,18 @@ class TestSolve:
         np.testing.assert_array_equal(result.W, w0)
         np.testing.assert_array_equal(result.H, h0)
 
-    @pytest.mark.parametrize("function", [solve, sweep_lambda])
-    def test_descent_defaults_are_the_signatures(self, function):
-        # DESCENT types the knobs from these defaults; json tells 1 from 1.0
-        for name, arg in inspect.signature(function).parameters.items():
-            if name in surrogate.DESCENT:
-                default = surrogate.DESCENT[name].default
-                assert json.dumps(arg.default) == json.dumps(default), name
+    @pytest.mark.parametrize("function, table", [
+        (solve, surrogate.DESCENT),
+        (sweep_lambda, surrogate.DESCENT),
+        (minimize_transport_chain, surrogate.CHAIN),
+    ])
+    def test_descent_defaults_are_the_signatures(self, function, table):
+        # the table types the knobs from these defaults; json tells 1 from 1.0
+        params = inspect.signature(function).parameters
+        names = params.keys() & table.keys()
+        assert names
+        for name in names:
+            assert json.dumps(params[name].default) == json.dumps(table[name].default), name
 
     def test_argument_validation(self):
         p = make_problem()
@@ -656,6 +661,21 @@ class TestChain:
             minimize_transport_chain(x, np.zeros((3, 2)), 2)
         with pytest.raises(ValueError):
             minimize_transport_chain(x, x, 0)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"iters": 0}, "iters must be >= 1, got 0"),
+        ({"iters": -3}, "iters must be >= 1, got -3"),
+        ({"lr": 0.0}, "lr must be > 0, got 0.0"),
+        ({"lr": -0.1, "iters": 10}, "lr must be > 0, got -0.1"),
+        ({"iters": 2.5}, "parameter 'iters' must be of type int, got 2.5"),
+    ])
+    def test_chain_descent_checks_its_knobs(self, knobs, message):
+        # without these checks a zero step or count returns the random
+        # start's cost, a negative step climbs, and 2.5 fails inside range()
+        rng = np.random.default_rng(8)
+        x, h = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            minimize_transport_chain(x, h, 3, **knobs)
 
     def test_divergent_step_raises_naming_the_depth(self):
         rng = np.random.default_rng(3)
