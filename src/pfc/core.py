@@ -5,9 +5,9 @@ the toy ResNet) works on ``FeatureSet``: a dense d x (K*n) matrix whose
 columns are feature vectors, stored class-contiguously so that columns
 [k*n, (k+1)*n) belong to class k.  Only traces of the within/between-class
 covariances are ever computed; the full d x d matrices are never formed.
-:func:`param` declares each knob of a run, its default and its domain, and
-:func:`typed_param` types and bounds a value for it, for the library and
-the CLI alike.
+:func:`param` declares each knob of a run, its default and its domain
+(bounds, or a fixed set), and :func:`typed_param` types a value for it and
+checks it (:func:`check_domain`), for the library and the CLI alike.
 
 Scale rule.  The collapse metrics are ratios and argmins of sums of
 squares, so scaling features by a power of two leaves them unchanged, and
@@ -55,11 +55,13 @@ def _to_window(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class Domain(NamedTuple):
     """Where a parameter's values lie: a number, or each item of a list or
     tuple, is ``>= low``, or ``> low`` when ``open``; ``low=None`` bounds no
-    value.  A list or tuple holds at least ``min_len`` items."""
+    value.  A list or tuple holds at least ``min_len`` items.  A non-empty
+    ``choices`` admits only its own values (a str knob's, say)."""
 
     low: float | None
     open: bool = False
     min_len: int = 1
+    choices: tuple = ()
 
 
 UNBOUNDED = Domain(None, min_len=0)
@@ -70,6 +72,8 @@ gt = partial(Domain, open=True)  # values > low
 def check_domain(name: str, value, domain: Domain) -> None:
     """Raise ValueError naming the parameter and its value if ``value``
     lies outside ``domain``; NaN and +-inf lie outside every bound."""
+    if domain.choices and value not in domain.choices:
+        raise ValueError(f"{name} must be one of {domain.choices}, got {value!r}")
     items = value if isinstance(value, (list, tuple)) else [value]
     if len(items) < domain.min_len:
         raise ValueError(f"{name} must not be empty" if domain.min_len == 1 else

@@ -37,12 +37,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, _window_exponent, check_domain, ge
+from .core import DegenerateInputError, Domain, FeatureSet, _window_exponent, check_domain, ge
 from .etf import build_etf
 from .metrics import METRIC_KINDS, _Moments
 
 DEFAULT_GRID_POINTS = 1001
 MONOTONE_SLACK = 1e-10  # relative flat-step size of monotonicity_report
+_METRIC_KIND = Domain(None, choices=METRIC_KINDS)  # metric_values' kind
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
         DegenerateInputError: if some t hits a zero denominator; the
             message names the first such t.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
+    check_domain("metric_kind", kind, _METRIC_KIND)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise ValueError("ts must be a 1-d array")

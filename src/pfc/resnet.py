@@ -13,9 +13,9 @@ layer output [x0 .. xL].  The final layers are formed again on demand
 An epoch does only the work its outputs read.  Each batch runs
 ``_gradient``, which fills the gradients and forms no loss or accuracy;
 ``resnet_backward`` is that kernel plus the loss and accuracy read from the
-buffers it leaves.  The per-epoch pass over the full set runs forward only,
-forming each layer's pre-activation in that layer's feature buffer, and
-every such pass, recorded or not, rolls through two buffers (``_layers``).
+buffers it leaves.  Every forward-only pass (the full set's each epoch,
+recorded or not, and ``resnet_forward``'s) is one loop, ``_layers``, rolling
+through two buffers with each pre-activation formed in its feature buffer.
 A recorded epoch measures each layer, through a feature set that copies
 it, before the pass overwrites it.  The full-set loss and accuracy are
 formed once per epoch.  The final layers' stream runs the same pass on the
@@ -229,14 +229,14 @@ class _Net:
 
 
 class _Workspace:
-    """Buffers for forward and backward passes of ``net`` over batches of
-    one column width: pre-activations, features (each with a ones row
-    last), logits, softmax terms, the backward scratch with its float ReLU
-    mask, and a zero array for the ReLUs; the gradients go to ``net``'s
-    blocks.  ``fold`` says whether the biases ride in the weight products
-    at this width (:meth:`_Net.folds`).
+    """Buffers for gradient passes (:func:`_gradient`) of ``net`` over
+    batches of one column width: pre-activations, features (each with a
+    ones row last), logits, softmax terms, the backward scratch with its
+    float ReLU mask, and a zero array for the ReLUs; the gradients go to
+    ``net``'s blocks.  ``fold`` says whether the biases ride in the weight
+    products at this width (:meth:`_Net.folds`).
 
-    A pass through a workspace overwrites what the previous pass returned.
+    A pass through a workspace overwrites what the previous pass left.
     """
 
     def __init__(self, net: _Net, columns: int):
@@ -295,22 +295,10 @@ def _layer(net: _Net, l: int, x: np.ndarray, a: np.ndarray, f: np.ndarray,
         body += x[:-1]
 
 
-def _forward(net: _Net, x: np.ndarray, preacts, features, logits: np.ndarray,
-             zeros: np.ndarray, fold: bool) -> np.ndarray:
-    """Write layer l's pre-activation to ``preacts[l]`` and its features to
-    ``features[l]`` (:func:`_layer`), then the logits; ``x`` also carries a
-    ones row last, and consecutive layers need distinct feature buffers."""
-    for l, (a, f) in enumerate(zip(preacts, features)):
-        _layer(net, l, x, a, f, zeros, fold)
-        x = f
-    _affine(net, -1, x, logits, fold)
-    return logits
-
-
 def _layers(net: _Net, x: np.ndarray, pair: np.ndarray, zeros: np.ndarray,
             fold: bool) -> Iterator[np.ndarray]:
     """The features [x0 .. xL] of the input columns ``x`` (ones row last),
-    formed one at a time as they are asked for.
+    formed one at a time as they are asked for: every forward-only pass.
 
     Layer l is formed by :func:`_layer` in ``pair[l % 2]`` (``pair`` is a
     :func:`_feature_block` of two), its pre-activation in place, so each
@@ -328,11 +316,17 @@ def _layers(net: _Net, x: np.ndarray, pair: np.ndarray, zeros: np.ndarray,
 
 def resnet_forward(params: dict, x: np.ndarray, num_blocks: int):
     """Logits (K x B) and the post-activation features [x0 .. xL] for a
-    batch of input columns, in fresh arrays."""
+    batch of input columns, in fresh arrays, copied from a forward-only pass
+    (:func:`_layers`); a diverged network gives non-finite values unwarned."""
     net = _Net(_blocks(params, num_blocks))
-    ws = _Workspace(net, x.shape[1])
-    logits = _forward(net, _with_ones(x), ws.preacts, ws.features, ws.logits, ws.zeros, ws.fold)
-    return logits, [f[:-1] for f in ws.features]
+    width, columns = net.w[0].shape[0], x.shape[1]
+    pair, fold = _feature_block(2, width, columns), net.folds(columns)
+    stream = _layers(net, _with_ones(x), pair, np.zeros((width, columns)), fold)
+    features = [f[:-1].copy() for f in stream]
+    logits = np.empty((net.w[-1].shape[0], columns))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _affine(net, -1, pair[num_blocks % 2], logits, fold)  # layer L's buffer
+    return logits, features
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -351,11 +345,13 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
     """Gradients of the batch's mean cross entropy, written to ``net``'s
     gradient blocks; ``x`` carries a ones row last.
 
-    Leaves the batch's logits in ``ws.logits``, from which
-    :func:`resnet_backward` reads the loss and accuracy.
+    Leaves the batch's layers (:func:`_layer`) and logits in ``ws``, from
+    which :func:`resnet_backward` reads the loss and accuracy.
     """
-    preacts, features, cols = ws.preacts, ws.features, ws.columns
-    logits = _forward(net, x, preacts, features, ws.logits, ws.zeros, ws.fold)
+    preacts, features, cols, logits = ws.preacts, ws.features, ws.columns, ws.logits
+    for l, (a, f) in enumerate(zip(preacts, features)):
+        _layer(net, l, features[l - 1] if l else x, a, f, ws.zeros, ws.fold)
+    _affine(net, -1, features[-1], logits, ws.fold)
     # np.maximum.reduce and np.add.reduce are the reductions .max and .sum
     # run, minus their argument handling
     np.maximum.reduce(logits, axis=0, keepdims=True, out=ws.maxima)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, check_domain, check_fields, ge, gt, param, typed_param
+from .core import DivergenceError, Domain, check_domain, check_fields, ge, gt, param, typed_param
 
 KINDS = ("ufm", "mufm")
 LOSSES = ("ce", "mse")
@@ -77,7 +77,7 @@ class SolveProblem:
     """
 
     kind: str
-    loss: str = param("mse")
+    loss: str = param("mse", Domain(None, choices=LOSSES))
     num_classes: int = param(5, ge(2))
     dim: int = param(20, ge(2))  # and >= num_classes: __post_init__
     per_class: int = param(100, ge(1))
@@ -87,11 +87,8 @@ class SolveProblem:
     seed: int = param(0)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_domain("kind", self.kind, Domain(None, choices=KINDS))
         check_fields(self)
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.dim < self.num_classes:
             raise ValueError(
                 f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"

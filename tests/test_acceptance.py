@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import conftest
-from pfc import harness, metrics, surrogate
+from pfc import etf, geodesic, harness, metrics, surrogate
 from pfc.core import FeatureSet
 from pfc.data import gen_gaussian_mixture
-from pfc.etf import build_etf, gram_target
+from pfc.etf import gram_target
 from pfc.harness import ExperimentConfig, run
 from pfc.metrics import alignment, pfc1, pfc2, pfc3
 from pfc.resnet import TrainConfig, init_params, resnet_backward
@@ -82,24 +82,37 @@ def equivalence_run(workdir):
     return _run_kind("equivalence-thm3", workdir / "equivalence-thm3")
 
 
-def test_01_simplex_frames_are_exact():
-    start = time.perf_counter()
+def _frames_exact(worst, elapsed):
+    """Criterion 1: every frame has unit columns at cosine -1/(K-1), and
+    every target Gram unit norm, to rounding."""
+    return worst <= 1e-12 and elapsed < 1.0
+
+
+def _frame_gap(classes):
+    """The worst deviation of the frames over K in ``classes`` and d in
+    (K, K + 3) from unit column norms and cosines -1/(K-1), and of their
+    target Grams from unit norm."""
     worst = 0.0
-    cases = 0
-    for k in range(2, 11):
+    for k in classes:
         for d in (k, k + 3):
-            m = build_etf(k, d, seed=[k, d])
+            m = etf.build_etf(k, d, seed=[k, d])
             gram = m.T @ m
             norm_dev = np.max(np.abs(np.linalg.norm(m, axis=0) - 1.0))
             cos_dev = np.max(np.abs(gram[~np.eye(k, dtype=bool)] + 1.0 / (k - 1)))
             target_dev = abs(np.linalg.norm(gram_target(k)) - 1.0)
             worst = max(worst, norm_dev, cos_dev, target_dev)
-            cases += 1
+    return worst
+
+
+def test_01_simplex_frames_are_exact():
+    start = time.perf_counter()
+    classes = range(2, 11)
+    worst = _frame_gap(classes)
     elapsed = time.perf_counter() - start
     _verdict(
         1, "simplex frame exactness",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"{cases} frames, max deviation {worst:.2e}, {elapsed:.2f}s (limit 1s)",
+        _frames_exact(worst, elapsed),
+        f"{2 * len(classes)} frames, max deviation {worst:.2e}, {elapsed:.2f}s (limit 1s)",
     )
 
 
@@ -621,3 +634,87 @@ def test_11_teeth_unsquared_transport_cost_fails(monkeypatch):
 
     monkeypatch.setattr(surrogate, "transport_chain_cost", unsquared)
     assert not _expansion_holds(_expansion_gap(range(20)), 0.0)
+
+
+def test_01_teeth_frame_without_its_scale_fails(monkeypatch):
+    assert _frames_exact(_frame_gap(range(2, 5)), 0.0)
+    build = etf.build_etf
+
+    def unscaled(num_classes, dim, seed=0):
+        # the centred basis without its sqrt(K / (K - 1)): columns of norm
+        # sqrt((K - 1) / K)
+        return build(num_classes, dim, seed) * np.sqrt((num_classes - 1) / num_classes)
+
+    monkeypatch.setattr(etf, "build_etf", unscaled)
+    assert not _frames_exact(_frame_gap(range(2, 5)), 0.0)
+
+
+_SMALL_PATHS = dict(num_paths=8, grid_points=101)
+
+
+def test_03_teeth_unreflected_starts_fail(tmp_path, monkeypatch):
+    _, s, elapsed = _run_kind("theorem1", tmp_path / "a", **_SMALL_PATHS)
+    assert _paths_hold(s, elapsed)
+    # the alignment condition read as always met, so no start is reflected
+    # to meet it: 4 of these 8 paths stay monotone
+    monkeypatch.setattr(geodesic, "endpoint_mean_alignment", lambda path: 1.0)
+    _, s, elapsed = _run_kind("theorem1", tmp_path / "b", **_SMALL_PATHS)
+    assert not _paths_hold(s, elapsed)
+
+
+def test_04_teeth_perturbation_ignoring_eps_rel_fails(tmp_path, monkeypatch):
+    _, s, elapsed = _run_kind("theorem2", tmp_path / "a", **_SMALL_PATHS)
+    assert _paths_hold(s, elapsed)
+    # the perturbation as large as the centred end means, whatever eps_rel
+    # asks: 7 of these 8 paths stay nonincreasing
+    build = harness.perturbed_collapse_path
+    monkeypatch.setattr(harness, "perturbed_collapse_path",
+                        lambda *args, eps_rel, **kwargs: build(*args, eps_rel=1.0, **kwargs))
+    _, s, elapsed = _run_kind("theorem2", tmp_path / "b", **_SMALL_PATHS)
+    assert not _paths_hold(s, elapsed)
+
+
+# a size at which criteria 7, 8 and 9 hold, in about 0.05 s a run
+_SMALL_SOLVE = dict(num_classes=4, dim=8, per_class=10, epochs=3000)
+
+
+def _solve_pair(out_dir):
+    """The summaries of a small MUFM and a small UFM run.  At this length
+    the UFM run collapses tenfold harder only with a larger lam than the
+    default."""
+    return tuple(_run_kind(kind, out_dir / kind, lam=0.05, **_SMALL_SOLVE)[1]
+                 for kind in ("solve-mufm", "solve-ufm"))
+
+
+def test_07_08_teeth_swapped_transport_terms_fail(tmp_path, monkeypatch):
+    mufm, ufm = _solve_pair(tmp_path / "a")
+    assert _keeps_data_geometry(mufm) and _collapses_harder(ufm, mufm)
+    init = surrogate._Stack.__init__
+
+    def swapped(self, p, *args):
+        # each kind's feature term takes the other's coefficient, lam / 2
+        # against lam / 2Kn, and MUFM's pulls to 0, UFM's centre, not to X
+        init(self, p, *args)
+        kn = p.num_classes * p.per_class
+        scale = 1.0 / kn if p.kind == "ufm" else kn
+        self.h_value, self.h_grad = self.h_value * scale, self.h_grad * scale
+        if self.data is not None:
+            self.data = np.zeros_like(self.data)
+
+    monkeypatch.setattr(surrogate._Stack, "__init__", swapped)
+    mufm, ufm = _solve_pair(tmp_path / "b")
+    assert not _keeps_data_geometry(mufm)
+    assert not _collapses_harder(ufm, mufm)
+
+
+def test_09_teeth_rows_in_reverse_lambda_order_fail(tmp_path, monkeypatch):
+    params = dict(_SMALL_SOLVE, lambdas=[0.0005, 0.002, 0.005, 0.02])
+    _, s, _ = _run_kind("sweep-lambda", tmp_path / "a", **params)
+    assert _tradeoff_holds(s)
+    # the solves come back in reverse order, so each row pairs a coefficient
+    # with the solution of its mirror in the list
+    sweep = harness.sweep_lambda
+    monkeypatch.setattr(harness, "sweep_lambda",
+                        lambda base, lambdas, **kwargs: sweep(base, lambdas, **kwargs)[::-1])
+    _, s, _ = _run_kind("sweep-lambda", tmp_path / "b", **params)
+    assert not _tradeoff_holds(s)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pfc.core import (
+    Domain,
     FeatureSet,
     _to_window,
     check_domain,
@@ -219,6 +220,18 @@ class TestCheckDomain:
     def test_finite_values_inside_the_bound_pass(self):
         check_domain("x", [0.0, 1e308], ge(0))
         check_domain("x", 5e-324, gt(0))
+
+    def test_choices_admit_only_their_own_values(self):
+        domain = Domain(None, choices=("ce", "mse"))
+        check_domain("loss", "ce", domain)
+        for value in ("foo", "", "CE"):
+            with pytest.raises(ValueError, match="^loss must be one of "
+                                                 rf"\('ce', 'mse'\), got {value!r}$"):
+                check_domain("loss", value, domain)
+
+    def test_choices_are_checked_before_the_bounds(self):
+        with pytest.raises(ValueError, match=r"^n must be one of \(2, 4\), got -1$"):
+            check_domain("n", -1, Domain(0, choices=(2, 4)))
 
 
 class TestCheckLayerShapes:

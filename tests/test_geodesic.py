@@ -1,5 +1,7 @@
 """Interpolation paths, metric curves and monotonicity verdicts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,11 @@ class TestPathValidation:
             assert metric_curve(path, kind).shape == path.grid.shape
         with pytest.raises(ValueError):
             metric_curve(path, "nc1")
+
+    def test_unknown_metric_kind_names_the_kinds_and_the_value(self):
+        message = "metric_kind must be one of ('pfc1', 'pfc2', 'pfc3'), got 'pfc4'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            metric_values(random_path(0), "pfc4", [0.5])
 
 
 class TestInterpolate:

@@ -25,6 +25,7 @@ from pfc.core import (
     UNBOUNDED,
     DegenerateInputError,
     DivergenceError,
+    Domain,
     FeatureSet,
     load_featureset,
     param,
@@ -326,6 +327,17 @@ class TestParamSchema:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             resolve_config(kind, overrides=[(name, value)])
 
+    @pytest.mark.parametrize("kind", ["solve-ufm", "solve-mufm", "sweep-lambda",
+                                      "equivalence-thm3"])
+    def test_library_and_cli_share_each_choice_and_its_message(self, kind):
+        # a value drawn from a fixed set is checked by the one domain checker,
+        # for the library and while the CLI builds the config
+        message = "loss must be one of ('ce', 'mse'), got 'foo'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _library_call(kind, "loss", "foo")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resolve_config(kind, overrides=[("loss", "foo")])
+
     @pytest.mark.parametrize("make", [TrainConfig, functools.partial(SolveProblem, kind="ufm")])
     @pytest.mark.parametrize("seed", [True, 2.5])
     def test_library_seeds_are_typed(self, make, seed):
@@ -378,10 +390,14 @@ class TestParamSchema:
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_numbers_and_lists_state_a_domain_holding_their_default(self, kind):
         for name, spec in KINDS[kind].params.items():
-            if isinstance(spec.default, (bool, str)):
-                assert spec.metadata["domain"] == UNBOUNDED, name
-            elif (kind, name) != ("pfc-report", "stack_files"):
-                assert typed_param(name, spec.default, spec) == spec.default
+            domain = spec.metadata["domain"]
+            if isinstance(spec.default, bool):
+                assert domain == UNBOUNDED, name
+            elif isinstance(spec.default, str):
+                # free, or one of a fixed set, which must hold the default
+                assert domain in (UNBOUNDED, Domain(None, choices=domain.choices)), name
+            if (kind, name) != ("pfc-report", "stack_files"):
+                assert typed_param(name, spec.default, spec) == spec.default, name
 
     def test_cli_subcommands_are_the_kinds(self):
         sub = next(
@@ -973,6 +989,19 @@ class TestCli:
         args = [kind, "--out", str(tmp_path / "x"), "--set", setting]
         assert cli.main(args) == 1
         assert f"invalid run: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["solve-ufm", "sweep-lambda"])
+    def test_bad_loss_fails_before_any_problem_is_built(self, tmp_path, capsys, monkeypatch,
+                                                        kind):
+        def never(*args, **kwargs):
+            raise AssertionError("a SolveProblem was built")
+
+        monkeypatch.setattr(harness, "SolveProblem", never)
+        args = [kind, "--out", str(tmp_path / "x"), "--set", "loss=foo"]
+        assert cli.main(args) == 1
+        message = "loss must be one of ('ce', 'mse'), got 'foo'"
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["num_blocks", "width", "input_dim", "per_class",

@@ -257,6 +257,44 @@ class TestForward:
         np.testing.assert_array_equal(features[1], [[3.0], [1.0]])
         assert logits[0, 0] == pytest.approx(4.5)
 
+    def test_diverged_network_gives_non_finite_values_without_a_warning(self):
+        # RuntimeWarnings are errors under this suite's settings
+        config = tiny_config()
+        params = {name: 1e300 * np.abs(v) + 1e300 for name, v in
+                  init_params(config).items()}
+        x = np.abs(np.random.default_rng(2).standard_normal((3, 6))) + 1.0
+        logits, features = resnet_forward(params, x, config.num_blocks)
+        assert not np.all(np.isfinite(features[-1]))
+        assert not np.all(np.isfinite(logits))
+
+    @pytest.mark.parametrize("columns", [7, 1024])
+    def test_default_network_matches_reference(self, columns):
+        config = TrainConfig()
+        params = init_params(config)
+        x = np.random.default_rng(columns).standard_normal((config.input_dim, columns))
+        ref_logits, ref_features, _ = reference_forward(params, x, config.num_blocks)
+        logits, features = resnet_forward(params, x, config.num_blocks)
+        assert_same_bits(logits, ref_logits)
+        for got, want in zip(features, ref_features, strict=True):
+            assert_same_bits(got, want)
+
+    def test_holds_no_gradient_workspace(self):
+        """At the default network and 1024 columns, the pass holds its two
+        feature buffers and the layers it returns, about 5.2 MiB; a gradient
+        workspace beside them (pre-activations, features, backward scratch)
+        peaks at about 10 MiB."""
+        config = TrainConfig()
+        params = init_params(config)
+        x = np.random.default_rng(0).standard_normal((config.input_dim, 1024))
+        resnet_forward(params, x, config.num_blocks)  # samples the fold once
+        tracemalloc.start()
+        try:
+            resnet_forward(params, x, config.num_blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
 
 class TestLossAndAccuracy:
     def test_uniform_logits_give_log_k(self):
@@ -343,10 +381,9 @@ class TestMatchesAllocatingReference:
             resnet._gradient(net, x_ones, labels, workspace)
             for name in ref_grads:
                 assert_same_bits(named[name], ref_grads[name])
+            # the forward half's logits and features, left in the workspace
             ref_logits, ref_features, _ = reference_forward(params, x, 3)
-            logits = resnet._forward(net, x_ones, workspace.preacts, workspace.features,
-                                     workspace.logits, workspace.zeros, workspace.fold)
-            assert_same_bits(logits, ref_logits)
+            assert_same_bits(workspace.logits, ref_logits)
             for got, want in zip(workspace.features, ref_features, strict=True):
                 assert_same_bits(got[:-1], want)
 

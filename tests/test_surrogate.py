@@ -157,10 +157,13 @@ def assert_same_solution(got, want):
 
 class TestProblemValidation:
     def test_bad_kind_and_loss(self):
-        with pytest.raises(ValueError):
-            make_problem(kind="nc")
-        with pytest.raises(ValueError):
-            make_problem(loss="hinge")
+        # each message names the field, its choices and the value
+        for field, value, message in (
+            ("kind", "nc", "kind must be one of ('ufm', 'mufm'), got 'nc'"),
+            ("loss", "hinge", "loss must be one of ('ce', 'mse'), got 'hinge'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_problem(**{field: value})
 
     def test_needs_two_classes_and_positive_lambdas(self):
         # each message names one parameter and its value
