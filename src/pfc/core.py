@@ -8,6 +8,7 @@ covariances are ever computed; the full d x d matrices are never formed.
 :func:`param` declares each knob of a run, its default and its domain
 (bounds, or a fixed set), and :func:`typed_param` types a value for it and
 checks it (:func:`check_domain`), for the library and the CLI alike.
+``NUM_CLASSES`` (K >= 2) and ``PER_CLASS`` (n >= 1) declare the counts.
 
 Scale rule.  The collapse metrics are ratios and argmins of sums of
 squares, so scaling features by a power of two leaves them unchanged, and
@@ -88,6 +89,11 @@ def param(default, domain: Domain = UNBOUNDED):
     """A knob: a dataclass field with its default, whose type is the knob's
     type, and, as ``metadata["domain"]``, its domain."""
     return field(default=default, metadata={"domain": domain})
+
+
+# a class count K and a per-class sample count n, wherever they are read
+NUM_CLASSES = param(2, ge(2))
+PER_CLASS = param(1, ge(1))
 
 
 def typed_param(name: str, value, spec):
@@ -178,8 +184,8 @@ class FeatureSet:
     Attributes:
         features: float64 matrix of shape (dim, num_classes * per_class);
             column k * per_class + i is sample i of class k.
-        num_classes: number of classes K (>= 2).
-        per_class: samples per class n (>= 1).
+        num_classes: number of classes K, an int >= 2 (``NUM_CLASSES``).
+        per_class: samples per class n, an int >= 1 (``PER_CLASS``).
     """
 
     features: np.ndarray
@@ -190,8 +196,8 @@ class FeatureSet:
         arr = _as_matrix(self.features)
         if not _adoptable(arr):
             arr = arr.copy()
-        check_domain("num_classes", self.num_classes, ge(2))
-        check_domain("per_class", self.per_class, ge(1))
+        for name, spec in (("num_classes", NUM_CLASSES), ("per_class", PER_CLASS)):
+            object.__setattr__(self, name, typed_param(name, getattr(self, name), spec))
         expected = self.num_classes * self.per_class
         if arr.shape[1] != expected:
             raise ValueError(

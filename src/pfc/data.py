@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureSet, check_domain, ge
+from .core import PER_CLASS, FeatureSet, ge, param, typed_param
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+# gen_gaussian_mixture's scales, each with its default and domain
+MIXTURE = {"mean_scale": param(1.0, ge(0)), "noise_scale": param(1.0, ge(0))}
 
 
 def gen_gaussian_mixture(
@@ -27,9 +29,13 @@ def gen_gaussian_mixture(
     ``mean_scale``; each sample is its class mean plus
     ``noise_scale`` * N(0, I) noise.  Columns are class-contiguous, so the
     labels are the set's ``labels()``.
+
+    Raises:
+        ValueError: for a scale not of its ``MIXTURE`` type or outside its
+            domain.
     """
-    check_domain("mean_scale", mean_scale, ge(0))
-    check_domain("noise_scale", noise_scale, ge(0))
+    mean_scale = typed_param("mean_scale", mean_scale, MIXTURE["mean_scale"])
+    noise_scale = typed_param("noise_scale", noise_scale, MIXTURE["noise_scale"])
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((dim, num_classes))
     means /= np.linalg.norm(means, axis=0, keepdims=True)
@@ -72,10 +78,11 @@ def load_mnist_idx(images_path, labels_path, per_class: int) -> FeatureSet:
 
     Raises:
         ValueError: on bad magic numbers, truncated files, mismatched image
-            and label counts, or classes with fewer than ``per_class``
-            samples.
+            and label counts, classes with fewer than ``per_class``
+            samples, or a ``per_class`` not of its ``core.PER_CLASS`` type or
+            outside its domain.
     """
-    check_domain("per_class", per_class, ge(1))
+    per_class = typed_param("per_class", per_class, PER_CLASS)
     images = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, rank=3)
     labels = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, rank=1)
     if images.shape[0] != labels.shape[0]:

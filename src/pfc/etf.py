@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_domain, ge
+from .core import NUM_CLASSES, typed_param
 
 
 def gram_target(num_classes: int) -> np.ndarray:
     """The K x K target Gram matrix E (unit Frobenius norm, zero row sums)."""
-    k = num_classes
-    check_domain("num_classes", k, ge(2))
+    k = typed_param("num_classes", num_classes, NUM_CLASSES)
     return (np.eye(k) - np.full((k, k), 1.0 / k)) / np.sqrt(k - 1)
 
 
@@ -38,10 +37,10 @@ def build_etf(num_classes: int, dim: int, seed=0) -> np.ndarray:
     seed.
 
     Raises:
-        ValueError: if dim < num_classes.
+        ValueError: if dim < num_classes, or for a ``num_classes`` not of its
+            ``core.NUM_CLASSES`` type or outside its domain.
     """
-    k, d = num_classes, dim
-    check_domain("num_classes", k, ge(2))
+    k, d = typed_param("num_classes", num_classes, NUM_CLASSES), dim
     if d < k:
         raise ValueError(f"dim must be >= num_classes, got dim={d} < K={k}")
 

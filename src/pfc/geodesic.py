@@ -37,13 +37,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, Domain, FeatureSet, _window_exponent, check_domain, ge
+from .core import (DegenerateInputError, Domain, FeatureSet, _window_exponent, ge, gt, param,
+                   typed_param)
 from .etf import build_etf
 from .metrics import METRIC_KINDS, _Moments
 
 DEFAULT_GRID_POINTS = 1001
 MONOTONE_SLACK = 1e-10  # relative flat-step size of monotonicity_report
-_METRIC_KIND = Domain(None, choices=METRIC_KINDS)  # metric_values' kind
+# the path builders' knobs, each with its default and domain
+PATH = {"grid_points": param(DEFAULT_GRID_POINTS, ge(2)), "end_scale": param(1.0, gt(0)),
+        "eps_rel": param(0.01, ge(0))}
+_METRIC_KIND = param(METRIC_KINDS[0], Domain(None, choices=METRIC_KINDS))  # metric_values' kind
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,8 @@ class MonotonicityVerdict:
 
 
 def uniform_grid(num_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    check_domain("num_points", num_points, ge(2))
+    """``num_points``, typed as ``PATH["grid_points"]``, equally spaced on [0, 1]."""
+    num_points = typed_param("num_points", num_points, PATH["grid_points"])
     return np.linspace(0.0, 1.0, num_points)
 
 
@@ -128,7 +133,7 @@ def metric_values(path: InterpolationPath, kind: str, ts) -> np.ndarray:
         DegenerateInputError: if some t hits a zero denominator; the
             message names the first such t.
     """
-    check_domain("metric_kind", kind, _METRIC_KIND)
+    typed_param("metric_kind", kind, _METRIC_KIND)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise ValueError("ts must be a 1-d array")
@@ -265,7 +270,13 @@ def random_to_collapse_path(
     The start is reflected through its global mean whenever the
     endpoint-alignment sum comes out negative, so the monotone-decrease
     condition holds by construction.
+
+    Raises:
+        ValueError: for ``grid_points`` or ``end_scale`` not of its ``PATH``
+            type or outside its domain.
     """
+    grid_points = typed_param("grid_points", grid_points, PATH["grid_points"])
+    end_scale = typed_param("end_scale", end_scale, PATH["end_scale"])
     rng = np.random.default_rng(_seed_stream(seed, 101))
     start_features = rng.standard_normal((dim, num_classes * per_class))
     start_features += rng.standard_normal((dim, 1))  # random global offset
@@ -302,7 +313,14 @@ def perturbed_collapse_path(
     The transport cost between the centered-mean matrices is then exactly
     that Frobenius norm, which keeps the ETF-distance curve in its monotone
     regime.
+
+    Raises:
+        ValueError: for ``grid_points``, ``end_scale`` or ``eps_rel`` not of
+            its ``PATH`` type or outside its domain.
     """
+    grid_points = typed_param("grid_points", grid_points, PATH["grid_points"])
+    end_scale = typed_param("end_scale", end_scale, PATH["end_scale"])
+    eps_rel = typed_param("eps_rel", eps_rel, PATH["eps_rel"])
     rng = np.random.default_rng(_seed_stream(seed, 202))
     frame = build_etf(num_classes, dim, seed=_seed_stream(seed, 303))
     global_mean = rng.standard_normal(dim)

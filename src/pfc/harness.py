@@ -2,16 +2,16 @@
 
 ``KINDS`` maps each experiment kind to its runner and its knobs.  Each
 knob is declared once, as a :func:`~pfc.core.param`: its default, whose
-type is the knob's type, and its :class:`~pfc.core.Domain`.  Knobs that
-only a kind reads are declared here; train-resnet's and the surrogate
-problem's are the fields of ``TrainConfig`` and ``SolveProblem``, and
-sweep-lambda's ``lambdas`` are ``surrogate.LAMBDAS``, equivalence-thm3's
-``chain_lr`` and ``chain_iters`` ``surrogate.CHAIN``'s.  The solvers take
-each kind's defaults here and their domains from ``surrogate.DESCENT``.
-One checker, :func:`~pfc.core.typed_param`, types and bounds every value,
-in the library as its classes are built and its solvers called, and in
-the CLI as an :class:`ExperimentConfig` is built, so a bad value fails
-with one message, naming the parameter and its value, before any work.
+type is the knob's type, and its :class:`~pfc.core.Domain`.  A knob the
+library reads is declared there and ``KINDS`` reads it: the fields of
+``TrainConfig`` and ``SolveProblem``, ``data.MIXTURE``, ``geodesic.PATH``,
+``metrics.EPSILON`` and ``surrogate``'s ``DESCENT``, ``CHAIN``, ``DEPTH``
+and ``LAMBDAS``, a kind keeping its own default where it differs
+(:func:`_knobs`); the other knobs are declared here.  One checker,
+:func:`~pfc.core.typed_param`, types and bounds each knob's value, in the
+library as its classes are built and its functions called, and in the
+CLI as an :class:`ExperimentConfig` is built, so a bad value fails with
+one message, naming the parameter and its value, before any work.
 Rules that tie two parameters together stay with the runner or library
 class that needs them.  A run maps the resolved parameter block plus a
 seed to a private output directory holding CSV tables, a JSON summary,
@@ -63,9 +63,10 @@ from .core import (
     save_featureset,
     typed_param,
 )
-from .data import gen_gaussian_mixture, load_mnist_idx
+from .data import MIXTURE, gen_gaussian_mixture, load_mnist_idx
 from .etf import build_etf, gram_target
 from .geodesic import (
+    PATH,
     InterpolationPath,
     make_nc_featureset,
     metric_curve,
@@ -77,10 +78,11 @@ from .geodesic import (
     step_length,
     uniform_grid,
 )
-from .metrics import METRIC_KINDS, PfcReport, alignment, first_within_error, measure
+from .metrics import EPSILON, METRIC_KINDS, PfcReport, alignment, first_within_error, measure
 from .resnet import TrainConfig, train
 from .surrogate import (
     CHAIN,
+    DEPTH,
     DESCENT,
     LAMBDAS,
     SolveProblem,
@@ -272,19 +274,7 @@ def csv_column(header: list[str], rows: list[tuple], name: str) -> list:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n")
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, Path):
-        return str(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def sha256_file(path) -> str:
@@ -704,34 +694,34 @@ def _field_params(cls, *skip) -> dict:
     return {f.name: f for f in fields(cls) if f.name not in skip}
 
 
-# TrainConfig's fields but the run's seed, SolveProblem's but those the
-# runner sets (_problem), and the problem's Gaussian-mixture data (_mixture)
+# TrainConfig's fields but the run's seed, and SolveProblem's but those the
+# runner sets (_problem)
 _TRAIN_PARAMS = _field_params(TrainConfig, "seed")
 _PROBLEM_PARAMS = _field_params(SolveProblem, "kind", "data", "seed")
-_MIXTURE_PARAMS = {"mean_scale": param(1.0, ge(0)), "noise_scale": param(1.0, ge(0))}
 
 
-def _descent(**defaults) -> dict:
-    """Descent knobs with this kind's defaults and the library's domains."""
-    return {name: param(default, DESCENT[name].metadata["domain"])
+def _knobs(table: dict, **defaults) -> dict:
+    """Knobs of a library table with this kind's defaults and the library's domains."""
+    return {name: param(default, table[name].metadata["domain"])
             for name, default in defaults.items()}
 
 
 _SOLVE_PARAMS = {
     **_PROBLEM_PARAMS,
-    **_descent(lr=0.1, epochs=50_000, init_scale=0.3, trace_stride=500, grad_tol=0.0),
+    **_knobs(DESCENT, lr=0.1, epochs=50_000, init_scale=0.3, trace_stride=500, grad_tol=0.0),
 }
 
-# the knobs _stack_report reads
-_REPORT_PARAMS = {"grid_points": param(1001, ge(2)), "effective_epsilon": param(0.05, ge(0))}
+# the knobs _stack_report reads; effective_epsilon is first_within_error's epsilon
+_REPORT_PARAMS = {"grid_points": PATH["grid_points"],
+                  "effective_epsilon": param(0.05, EPSILON.metadata["domain"])}
 
 _PATH_SUITE_PARAMS = {
     "num_paths": param(100, ge(1)),
-    "grid_points": param(1001, ge(2)),
+    "grid_points": PATH["grid_points"],
     "classes": param([3, 5], ge(2)),
     "per_class": param([4, 20], ge(1)),
     "dims": param([8, 20], ge(2)),
-    "end_scale": param(1.0, gt(0)),
+    "end_scale": PATH["end_scale"],
     "final_tolerance": param(1e-12, gt(0)),
 }
 
@@ -755,26 +745,24 @@ KINDS = {
         "num_classes": param(4, ge(2)),
         "per_class": param(20, ge(1)),
         "dim": param(8, ge(2)),
-        "grid_points": param(101, ge(2)),
-        "end_scale": param(1.0, gt(0)),
+        **_knobs(PATH, grid_points=101, end_scale=1.0),
     }),
     "theorem1": Kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
     "theorem2": Kind(
         partial(_run_path_suite, variant=2),
-        {**_PATH_SUITE_PARAMS, "eps_rel": param(0.01, ge(0))},
+        {**_PATH_SUITE_PARAMS, "eps_rel": PATH["eps_rel"]},
     ),
     "solve-ufm": Kind(partial(_run_solve, kind="ufm"), _SOLVE_PARAMS),
-    "solve-mufm": Kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **_MIXTURE_PARAMS}),
+    "solve-mufm": Kind(partial(_run_solve, kind="mufm"), {**_SOLVE_PARAMS, **MIXTURE}),
     "sweep-lambda": Kind(_run_sweep_lambda, {
         **{name: spec for name, spec in _PROBLEM_PARAMS.items() if name != "lam"},
-        **_MIXTURE_PARAMS,
+        **MIXTURE,
         "lambdas": LAMBDAS,
-        **_descent(lr=0.1, epochs=50_000, init_scale=0.05),
+        **_knobs(DESCENT, lr=0.1, epochs=50_000, init_scale=0.05),
     }),
     "train-resnet": Kind(_run_train_resnet, {
         **_TRAIN_PARAMS,
-        "mean_scale": param(2.0, ge(0)),
-        "noise_scale": param(1.0, ge(0)),
+        **_knobs(MIXTURE, mean_scale=2.0, noise_scale=1.0),
         **_REPORT_PARAMS,
         "images": param(""),
         "labels": param(""),
@@ -785,9 +773,9 @@ KINDS = {
     }),
     "equivalence-thm3": Kind(_run_equivalence_thm3, {
         **_PROBLEM_PARAMS,
-        **_MIXTURE_PARAMS,
-        "depths": param([2, 5, 10], ge(1)),
-        "end_scale": param(1.0, gt(0)),
+        **MIXTURE,
+        "depths": param([2, 5, 10], DEPTH.metadata["domain"]),
+        "end_scale": PATH["end_scale"],
         "chain_lr": CHAIN["lr"],
         "chain_iters": CHAIN["iters"],
     }),

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegenerateInputError, FeatureSet, _to_window, check_domain, ge
+from .core import DegenerateInputError, FeatureSet, _to_window, ge, param, typed_param
 from .etf import gram_target
 
 
@@ -50,6 +50,7 @@ class PfcReport:
 
 
 METRIC_KINDS = ("pfc1", "pfc2", "pfc3")  # PfcReport's fields, in order
+EPSILON = param(0.0, ge(0))  # first_within_error's epsilon, its default and domain
 
 # A between-class sum at or below this share of the size of its terms is
 # rounding noise: the class means coincide there.
@@ -232,8 +233,12 @@ def alignment(h: np.ndarray, x: np.ndarray) -> float:
 def first_within_error(ncc_accuracies, epsilon: float = 0.0) -> int | None:
     """Index of the first pfc3 value whose NCC error rate ``1 - pfc3`` is at
     most ``epsilon``, or None.  Values are read lazily, up to the first hit.
+
+    Raises:
+        ValueError: for an ``epsilon`` not of its ``EPSILON`` type or outside
+            its domain.
     """
-    check_domain("epsilon", epsilon, ge(0))
+    epsilon = typed_param("epsilon", epsilon, EPSILON)
     for idx, accuracy in enumerate(ncc_accuracies):
         if 1.0 - accuracy <= epsilon:
             return idx

@@ -51,9 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Domain, check_domain, check_fields, ge, gt, param, typed_param
+from .core import DivergenceError, Domain, check_fields, ge, gt, param, typed_param
 
 KINDS = ("ufm", "mufm")
+_KIND = param(KINDS[0], Domain(None, choices=KINDS))  # SolveProblem.kind, a str of KINDS
 LOSSES = ("ce", "mse")
 # each descent knob with solve's default and its domain, in _solve_stack's order
 DESCENT = {"lr": param(0.1, ge(0)), "epochs": param(50_000, ge(1)),
@@ -61,6 +62,8 @@ DESCENT = {"lr": param(0.1, ge(0)), "epochs": param(50_000, ge(1)),
            "grad_tol": param(0.0, ge(0))}
 # minimize_transport_chain's knobs, each with its default and domain
 CHAIN = {"lr": param(0.2, gt(0)), "iters": param(5000, ge(1))}
+# a chain's depth L, the num_blocks of collapse_multilayer and minimize_transport_chain
+DEPTH = param(1, ge(1))
 # sweep_lambda's coefficients, each a SolveProblem.lam; the default is pfc sweep-lambda's
 LAMBDAS = param([float(v) for v in np.geomspace(0.0005, 0.02, 8)], gt(0))
 
@@ -87,7 +90,7 @@ class SolveProblem:
     seed: int = param(0)
 
     def __post_init__(self):
-        check_domain("kind", self.kind, Domain(None, choices=KINDS))
+        typed_param("kind", self.kind, _KIND)
         check_fields(self)
         if self.dim < self.num_classes:
             raise ValueError(
@@ -419,20 +422,24 @@ def collapse_multilayer(X: np.ndarray, H_last: np.ndarray, num_blocks: int):
     l = 0..L and value = sum_l ||layers[l+1] - layers[l]||_F^2, the minimum
     of the transport sum over free intermediates, equal to
     (1/L) ||H_last - X||_F^2.
+
+    Raises:
+        ValueError: for ends of two shapes, or a ``num_blocks`` not of its
+            ``DEPTH`` type or outside its domain.
     """
-    X, H_last = _chain_ends(X, H_last, num_blocks)
+    X, H_last, num_blocks = _chain_ends(X, H_last, num_blocks)
     layers = [X + (l / num_blocks) * (H_last - X) for l in range(num_blocks + 1)]
     value = transport_chain_cost(layers)
     return layers, value
 
 
-def _chain_ends(X, H_last, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chain's two ends as float64 arrays of one shape, for a depth >= 1."""
+def _chain_ends(X, H_last, num_blocks: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """A chain's two ends as float64 arrays of one shape, and its depth
+    typed and checked as ``DEPTH``."""
     X, H_last = np.asarray(X, dtype=np.float64), np.asarray(H_last, dtype=np.float64)
     if X.shape != H_last.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {H_last.shape}")
-    check_domain("num_blocks", num_blocks, ge(1))
-    return X, H_last
+    return X, H_last, typed_param("num_blocks", num_blocks, DEPTH)
 
 
 def transport_chain_cost(layers) -> float:
@@ -458,11 +465,12 @@ def minimize_transport_chain(
 
     Raises:
         ValueError: for ``lr`` or ``iters`` not of its ``CHAIN`` type or
-            outside its domain.
+            outside its domain, or a ``num_blocks`` not of its ``DEPTH``
+            type or outside its domain.
         DivergenceError: if the descent leaves the float range, naming the
             depth ``num_blocks``.
     """
-    X, H_last = _chain_ends(X, H_last, num_blocks)
+    X, H_last, num_blocks = _chain_ends(X, H_last, num_blocks)
     lr, iters = typed_param("lr", lr, CHAIN["lr"]), typed_param("iters", iters, CHAIN["iters"])
     rng = np.random.default_rng(seed)
     chain = np.empty((num_blocks + 1, *X.shape))

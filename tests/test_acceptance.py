@@ -18,12 +18,10 @@ import pytest
 import conftest
 from pfc import etf, geodesic, harness, metrics, surrogate
 from pfc.core import FeatureSet
-from pfc.data import gen_gaussian_mixture
 from pfc.etf import gram_target
 from pfc.harness import ExperimentConfig, run
 from pfc.metrics import alignment, pfc1, pfc2, pfc3
-from pfc.resnet import TrainConfig, init_params, resnet_backward
-from pfc.surrogate import SolveProblem, gradients, objective
+from pfc.surrogate import gradients
 
 
 def _verdict(num, title, ok, detail):
@@ -116,47 +114,6 @@ def test_01_simplex_frames_are_exact():
     )
 
 
-def _naive_metrics(features, num_classes, per_class, target_gram):
-    d = features.shape[0]
-    means = np.zeros((d, num_classes))
-    for k in range(num_classes):
-        means[:, k] = features[:, k * per_class : (k + 1) * per_class].mean(axis=1)
-    gmean = means.mean(axis=1)
-    within = sum(
-        float(np.sum((features[:, k * per_class + i] - means[:, k]) ** 2))
-        for k in range(num_classes)
-        for i in range(per_class)
-    ) / (num_classes * per_class)
-    between = sum(
-        float(np.sum((means[:, k] - gmean) ** 2)) for k in range(num_classes)
-    ) / num_classes
-
-    centered = means - gmean[:, None]
-    gram = centered.T @ centered
-    gram_dist = float(np.linalg.norm(gram / np.linalg.norm(gram) - target_gram))
-
-    correct = 0
-    for k in range(num_classes):
-        for i in range(per_class):
-            h = features[:, k * per_class + i]
-            best, best_dist = 0, float("inf")
-            for j in range(num_classes):
-                dist = float(np.sum((h - means[:, j]) ** 2))
-                if dist < best_dist:
-                    best, best_dist = j, dist
-            correct += best == k
-    return within / between, gram_dist, correct / (num_classes * per_class)
-
-
-def _naive_alignment(h, x):
-    hn = np.sqrt(float(np.sum(h * h)))
-    xn = np.sqrt(float(np.sum(x * x)))
-    total = 0.0
-    for idx in np.ndindex(h.shape):
-        total += (h[idx] / hn - x[idx] / xn) ** 2
-    return float(np.sqrt(total))
-
-
 def _oracles_match(worst, elapsed):
     """Criterion 2: every metric's worst relative gap to its brute-force
     oracle is at rounding level."""
@@ -176,12 +133,11 @@ def _oracle_gap(seeds):
         fs = FeatureSet(features, k, n)
         other = rng.standard_normal(features.shape)
 
-        naive = _naive_metrics(features, k, n, gram_target(k))
         pairs = [
-            (pfc1(fs), naive[0]),
-            (pfc2(fs), naive[1]),
-            (pfc3(fs), naive[2]),
-            (alignment(features, other), _naive_alignment(features, other)),
+            (pfc1(fs), conftest.naive_pfc1(features, k, n)),
+            (pfc2(fs), conftest.naive_pfc2(features, k, n, gram_target(k))),
+            (pfc3(fs), conftest.naive_pfc3(features, k, n)),
+            (alignment(features, other), conftest.naive_alignment(features, other)),
         ]
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(1e-30, abs(want)))
@@ -228,40 +184,6 @@ def test_04_perturbed_paths_decrease_frame_distance(theorem2_run):
     )
 
 
-def _fd_surrogate(p, W, H, step=1e-5):
-    dW = np.zeros_like(W)
-    for idx in np.ndindex(W.shape):
-        up, down = W.copy(), W.copy()
-        up[idx] += step
-        down[idx] -= step
-        dW[idx] = (objective(p, up, H) - objective(p, down, H)) / (2 * step)
-    dH = np.zeros_like(H)
-    for idx in np.ndindex(H.shape):
-        up, down = H.copy(), H.copy()
-        up[idx] += step
-        down[idx] -= step
-        dH[idx] = (objective(p, W, up) - objective(p, W, down)) / (2 * step)
-    return dW, dH
-
-
-def _tiny_problem(loss, kind, seed):
-    k, d, n = 3, 4, 3
-    data = None
-    if kind == "mufm":
-        data = gen_gaussian_mixture(k, d, n, seed=[seed, 9]).features
-    return SolveProblem(
-        kind=kind, loss=loss, num_classes=k, dim=d, per_class=n,
-        lambda_w=0.05, lam=0.02, data=data, seed=seed,
-    )
-
-
-_TINY_NET = dict(
-    num_blocks=2, width=5, input_dim=3, num_classes=2, per_class=4,
-    epochs=2, batch_size=8, lr=0.05, lr_decay_epochs=(), momentum=0.0,
-    weight_decay=0.0, record_stride=1,
-)
-
-
 def _gradients_match(worst, elapsed):
     """Criterion 5: each analytic gradient's worst relative gap to central
     differences is within its tolerance."""
@@ -279,12 +201,11 @@ def _surrogate_gaps(seeds):
     worst = {"mse": 0.0, "ce": 0.0}
     for seed in seeds:
         for loss in ("mse", "ce"):
-            p = _tiny_problem(loss, "mufm" if seed % 2 else "ufm", seed)
-            rng = np.random.default_rng([seed, 21])
-            W = rng.standard_normal((p.num_classes, p.dim))
-            H = rng.standard_normal((p.dim, p.num_classes * p.per_class))
+            p = conftest.make_problem("mufm" if seed % 2 else "ufm", loss, dim=4, per_class=3,
+                                      seed=seed)
+            W, H = conftest.random_state(p, [seed, 21])
             dw, dh = gradients(p, W, H)
-            fw, fh = _fd_surrogate(p, W, H)
+            fw, fh = conftest.fd_gradients(p, W, H)
             scale = max(1.0, float(np.linalg.norm(fw)), float(np.linalg.norm(fh)))
             err = max(
                 float(np.linalg.norm(dw - fw)), float(np.linalg.norm(dh - fh))
@@ -297,30 +218,8 @@ def test_05_gradients_match_finite_differences():
     start = time.perf_counter()
     worst = {**_surrogate_gaps(range(10)), "net": 0.0}
     for seed in range(20):
-        config = TrainConfig(**{**_TINY_NET, "seed": seed})
-        params = init_params(config)
-        rng = np.random.default_rng(seed + 1000)
-        # nonzero biases keep preactivations away from the relu kink,
-        # where central differences straddle the nondifferentiable point.
-        for name in params:
-            if name.startswith("b_"):
-                params[name] = 0.3 * rng.standard_normal(params[name].shape)
-        x = rng.standard_normal((3, 5))
-        labels = rng.integers(0, 2, size=5)
-        _, _, grads = resnet_backward(params, x, labels, 2)
-        step = 1e-6
-        for name, theta in params.items():
-            fd = np.zeros_like(theta)
-            for idx in np.ndindex(theta.shape):
-                theta[idx] += step
-                up = resnet_backward(params, x, labels, 2)[0]
-                theta[idx] -= 2 * step
-                down = resnet_backward(params, x, labels, 2)[0]
-                theta[idx] += step
-                fd[idx] = (up - down) / (2 * step)
-            err = float(np.linalg.norm(grads[name] - fd)) / max(
-                1.0, float(np.linalg.norm(fd))
-            )
+        for _, gap, fd in conftest.network_fd_gaps(conftest.tiny_config(seed=seed), seed):
+            err = float(np.linalg.norm(gap)) / max(1.0, float(np.linalg.norm(fd)))
             worst["net"] = max(worst["net"], err)
     elapsed = time.perf_counter() - start
     _verdict(
@@ -343,7 +242,7 @@ def _closed_form_gaps(seeds):
     worst_grad = 0.0
     worst_gap = 0.0
     for seed in seeds:
-        p = _tiny_problem("mse", "mufm", seed)
+        p = conftest.make_problem("mufm", "mse", dim=4, per_class=3, seed=seed)
         rng = np.random.default_rng([seed, 31])
         H = rng.standard_normal((p.dim, p.num_classes * p.per_class))
         w_star = surrogate.closed_form_W(H, p.label_matrix(), p.lambda_w, p.per_class)

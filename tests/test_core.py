@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import naive_stats
 from pfc.core import (
     Domain,
     FeatureSet,
@@ -17,33 +18,13 @@ from pfc.core import (
     read_header,
     save_featureset,
 )
+from pfc.metrics import measure
 
 
 def centered_class_means(fs):
     """d x K matrix whose column k is h_k - h_G."""
     stats = class_stats(fs)
     return stats.class_means - stats.global_mean[:, None]
-
-
-def naive_stats(features, num_classes, per_class):
-    d = features.shape[0]
-    class_means = np.zeros((d, num_classes))
-    for k in range(num_classes):
-        block = features[:, k * per_class : (k + 1) * per_class]
-        class_means[:, k] = block.mean(axis=1)
-    global_mean = class_means.mean(axis=1)
-    tr_within = 0.0
-    for k in range(num_classes):
-        for i in range(per_class):
-            diff = features[:, k * per_class + i] - class_means[:, k]
-            tr_within += float(diff @ diff)
-    tr_within /= num_classes * per_class
-    tr_between = 0.0
-    for k in range(num_classes):
-        diff = class_means[:, k] - global_mean
-        tr_between += float(diff @ diff)
-    tr_between /= num_classes
-    return class_means, global_mean, tr_within, tr_between
 
 
 def random_featureset(rng, num_classes=None, per_class=None, dim=None):
@@ -68,6 +49,15 @@ class TestFeatureSet:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             FeatureSet(np.zeros((2, 3)), num_classes=1, per_class=3)
+
+    def test_counts_are_typed(self):
+        # K and n are typed as core.NUM_CLASSES and core.PER_CLASS
+        x = np.random.default_rng(0).standard_normal((3, 6))
+        fs = FeatureSet(x, 2.0, 3)
+        assert type(fs.num_classes) is int and measure(fs) == measure(FeatureSet(x, 2, 3))
+        with pytest.raises(ValueError,
+                           match="^parameter 'per_class' must be of type int, got True$"):
+            FeatureSet(x, 6, True)
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((2, 4))

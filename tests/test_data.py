@@ -88,7 +88,7 @@ class TestGaussianMixture:
             gen_gaussian_mixture(3, 5, 7, mean_scale=-1.0)
         with pytest.raises(ValueError, match="^noise_scale must be >= 0, got -1.0$"):
             gen_gaussian_mixture(3, 5, 7, noise_scale=-1.0)
-        with pytest.raises(ValueError, match="^noise_scale must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^parameter 'noise_scale' must be finite, got nan$"):
             gen_gaussian_mixture(3, 5, 7, noise_scale=float("nan"))
 
 
@@ -189,6 +189,9 @@ class TestIdxLoading:
         img_path, lbl_path, _ = tiny_digit_pair(tmp_path, [0, 1])
         with pytest.raises(ValueError, match="per_class"):
             load_mnist_idx(img_path, lbl_path, per_class=0)
+        with pytest.raises(ValueError,
+                           match="^parameter 'per_class' must be of type int, got 2.5$"):
+            load_mnist_idx(img_path, lbl_path, per_class=2.5)
 
 
 class TestIdxTraining:

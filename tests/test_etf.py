@@ -24,6 +24,14 @@ class TestGramTarget:
         with pytest.raises(ValueError):
             gram_target(1)
 
+    def test_class_count_is_typed(self):
+        # an integral float is the int, as in the CLI; other values are named
+        np.testing.assert_array_equal(gram_target(2.0), gram_target(2))
+        np.testing.assert_array_equal(build_etf(3.0, 4), build_etf(3, 4))
+        for make in (gram_target, lambda k: build_etf(k, 4)):
+            with pytest.raises(ValueError, match="^parameter 'num_classes' must be of type int"):
+                make(2.5)
+
 
 class TestBuildEtf:
     def test_identity_basis_three_classes(self):

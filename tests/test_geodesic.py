@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stack_positions
+from conftest import POWERS_OF_TWO, naive_stats, stack_positions
 from pfc.core import DegenerateInputError, FeatureSet, class_stats
 from pfc.etf import build_etf
 from pfc.geodesic import (
@@ -75,14 +75,11 @@ def oracle_paths(draw):
     return path
 
 
-def naive_alignment(start: FeatureSet, end: FeatureSet) -> float:
-    total = 0.0
-    for stats, other in ((class_stats(start), class_stats(end)),):
-        for k in range(start.num_classes):
-            a = stats.class_means[:, k] - stats.global_mean
-            b = other.class_means[:, k] - other.global_mean
-            total += float(a @ b)
-    return total
+def naive_endpoint_alignment(start: FeatureSet, end: FeatureSet) -> float:
+    """sum_k <h_k(0) - h_G(0), h_k(1) - h_G(1)>, one class at a time."""
+    (a, a_mean, *_), (b, b_mean, *_) = (
+        naive_stats(fs.features, fs.num_classes, fs.per_class) for fs in (start, end))
+    return sum(float((a[:, k] - a_mean) @ (b[:, k] - b_mean)) for k in range(start.num_classes))
 
 
 class TestPathValidation:
@@ -106,6 +103,9 @@ class TestPathValidation:
     def test_uniform_grid_needs_two_points(self):
         with pytest.raises(ValueError, match="^num_points must be >= 2, got 1$"):
             uniform_grid(1)
+        with pytest.raises(ValueError,
+                           match="^parameter 'num_points' must be of type int, got 2.5$"):
+            uniform_grid(2.5)
 
     def test_metric_curve_shape_and_kind_checks(self):
         # a curve is one value per grid point, of a known metric kind
@@ -273,11 +273,6 @@ class TestClosedForms:
         np.testing.assert_array_equal(metric_curve(path, "pfc3"), 1.0)
 
 
-# exact shifts of the exponent, from inside the safe window to the edges
-# of the float64 range
-POWERS_OF_TWO = [2.0**e for e in (300, -300, 600, -600, 1000, -1000)]
-
-
 def scaled_set(fs, factor):
     return FeatureSet(factor * fs.features, fs.num_classes, fs.per_class)
 
@@ -429,7 +424,7 @@ class TestEndpointAlignment:
             path = random_path(seed, num_classes=4, per_class=3, dim=7)
             value = endpoint_mean_alignment(path)
             assert value == pytest.approx(
-                naive_alignment(path.start, path.end), rel=1e-12, abs=1e-12
+                naive_endpoint_alignment(path.start, path.end), rel=1e-12, abs=1e-12
             )
 
 

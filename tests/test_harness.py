@@ -32,8 +32,9 @@ from pfc.core import (
     save_featureset,
     typed_param,
 )
+from pfc.data import MIXTURE, gen_gaussian_mixture
 from pfc.etf import build_etf
-from pfc.geodesic import make_nc_featureset
+from pfc.geodesic import PATH, make_nc_featureset, perturbed_collapse_path, random_to_collapse_path
 from pfc.harness import (
     KINDS,
     ExperimentConfig,
@@ -50,12 +51,15 @@ from pfc.harness import (
     write_csv,
     write_json,
 )
+from pfc.metrics import EPSILON, first_within_error
 from pfc.resnet import TrainConfig
 from pfc.surrogate import (
     CHAIN,
+    DEPTH,
     DESCENT,
     LAMBDAS,
     SolveProblem,
+    collapse_multilayer,
     minimize_transport_chain,
     solve,
     sweep_lambda,
@@ -78,15 +82,18 @@ def _fields(cls) -> dict:
 
 def _library_bounds():
     """(kind, name, outside) for each bound of the library's knob tables:
-    TrainConfig's fields, SolveProblem's fields, the descents' ``DESCENT``
-    and sweep_lambda's ``LAMBDAS``; each kind that takes the knob, and a
-    value just outside the bound, typed as the kind's default (as a
-    one-item list for a list)."""
+    TrainConfig's and SolveProblem's fields, ``DESCENT``, ``LAMBDAS``,
+    ``MIXTURE`` and ``PATH``; a kind that takes the knob, and a value just
+    outside the bound, typed as the kind's default (as a one-item list for
+    a list)."""
     tables = {
         "train-resnet": _fields(TrainConfig),
         "solve-ufm": {**_fields(SolveProblem), **DESCENT},
         "sweep-lambda": {"lambdas": LAMBDAS,
                          **{name: DESCENT[name] for name in ("lr", "epochs", "init_scale")}},
+        "solve-mufm": MIXTURE,
+        "theorem1": {name: PATH[name] for name in ("grid_points", "end_scale")},
+        "theorem2": PATH,
     }
     for kind, specs in tables.items():
         for name, spec in specs.items():
@@ -104,7 +111,12 @@ def _library_call(kind: str, name: str, value) -> None:
     """The library entry point of ``kind``'s ``name``, with it set to ``value``."""
     ufm = SolveProblem(kind="ufm", loss="mse", num_classes=2, dim=2, per_class=1,
                        lambda_w=0.1, lam=0.1)
-    if kind == "train-resnet":
+    if name in MIXTURE:
+        gen_gaussian_mixture(2, 2, 1, **{name: value})
+    elif name in PATH:
+        build = random_to_collapse_path if kind == "theorem1" else perturbed_collapse_path
+        build(0, 2, 1, 2, **{name: value})
+    elif kind == "train-resnet":
         TrainConfig(**{name: value})
     elif name in _fields(SolveProblem):
         SolveProblem(kind="ufm", **{name: value})
@@ -305,6 +317,38 @@ class TestParamSchema:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
+    @pytest.mark.parametrize("kind, key, name, spec, call, mistyped", [
+        pytest.param("train-resnet", "effective_epsilon", "epsilon", EPSILON,
+                     lambda value: first_within_error([1.0], value), "0.1", id="epsilon"),
+        pytest.param("equivalence-thm3", "depths", "num_blocks", DEPTH,
+                     lambda value: collapse_multilayer(np.zeros((2, 2)), np.zeros((2, 2)), value),
+                     True, id="num_blocks"),
+    ])
+    def test_renamed_knobs_and_cli_share_each_bound_and_type(self, kind, key, name, spec, call,
+                                                             mistyped):
+        # the kind's knob is the library's under another name: one domain and
+        # one type, each message naming the knob as its caller does
+        domain = spec.metadata["domain"]
+        assert _domain(kind, key) is domain and not domain.open
+        outside = type(spec.default)(domain.low) - 1
+        listed = isinstance(_defaults(kind)[key], list)  # depths: one num_blocks per item
+        cli = lambda value: resolve_config(kind, overrides=[(key, [value] if listed else value)])
+        for shown, run, wrap in ((name, call, False), (key, cli, listed)):
+            for value, message in (
+                (outside, f"{shown} must be >= {domain.low}, got {[outside] if wrap else outside}"),
+                (mistyped, f"parameter {shown!r} must be of type "
+                           f"{type(spec.default).__name__}, got {mistyped!r}"),
+            ):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run(value)
+
+    def test_kinds_read_the_library_domains(self):
+        # each knob a library function reads is bounded where it is declared
+        library = {**MIXTURE, **PATH, "effective_epsilon": EPSILON, "depths": DEPTH}
+        read = {(kind, name): _domain(kind, name) is library[name].metadata["domain"]
+                for kind, entry in KINDS.items() for name in entry.params if name in library}
+        assert len(read) == 21 and all(read.values()), read
+
     @pytest.mark.parametrize("kind, name, value, expected", [
         ("train-resnet", "num_blocks", True, "int"),
         ("train-resnet", "batch_size", 8.5, "int"),
@@ -316,6 +360,11 @@ class TestParamSchema:
         ("solve-ufm", "epochs", 2.5, "int"),
         ("solve-ufm", "trace_stride", True, "int"),
         ("sweep-lambda", "lambdas", [True], "float"),
+        ("solve-mufm", "mean_scale", True, "float"),
+        ("train-resnet", "noise_scale", "1.0", "float"),
+        ("theorem1", "grid_points", 2.5, "int"),
+        ("theorem1", "end_scale", True, "float"),
+        ("theorem2", "eps_rel", True, "float"),
     ])
     def test_library_and_cli_share_each_type_and_its_message(self, kind, name, value,
                                                              expected):
@@ -542,20 +591,6 @@ class TestCsvFiles:
 
 
 class TestWriteJson:
-    def test_numpy_and_path_values_serialize(self, tmp_path):
-        path = tmp_path / "blob.json"
-        write_json(
-            path,
-            {
-                "i": np.int64(3),
-                "f": np.float32(0.5),
-                "a": np.arange(3),
-                "p": Path("runs/etf-check"),
-            },
-        )
-        data = json.loads(path.read_text())
-        assert data == {"i": 3, "f": 0.5, "a": [0, 1, 2], "p": "runs/etf-check"}
-
     def test_unsupported_values_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_json(tmp_path / "blob.json", {"x": object()})

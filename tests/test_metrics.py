@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import POWERS_OF_TWO, naive_alignment, naive_pfc1, naive_pfc2, naive_pfc3
 from pfc.core import DegenerateInputError, FeatureSet
 from pfc.etf import build_etf, gram_target
+from pfc.geodesic import make_nc_featureset
 from pfc.metrics import (
     first_within_error,
     alignment,
@@ -15,64 +17,6 @@ from pfc.metrics import (
     pfc3,
 )
 
-
-def naive_pfc1(features, num_classes, per_class):
-    d = features.shape[0]
-    means = np.zeros((d, num_classes))
-    for k in range(num_classes):
-        means[:, k] = features[:, k * per_class : (k + 1) * per_class].mean(axis=1)
-    gmean = means.mean(axis=1)
-    within = sum(
-        float(np.sum((features[:, k * per_class + i] - means[:, k]) ** 2))
-        for k in range(num_classes)
-        for i in range(per_class)
-    ) / (num_classes * per_class)
-    between = sum(
-        float(np.sum((means[:, k] - gmean) ** 2)) for k in range(num_classes)
-    ) / num_classes
-    return within / between
-
-
-def naive_pfc2(features, num_classes, per_class, target):
-    d = features.shape[0]
-    means = np.zeros((d, num_classes))
-    for k in range(num_classes):
-        means[:, k] = features[:, k * per_class : (k + 1) * per_class].mean(axis=1)
-    centered = means - means.mean(axis=1)[:, None]
-    gram = centered.T @ centered
-    return float(np.linalg.norm(gram / np.linalg.norm(gram) - target))
-
-
-def naive_pfc3(features, num_classes, per_class):
-    d = features.shape[0]
-    means = np.zeros((d, num_classes))
-    for k in range(num_classes):
-        means[:, k] = features[:, k * per_class : (k + 1) * per_class].mean(axis=1)
-    correct = 0
-    for k in range(num_classes):
-        for i in range(per_class):
-            h = features[:, k * per_class + i]
-            best, best_dist = 0, float("inf")
-            for j in range(num_classes):
-                dist = float(np.sum((h - means[:, j]) ** 2))
-                if dist < best_dist:  # strict: ties keep the smaller index
-                    best, best_dist = j, dist
-            correct += best == k
-    return correct / (num_classes * per_class)
-
-
-def naive_alignment(h, x):
-    value = 0.0
-    hn = np.sqrt(float(np.sum(h * h)))
-    xn = np.sqrt(float(np.sum(x * x)))
-    for idx in np.ndindex(h.shape):
-        value += (h[idx] / hn - x[idx] / xn) ** 2
-    return np.sqrt(value)
-
-
-# exact shifts of the exponent, from inside the safe window to the edges
-# of the float64 range
-POWERS_OF_TWO = [2.0**e for e in (300, -300, 600, -600, 1000, -1000)]
 
 # three well separated classes of two samples each
 SEPARATED = FeatureSet(
@@ -87,13 +31,6 @@ def random_featureset(rng):
     return FeatureSet(rng.standard_normal((d, k * n)), k, n)
 
 
-def nc_featureset(frame, per_class, scale=1.0, offset=None):
-    means = scale * frame
-    if offset is not None:
-        means = means + offset[:, None]
-    return FeatureSet(np.repeat(means, per_class, axis=1), frame.shape[1], per_class)
-
-
 class TestPfc1:
     def test_hand_example(self):
         fs = FeatureSet(np.array([[0.0, 2.0, 4.0, 6.0]]), num_classes=2, per_class=2)
@@ -101,7 +38,7 @@ class TestPfc1:
 
     def test_collapsed_features_give_zero(self):
         frame = build_etf(3, 4, seed=0)
-        assert pfc1(nc_featureset(frame, per_class=5)) == pytest.approx(0.0, abs=1e-30)
+        assert pfc1(make_nc_featureset(frame, per_class=5)) == pytest.approx(0.0, abs=1e-30)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -119,7 +56,7 @@ class TestPfc2:
     def test_exact_etf_means_give_zero(self):
         for k, d, scale in [(2, 2, 1.0), (3, 5, 2.5), (5, 8, 0.3)]:
             frame = build_etf(k, d, seed=k)
-            fs = nc_featureset(frame, per_class=3, scale=scale)
+            fs = make_nc_featureset(frame, per_class=3, scale=scale)
             assert pfc2(fs) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_class_metric_is_degenerate_zero(self):
@@ -190,7 +127,7 @@ class TestPfc2:
 class TestPfc3:
     def test_collapsed_distinct_means(self):
         frame = build_etf(4, 6, seed=2)
-        assert pfc3(nc_featureset(frame, per_class=3)) == 1.0
+        assert pfc3(make_nc_featureset(frame, per_class=3)) == 1.0
 
     def test_singleton_classes(self):
         fs = FeatureSet(np.array([[0.0, 1.0]]), num_classes=2, per_class=1)
@@ -319,7 +256,7 @@ class TestEffectiveDepth:
 
     def test_all_collapsed_gives_zero(self):
         frame = build_etf(3, 4, seed=3)
-        fs = nc_featureset(frame, per_class=2)
+        fs = make_nc_featureset(frame, per_class=2)
         assert first_within_error([pfc3(fs), pfc3(fs)], 0.0) == 0
 
     def test_negative_epsilon_rejected(self):

@@ -1,5 +1,8 @@
-"""The package's public surface: ``from pfc import *`` imports every name
-of ``pfc.__all__``, so each must resolve on the package, and once."""
+"""The package's public surface (each name of ``pfc.__all__`` resolves on
+the package, once) and its one bound checker (only ``core`` calls it)."""
+
+import ast
+from pathlib import Path
 
 import pfc
 
@@ -7,3 +10,15 @@ import pfc
 def test_every_export_resolves_once():
     assert len(pfc.__all__) == len(set(pfc.__all__))
     assert [name for name in pfc.__all__ if not hasattr(pfc, name)] == []
+
+
+def test_only_core_calls_check_domain():
+    # every other module types and bounds its knobs through core.typed_param
+    callers = [
+        path.name for path in sorted(Path(pfc.__file__).parent.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "check_domain" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == []

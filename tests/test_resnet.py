@@ -7,6 +7,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from conftest import network_fd_gaps, tiny_config
 from pfc import resnet
 from pfc.core import DivergenceError, FeatureSet
 from pfc.data import gen_gaussian_mixture
@@ -21,15 +22,6 @@ from pfc.resnet import (
     resnet_forward,
     train,
 )
-
-TINY = dict(num_blocks=2, width=5, input_dim=3, num_classes=2, per_class=4,
-            epochs=2, batch_size=8, lr=0.05, lr_decay_epochs=(), momentum=0.0,
-            weight_decay=0.0, record_stride=1)
-
-
-def tiny_config(**overrides):
-    return TrainConfig(**{**TINY, **overrides})
-
 
 def tiny_data(config, seed=0, mean_scale=2.0, noise_scale=0.5):
     return gen_gaussian_mixture(
@@ -310,29 +302,8 @@ class TestLossAndAccuracy:
 class TestBackprop:
     def test_matches_finite_differences(self):
         for seed in range(10):
-            config = tiny_config(seed=seed)
-            params = init_params(config)
-            rng = np.random.default_rng(seed + 1000)
-            # nonzero biases keep preactivations away from the relu kink,
-            # where central differences straddle the nondifferentiable point.
-            for name in params:
-                if name.startswith("b_"):
-                    params[name] = 0.3 * rng.standard_normal(params[name].shape)
-            x = rng.standard_normal((3, 5))
-            labels = rng.integers(0, 2, size=5)
-            loss, _, grads = resnet_backward(params, x, labels, 2)
-            step = 1e-6
-            for name, theta in params.items():
-                fd = np.zeros_like(theta)
-                for idx in np.ndindex(theta.shape):
-                    theta[idx] += step
-                    up = resnet_backward(params, x, labels, 2)[0]
-                    theta[idx] -= 2 * step
-                    down = resnet_backward(params, x, labels, 2)[0]
-                    theta[idx] += step
-                    fd[idx] = (up - down) / (2 * step)
-                err = np.linalg.norm(grads[name] - fd)
-                assert err <= 1e-4 * max(1.0, np.linalg.norm(fd)), (seed, name)
+            for name, gap, fd in network_fd_gaps(tiny_config(seed=seed), seed):
+                assert np.linalg.norm(gap) <= 1e-4 * max(1.0, np.linalg.norm(fd)), (seed, name)
 
     def test_loss_value_matches_forward(self):
         config = tiny_config()

@@ -9,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfc import surrogate
+from conftest import fd_gradients, make_problem, random_state
+from pfc import data, geodesic, metrics, surrogate
 from pfc.core import DivergenceError
-from pfc.data import gen_gaussian_mixture
 from pfc.surrogate import (
     SolveProblem,
     closed_form_W,
@@ -25,24 +25,6 @@ from pfc.surrogate import (
     sweep_lambda,
     transport_chain_cost,
 )
-
-
-def make_problem(kind="mufm", loss="mse", num_classes=3, dim=5, per_class=4,
-                 lambda_w=0.05, lam=0.02, seed=0):
-    data = None
-    if kind == "mufm":
-        data = gen_gaussian_mixture(num_classes, dim, per_class, seed=[seed, 9]).features
-    return SolveProblem(
-        kind=kind, loss=loss, num_classes=num_classes, dim=dim,
-        per_class=per_class, lambda_w=lambda_w, lam=lam, data=data, seed=seed,
-    )
-
-
-def random_state(p: SolveProblem, seed):
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((p.num_classes, p.dim))
-    H = rng.standard_normal((p.dim, p.num_classes * p.per_class))
-    return W, H
 
 
 def naive_objective(p: SolveProblem, W, H) -> float:
@@ -68,22 +50,6 @@ def naive_objective(p: SolveProblem, W, H) -> float:
         + p.lambda_w / (2.0 * k) * float(np.sum(W**2))
         + p.lam / (2.0 * kn) * float(np.sum((H - p.data) ** 2))
     )
-
-
-def fd_gradients(p: SolveProblem, W, H, step=1e-5):
-    dW = np.zeros_like(W)
-    for idx in np.ndindex(W.shape):
-        up, down = W.copy(), W.copy()
-        up[idx] += step
-        down[idx] -= step
-        dW[idx] = (objective(p, up, H) - objective(p, down, H)) / (2 * step)
-    dH = np.zeros_like(H)
-    for idx in np.ndindex(H.shape):
-        up, down = H.copy(), H.copy()
-        up[idx] += step
-        down[idx] -= step
-        dH[idx] = (objective(p, W, up) - objective(p, W, down)) / (2 * step)
-    return dW, dH
 
 
 def reference_value_and_grad(p: SolveProblem, W, H):
@@ -401,6 +367,11 @@ class TestSolve:
         (solve, surrogate.DESCENT),
         (sweep_lambda, surrogate.DESCENT),
         (minimize_transport_chain, surrogate.CHAIN),
+        (data.gen_gaussian_mixture, data.MIXTURE),
+        (geodesic.random_to_collapse_path, geodesic.PATH),
+        (geodesic.perturbed_collapse_path, geodesic.PATH),
+        (geodesic.uniform_grid, {"num_points": geodesic.PATH["grid_points"]}),
+        (metrics.first_within_error, {"epsilon": metrics.EPSILON}),
     ])
     def test_descent_defaults_are_the_signatures(self, function, table):
         # the table types the knobs from these defaults; json tells 1 from 1.0
