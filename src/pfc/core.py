@@ -8,7 +8,8 @@ covariances are ever computed; the full d x d matrices are never formed.
 :func:`param` declares each knob of a run, its default and its domain
 (bounds, or a fixed set), and :func:`typed_param` types a value for it and
 checks it (:func:`check_domain`), for the library and the CLI alike.
-``NUM_CLASSES`` (K >= 2) and ``PER_CLASS`` (n >= 1) declare the counts.
+``COUNTS`` declares the counts K >= 2, n >= 1 and d >= 1; a frame's d is
+also >= K (:func:`check_frame`), so a frame dimension takes K's domain.
 
 Scale rule.  The collapse metrics are ratios and argmins of sums of
 squares, so scaling features by a power of two leaves them unchanged, and
@@ -29,7 +30,7 @@ rescaled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -85,15 +86,17 @@ def check_domain(name: str, value, domain: Domain) -> None:
         raise ValueError(f"{name} must be {'>' if domain.open else '>='} {low}, got {value}")
 
 
-def param(default, domain: Domain = UNBOUNDED):
+def param(default, domain: Domain | Field = UNBOUNDED):
     """A knob: a dataclass field with its default, whose type is the knob's
-    type, and, as ``metadata["domain"]``, its domain."""
+    type, and, as ``metadata["domain"]``, its domain, or the knob ``domain``'s."""
+    if isinstance(domain, Field):
+        domain = domain.metadata["domain"]
     return field(default=default, metadata={"domain": domain})
 
 
-# a class count K and a per-class sample count n, wherever they are read
-NUM_CLASSES = param(2, ge(2))
-PER_CLASS = param(1, ge(1))
+# the counts K, n and d, wherever they are read, in the order of FeatureSet.shape
+COUNTS = {"num_classes": param(2, ge(2)), "per_class": param(1, ge(1)), "dim": param(1, ge(1))}
+NUM_CLASSES, PER_CLASS, DIM = COUNTS.values()
 
 
 def typed_param(name: str, value, spec):
@@ -133,6 +136,19 @@ def _typed(name: str, value, default):
     raise ValueError(
         f"parameter {name!r} must be of type {type(default).__name__}, got {value!r}"
     )
+
+
+def typed_counts(num_classes, per_class, dim) -> tuple[int, int, int]:
+    """K, n and d, each typed and bounded as its ``COUNTS`` spec."""
+    return tuple(typed_param(name, value, spec)
+                 for (name, spec), value in zip(COUNTS.items(), (num_classes, per_class, dim)))
+
+
+def check_frame(name: str, dim: int, num_classes: int, classes: str = "num_classes") -> None:
+    """Raise ValueError naming the knob ``name`` if its ``dim`` is below the
+    class count of the knob ``classes``: a K-class frame needs d >= K."""
+    if dim < num_classes:
+        raise ValueError(f"{name} must be >= {classes}, got {name}={dim} < K={num_classes}")
 
 
 def check_fields(obj) -> None:
@@ -182,8 +198,8 @@ class FeatureSet:
     without a copy, and must not make it writable again.
 
     Attributes:
-        features: float64 matrix of shape (dim, num_classes * per_class);
-            column k * per_class + i is sample i of class k.
+        features: float64 matrix of shape (dim, num_classes * per_class),
+            dim >= 1 (``DIM``); column k * per_class + i is sample i of class k.
         num_classes: number of classes K, an int >= 2 (``NUM_CLASSES``).
         per_class: samples per class n, an int >= 1 (``PER_CLASS``).
     """
@@ -196,8 +212,9 @@ class FeatureSet:
         arr = _as_matrix(self.features)
         if not _adoptable(arr):
             arr = arr.copy()
-        for name, spec in (("num_classes", NUM_CLASSES), ("per_class", PER_CLASS)):
-            object.__setattr__(self, name, typed_param(name, getattr(self, name), spec))
+        k, n, _ = typed_counts(self.num_classes, self.per_class, arr.shape[0])
+        object.__setattr__(self, "num_classes", k)
+        object.__setattr__(self, "per_class", n)
         expected = self.num_classes * self.per_class
         if arr.shape[1] != expected:
             raise ValueError(
@@ -212,6 +229,11 @@ class FeatureSet:
     @property
     def dim(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The counts (K, n, d), in the order of ``COUNTS``."""
+        return self.num_classes, self.per_class, self.dim
 
     @property
     def num_samples(self) -> int:
@@ -283,24 +305,20 @@ def save_featureset(path, fs: FeatureSet) -> None:
             f.write(row_format % tuple(row.tolist()))
 
 
-# each header field: its letter, the name it has elsewhere, and its least value
-_HEADER_FIELDS = (("K", "num_classes", 2), ("n", "per_class", 1), ("d", "dim", 1))
-
-
 def read_header(f) -> tuple[int, int, int]:
     """K, n and d from the header line of a layer file open at its start,
-    each checked against its least value (K >= 2, n >= 1, d >= 1); the file
-    is left at its first body row."""
+    each checked against its ``COUNTS`` spec; the file is left at its first
+    body row."""
     header = f.readline().split()
     try:
         k, n, d = values = tuple(int(x) for x in header)
     except ValueError:
         raise ValueError(f"{f.name}: expected an integer header 'K n d', got {header!r}") from None
-    for (letter, name, low), value in zip(_HEADER_FIELDS, values):
-        if value < low:
-            raise ValueError(
-                f"{f.name}: header field {letter}: {name} must be >= {low}, got {value}"
-            )
+    for letter, (name, spec), value in zip("Knd", COUNTS.items(), values):
+        try:
+            typed_param(name, value, spec)
+        except ValueError as exc:
+            raise ValueError(f"{f.name}: header field {letter}: {exc}") from None
     return k, n, d
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PER_CLASS, FeatureSet, ge, param, typed_param
+from .core import NUM_CLASSES, PER_CLASS, FeatureSet, ge, param, typed_counts, typed_param
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -19,8 +19,8 @@ def gen_gaussian_mixture(
     num_classes: int,
     dim: int,
     per_class: int,
-    mean_scale: float = 1.0,
-    noise_scale: float = 1.0,
+    mean_scale: float = MIXTURE["mean_scale"].default,
+    noise_scale: float = MIXTURE["noise_scale"].default,
     seed=0,
 ) -> FeatureSet:
     """Balanced isotropic Gaussian mixture with class means on a sphere.
@@ -31,9 +31,10 @@ def gen_gaussian_mixture(
     labels are the set's ``labels()``.
 
     Raises:
-        ValueError: for a scale not of its ``MIXTURE`` type or outside its
-            domain.
+        ValueError: for a count or a scale not of its ``core.COUNTS`` or
+            ``MIXTURE`` type or outside its domain.
     """
+    num_classes, per_class, dim = typed_counts(num_classes, per_class, dim)
     mean_scale = typed_param("mean_scale", mean_scale, MIXTURE["mean_scale"])
     noise_scale = typed_param("noise_scale", noise_scale, MIXTURE["noise_scale"])
     rng = np.random.default_rng(seed)
@@ -90,9 +91,9 @@ def load_mnist_idx(images_path, labels_path, per_class: int) -> FeatureSet:
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
         )
     classes = np.unique(labels)
-    num_classes = len(classes)
-    if num_classes < 2 or not np.array_equal(classes, np.arange(num_classes)):
-        raise ValueError(f"labels must cover 0..K-1 for K >= 2, got {classes}")
+    num_classes = typed_param("num_classes", len(classes), NUM_CLASSES)
+    if not np.array_equal(classes, np.arange(num_classes)):
+        raise ValueError(f"labels must cover 0..K-1, got {classes}")
 
     picks = []
     for k in range(num_classes):

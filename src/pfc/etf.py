@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NUM_CLASSES, typed_param
+from .core import DIM, NUM_CLASSES, check_frame, typed_param
 
 
 def gram_target(num_classes: int) -> np.ndarray:
@@ -37,12 +37,11 @@ def build_etf(num_classes: int, dim: int, seed=0) -> np.ndarray:
     seed.
 
     Raises:
-        ValueError: if dim < num_classes, or for a ``num_classes`` not of its
-            ``core.NUM_CLASSES`` type or outside its domain.
+        ValueError: for a count not of its ``core.COUNTS`` type or outside
+            its domain, or if dim < num_classes.
     """
-    k, d = typed_param("num_classes", num_classes, NUM_CLASSES), dim
-    if d < k:
-        raise ValueError(f"dim must be >= num_classes, got dim={d} < K={k}")
+    k, d = typed_param("num_classes", num_classes, NUM_CLASSES), typed_param("dim", dim, DIM)
+    check_frame("dim", d, k)
 
     basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, k)))
     centering = np.eye(k) - np.full((k, k), 1.0 / k)

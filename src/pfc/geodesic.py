@@ -38,14 +38,13 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DegenerateInputError, Domain, FeatureSet, _window_exponent, ge, gt, param,
-                   typed_param)
+                   typed_counts, typed_param)
 from .etf import build_etf
 from .metrics import METRIC_KINDS, _Moments
 
-DEFAULT_GRID_POINTS = 1001
 MONOTONE_SLACK = 1e-10  # relative flat-step size of monotonicity_report
 # the path builders' knobs, each with its default and domain
-PATH = {"grid_points": param(DEFAULT_GRID_POINTS, ge(2)), "end_scale": param(1.0, gt(0)),
+PATH = {"grid_points": param(1001, ge(2)), "end_scale": param(1.0, gt(0)),
         "eps_rel": param(0.01, ge(0))}
 _METRIC_KIND = param(METRIC_KINDS[0], Domain(None, choices=METRIC_KINDS))  # metric_values' kind
 
@@ -63,8 +62,7 @@ class InterpolationPath:
     grid: np.ndarray
 
     def __post_init__(self):
-        s, e = self.start, self.end
-        if (s.num_classes, s.per_class, s.dim) != (e.num_classes, e.per_class, e.dim):
+        if self.start.shape != self.end.shape:
             raise ValueError("start and end must share K, n and d")
         grid = np.asarray(self.grid, dtype=np.float64).copy()
         if grid.ndim != 1 or grid.size < 2:
@@ -95,7 +93,7 @@ class MonotonicityVerdict:
     first_violation: int | None = None
 
 
-def uniform_grid(num_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+def uniform_grid(num_points: int = PATH["grid_points"].default) -> np.ndarray:
     """``num_points``, typed as ``PATH["grid_points"]``, equally spaced on [0, 1]."""
     num_points = typed_param("num_points", num_points, PATH["grid_points"])
     return np.linspace(0.0, 1.0, num_points)
@@ -262,8 +260,8 @@ def random_to_collapse_path(
     num_classes: int,
     per_class: int,
     dim: int,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    end_scale: float = 1.0,
+    grid_points: int = PATH["grid_points"].default,
+    end_scale: float = PATH["end_scale"].default,
 ) -> InterpolationPath:
     """Seeded random start paired with an exactly collapsed endpoint.
 
@@ -272,17 +270,18 @@ def random_to_collapse_path(
     condition holds by construction.
 
     Raises:
-        ValueError: for ``grid_points`` or ``end_scale`` not of its ``PATH``
-            type or outside its domain.
+        ValueError: for a count, ``grid_points`` or ``end_scale`` not of its
+            ``core.COUNTS`` or ``PATH`` type or outside its domain, or if
+            dim < num_classes; each before the first draw.
     """
+    num_classes, per_class, dim = typed_counts(num_classes, per_class, dim)
     grid_points = typed_param("grid_points", grid_points, PATH["grid_points"])
     end_scale = typed_param("end_scale", end_scale, PATH["end_scale"])
+    frame = build_etf(num_classes, dim, seed=_seed_stream(seed, 303))  # first: checks d >= K
     rng = np.random.default_rng(_seed_stream(seed, 101))
     start_features = rng.standard_normal((dim, num_classes * per_class))
     start_features += rng.standard_normal((dim, 1))  # random global offset
     start = FeatureSet(start_features, num_classes, per_class)
-
-    frame = build_etf(num_classes, dim, seed=_seed_stream(seed, 303))
     end = make_nc_featureset(
         frame, per_class, scale=end_scale, global_mean=rng.standard_normal(dim)
     )
@@ -303,9 +302,9 @@ def perturbed_collapse_path(
     num_classes: int,
     per_class: int,
     dim: int,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    end_scale: float = 1.0,
-    eps_rel: float = 0.01,
+    grid_points: int = PATH["grid_points"].default,
+    end_scale: float = PATH["end_scale"].default,
+    eps_rel: float = PATH["eps_rel"].default,
 ) -> InterpolationPath:
     """Path whose start class means are the collapsed end means plus a small
     zero-sum perturbation of Frobenius norm eps_rel * ||centered end means||.
@@ -315,14 +314,16 @@ def perturbed_collapse_path(
     regime.
 
     Raises:
-        ValueError: for ``grid_points``, ``end_scale`` or ``eps_rel`` not of
-            its ``PATH`` type or outside its domain.
+        ValueError: for a count, ``grid_points``, ``end_scale`` or ``eps_rel``
+            not of its ``core.COUNTS`` or ``PATH`` type or outside its domain,
+            or if dim < num_classes; each before the first draw.
     """
+    num_classes, per_class, dim = typed_counts(num_classes, per_class, dim)
     grid_points = typed_param("grid_points", grid_points, PATH["grid_points"])
     end_scale = typed_param("end_scale", end_scale, PATH["end_scale"])
     eps_rel = typed_param("eps_rel", eps_rel, PATH["eps_rel"])
+    frame = build_etf(num_classes, dim, seed=_seed_stream(seed, 303))  # first: checks d >= K
     rng = np.random.default_rng(_seed_stream(seed, 202))
-    frame = build_etf(num_classes, dim, seed=_seed_stream(seed, 303))
     global_mean = rng.standard_normal(dim)
     end = make_nc_featureset(frame, per_class, scale=end_scale, global_mean=global_mean)
 

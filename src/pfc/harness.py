@@ -5,8 +5,8 @@ knob is declared once, as a :func:`~pfc.core.param`: its default, whose
 type is the knob's type, and its :class:`~pfc.core.Domain`.  A knob the
 library reads is declared there and ``KINDS`` reads it: the fields of
 ``TrainConfig`` and ``SolveProblem``, ``data.MIXTURE``, ``geodesic.PATH``,
-``metrics.EPSILON`` and ``surrogate``'s ``DESCENT``, ``CHAIN``, ``DEPTH``
-and ``LAMBDAS``, a kind keeping its own default where it differs
+``metrics.EPSILON``, ``surrogate``'s ``DESCENT``, ``CHAIN``, ``DEPTH`` and
+``LAMBDAS``, and the counts' ``core.COUNTS``, a kind keeping its own default
 (:func:`_knobs`); the other knobs are declared here.  One checker,
 :func:`~pfc.core.typed_param`, types and bounds each knob's value, in the
 library as its classes are built and its functions called, and in the
@@ -49,11 +49,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    NUM_CLASSES,
+    PER_CLASS,
     DegenerateInputError,
     DivergenceError,
     Domain,
     FeatureSet,
     check_fields,
+    check_frame,
     check_layer_shapes,
     ge,
     gt,
@@ -393,7 +396,9 @@ def _verdict(values: np.ndarray) -> str:
 
 def _run_path_suite(cfg: ExperimentConfig, variant: int) -> tuple[dict, Artifacts]:
     p = cfg.params
-    combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))
+    combos = list(itertools.product(p["classes"], p["per_class"], p["dims"]))[:p["num_paths"]]
+    for k, _, d in combos:  # each pairing a path will use
+        check_frame("dims", d, k, classes="classes")
     rows = []
     for i in range(p["num_paths"]):
         k, n, d = combos[i % len(combos)]
@@ -590,11 +595,6 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     )
     if p["images"]:
         data = load_mnist_idx(p["images"], p["labels"], config.per_class)
-        for name, value in (("num_classes", data.num_classes), ("input_dim", data.dim)):
-            if p[name] != value:
-                raise ValueError(
-                    f"{name}={p[name]} does not match the IDX files, which hold {value}"
-                )
     else:
         data = _mixture(cfg, config.input_dim)
     trace = train(config, data)
@@ -638,10 +638,10 @@ def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
             shapes.append(read_header(f))
     check_layer_shapes(shapes)
     k, _, d = shapes[0]
-    if d < k:
-        raise ValueError(
-            f"stack_files must hold features of dim >= num_classes, got dim={d} < K={k}"
-        )
+    try:
+        check_frame("dim", d, k)
+    except ValueError as exc:
+        raise ValueError(f"stack_files: {exc}") from None
     report, artifacts = _stack_report((load_featureset(f) for f in files), p)
     return {"stack_files": p["stack_files"], **report}, artifacts
 
@@ -702,8 +702,7 @@ _PROBLEM_PARAMS = _field_params(SolveProblem, "kind", "data", "seed")
 
 def _knobs(table: dict, **defaults) -> dict:
     """Knobs of a library table with this kind's defaults and the library's domains."""
-    return {name: param(default, table[name].metadata["domain"])
-            for name, default in defaults.items()}
+    return {name: param(default, table[name]) for name, default in defaults.items()}
 
 
 _SOLVE_PARAMS = {
@@ -713,14 +712,14 @@ _SOLVE_PARAMS = {
 
 # the knobs _stack_report reads; effective_epsilon is first_within_error's epsilon
 _REPORT_PARAMS = {"grid_points": PATH["grid_points"],
-                  "effective_epsilon": param(0.05, EPSILON.metadata["domain"])}
+                  "effective_epsilon": param(0.05, EPSILON)}
 
 _PATH_SUITE_PARAMS = {
     "num_paths": param(100, ge(1)),
     "grid_points": PATH["grid_points"],
-    "classes": param([3, 5], ge(2)),
-    "per_class": param([4, 20], ge(1)),
-    "dims": param([8, 20], ge(2)),
+    "classes": param([3, 5], NUM_CLASSES),
+    "per_class": param([4, 20], PER_CLASS),
+    "dims": param([8, 20], NUM_CLASSES),  # a frame's d: K's domain, and >= classes
     "end_scale": PATH["end_scale"],
     "final_tolerance": param(1e-12, gt(0)),
 }
@@ -736,15 +735,15 @@ class Kind(NamedTuple):
 
 KINDS = {
     "etf-check": Kind(_run_etf_check, {
-        "min_classes": param(2, ge(2)),
-        "max_classes": param(10, ge(2)),
+        "min_classes": param(2, NUM_CLASSES),
+        "max_classes": param(10, NUM_CLASSES),
         "extra_dims": param([0, 3], ge(0)),
         "tolerance": param(1e-12, ge(0)),
     }),
     "interpolate": Kind(_run_interpolate, {
-        "num_classes": param(4, ge(2)),
-        "per_class": param(20, ge(1)),
-        "dim": param(8, ge(2)),
+        "num_classes": param(4, NUM_CLASSES),
+        "per_class": param(20, PER_CLASS),
+        "dim": param(8, NUM_CLASSES),  # a frame's d: K's domain, and >= num_classes
         **_knobs(PATH, grid_points=101, end_scale=1.0),
     }),
     "theorem1": Kind(partial(_run_path_suite, variant=1), _PATH_SUITE_PARAMS),
@@ -774,7 +773,7 @@ KINDS = {
     "equivalence-thm3": Kind(_run_equivalence_thm3, {
         **_PROBLEM_PARAMS,
         **MIXTURE,
-        "depths": param([2, 5, 10], DEPTH.metadata["domain"]),
+        "depths": param([2, 5, 10], DEPTH),
         "end_scale": PATH["end_scale"],
         "chain_lr": CHAIN["lr"],
         "chain_iters": CHAIN["iters"],

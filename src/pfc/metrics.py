@@ -230,7 +230,7 @@ def alignment(h: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(h / hn - x / xn))
 
 
-def first_within_error(ncc_accuracies, epsilon: float = 0.0) -> int | None:
+def first_within_error(ncc_accuracies, epsilon: float = EPSILON.default) -> int | None:
     """Index of the first pfc3 value whose NCC error rate ``1 - pfc3`` is at
     most ``epsilon``, or None.  Values are read lazily, up to the first hit.
 

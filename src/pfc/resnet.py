@@ -64,7 +64,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import DivergenceError, FeatureSet, check_fields, ge, gt, param
+from .core import (DIM, NUM_CLASSES, PER_CLASS, DivergenceError, FeatureSet, check_fields,
+                   check_frame, ge, gt, param)
 from .metrics import PfcReport, measure
 
 
@@ -81,10 +82,10 @@ class TrainConfig:
     """
 
     num_blocks: int = param(6, ge(1))
-    width: int = param(64, ge(2))
-    input_dim: int = param(16, ge(1))
-    num_classes: int = param(4, ge(2))
-    per_class: int = param(256, ge(1))
+    width: int = param(64, NUM_CLASSES)  # a frame's d: K's domain, and >= num_classes
+    input_dim: int = param(16, DIM)
+    num_classes: int = param(4, NUM_CLASSES)
+    per_class: int = param(256, PER_CLASS)
     epochs: int = param(3000, ge(1))
     batch_size: int = param(128, ge(1))
     lr: float = param(0.02, ge(0))
@@ -98,11 +99,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.width < self.num_classes:
-            raise ValueError(
-                f"width must be >= num_classes, got width={self.width} < "
-                f"K={self.num_classes}"
-            )
+        check_frame("width", self.width, self.num_classes)
         if not self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         decays = self.lr_decay_epochs
@@ -416,20 +413,15 @@ def train(
     seeded by (config.seed, epoch), so runs are reproducible.
 
     Raises:
+        ValueError: naming the first knob of ``num_classes``, ``per_class``
+            and ``input_dim`` that the data's shape (K, n, d) does not match.
         DivergenceError: if the full-set loss, or a layer of a recorded
             epoch, becomes non-finite.
     """
-    if (data.num_classes, data.per_class, data.dim) != (
-        config.num_classes,
-        config.per_class,
-        config.input_dim,
-    ):
-        raise ValueError(
-            "data shape "
-            f"(K={data.num_classes}, n={data.per_class}, d={data.dim}) does not "
-            f"match config (K={config.num_classes}, n={config.per_class}, "
-            f"d={config.input_dim})"
-        )
+    expected = config.num_classes, config.per_class, config.input_dim
+    for name, value, held in zip(("num_classes", "per_class", "input_dim"), expected, data.shape):
+        if value != held:
+            raise ValueError(f"{name}={value} does not match the data, which hold {held}")
     full_labels = data.labels()
 
     # The input carries a ones row last, and each layer's parameters are one

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Domain, check_fields, ge, gt, param, typed_param
+from .core import (NUM_CLASSES, PER_CLASS, DivergenceError, Domain, check_fields, check_frame, ge,
+                   gt, param, typed_param)
 
 KINDS = ("ufm", "mufm")
 _KIND = param(KINDS[0], Domain(None, choices=KINDS))  # SolveProblem.kind, a str of KINDS
@@ -81,21 +82,18 @@ class SolveProblem:
 
     kind: str
     loss: str = param("mse", Domain(None, choices=LOSSES))
-    num_classes: int = param(5, ge(2))
-    dim: int = param(20, ge(2))  # and >= num_classes: __post_init__
-    per_class: int = param(100, ge(1))
+    num_classes: int = param(5, NUM_CLASSES)
+    dim: int = param(20, NUM_CLASSES)  # a frame's d: K's domain, and >= num_classes
+    per_class: int = param(100, PER_CLASS)
     lambda_w: float = param(0.005, gt(0))
-    lam: float = param(0.001, LAMBDAS.metadata["domain"])
+    lam: float = param(0.001, LAMBDAS)
     data: np.ndarray | None = None
     seed: int = param(0)
 
     def __post_init__(self):
         typed_param("kind", self.kind, _KIND)
         check_fields(self)
-        if self.dim < self.num_classes:
-            raise ValueError(
-                f"dim must be >= num_classes, got dim={self.dim} < K={self.num_classes}"
-            )
+        check_frame("dim", self.dim, self.num_classes)
         shape = (self.dim, self.num_classes * self.per_class)
         if self.kind == "mufm":
             if self.data is None:
@@ -383,11 +381,11 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
 
 def solve(
     p: SolveProblem,
-    lr: float = 0.1,
-    epochs: int = 50_000,
-    init_scale: float = 1.0,
-    trace_stride: int = 1,
-    grad_tol: float = 0.0,
+    lr: float = DESCENT["lr"].default,
+    epochs: int = DESCENT["epochs"].default,
+    init_scale: float = DESCENT["init_scale"].default,
+    trace_stride: int = DESCENT["trace_stride"].default,
+    grad_tol: float = DESCENT["grad_tol"].default,
 ) -> SolveResult:
     """Plain full-batch gradient descent on (W, H) from a seeded N(0, 1) init.
 
@@ -453,8 +451,8 @@ def minimize_transport_chain(
     X: np.ndarray,
     H_last: np.ndarray,
     num_blocks: int,
-    lr: float = 0.2,
-    iters: int = 5_000,
+    lr: float = CHAIN["lr"].default,
+    iters: int = CHAIN["iters"].default,
     seed: int = 0,
 ):
     """Gradient descent on the transport sum over free intermediate layers.
@@ -526,9 +524,9 @@ def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:
 def sweep_lambda(
     base: SolveProblem,
     lambdas,
-    lr: float = 0.1,
-    epochs: int = 50_000,
-    init_scale: float = 1.0,
+    lr: float = DESCENT["lr"].default,
+    epochs: int = DESCENT["epochs"].default,
+    init_scale: float = DESCENT["init_scale"].default,
 ) -> list[SolveResult]:
     """Solve the MUFM at each transport coefficient: one result per coefficient.
 

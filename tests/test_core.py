@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import naive_stats
 from pfc.core import (
+    COUNTS,
+    DIM,
+    NUM_CLASSES,
+    PER_CLASS,
     Domain,
     FeatureSet,
     _to_window,
@@ -18,6 +24,9 @@ from pfc.core import (
     read_header,
     save_featureset,
 )
+from pfc.data import gen_gaussian_mixture
+from pfc.etf import build_etf
+from pfc.geodesic import perturbed_collapse_path, random_to_collapse_path
 from pfc.metrics import measure
 
 
@@ -49,6 +58,10 @@ class TestFeatureSet:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             FeatureSet(np.zeros((2, 3)), num_classes=1, per_class=3)
+
+    def test_shape_is_its_counts(self):
+        fs = FeatureSet(np.zeros((5, 6)), num_classes=3, per_class=2)
+        assert fs.shape == (3, 2, 5) and list(COUNTS) == ["num_classes", "per_class", "dim"]
 
     def test_counts_are_typed(self):
         # K and n are typed as core.NUM_CLASSES and core.PER_CLASS
@@ -228,10 +241,66 @@ class TestCheckLayerShapes:
     def test_requires_shared_shape(self):
         a = FeatureSet(np.zeros((2, 4)), 2, 2)
         b = FeatureSet(np.zeros((3, 4)), 2, 2)
-        shapes = [(fs.num_classes, fs.per_class, fs.dim) for fs in (a, b)]
+        shapes = [fs.shape for fs in (a, b)]
         with pytest.raises(ValueError, match=r"^layer 1 has shape \(K=2, n=2, d=3\), "
                                              r"expected \(K=2, n=2, d=2\)$"):
             check_layer_shapes(shapes)
+
+
+class TestCounts:
+    """K, n and d are typed and bounded by ``core.COUNTS`` at every entry
+    point, and d >= K by one checker, before anything is drawn."""
+
+    def test_one_spec_each(self):
+        assert COUNTS == {"num_classes": NUM_CLASSES, "per_class": PER_CLASS, "dim": DIM}
+        assert [spec.metadata["domain"] for spec in COUNTS.values()] == [ge(2), ge(1), ge(1)]
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: gen_gaussian_mixture(2.5, 4, 5),
+                     "parameter 'num_classes' must be of type int, got 2.5", id="mixture-K-2.5"),
+        pytest.param(lambda: gen_gaussian_mixture(3, 4.5, 5),
+                     "parameter 'dim' must be of type int, got 4.5", id="mixture-d-4.5"),
+        pytest.param(lambda: gen_gaussian_mixture(3, 4, True),
+                     "parameter 'per_class' must be of type int, got True", id="mixture-n-True"),
+        pytest.param(lambda: gen_gaussian_mixture(3, -1, 5), "dim must be >= 1, got -1",
+                     id="mixture-d--1"),
+        pytest.param(lambda: gen_gaussian_mixture(3, 0, 5), "dim must be >= 1, got 0",
+                     id="mixture-d-0"),
+        pytest.param(lambda: build_etf(3, 4.5), "parameter 'dim' must be of type int, got 4.5",
+                     id="etf-d-4.5"),
+        pytest.param(lambda: build_etf(3, 0), "dim must be >= 1, got 0", id="etf-d-0"),
+        pytest.param(lambda: build_etf(3, 2), "dim must be >= num_classes, got dim=2 < K=3",
+                     id="etf-d-below-K"),
+        pytest.param(lambda: random_to_collapse_path(0, 3, 4, 5.5),
+                     "parameter 'dim' must be of type int, got 5.5", id="theorem1-path-d-5.5"),
+        pytest.param(lambda: random_to_collapse_path(0, 3, 0, 5), "per_class must be >= 1, got 0",
+                     id="theorem1-path-n-0"),
+        pytest.param(lambda: random_to_collapse_path(0, 3, 4, 2),
+                     "dim must be >= num_classes, got dim=2 < K=3", id="theorem1-path-d-below-K"),
+        pytest.param(lambda: perturbed_collapse_path(0, 1, 4, 5),
+                     "num_classes must be >= 2, got 1", id="theorem2-path-K-1"),
+        pytest.param(lambda: perturbed_collapse_path(0, 3, 4, 2),
+                     "dim must be >= num_classes, got dim=2 < K=3", id="theorem2-path-d-below-K"),
+        pytest.param(lambda: FeatureSet(np.zeros((0, 6)), 3, 2), "dim must be >= 1, got 0",
+                     id="featureset-no-rows"),
+    ])
+    def test_bad_count_is_named_before_any_draw(self, monkeypatch, call, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a random stream was made")
+
+        monkeypatch.setattr(np.random, "default_rng", never)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_integral_float_count_is_the_int(self):
+        # as in the CLI, where --set dim=4.0 is dim 4
+        np.testing.assert_array_equal(gen_gaussian_mixture(3, 4.0, 5).features,
+                                      gen_gaussian_mixture(3, 4, 5).features)
+        np.testing.assert_array_equal(build_etf(3, 4.0), build_etf(3, 4))
+        path = random_to_collapse_path(0, 3, 4, 5.0)
+        assert path.start.shape == (3, 4, 5) and type(path.start.dim) is int
+        np.testing.assert_array_equal(path.start.features,
+                                      random_to_collapse_path(0, 3, 4, 5).start.features)
 
 
 class TestSerialization:

@@ -185,6 +185,11 @@ class TestIdxLoading:
         with pytest.raises(ValueError, match="0..K-1"):
             load_mnist_idx(img_path, lbl_path, per_class=1)
 
+    def test_single_class_is_named(self, tmp_path):
+        img_path, lbl_path, _ = tiny_digit_pair(tmp_path, [0, 0])
+        with pytest.raises(ValueError, match="^num_classes must be >= 2, got 1$"):
+            load_mnist_idx(img_path, lbl_path, per_class=1)
+
     def test_per_class_validated(self, tmp_path):
         img_path, lbl_path, _ = tiny_digit_pair(tmp_path, [0, 1])
         with pytest.raises(ValueError, match="per_class"):
@@ -260,7 +265,7 @@ class TestIdxTraining:
         for key, val in params.items():
             args += ["--set", f"{key}={json.dumps(val)}"]
         assert cli.main(args) == 1
-        assert f"{name}={value} does not match the IDX files, which hold {held}" in (
+        assert f"{name}={value} does not match the data, which hold {held}" in (
             capsys.readouterr().err
         )
         assert not out.exists()

@@ -22,6 +22,9 @@ from scipy import stats
 from conftest import stack_positions
 from pfc import cli, harness, metrics, resnet
 from pfc.core import (
+    DIM,
+    NUM_CLASSES,
+    PER_CLASS,
     UNBOUNDED,
     DegenerateInputError,
     DivergenceError,
@@ -348,6 +351,17 @@ class TestParamSchema:
         read = {(kind, name): _domain(kind, name) is library[name].metadata["domain"]
                 for kind, entry in KINDS.items() for name in entry.params if name in library}
         assert len(read) == 21 and all(read.values()), read
+        # and each count knob, of a kind or a library class, by its core
+        # spec; a frame dimension (dim, dims, width) takes K's, as d >= K >= 2
+        frame, k, n, d = NUM_CLASSES, NUM_CLASSES, PER_CLASS, DIM
+        counts = {"num_classes": k, "classes": k, "min_classes": k, "max_classes": k,
+                  "per_class": n, "input_dim": d, "dim": frame, "dims": frame, "width": frame}
+        tables = {**{kind: entry.params for kind, entry in KINDS.items()},
+                  "TrainConfig": _fields(TrainConfig), "SolveProblem": _fields(SolveProblem)}
+        read = {(table, name): spec.metadata["domain"] is counts[name].metadata["domain"]
+                for table, specs in tables.items() for name, spec in specs.items()
+                if name in counts}
+        assert len(read) == 34 and all(read.values()), read
 
     @pytest.mark.parametrize("kind, name, value, expected", [
         ("train-resnet", "num_blocks", True, "int"),
@@ -1196,6 +1210,26 @@ class TestCli:
         assert verdicts["pfc2"] is None
         assert verdicts["pfc1"] in ("strictly-decreasing", "nonincreasing", "violated")
 
+    @pytest.mark.parametrize("kind", ["theorem1", "theorem2"])
+    def test_narrow_pairing_refused_before_the_first_path(self, tmp_path, capsys, monkeypatch,
+                                                         kind):
+        # paths cycle through the classes x per_class x dims pairings; each
+        # one the run will use is checked for dims >= classes before any path
+        built = []
+        for name in ("random_to_collapse_path", "perturbed_collapse_path"):
+            monkeypatch.setattr(harness, name, lambda *args, real=getattr(harness, name),
+                                **kwargs: built.append(args) or real(*args, **kwargs))
+        params = {**TINY_RUNS[kind], "classes": [3, 10], "dims": [8], "per_class": [4, 20],
+                  "num_paths": 4}
+        assert cli.main([kind, "--out", str(tmp_path / "x"), *_sets(params)]) == 1
+        message = "dims must be >= classes, got dims=8 < K=10"
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert built == [] and list(tmp_path.iterdir()) == []
+        # the first two paths pair K = 3 with d = 8 and run
+        params["num_paths"] = 2
+        assert cli.main([kind, "--out", str(tmp_path / "x"), *_sets(params)]) == 0
+        assert [(k, d) for _, k, _, d in built] == [(3, 8)] * 2
+
     def test_two_class_theorem2_paths_have_no_verdict(self, tmp_path):
         # a K = 2 path's pfc2 curve is rounding noise: its verdict cell is a
         # marker, and it counts neither for nor against the theorem; the
@@ -1247,13 +1281,18 @@ class TestCli:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "pfc", *args, "--out", str(tmp_path / "fresh")],
-                       env=env, check=True, capture_output=True, timeout=60)
-        here, fresh = (json.loads((tmp_path / name / "manifest.json").read_text())["artifacts"]
-                       for name in ("here", "fresh"))
-        differ = [rel for rel in sorted(here.keys() | fresh.keys())
-                  if here.get(rel) != fresh.get(rel)]
-        assert not differ, f"first differing file: {differ[0]}"
+        # train-resnet also runs on one BLAS thread, against the machine's default
+        threads = {"fresh": None, **({"one-thread": "1"} if kind == "train-resnet" else {})}
+        for name, count in threads.items():
+            subprocess.run([sys.executable, "-m", "pfc", *args, "--out", str(tmp_path / name)],
+                           env={**env, **({"OPENBLAS_NUM_THREADS": count} if count else {})},
+                           check=True, capture_output=True, timeout=60)
+        here = json.loads((tmp_path / "here" / "manifest.json").read_text())["artifacts"]
+        for name in threads:
+            fresh = json.loads((tmp_path / name / "manifest.json").read_text())["artifacts"]
+            differ = [rel for rel in sorted(here.keys() | fresh.keys())
+                      if here.get(rel) != fresh.get(rel)]
+            assert not differ, f"{name}: first differing file: {differ[0]}"
 
     def test_seed_flag_beats_config_file(self, tmp_path):
         config = tmp_path / "config.json"
@@ -1392,7 +1431,7 @@ class TestPfcReportRun:
     @pytest.mark.parametrize("shapes, message", [
         ([(6, 3, 4), (6, 3, 4), (4, 3, 4)],
          "layer 2 has shape (K=3, n=4, d=4), expected (K=3, n=4, d=6)"),
-        ([(2, 3, 4)] * 3, "stack_files must hold features of dim >= num_classes, got dim=2 < K=3"),
+        ([(2, 3, 4)] * 3, "stack_files: dim must be >= num_classes, got dim=2 < K=3"),
     ], ids=["last-header-mismatch", "dim-below-classes"])
     def test_header_error_before_any_body_is_parsed(self, tmp_path, capsys, monkeypatch,
                                                     shapes, message):
@@ -1438,7 +1477,8 @@ class TestPfcReportRun:
         cfg = ExperimentConfig(
             kind="pfc-report", params={"stack_files": files}, out_dir=tmp_path / "x"
         )
-        with pytest.raises(ValueError, match="stack_files must hold features of dim"):
+        message = "stack_files: dim must be >= num_classes, got dim=2 < K=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(cfg)
 
     def test_fewer_than_two_stacks_rejected(self):

@@ -1,10 +1,13 @@
 """The package's public surface (each name of ``pfc.__all__`` resolves on
-the package, once) and its one bound checker (only ``core`` calls it)."""
+the package, once), its one bound checker (only ``core`` calls it) and its
+one writer of bound messages (``core``)."""
 
 import ast
 from pathlib import Path
 
 import pfc
+
+SOURCES = sorted(Path(pfc.__file__).parent.glob("*.py"))
 
 
 def test_every_export_resolves_once():
@@ -15,10 +18,22 @@ def test_every_export_resolves_once():
 def test_only_core_calls_check_domain():
     # every other module types and bounds its knobs through core.typed_param
     callers = [
-        path.name for path in sorted(Path(pfc.__file__).parent.glob("*.py"))
+        path.name for path in SOURCES
         if path.name != "core.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and "check_domain" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == []
+
+
+def test_only_core_writes_a_bound_message():
+    # a count's domain and the d >= K rule are stated in core alone: every
+    # "must be >=" message is core's, formed by check_domain or check_frame
+    writers = [
+        path.name for path in SOURCES if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and "must be >" in str(node.value)
+    ]
+    assert writers == []
+

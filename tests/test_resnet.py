@@ -656,11 +656,15 @@ class TestAlignment:
 
 
 class TestTrainValidation:
-    def test_data_shape_mismatch(self):
-        config = tiny_config()
-        data = gen_gaussian_mixture(2, 4, 4, seed=0)
-        with pytest.raises(ValueError, match="does not match"):
-            train(config, data)
+    @pytest.mark.parametrize("k, n, d, message", [
+        (2, 4, 4, "num_classes=3 does not match the data, which hold 2"),
+        (3, 5, 4, "per_class=4 does not match the data, which hold 5"),
+        (3, 4, 7, "input_dim=4 does not match the data, which hold 7"),
+    ])
+    def test_data_shape_mismatch(self, k, n, d, message):
+        config = tiny_config(num_classes=3, per_class=4, input_dim=4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(config, gen_gaussian_mixture(k, d, n, seed=0))
 
     def test_labels_optional(self):
         config = tiny_config(epochs=1)
