@@ -9,8 +9,13 @@
 # pfc-report runs of both trees read the same inputs: REV's default
 # train-resnet layers, and the benchmark's stack generated at seed 3.  It
 # then compares every manifest and every artifact digest, prints each one
-# that differs, and exits 1 if any does.  It takes about 40 s per tree on
-# a 2-core Xeon, most of it the default train-resnet.
+# that differs, and exits 1 if any does.  A feature set that REV wrote as
+# text, X.txt, and the tree as X.npy is compared by content: REV's file,
+# parsed with np.loadtxt (exact for its 17 significant digits), must hold
+# the tree's array bit for bit, and REV's header K n d the tree's shape
+# (d, K, n); the manifest, with that entry mapped back to REV's name and
+# digest, must then have REV's digest.  It takes about 40 s per tree on a
+# 2-core Xeon, most of it the default train-resnet.
 set -euo pipefail
 rev=${1:?usage: scripts/same_bits.sh REV}
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -29,22 +34,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 root, work, rev = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 sys.path[:0] = [str(root), str(root / "src")]
 from perfbench.workloads import REPORT_STACK, WORKLOADS, write_stack  # noqa: E402
 from pfc.harness import KINDS  # noqa: E402
-from pfc.resnet import TrainConfig  # noqa: E402
 
 SEED = 3
 stack = [str(p) for p in write_stack(SEED, work / "inputs" / "stack", **REPORT_STACK)]
-default_layers = [
-    str(work / "runs" / "rev" / "train-resnet" / "layers" / f"layer_{i:02d}.txt")
-    for i in range(TrainConfig().num_blocks + 1)
-]
 # (run name, kind, overrides); pfc-report's default run reads the layers
-# of REV's default train-resnet, which runs before it
+# of REV's default train-resnet, which runs before it (None: read them then)
 runs = [(kind, kind, {}) for kind in KINDS if kind != "pfc-report"]
-runs.append(("pfc-report", "pfc-report", {"stack_files": default_layers}))
+runs.append(("pfc-report", "pfc-report", None))
 for name, workload in WORKLOADS.items():
     for kind, params in workload.params.items():
         if kind == "pfc-report":
@@ -56,9 +58,23 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def same_featureset(text_path, npy_path):
+    """Whether the text feature set (header K n d, then d rows of K*n
+    values) holds the .npy file's (d, K, n) array bit for bit."""
+    with open(text_path) as f:
+        k, n, d = (int(x) for x in f.readline().split())
+        text = np.loadtxt(f, dtype=np.float64, ndmin=2)
+    array = np.load(npy_path, allow_pickle=False)
+    return (array.dtype.str, array.shape, text.shape) == ("<f8", (d, k, n), (d, k * n)) and (
+        array.tobytes() == text.tobytes())
+
+
 for side, tree in (("rev", work / "rev"), ("tree", root)):
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for name, kind, params in runs:
+        if params is None:
+            layers = work / "runs" / "rev" / "train-resnet" / "layers"
+            params = {"stack_files": sorted(str(p) for p in layers.iterdir())}
         out = work / "runs" / side / name
         sets = [arg for key, value in params.items()
                 for arg in ("--set", f"{key}={json.dumps(value)}")]
@@ -67,20 +83,34 @@ for side, tree in (("rev", work / "rev"), ("tree", root)):
                         "--out", str(out), *sets], env=env, check=True,
                        stdout=subprocess.DEVNULL)
 
-differ, compared = [], 0
+differ, compared, by_content = [], 0, 0
 for name, _, _ in runs:
     a, b = (work / "runs" / side / name for side in ("rev", "tree"))
     ma, mb = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
-    for rel in sorted(set(ma["artifacts"]) | set(mb["artifacts"])):
+    renamed = {rel: rel[:-len(".txt")] + ".npy" for rel in ma["artifacts"]
+               if rel.endswith(".txt") and rel[:-len(".txt")] + ".npy" in mb["artifacts"]}
+    for rel in sorted(set(ma["artifacts"]) | set(mb["artifacts"]) - set(renamed.values())):
         compared += 1
-        if ma["artifacts"].get(rel) != mb["artifacts"].get(rel):
+        if rel in renamed:
+            by_content += 1
+            same = same_featureset(a / rel, b / renamed[rel])
+            if same:
+                # the manifest is compared as if the tree had written REV's file
+                del mb["artifacts"][renamed[rel]]
+                mb["artifacts"][rel] = ma["artifacts"][rel]
+        else:
+            same = ma["artifacts"].get(rel) == mb["artifacts"].get(rel)
+        if not same:
             differ.append(f"{name}/{rel}")
     compared += 1
-    if sha256(a / "manifest.json") != sha256(b / "manifest.json"):
+    # as harness.write_json writes it
+    manifest = (json.dumps(mb, indent=2, sort_keys=True) + "\n").encode()
+    if sha256(a / "manifest.json") != hashlib.sha256(manifest).hexdigest():
         differ.append(f"{name}/manifest.json")
 for path in differ:
     print(f"differs: {path}")
 print(f"{compared} files in {len(runs)} runs compared against {rev}: "
-      f"{len(differ)} differ")
+      f"{len(differ)} differ ({by_content} feature sets renamed from .txt to .npy "
+      f"compared by content)")
 sys.exit(1 if differ else 0)
 EOF

@@ -29,6 +29,7 @@ rescaled.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import Field, dataclass, field, fields
 from functools import partial
@@ -97,6 +98,9 @@ def param(default, domain: Domain | Field = UNBOUNDED):
 # the counts K, n and d, wherever they are read, in the order of FeatureSet.shape
 COUNTS = {"num_classes": param(2, ge(2)), "per_class": param(1, ge(1)), "dim": param(1, ge(1))}
 NUM_CLASSES, PER_CLASS, DIM = COUNTS.values()
+# a network's or a chain's depth L: resnet's num_blocks, and surrogate's for
+# collapse_multilayer and minimize_transport_chain
+DEPTH = param(1, ge(1))
 
 
 def typed_param(name: str, value, spec):
@@ -291,51 +295,122 @@ def class_stats(fs: FeatureSet) -> ClassStats:
 
 
 def save_featureset(path, fs: FeatureSet) -> None:
-    """Write a feature set as text: header line ``K n d``, then d rows of K*n values.
-
-    Values are printed with 17 significant digits so the round trip is
-    bit-exact for float64.
-    """
-    row_format = " ".join(["%.17g"] * fs.num_samples) + "\n"
-    with open(path, "w") as f:
-        f.write(f"{fs.num_classes} {fs.per_class} {fs.dim}\n")
-        # one row of Python floats at a time: a whole-matrix tolist() would
-        # hold every value as a boxed float at once
-        for row in fs.features:
-            f.write(row_format % tuple(row.tolist()))
+    """Write a feature set in numpy's ``.npy`` format: a C-ordered ``<f8``
+    array of shape (d, K, n), whose shape carries the counts and whose
+    values keep their bits."""
+    with open(path, "wb") as f:
+        # an open file, since np.save(path) appends ".npy" to a path without it
+        np.lib.format.write_array(f, fs.features.reshape(fs.dim, fs.num_classes, fs.per_class),
+                                  allow_pickle=False)
 
 
-def read_header(f) -> tuple[int, int, int]:
-    """K, n and d from the header line of a layer file open at its start,
-    each checked against its ``COUNTS`` spec; the file is left at its first
-    body row."""
-    header = f.readline().split()
-    try:
-        k, n, d = values = tuple(int(x) for x in header)
-    except ValueError:
-        raise ValueError(f"{f.name}: expected an integer header 'K n d', got {header!r}") from None
+def _checked_counts(values: tuple[int, ...]) -> tuple[int, int, int]:
+    """A layer file's header counts (K, n, d), each checked against its
+    ``COUNTS`` spec; a ValueError names the header field."""
     for letter, (name, spec), value in zip("Knd", COUNTS.items(), values):
         try:
             typed_param(name, value, spec)
         except ValueError as exc:
-            raise ValueError(f"{f.name}: header field {letter}: {exc}") from None
-    return k, n, d
+            raise ValueError(f"header field {letter}: {exc}") from None
+    return values
+
+
+def read_header(f) -> tuple[int, int, int]:
+    """K, n and d from the header line ``K n d`` of a text layer file open
+    at its start, each checked against its ``COUNTS`` spec; the file is left
+    at its first body row, the first of d rows of K*n values."""
+    try:
+        header = f.readline().split()
+    except UnicodeDecodeError as exc:  # binary, a pickle say, but not .npy
+        raise ValueError(f"{f.name}: expected a .npy file or text, got {exc}") from None
+    try:
+        k, n, d = tuple(int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"{f.name}: expected an integer header 'K n d', got {header!r}") from None
+    try:
+        return _checked_counts((k, n, d))
+    except ValueError as exc:
+        raise ValueError(f"{f.name}: {exc}") from None
+
+
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_npy_header(f) -> tuple[int, int, int]:
+    """K, n and d from the header of a ``.npy`` layer file open at its
+    start, which holds a C-ordered ``<f8`` array of shape (d, K, n), each
+    checked against its ``COUNTS`` spec; the file is left at its body."""
+    version = np.lib.format.read_magic(f)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"expected .npy format version 1.0 or 2.0, got {version[0]}.{version[1]}")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](f)
+    # an object array's body is a pickle, which is never read
+    if dtype.str != "<f8":
+        raise ValueError(f"expected dtype <f8, got {dtype.str}")
+    if fortran_order:
+        raise ValueError("expected C order, got Fortran order")
+    if len(shape) != 3:
+        raise ValueError(f"expected an array of shape (d, K, n), got shape {shape}")
+    d, k, n = shape
+    return _checked_counts((k, n, d))
+
+
+def _open_layer(path):
+    """A layer file open at its start, and whether it is in numpy's ``.npy``
+    format, recognised by its magic bytes: binary if so, else text."""
+    with open(path, "rb") as f:
+        npy = f.read(len(np.lib.format.MAGIC_PREFIX)) == np.lib.format.MAGIC_PREFIX
+    return open(path, "rb" if npy else "r"), npy
+
+
+def _layer_header(f, npy: bool, path) -> tuple[int, int, int]:
+    """K, n and d from the header of the layer file ``f`` open at its start,
+    each checked against its ``COUNTS`` spec; a ValueError names the file."""
+    if not npy:
+        return read_header(f)
+    try:
+        return _read_npy_header(f)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_layer_shape(path) -> tuple[int, int, int]:
+    """K, n and d of a layer file in either format of :func:`load_featureset`,
+    read from its header alone."""
+    f, npy = _open_layer(path)
+    with f:
+        return _layer_header(f, npy, path)
 
 
 def load_featureset(path) -> FeatureSet:
-    """Read a feature set written by :func:`save_featureset`; a ValueError names the file."""
-    with open(path) as f:
-        k, n, d = read_header(f)
+    """Read a feature set from a layer file: numpy's ``.npy`` format, as
+    :func:`save_featureset` writes it, or the text format, a header line
+    ``K n d`` and then d rows of K*n values.  The format is recognised by
+    the file's first bytes, not its name; a ValueError names the file once."""
+    f, npy = _open_layer(path)
+    with f:
+        k, n, d = _layer_header(f, npy, path)
         try:
-            with warnings.catch_warnings():
-                # a body with no rows fails the shape check below instead
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(f, dtype=np.float64, ndmin=2)
-            # nothing else holds the parsed array, so the set adopts it uncopied
+            if npy:
+                size = 8 * d * k * n
+                left = os.fstat(f.fileno()).st_size - f.tell()
+                if left != size:
+                    raise ValueError(f"expected {size} bytes of values, got {left}")
+                data = np.empty((d, k, n))
+                f.readinto(data)
+            else:
+                with warnings.catch_warnings():
+                    # a body with no rows fails the shape check below instead
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+                if data.shape != (d, k * n):
+                    got = f"{data.shape[0]} x {data.shape[1]}" if data.size else "none"
+                    raise ValueError(f"expected {d} x {k * n} values, got {got}")
+            # nothing else holds the array read, so the set adopts it, or
+            # its (d, K*n) view, uncopied
             data.setflags(write=False)
-            if data.shape != (d, k * n):
-                got = f"{data.shape[0]} x {data.shape[1]}" if data.size else "none"
-                raise ValueError(f"expected {d} x {k * n} values, got {got}")
-            return FeatureSet(features=data, num_classes=k, per_class=n)
+            return FeatureSet(features=data.reshape(d, k * n), num_classes=k, per_class=n)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -5,8 +5,8 @@ knob is declared once, as a :func:`~pfc.core.param`: its default, whose
 type is the knob's type, and its :class:`~pfc.core.Domain`.  A knob the
 library reads is declared there and ``KINDS`` reads it: the fields of
 ``TrainConfig`` and ``SolveProblem``, ``data.MIXTURE``, ``geodesic.PATH``,
-``metrics.EPSILON``, ``surrogate``'s ``DESCENT``, ``CHAIN``, ``DEPTH`` and
-``LAMBDAS``, and the counts' ``core.COUNTS``, a kind keeping its own default
+``metrics.EPSILON``, ``surrogate``'s ``DESCENT``, ``CHAIN`` and ``LAMBDAS``,
+and ``core``'s ``COUNTS`` and ``DEPTH``, a kind keeping its own default
 (:func:`_knobs`); the other knobs are declared here.  One checker,
 :func:`~pfc.core.typed_param`, types and bounds each knob's value, in the
 library as its classes are built and its functions called, and in the
@@ -49,6 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    DEPTH,
     NUM_CLASSES,
     PER_CLASS,
     DegenerateInputError,
@@ -62,7 +63,7 @@ from .core import (
     gt,
     load_featureset,
     param,
-    read_header,
+    read_layer_shape,
     save_featureset,
     typed_param,
 )
@@ -85,7 +86,6 @@ from .metrics import EPSILON, METRIC_KINDS, PfcReport, alignment, first_within_e
 from .resnet import TrainConfig, train
 from .surrogate import (
     CHAIN,
-    DEPTH,
     DESCENT,
     LAMBDAS,
     SolveProblem,
@@ -476,7 +476,7 @@ def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
             (int(e), v) for e, v in zip(result.trace_epochs, result.objective_trace)
         ]),
         "result.csv": (_LAMBDA_HEADER, [row]),
-        "features.txt": solution,
+        "features.npy": solution,
     }
     summary = {
         "kind": kind,
@@ -488,7 +488,7 @@ def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
         "pfc3": cells["pfc3"],
     }
     if kind == "mufm":
-        artifacts["data.txt"] = data_fs
+        artifacts["data.npy"] = data_fs
         data_report = measure(data_fs)
         summary["alignment"] = cells["alignment"]
         summary["data_pfc1"] = data_report.pfc1
@@ -623,7 +623,7 @@ def _run_train_resnet(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
         "train_log.csv": (log_header, [log_row(e) for e in range(1, config.epochs + 1)]),
         "trace.csv": (trace_header, trace_rows),
         **artifacts,
-        **{f"layers/layer_{i:02d}.txt": partial(next, layers)
+        **{f"layers/layer_{i:02d}.npy": partial(next, layers)
            for i in range(config.num_blocks + 1)},
     }
 
@@ -632,10 +632,7 @@ def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     files = p["stack_files"]
     # every header is checked before any body is parsed
-    shapes = []
-    for name in files:
-        with open(name) as f:
-            shapes.append(read_header(f))
+    shapes = [read_layer_shape(name) for name in files]
     check_layer_shapes(shapes)
     k, _, d = shapes[0]
     try:

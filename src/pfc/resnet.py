@@ -64,8 +64,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import (DIM, NUM_CLASSES, PER_CLASS, DivergenceError, FeatureSet, check_fields,
-                   check_frame, ge, gt, param)
+from .core import (DEPTH, DIM, NUM_CLASSES, PER_CLASS, DivergenceError, FeatureSet,
+                   check_fields, check_frame, ge, gt, param)
 from .metrics import PfcReport, measure
 
 
@@ -81,7 +81,7 @@ class TrainConfig:
     are recorded; the final epoch is always recorded.
     """
 
-    num_blocks: int = param(6, ge(1))
+    num_blocks: int = param(6, DEPTH)
     width: int = param(64, NUM_CLASSES)  # a frame's d: K's domain, and >= num_classes
     input_dim: int = param(16, DIM)
     num_classes: int = param(4, NUM_CLASSES)

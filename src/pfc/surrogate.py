@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NUM_CLASSES, PER_CLASS, DivergenceError, Domain, check_fields, check_frame, ge,
-                   gt, param, typed_param)
+from .core import (DEPTH, NUM_CLASSES, PER_CLASS, DivergenceError, Domain, check_fields,
+                   check_frame, ge, gt, param, typed_param)
 
 KINDS = ("ufm", "mufm")
 _KIND = param(KINDS[0], Domain(None, choices=KINDS))  # SolveProblem.kind, a str of KINDS
@@ -63,8 +63,6 @@ DESCENT = {"lr": param(0.1, ge(0)), "epochs": param(50_000, ge(1)),
            "grad_tol": param(0.0, ge(0))}
 # minimize_transport_chain's knobs, each with its default and domain
 CHAIN = {"lr": param(0.2, gt(0)), "iters": param(5000, ge(1))}
-# a chain's depth L, the num_blocks of collapse_multilayer and minimize_transport_chain
-DEPTH = param(1, ge(1))
 # sweep_lambda's coefficients, each a SolveProblem.lam; the default is pfc sweep-lambda's
 LAMBDAS = param([float(v) for v in np.geomspace(0.0005, 0.02, 8)], gt(0))
 

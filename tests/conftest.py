@@ -34,6 +34,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def write_text_layer(path, fs):
+    """Write ``fs`` in the text layer format ``load_featureset`` reads: a
+    header line ``K n d``, then d rows of K*n values, each printed with 17
+    significant digits, so that it parses back to the same bits."""
+    np.savetxt(path, fs.features, fmt="%.17g", header=" ".join(map(str, fs.shape)),
+               comments="")
+
+
 def stack_positions(stack):
     """Positions on [0, 1] of a tuple of feature sets, one per layer: each
     consecutive pair's ``step_length``, placed by ``positions_from_steps``."""

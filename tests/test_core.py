@@ -1,3 +1,5 @@
+import io
+import pickle
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import naive_stats
+from conftest import naive_stats, write_text_layer
 from pfc.core import (
     COUNTS,
     DIM,
@@ -22,6 +24,7 @@ from pfc.core import (
     gt,
     load_featureset,
     read_header,
+    read_layer_shape,
     save_featureset,
 )
 from pfc.data import gen_gaussian_mixture
@@ -303,20 +306,66 @@ class TestCounts:
                                       random_to_collapse_path(0, 3, 4, 5).start.features)
 
 
+def npy_bytes(array, **kwargs) -> bytes:
+    """``array`` in numpy's .npy format, as ``np.lib.format.write_array``
+    writes it with ``kwargs``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
 class TestSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        fs = random_featureset(rng, num_classes=3, per_class=4, dim=5)
-        path = tmp_path / "features.txt"
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda s: (s[0], 2 * s[1])),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @settings(max_examples=100)
+    def test_round_trip_is_exact(self, tmp_path_factory, features):
+        fs = FeatureSet(features, num_classes=2, per_class=features.shape[1] // 2)
+        path = tmp_path_factory.mktemp("round-trip") / "features.npy"
         save_featureset(path, fs)
         loaded = load_featureset(path)
-        assert (loaded.num_classes, loaded.per_class, loaded.dim) == (3, 4, 5)
-        np.testing.assert_array_equal(loaded.features, fs.features)
+        assert loaded.shape == fs.shape
+        assert loaded.features.tobytes() == fs.features.tobytes()
+
+    def test_file_is_the_npy_array_of_shape_d_k_n(self, tmp_path):
+        fs = random_featureset(np.random.default_rng(7), num_classes=3, per_class=4, dim=5)
+        # written at the path given, with no suffix appended
+        path = tmp_path / "features"
+        save_featureset(path, fs)
+        assert [p.name for p in tmp_path.iterdir()] == ["features"]
+        saved = np.load(path, allow_pickle=False)
+        assert (saved.dtype.str, saved.shape, saved.flags.c_contiguous) == ("<f8", (5, 3, 4), True)
+        np.testing.assert_array_equal(saved.reshape(5, 12), fs.features)
+
+    @pytest.mark.parametrize("write", [save_featureset, write_text_layer], ids=["npy", "text"])
+    def test_edge_values_round_trip_exactly(self, tmp_path, write):
+        top = np.finfo(np.float64).max  # 1.8e308
+        values = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, top, -top,
+                  0.1, -7.25, 1e-300, 1.0, -1.0]
+        fs = FeatureSet(np.array(values).reshape(2, 6), num_classes=3, per_class=2)
+        path = tmp_path / "features"
+        write(path, fs)
+        # bit for bit, so -0.0 keeps its sign
+        assert load_featureset(path).features.tobytes() == fs.features.tobytes()
+
+    def test_load_adopts_the_array_read(self, tmp_path):
+        fs = random_featureset(np.random.default_rng(8), num_classes=2, per_class=3, dim=4)
+        path = tmp_path / "features.npy"
+        save_featureset(path, fs)
+        loaded = load_featureset(path).features
+        # a (d, K*n) view of the (d, K, n) array read, which nothing else holds
+        read = loaded.base
+        assert read.shape == (4, 2, 3) and read.flags.owndata and not read.flags.writeable
+        assert np.shares_memory(loaded, read)
 
     def test_load_adopts_the_parsed_array(self, tmp_path, monkeypatch):
         fs = random_featureset(np.random.default_rng(8), num_classes=2, per_class=3, dim=4)
         path = tmp_path / "features.txt"
-        save_featureset(path, fs)
+        write_text_layer(path, fs)
         parsed = []
         real_loadtxt = np.loadtxt
 
@@ -327,46 +376,37 @@ class TestSerialization:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert np.shares_memory(load_featureset(path).features, parsed[0])
 
-    @staticmethod
-    def per_value_text(fs):
-        """The writer's output as formatted value by value over numpy
-        scalars, the formula it replaced."""
-        lines = [f"{fs.num_classes} {fs.per_class} {fs.dim}\n"]
-        lines += [" ".join(f"{v:.17g}" for v in row) + "\n" for row in fs.features]
-        return "".join(lines)
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda s: (s[0], 2 * s[1])),
-            elements=st.floats(allow_nan=False, allow_infinity=False),
-        )
-    )
-    @settings(max_examples=200)
-    def test_text_matches_per_value_formula(self, tmp_path_factory, features):
-        fs = FeatureSet(features, num_classes=2, per_class=features.shape[1] // 2)
-        path = tmp_path_factory.mktemp("rows") / "features.txt"
-        save_featureset(path, fs)
-        assert path.read_text() == self.per_value_text(fs)
-
-    def test_edge_values_match_per_value_formula(self, tmp_path):
-        values = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.0,
-                  -1.0, 0.1, -7.25, 1e308, -1.7976931348623157e308, 1e-300]
-        fs = FeatureSet(np.array(values).reshape(2, 6), num_classes=3, per_class=2)
-        path = tmp_path / "features.txt"
-        save_featureset(path, fs)
-        text = path.read_text()
-        assert text == self.per_value_text(fs)
-        assert text.splitlines()[1].split()[0] == "-0"
-        np.testing.assert_array_equal(
-            np.signbit(load_featureset(path).features), np.signbit(fs.features)
-        )
-
-    def test_header_line(self, tmp_path):
-        fs = FeatureSet(np.zeros((3, 8)), num_classes=2, per_class=4)
-        path = tmp_path / "features.txt"
-        save_featureset(path, fs)
-        assert path.read_text().splitlines()[0] == "2 4 3"
+    @pytest.mark.parametrize("content, cause, in_header", [
+        (npy_bytes(np.full((2, 2, 1), None, dtype=object)), "expected dtype <f8, got |O", True),
+        (npy_bytes(np.zeros((2, 2, 1), np.float32)), "expected dtype <f8, got <f4", True),
+        (npy_bytes(np.zeros((2, 2, 1), ">f8")), "expected dtype <f8, got >f8", True),
+        (npy_bytes(np.zeros((2, 2, 1), np.int64)), "expected dtype <f8, got <i8", True),
+        (npy_bytes(np.zeros((2, 2))), "expected an array of shape (d, K, n), got shape (2, 2)",
+         True),
+        (npy_bytes(np.zeros((2, 2, 2, 1))),
+         "expected an array of shape (d, K, n), got shape (2, 2, 2, 1)", True),
+        (npy_bytes(np.zeros((2, 2, 2), order="F")), "expected C order, got Fortran order", True),
+        (npy_bytes(np.zeros((2, 1, 2))), "header field K: num_classes must be >= 2, got 1", True),
+        (npy_bytes(np.zeros((2, 2, 1)), version=(3, 0)),
+         "expected .npy format version 1.0 or 2.0, got 3.0", True),
+        (npy_bytes(np.zeros((2, 2, 1)))[:20], "EOF", True),
+        (npy_bytes(np.zeros((2, 2, 1)))[:-8], "expected 32 bytes of values, got 24", False),
+        (npy_bytes(np.zeros((2, 2, 1))) + bytes(8), "expected 32 bytes of values, got 40", False),
+        (npy_bytes(np.array([[[0.0], [np.nan]], [[0.0], [0.0]]])),
+         "features contain NaN or Inf", False),
+        (pickle.dumps(np.zeros((2, 2, 1))), "expected a .npy file or text, got", True),
+    ], ids=["object", "f4", "big-endian", "int", "ndim-2", "ndim-4", "fortran", "one-class",
+            "version-3", "cut-header", "cut-body", "long-body", "nan", "pickle"])
+    def test_npy_error_names_the_file_once(self, tmp_path, content, cause, in_header):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(content)
+        calls = [load_featureset] + [read_layer_shape] * in_header
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+            assert cause in message
 
     def test_load_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"

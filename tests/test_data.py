@@ -227,7 +227,7 @@ class TestIdxTraining:
         ))
         assert {
             "train_log.csv", "trace.csv", "report.csv", "curves.csv", "summary.json",
-            "layers/layer_00.txt", "layers/layer_01.txt", "layers/layer_02.txt",
+            "layers/layer_00.npy", "layers/layer_01.npy", "layers/layer_02.npy",
         } == set(manifest["artifacts"])
         assert (out / "manifest.json").is_file()
         assert {k: manifest["params"][k] for k in files} == files

@@ -19,9 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import stack_positions
+from conftest import stack_positions, write_text_layer
 from pfc import cli, harness, metrics, resnet
 from pfc.core import (
+    DEPTH,
     DIM,
     NUM_CLASSES,
     PER_CLASS,
@@ -58,7 +59,6 @@ from pfc.metrics import EPSILON, first_within_error
 from pfc.resnet import TrainConfig
 from pfc.surrogate import (
     CHAIN,
-    DEPTH,
     DESCENT,
     LAMBDAS,
     SolveProblem,
@@ -347,10 +347,14 @@ class TestParamSchema:
 
     def test_kinds_read_the_library_domains(self):
         # each knob a library function reads is bounded where it is declared
-        library = {**MIXTURE, **PATH, "effective_epsilon": EPSILON, "depths": DEPTH}
+        # (train-resnet's num_blocks is TrainConfig's: one network depth L >= 1,
+        # as equivalence-thm3's chain depths)
+        library = {**MIXTURE, **PATH, "effective_epsilon": EPSILON, "depths": DEPTH,
+                   "num_blocks": DEPTH}
         read = {(kind, name): _domain(kind, name) is library[name].metadata["domain"]
                 for kind, entry in KINDS.items() for name in entry.params if name in library}
-        assert len(read) == 21 and all(read.values()), read
+        assert len(read) == 22 and all(read.values()), read
+        assert _fields(TrainConfig)["num_blocks"].metadata["domain"] is DEPTH.metadata["domain"]
         # and each count knob, of a kind or a library class, by its core
         # spec; a frame dimension (dim, dims, width) takes K's, as d >= K >= 2
         frame, k, n, d = NUM_CLASSES, NUM_CLASSES, PER_CLASS, DIM
@@ -703,9 +707,9 @@ class TestRunArtifacts:
             "report.csv",
             "curves.csv",
             "summary.json",
-            "layers/layer_00.txt",
-            "layers/layer_01.txt",
-            "layers/layer_02.txt",
+            "layers/layer_00.npy",
+            "layers/layer_01.npy",
+            "layers/layer_02.npy",
         } <= set(manifest["artifacts"])
 
         header, rows = read_csv(out / "train_log.csv")
@@ -784,9 +788,9 @@ class TestRunDirectory:
     def test_ufm_after_mufm_lists_no_stale_data(self, tmp_path):
         out = tmp_path / "solve"
         run(ExperimentConfig(kind="solve-mufm", params=SMALL_SOLVE, out_dir=out))
-        assert (out / "data.txt").is_file()
+        assert (out / "data.npy").is_file()
         manifest = run(ExperimentConfig(kind="solve-ufm", params=SMALL_SOLVE, out_dir=out))
-        assert "data.txt" not in manifest["artifacts"]
+        assert "data.npy" not in manifest["artifacts"]
         assert set(_tree(out)) == set(manifest["artifacts"]) | {"manifest.json"}
 
     def test_shallower_training_lists_no_stale_layers(self, tmp_path):
@@ -797,7 +801,7 @@ class TestRunDirectory:
             manifest = run(ExperimentConfig(
                 kind="train-resnet", params={**tiny, "num_blocks": blocks}, out_dir=out,
             ))
-        layers = [f"layers/layer_{i:02d}.txt" for i in range(3)]
+        layers = [f"layers/layer_{i:02d}.npy" for i in range(3)]
         assert sorted(a for a in manifest["artifacts"] if a.startswith("layers/")) == layers
         assert sorted(a for a in _tree(out) if a.startswith("layers/")) == layers
 
@@ -881,7 +885,7 @@ TINY_RUNS = {
 }
 
 
-STACK = ["layer_0.txt", "layer_1.txt", "layer_2.txt"]
+STACK = ["layer_0.npy", "layer_1.npy", "layer_2.npy"]
 # each kind at two classes, so that no rule tying two parameters together
 # fires at a boundary value; pfc-report reads STACK, written at two classes
 TWO_CLASSES = {
@@ -942,7 +946,7 @@ class TestRunnerContract:
         rng = np.random.default_rng(5)
         files = []
         for layer in range(3):
-            path = directory / f"layer_{layer}.txt"
+            path = directory / f"layer_{layer}.npy"
             save_featureset(path, FeatureSet(rng.standard_normal((4, 12)), 3, 4))
             files.append(str(path))
         return files
@@ -1323,7 +1327,7 @@ class TestCli:
         frame = build_etf(3, 6, seed=0)
         fs = make_nc_featureset(frame, per_class=4, scale=1.0)
         files = []
-        for name in ("a.txt", "b.txt"):
+        for name in ("a.npy", "b.npy"):
             path = tmp_path / name
             save_featureset(path, fs)
             files.append(str(path))
@@ -1348,7 +1352,7 @@ class TestPfcReportRun:
         files = []
         for layer, scale in enumerate((0.0, 1.0, 2.0)):
             fs = FeatureSet(base + scale * step, num_classes=3, per_class=4)
-            path = tmp_path / f"layer{layer}.txt"
+            path = tmp_path / f"layer{layer}.npy"
             save_featureset(path, fs)
             files.append(str(path))
         out = tmp_path / "report"
@@ -1372,7 +1376,7 @@ class TestPfcReportRun:
         files = []
         for layer in range(3):
             fs = FeatureSet(rng.standard_normal((4, 12)), num_classes=3, per_class=4)
-            path = tmp_path / f"layer{layer}.txt"
+            path = tmp_path / f"layer{layer}.npy"
             save_featureset(path, fs)
             files.append(str(path))
         calls = []
@@ -1398,7 +1402,7 @@ class TestPfcReportRun:
         rng = np.random.default_rng(8)
         files = []
         for layer in range(7):
-            path = tmp_path / f"layer{layer}.txt"
+            path = tmp_path / f"layer{layer}.npy"
             save_featureset(path, FeatureSet(rng.standard_normal((4, 12)), 3, 4))
             files.append(str(path))
         loaded, alive = [], []
@@ -1433,20 +1437,29 @@ class TestPfcReportRun:
          "layer 2 has shape (K=3, n=4, d=4), expected (K=3, n=4, d=6)"),
         ([(2, 3, 4)] * 3, "stack_files: dim must be >= num_classes, got dim=2 < K=3"),
     ], ids=["last-header-mismatch", "dim-below-classes"])
+    @pytest.mark.parametrize("text_layers", [(), (2,), (0, 1)],
+                             ids=["npy", "text-last", "text-first"])
     def test_header_error_before_any_body_is_parsed(self, tmp_path, capsys, monkeypatch,
-                                                    shapes, message):
-        # shapes are (d, K, n) per layer file
+                                                    shapes, message, text_layers):
+        # shapes are (d, K, n) per layer file; the layers in text_layers are
+        # written in the text format, the others in .npy
         rng = np.random.default_rng(9)
         files = []
         for layer, (d, k, n) in enumerate(shapes):
-            path = tmp_path / f"layer{layer}.txt"
-            save_featureset(path, FeatureSet(rng.standard_normal((d, k * n)), k, n))
+            fs = FeatureSet(rng.standard_normal((d, k * n)), k, n)
+            if layer in text_layers:
+                path = tmp_path / f"layer{layer}.txt"
+                write_text_layer(path, fs)
+            else:
+                path = tmp_path / f"layer{layer}.npy"
+                save_featureset(path, fs)
             files.append(str(path))
 
         def never(*args, **kwargs):
             raise AssertionError("a layer file body was parsed")
 
         monkeypatch.setattr(np, "loadtxt", never)
+        monkeypatch.setattr(harness, "load_featureset", never)
         args = ["pfc-report", "--out", str(tmp_path / "x"), *_sets({"stack_files": files})]
         assert cli.main(args) == 1
         assert f"invalid run: {message}\n" in capsys.readouterr().err
@@ -1471,7 +1484,7 @@ class TestPfcReportRun:
         files = []
         for layer in range(2):
             fs = FeatureSet(np.arange(12.0).reshape(2, 6) * (layer + 1), 3, 2)
-            path = tmp_path / f"layer{layer}.txt"
+            path = tmp_path / f"layer{layer}.npy"
             save_featureset(path, fs)
             files.append(str(path))
         cfg = ExperimentConfig(
