@@ -9,12 +9,7 @@
 # pfc-report runs of both trees read the same inputs: REV's default
 # train-resnet layers, and the benchmark's stack generated at seed 3.  It
 # then compares every manifest and every artifact digest, prints each one
-# that differs, and exits 1 if any does.  A feature set that REV wrote as
-# text, X.txt, and the tree as X.npy is compared by content: REV's file,
-# parsed with np.loadtxt (exact for its 17 significant digits), must hold
-# the tree's array bit for bit, and REV's header K n d the tree's shape
-# (d, K, n); the manifest, with that entry mapped back to REV's name and
-# digest, must then have REV's digest.  It takes about 40 s per tree on a
+# that differs, and exits 1 if any does.  It takes about 40 s per tree on a
 # 2-core Xeon, most of it the default train-resnet.
 set -euo pipefail
 rev=${1:?usage: scripts/same_bits.sh REV}
@@ -27,14 +22,11 @@ git -C "$root" archive "$rev" | tar -x -C "$work/rev"
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 python3 - "$root" "$work" "$rev" <<'EOF'
-import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 root, work, rev = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 sys.path[:0] = [str(root), str(root / "src")]
@@ -54,21 +46,6 @@ for name, workload in WORKLOADS.items():
         runs.append((f"{name}-{kind}", kind, params))
 
 
-def sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def same_featureset(text_path, npy_path):
-    """Whether the text feature set (header K n d, then d rows of K*n
-    values) holds the .npy file's (d, K, n) array bit for bit."""
-    with open(text_path) as f:
-        k, n, d = (int(x) for x in f.readline().split())
-        text = np.loadtxt(f, dtype=np.float64, ndmin=2)
-    array = np.load(npy_path, allow_pickle=False)
-    return (array.dtype.str, array.shape, text.shape) == ("<f8", (d, k, n), (d, k * n)) and (
-        array.tobytes() == text.tobytes())
-
-
 for side, tree in (("rev", work / "rev"), ("tree", root)):
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for name, kind, params in runs:
@@ -83,34 +60,19 @@ for side, tree in (("rev", work / "rev"), ("tree", root)):
                         "--out", str(out), *sets], env=env, check=True,
                        stdout=subprocess.DEVNULL)
 
-differ, compared, by_content = [], 0, 0
+differ, compared = [], 0
 for name, _, _ in runs:
     a, b = (work / "runs" / side / name for side in ("rev", "tree"))
-    ma, mb = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
-    renamed = {rel: rel[:-len(".txt")] + ".npy" for rel in ma["artifacts"]
-               if rel.endswith(".txt") and rel[:-len(".txt")] + ".npy" in mb["artifacts"]}
-    for rel in sorted(set(ma["artifacts"]) | set(mb["artifacts"]) - set(renamed.values())):
+    ma, mb = (json.loads((d / "manifest.json").read_text())["artifacts"] for d in (a, b))
+    for rel in sorted(set(ma) | set(mb)):
         compared += 1
-        if rel in renamed:
-            by_content += 1
-            same = same_featureset(a / rel, b / renamed[rel])
-            if same:
-                # the manifest is compared as if the tree had written REV's file
-                del mb["artifacts"][renamed[rel]]
-                mb["artifacts"][rel] = ma["artifacts"][rel]
-        else:
-            same = ma["artifacts"].get(rel) == mb["artifacts"].get(rel)
-        if not same:
+        if ma.get(rel) != mb.get(rel):
             differ.append(f"{name}/{rel}")
     compared += 1
-    # as harness.write_json writes it
-    manifest = (json.dumps(mb, indent=2, sort_keys=True) + "\n").encode()
-    if sha256(a / "manifest.json") != hashlib.sha256(manifest).hexdigest():
+    if (a / "manifest.json").read_bytes() != (b / "manifest.json").read_bytes():
         differ.append(f"{name}/manifest.json")
 for path in differ:
     print(f"differs: {path}")
-print(f"{compared} files in {len(runs)} runs compared against {rev}: "
-      f"{len(differ)} differ ({by_content} feature sets renamed from .txt to .npy "
-      f"compared by content)")
+print(f"{compared} files in {len(runs)} runs compared against {rev}: {len(differ)} differ")
 sys.exit(1 if differ else 0)
 EOF

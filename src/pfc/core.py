@@ -29,8 +29,10 @@ rescaled.
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
@@ -264,16 +266,6 @@ class ClassStats:
     tr_between: float
 
 
-def check_layer_shapes(shapes: list[tuple[int, int, int]]) -> None:
-    """Raise ValueError naming the first layer whose (K, n, d) differs from layer 0's."""
-    for i, (k, n, d) in enumerate(shapes):
-        if (k, n, d) != shapes[0]:
-            k0, n0, d0 = shapes[0]
-            raise ValueError(
-                f"layer {i} has shape (K={k}, n={n}, d={d}), expected (K={k0}, n={n0}, d={d0})"
-            )
-
-
 def class_stats(fs: FeatureSet) -> ClassStats:
     """Class means, global mean and covariance traces of a feature set.
 
@@ -315,22 +307,19 @@ def _checked_counts(values: tuple[int, ...]) -> tuple[int, int, int]:
     return values
 
 
-def read_header(f) -> tuple[int, int, int]:
+def _read_text_header(f) -> tuple[int, int, int]:
     """K, n and d from the header line ``K n d`` of a text layer file open
     at its start, each checked against its ``COUNTS`` spec; the file is left
     at its first body row, the first of d rows of K*n values."""
     try:
         header = f.readline().split()
     except UnicodeDecodeError as exc:  # binary, a pickle say, but not .npy
-        raise ValueError(f"{f.name}: expected a .npy file or text, got {exc}") from None
+        raise ValueError(f"expected a .npy file or text, got {exc}") from None
     try:
         k, n, d = tuple(int(x) for x in header)
     except ValueError:
-        raise ValueError(f"{f.name}: expected an integer header 'K n d', got {header!r}") from None
-    try:
-        return _checked_counts((k, n, d))
-    except ValueError as exc:
-        raise ValueError(f"{f.name}: {exc}") from None
+        raise ValueError(f"expected an integer header 'K n d', got {header!r}") from None
+    return _checked_counts((k, n, d))
 
 
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
@@ -356,31 +345,41 @@ def _read_npy_header(f) -> tuple[int, int, int]:
     return _checked_counts((k, n, d))
 
 
-def _open_layer(path):
-    """A layer file open at its start, and whether it is in numpy's ``.npy``
-    format, recognised by its magic bytes: binary if so, else text."""
-    with open(path, "rb") as f:
-        npy = f.read(len(np.lib.format.MAGIC_PREFIX)) == np.lib.format.MAGIC_PREFIX
-    return open(path, "rb" if npy else "r"), npy
-
-
-def _layer_header(f, npy: bool, path) -> tuple[int, int, int]:
-    """K, n and d from the header of the layer file ``f`` open at its start,
-    each checked against its ``COUNTS`` spec; a ValueError names the file."""
-    if not npy:
-        return read_header(f)
+@contextmanager
+def _layer_file(path):
+    """A layer file, opened once, as ``(f, npy, (K, n, d))``: ``npy`` tells
+    whether it is in numpy's ``.npy`` format, recognised by its magic bytes
+    (``f`` is then binary, else text), and the header counts are checked
+    against their ``COUNTS`` specs, ``f`` left at the body.  A ValueError
+    raised in the header or in the caller's block names the file once."""
+    magic = np.lib.format.MAGIC_PREFIX
     try:
-        return _read_npy_header(f)
+        with open(path, "rb") as f:
+            if f.peek(len(magic))[: len(magic)] == magic:
+                yield f, True, _read_npy_header(f)
+            else:
+                with io.TextIOWrapper(f) as text:
+                    yield text, False, _read_text_header(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_layer_shape(path) -> tuple[int, int, int]:
-    """K, n and d of a layer file in either format of :func:`load_featureset`,
-    read from its header alone."""
-    f, npy = _open_layer(path)
-    with f:
-        return _layer_header(f, npy, path)
+def read_stack_shape(paths) -> tuple[int, int, int]:
+    """The counts (K, n, d) of a stack of layer files in either format of
+    :func:`load_featureset`, from their headers alone, all read and checked
+    before any two are compared; a ValueError names the file of a bad
+    header, or the first layer whose counts differ from layer 0's."""
+    shapes = []
+    for path in paths:
+        with _layer_file(path) as (_, _, shape):
+            shapes.append(shape)
+    for i, (k, n, d) in enumerate(shapes):
+        if (k, n, d) != shapes[0]:
+            k0, n0, d0 = shapes[0]
+            raise ValueError(
+                f"layer {i} has shape (K={k}, n={n}, d={d}), expected (K={k0}, n={n0}, d={d0})"
+            )
+    return shapes[0]
 
 
 def load_featureset(path) -> FeatureSet:
@@ -388,29 +387,24 @@ def load_featureset(path) -> FeatureSet:
     :func:`save_featureset` writes it, or the text format, a header line
     ``K n d`` and then d rows of K*n values.  The format is recognised by
     the file's first bytes, not its name; a ValueError names the file once."""
-    f, npy = _open_layer(path)
-    with f:
-        k, n, d = _layer_header(f, npy, path)
-        try:
-            if npy:
-                size = 8 * d * k * n
-                left = os.fstat(f.fileno()).st_size - f.tell()
-                if left != size:
-                    raise ValueError(f"expected {size} bytes of values, got {left}")
-                data = np.empty((d, k, n))
-                f.readinto(data)
-            else:
-                with warnings.catch_warnings():
-                    # a body with no rows fails the shape check below instead
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                            UserWarning)
-                    data = np.loadtxt(f, dtype=np.float64, ndmin=2)
-                if data.shape != (d, k * n):
-                    got = f"{data.shape[0]} x {data.shape[1]}" if data.size else "none"
-                    raise ValueError(f"expected {d} x {k * n} values, got {got}")
-            # nothing else holds the array read, so the set adopts it, or
-            # its (d, K*n) view, uncopied
-            data.setflags(write=False)
-            return FeatureSet(features=data.reshape(d, k * n), num_classes=k, per_class=n)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    with _layer_file(path) as (f, npy, (k, n, d)):
+        if npy:
+            size = 8 * d * k * n
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if left != size:
+                raise ValueError(f"expected {size} bytes of values, got {left}")
+            data = np.empty((d, k, n))
+            f.readinto(data)
+        else:
+            with warnings.catch_warnings():
+                # a body with no rows fails the shape check below instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+            if data.shape != (d, k * n):
+                got = f"{data.shape[0]} x {data.shape[1]}" if data.size else "none"
+                raise ValueError(f"expected {d} x {k * n} values, got {got}")
+        # nothing else holds the array read, so the set adopts it, or its
+        # (d, K*n) view, uncopied
+        data.setflags(write=False)
+        return FeatureSet(features=data.reshape(d, k * n), num_classes=k, per_class=n)

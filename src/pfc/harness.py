@@ -58,12 +58,11 @@ from .core import (
     FeatureSet,
     check_fields,
     check_frame,
-    check_layer_shapes,
     ge,
     gt,
     load_featureset,
     param,
-    read_layer_shape,
+    read_stack_shape,
     save_featureset,
     typed_param,
 )
@@ -632,9 +631,7 @@ def _run_pfc_report(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     p = cfg.params
     files = p["stack_files"]
     # every header is checked before any body is parsed
-    shapes = [read_layer_shape(name) for name in files]
-    check_layer_shapes(shapes)
-    k, _, d = shapes[0]
+    k, _, d = read_stack_shape(files)
     try:
         check_frame("dim", d, k)
     except ValueError as exc:

@@ -154,11 +154,13 @@ class _Moments:
         if kind == "pfc2":
             gram = np.tensordot(weights, self.gram, axes=1)
             size = weights @ np.abs(np.trace(self.gram, axis1=1, axis2=2))
-            _require_spread(np.trace(gram, axis1=1, axis2=2), size, ts, kind,
+            trace = np.trace(gram, axis1=1, axis2=2)
+            _require_spread(trace, size, ts, kind,
                             "centered class means are all zero; Gram cannot be normalized")
-            # a Gram that underflowed to 0 gives a non-finite value, refused on writing
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gram = gram / np.linalg.norm(gram, axis=(1, 2), keepdims=True)
+            # each point's Gram shifted to a trace in [0.5, 1), which bounds
+            # its entries (a Gram is positive semidefinite): its norm is normal
+            gram = np.ldexp(gram, -np.frexp(trace)[1][:, None, None])
+            gram /= np.linalg.norm(gram, axis=(1, 2), keepdims=True)
             return np.linalg.norm(gram - gram_target(k), axis=(1, 2))
         # pfc3: accuracy of the argmin assignment, ties to the smallest class
         out = np.empty(len(weights))

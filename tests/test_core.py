@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import naive_stats, write_text_layer
+from pfc import core
 from pfc.core import (
     COUNTS,
     DIM,
@@ -18,13 +19,11 @@ from pfc.core import (
     FeatureSet,
     _to_window,
     check_domain,
-    check_layer_shapes,
     class_stats,
     ge,
     gt,
     load_featureset,
-    read_header,
-    read_layer_shape,
+    read_stack_shape,
     save_featureset,
 )
 from pfc.data import gen_gaussian_mixture
@@ -240,16 +239,6 @@ class TestCheckDomain:
             check_domain("n", -1, Domain(0, choices=(2, 4)))
 
 
-class TestCheckLayerShapes:
-    def test_requires_shared_shape(self):
-        a = FeatureSet(np.zeros((2, 4)), 2, 2)
-        b = FeatureSet(np.zeros((3, 4)), 2, 2)
-        shapes = [fs.shape for fs in (a, b)]
-        with pytest.raises(ValueError, match=r"^layer 1 has shape \(K=2, n=2, d=3\), "
-                                             r"expected \(K=2, n=2, d=2\)$"):
-            check_layer_shapes(shapes)
-
-
 class TestCounts:
     """K, n and d are typed and bounded by ``core.COUNTS`` at every entry
     point, and d >= K by one checker, before anything is drawn."""
@@ -376,6 +365,23 @@ class TestSerialization:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert np.shares_memory(load_featureset(path).features, parsed[0])
 
+    @pytest.mark.parametrize("write", [save_featureset, write_text_layer], ids=["npy", "text"])
+    def test_each_read_opens_the_file_once(self, tmp_path, monkeypatch, write):
+        fs = random_featureset(np.random.default_rng(9), num_classes=2, per_class=3, dim=4)
+        path = tmp_path / "features"
+        write(path, fs)
+        opened = []
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(core, "open", counted_open, raising=False)
+        assert load_featureset(path).features.tobytes() == fs.features.tobytes()
+        assert opened == [path]
+        assert read_stack_shape([path]) == fs.shape
+        assert opened == [path, path]
+
     @pytest.mark.parametrize("content, cause, in_header", [
         (npy_bytes(np.full((2, 2, 1), None, dtype=object)), "expected dtype <f8, got |O", True),
         (npy_bytes(np.zeros((2, 2, 1), np.float32)), "expected dtype <f8, got <f4", True),
@@ -400,7 +406,7 @@ class TestSerialization:
     def test_npy_error_names_the_file_once(self, tmp_path, content, cause, in_header):
         path = tmp_path / "bad.npy"
         path.write_bytes(content)
-        calls = [load_featureset] + [read_layer_shape] * in_header
+        calls = [load_featureset] + [lambda p: read_stack_shape([p])] * in_header
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call(path)
@@ -443,8 +449,8 @@ class TestSerialization:
     def test_header_out_of_domain_names_the_file_and_field(self, tmp_path, header, message):
         path = tmp_path / "bad.txt"
         path.write_text(f"{header}\n0 0\n0 0\n")
-        with open(path) as f, pytest.raises(ValueError) as info:
-            read_header(f)
+        with pytest.raises(ValueError) as info:
+            read_stack_shape([path])
         assert str(info.value) == f"{path}: {message}"
         with pytest.raises(ValueError) as info:
             load_featureset(path)

@@ -379,6 +379,15 @@ class TestScale:
                 metric_values(path, kind, path.grid), rtol=1e-12,
             )
 
+    @pytest.mark.parametrize("end_scale", [1e80, 1e100])
+    def test_pfc2_keeps_endpoint_bits_at_ends_far_apart_in_scale(self, end_scale):
+        # windowed with the end, the start's Gram entries are about
+        # end_scale^-2, and its norm squared them again: to subnormals at
+        # 1e80, to 0 (pfc2 inf) at 1e100
+        path = random_to_collapse_path(1, 4, 20, 8, end_scale=end_scale)
+        got = metric_values(path, "pfc2", [0.0, 1.0])
+        assert got.tolist() == [pfc2(path.start), pfc2(path.end)]
+
     def test_power_of_two_scaling_keeps_position_bits(self):
         for seed in range(20):
             stack = random_stack(seed)

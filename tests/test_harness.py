@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import stack_positions, write_text_layer
-from pfc import cli, harness, metrics, resnet
+from pfc import cli, core, harness, metrics, resnet
 from pfc.core import (
     DEPTH,
     DIM,
@@ -1152,14 +1152,32 @@ class TestCli:
         assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_ends_far_apart_in_scale_give_finite_curves(self, tmp_path):
+        # at end_scale=1e100 the pfc2 curve's norm once squared the start's
+        # Gram to 0, and the run exited 2 on an inf cell
+        out = tmp_path / "x"
+        assert cli.main(["interpolate", "--out", str(out), "--set", "end_scale=1e100"]) == 0
+        header, rows = read_csv(out / "curves.csv")
+        assert all(np.isfinite(float(v)) for v in csv_column(header, rows, "value"))
+
     def test_non_finite_curve_cell_is_numeric_failure_naming_the_file(self, tmp_path,
-                                                                       capsys):
-        # at end_scale=1e100 the pfc2 curve overflows to inf at t = 0; the
-        # run must not be written, and the earlier run stays
+                                                                       capsys, monkeypatch):
+        # a pfc2 curve with inf at t = 0: the run must not be written, and
+        # the earlier run stays
         out = tmp_path / "x"
         assert cli.main(["interpolate", "--out", str(out)]) == 0
         before = (out / "manifest.json").read_bytes()
-        assert cli.main(["interpolate", "--out", str(out), "--set", "end_scale=1e100"]) == 2
+
+        curve = harness.metric_curve
+
+        def inf_at_start(path, kind):
+            values = curve(path, kind)
+            if kind == "pfc2":
+                values[0] = np.inf
+            return values
+
+        monkeypatch.setattr(harness, "metric_curve", inf_at_start)
+        assert cli.main(["interpolate", "--out", str(out), "--seed", "4"]) == 2
         err = capsys.readouterr().err
         assert re.search(r"numeric failure: curves.csv: row \d+, column value: "
                          r"non-finite value inf\n", err)
@@ -1431,6 +1449,27 @@ class TestPfcReportRun:
         summary = json.loads((out / "summary.json").read_text())
         stack = tuple(load_featureset(f) for f in files)
         assert summary["relative_positions"] == stack_positions(stack).tolist()
+
+    def test_each_layer_is_opened_twice(self, tmp_path, monkeypatch):
+        # all headers are read first, then each layer is loaded; layer 1 is text
+        rng = np.random.default_rng(11)
+        files = []
+        for layer in range(3):
+            fs = FeatureSet(rng.standard_normal((4, 12)), 3, 4)
+            path = tmp_path / f"layer{layer}"
+            (write_text_layer if layer == 1 else save_featureset)(path, fs)
+            files.append(str(path))
+        opened = []
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(core, "open", counted_open, raising=False)
+        run(ExperimentConfig(kind="pfc-report",
+                             params={"stack_files": files, "grid_points": 5},
+                             out_dir=tmp_path / "report"))
+        assert opened == files + files
 
     @pytest.mark.parametrize("shapes, message", [
         ([(6, 3, 4), (6, 3, 4), (4, 3, 4)],

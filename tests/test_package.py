@@ -1,6 +1,7 @@
 """The package's public surface (each name of ``pfc.__all__`` resolves on
-the package, once), its one bound checker (only ``core`` calls it) and its
-one writer of bound messages (``core``)."""
+the package, once), its one bound checker (only ``core`` calls it), its
+one writer of bound messages (``core``) and its one reader and writer of
+layer files (``core``)."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,20 @@ def test_only_core_writes_a_bound_message():
     ]
     assert writers == []
 
+
+def dotted(node) -> str:
+    """The dotted name an ``ast.Attribute`` chain spells, ``np.lib.format`` say."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return getattr(node, "id", "")
+
+
+def test_only_core_reads_or_writes_numpy_files():
+    # layer files are opened, recognised and checked by core alone
+    names = {"np.loadtxt", "np.load", "np.save", "np.lib.format"}
+    users = [
+        (path.name, dotted(node)) for path in SOURCES if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and dotted(node) in names
+    ]
+    assert users == []
