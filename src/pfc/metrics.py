@@ -65,11 +65,14 @@ _ONE = np.ones((1, 1))
 
 
 def _require_spread(spread, size, ts, kind, why) -> None:
-    """Raise DegenerateInputError (naming the first such t of ``ts``) at a noise spread."""
-    bad = np.flatnonzero(spread <= _ZERO_SHARE * size)
-    if bad.size:
-        where = "" if ts is None else f"{kind} degenerate at t={float(ts[bad[0]])}: "
-        raise DegenerateInputError(where + why)
+    """Raise DegenerateInputError (naming the first such t of ``ts``) at a noise
+    spread, or at a subnormal one, whose lost low bits no shift restores."""
+    for bad, reason in ((spread <= _ZERO_SHARE * size, why), (spread < np.finfo(float).tiny,
+                         "centered class means underflow; their sum is subnormal")):
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            where = "" if ts is None else f"{kind} degenerate at t={float(ts[bad[0]])}: "
+            raise DegenerateInputError(where + reason)
 
 
 class _Moments:
@@ -141,8 +144,9 @@ class _Moments:
     def values(self, kind: str, weights: np.ndarray, ts=None) -> np.ndarray:
         """One metric at each row of ``weights`` (points x pairs).
 
-        A spread at or below ``_ZERO_SHARE`` of the size of its terms raises
-        DegenerateInputError, naming the point's t from ``ts`` if given.
+        A spread at or below ``_ZERO_SHARE`` of the size of its terms, or a
+        subnormal one, raises DegenerateInputError, naming the point's t
+        from ``ts`` if given.
         """
         k, n = self.num_classes, self.per_class
         if kind == "pfc1":
@@ -157,8 +161,8 @@ class _Moments:
             trace = np.trace(gram, axis1=1, axis2=2)
             _require_spread(trace, size, ts, kind,
                             "centered class means are all zero; Gram cannot be normalized")
-            # each point's Gram shifted to a trace in [0.5, 1), which bounds
-            # its entries (a Gram is positive semidefinite): its norm is normal
+            # each point's Gram (its trace normal) shifted to a trace in [0.5, 1),
+            # which bounds its entries (a Gram is PSD): its norm is normal
             gram = np.ldexp(gram, -np.frexp(trace)[1][:, None, None])
             gram /= np.linalg.norm(gram, axis=(1, 2), keepdims=True)
             return np.linalg.norm(gram - gram_target(k), axis=(1, 2))

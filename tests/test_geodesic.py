@@ -25,7 +25,7 @@ from pfc.geodesic import (
     random_to_collapse_path,
     uniform_grid,
 )
-from pfc.metrics import pfc1, pfc2, pfc3
+from pfc.metrics import measure, pfc1, pfc2, pfc3
 
 
 def random_path(seed, num_classes=3, per_class=4, dim=6, grid_points=11):
@@ -387,6 +387,18 @@ class TestScale:
         path = random_to_collapse_path(1, 4, 20, 8, end_scale=end_scale)
         got = metric_values(path, "pfc2", [0.0, 1.0])
         assert got.tolist() == [pfc2(path.start), pfc2(path.end)]
+
+    @pytest.mark.parametrize("kind", ["pfc1", "pfc2"])
+    @pytest.mark.parametrize("end_scale", [1e155, 1e160])
+    def test_subnormal_spread_at_ends_far_apart_in_scale_is_refused(self, end_scale, kind):
+        # windowed with the end, the start's between-class sum is subnormal
+        # (about 1e-310 at 1e155): its lost bits once gave pfc1 19.8564 and
+        # pfc2 0.482914 at t = 0 for the start's 19.8547 and 0.482076
+        path = random_to_collapse_path(1, 4, 20, 8, end_scale=end_scale)
+        with pytest.raises(DegenerateInputError, match=f"^{kind} degenerate at t=0.0: "
+                           "centered class means underflow; their sum is subnormal$"):
+            metric_values(path, kind, [0.0, 1.0])
+        assert metric_values(path, kind, [1.0])[0] == getattr(measure(path.end), kind)
 
     def test_power_of_two_scaling_keeps_position_bits(self):
         for seed in range(20):

@@ -1160,6 +1160,15 @@ class TestCli:
         header, rows = read_csv(out / "curves.csv")
         assert all(np.isfinite(float(v)) for v in csv_column(header, rows, "value"))
 
+    def test_ends_too_far_apart_in_scale_are_numeric_failure(self, tmp_path, capsys):
+        # at end_scale=1e160 the start's between-class sum is subnormal in
+        # the window it shares with the end: refused, not written rounded
+        out = tmp_path / "x"
+        assert cli.main(["interpolate", "--out", str(out), "--set", "end_scale=1e160"]) == 2
+        assert ("numeric failure: pfc1 degenerate at t=0.0: centered class means underflow"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_curve_cell_is_numeric_failure_naming_the_file(self, tmp_path,
                                                                        capsys, monkeypatch):
         # a pfc2 curve with inf at t = 0: the run must not be written, and
