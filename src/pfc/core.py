@@ -367,12 +367,15 @@ def _layer_file(path):
 def read_stack_shape(paths) -> tuple[int, int, int]:
     """The counts (K, n, d) of a stack of layer files in either format of
     :func:`load_featureset`, from their headers alone, all read and checked
-    before any two are compared; a ValueError names the file of a bad
-    header, or the first layer whose counts differ from layer 0's."""
+    before any two are compared; a ValueError names an empty stack, the
+    file of a bad header, or the first layer whose counts differ from
+    layer 0's."""
     shapes = []
     for path in paths:
         with _layer_file(path) as (_, _, shape):
             shapes.append(shape)
+    if not shapes:
+        raise ValueError("empty stack: no layer files")
     for i, (k, n, d) in enumerate(shapes):
         if (k, n, d) != shapes[0]:
             k0, n0, d0 = shapes[0]

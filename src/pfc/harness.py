@@ -39,6 +39,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import shutil
 import tempfile
 from dataclasses import Field, dataclass, field, fields, replace
@@ -200,10 +201,14 @@ def resolve_config(
     )
 
 
+_NON_FINITE = {"nan", "inf", "-inf"}
+
+
 def format_cell(value) -> str:
     """One CSV cell: ints verbatim, floats with 17 significant digits (a
-    decimal marker is forced so the reader can restore the type), bare
-    strings."""
+    decimal marker is forced so the reader can restore the type), and bare
+    strings that read back as themselves (:func:`parse_cell`), but for the
+    non-finite float texts, which :func:`write_csv` refuses."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("write booleans as ints or strings, not raw bools")
     if isinstance(value, (int, np.integer)):
@@ -214,23 +219,23 @@ def format_cell(value) -> str:
             text += ".0"
         return text
     if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise ValueError(f"cell text may not contain commas or newlines: {value!r}")
+        if "," in value or "".join(value.splitlines()) != value or (
+                value not in _NON_FINITE and parse_cell(value) != value):
+            raise ValueError(f"cell text must read back as itself, with no comma or line "
+                             f"break: {value!r}")
         return value
     raise TypeError(f"unsupported cell type {type(value).__name__}")
 
 
 def parse_cell(text: str):
-    """Inverse of :func:`format_cell`: int, then float, then string."""
-    if text.lstrip("+-").isdigit():
+    """Inverse of :func:`format_cell`: int (ASCII digits after at most one
+    sign), then float, then string."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
         return int(text)
     try:
         return float(text)
     except ValueError:
         return text
-
-
-_NON_FINITE = {"nan", "inf", "-inf"}
 
 
 def write_csv(path, header, rows) -> None:
@@ -297,12 +302,14 @@ def spearman(x, y) -> float:
     """Spearman rank correlation with average ranks on ties.
 
     Raises:
-        DegenerateInputError: if either input is constant.
+        DegenerateInputError: for fewer than two points or a constant input.
     """
     rx = _avg_ranks(x)
     ry = _avg_ranks(y)
     if rx.shape != ry.shape:
         raise ValueError(f"length mismatch: {rx.size} vs {ry.size}")
+    if rx.size < 2:
+        raise DegenerateInputError(f"rank correlation needs at least two points, got {rx.size}")
     rx -= rx.mean()
     ry -= ry.mean()
     denom = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
@@ -320,11 +327,11 @@ def _mixture(cfg: ExperimentConfig, dim: int) -> FeatureSet:
     )
 
 
-def _problem(cfg: ExperimentConfig, kind: str, data, **fixed) -> SolveProblem:
-    """The run's UFM or MUFM problem: ``fixed``, and each other field from
-    the run's parameter of its name, where the run has one."""
+def _problem(cfg: ExperimentConfig, data, **fixed) -> SolveProblem:
+    """The run's problem (MUFM on ``data``, UFM on None): ``fixed``, and each
+    other field from the run's parameter of its name, where the run has one."""
     p = cfg.params
-    return SolveProblem(kind=kind, data=data, seed=cfg.seed, **fixed,
+    return SolveProblem(data=data, seed=cfg.seed, **fixed,
                         **{name: p[name] for name in _PROBLEM_PARAMS if name in p})
 
 
@@ -460,15 +467,14 @@ def _run_solve(cfg: ExperimentConfig, kind: str) -> tuple[dict, Artifacts]:
     p = cfg.params
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs = _mixture(cfg, d) if kind == "mufm" else None
-    data = None if data_fs is None else data_fs.features
-    problem = _problem(cfg, kind, data)
+    problem = _problem(cfg, None if data_fs is None else data_fs.features)
     result = solve(
         problem,
         lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"],
         trace_stride=p["trace_stride"], grad_tol=p["grad_tol"],
     )
     solution = FeatureSet(result.H, k, n)
-    row = _lambda_row(p["lam"], result, solution, data)
+    row = _lambda_row(p["lam"], result, solution, problem.data)
     cells = dict(zip(_LAMBDA_HEADER, row))
     artifacts = {
         "trace.csv": (("epoch", "objective"), [
@@ -501,7 +507,7 @@ def _run_sweep_lambda(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     lambdas = p["lambdas"]
     k, d, n = p["num_classes"], p["dim"], p["per_class"]
     data_fs = _mixture(cfg, d)
-    base = _problem(cfg, "mufm", data_fs.features, lam=lambdas[0])
+    base = _problem(cfg, data_fs.features, lam=lambdas[0])
     results = sweep_lambda(
         base, lambdas, lr=p["lr"], epochs=p["epochs"], init_scale=p["init_scale"]
     )
@@ -647,7 +653,7 @@ def _run_equivalence_thm3(cfg: ExperimentConfig) -> tuple[dict, Artifacts]:
     frame = build_etf(k, d, seed=[cfg.seed, 303])
     h_last = make_nc_featureset(frame, n, scale=p["end_scale"]).features
     w = np.random.default_rng([cfg.seed, 7]).standard_normal((k, d))
-    problem = _problem(cfg, "mufm", x)
+    problem = _problem(cfg, x)
 
     rows = []
     max_cost_gap = 0.0
@@ -691,7 +697,7 @@ def _field_params(cls, *skip) -> dict:
 # TrainConfig's fields but the run's seed, and SolveProblem's but those the
 # runner sets (_problem)
 _TRAIN_PARAMS = _field_params(TrainConfig, "seed")
-_PROBLEM_PARAMS = _field_params(SolveProblem, "kind", "data", "seed")
+_PROBLEM_PARAMS = _field_params(SolveProblem, "data", "seed")
 
 
 def _knobs(table: dict, **defaults) -> dict:

@@ -28,18 +28,16 @@ constant ones row last, so ``W x + b`` is the one product ``[W | b] @ [x; 1]``
 with no separate bias add.  This keeps the bits where the BLAS sums each dot
 product in order: ``b * 1.0`` is exact, so the kernel's last accumulation
 rounds ``acc + b`` once, which is the rounding the separate ``a += b`` makes.
-Some BLAS kernels split the sum instead (matrix-vector products, and the
-tails of the blocked product at some column counts); at such shapes the
-bias is added separately.  ``_fold_is_exact`` decides per shape by sampling.
+Elsewhere the bias is added separately (``_fold_is_exact``).
 
 Training allocates nothing per batch: parameters, gradients and velocity
 are three flat vectors of these blocks (the parameter dict holds weight
 and bias views into them), the per-layer blocks, transposes and gradients
-are bound once per run, each batch's input columns and labels are gathered
-into buffers of its width, and the batch passes write pre-activations,
-features, logits and backward scratch (ReLU masks as float64 1.0/0.0) into
-a workspace of buffers, one per batch width.  ReLUs and masks compare
-against a zero array, not the scalar 0.0 that numpy would broadcast
+are bound once per run, and each batch gathers its input columns and
+labels into, and its passes write pre-activations, features, logits and
+backward scratch (ReLU masks as float64 1.0/0.0) into, a workspace of
+buffers, one per batch width.  ReLUs and masks compare against a zero
+array, one per column count, not the scalar 0.0 that numpy would broadcast
 through a slower loop.  Every in-place operation is the same
 floating-point operation on the same operands as the allocating formula it
 replaces, so results are bit-identical to it.  ``resnet_forward`` returns
@@ -218,20 +216,32 @@ class _Net:
         self.w_t = [w.T for w in self.w]
         self.dw = [g[:, :-1] for g in grads]
         self.db = [g[:, -1] for g in grads]
+        self._folds, self._zeros = {}, {}
 
     def folds(self, columns: int) -> bool:
         """Whether every layer's bias may ride in its weight product at this
-        column count (:func:`_fold_is_exact`)."""
-        return all(_fold_is_exact(*w.shape, columns) for w in self.w)
+        column count (:func:`_fold_is_exact`), worked out once per count."""
+        if columns not in self._folds:
+            self._folds[columns] = all(_fold_is_exact(*w.shape, columns) for w in self.w)
+        return self._folds[columns]
+
+    def zeros(self, columns: int) -> np.ndarray:
+        """The zero array of the layer shape at this column count, made once,
+        that the ReLUs and masks compare with: against it they run numpy's
+        contiguous loop, where a scalar 0.0 would take its slower broadcast
+        loop, with the same result bits."""
+        if columns not in self._zeros:
+            self._zeros[columns] = np.zeros((self.w[0].shape[0], columns))
+        return self._zeros[columns]
 
 
 class _Workspace:
     """Buffers for gradient passes (:func:`_gradient`) of ``net`` over
-    batches of one column width: pre-activations, features (each with a
-    ones row last), logits, softmax terms, the backward scratch with its
-    float ReLU mask, and a zero array for the ReLUs; the gradients go to
-    ``net``'s blocks.  ``fold`` says whether the biases ride in the weight
-    products at this width (:meth:`_Net.folds`).
+    batches of one column width: the rows and labels a batch's input
+    columns and labels are gathered into (``rows`` with a ones column
+    last), pre-activations, features (each with a ones row last), logits,
+    softmax terms, and the backward scratch with its float ReLU mask; the
+    gradients go to ``net``'s blocks.
 
     A pass through a workspace overwrites what the previous pass left.
     """
@@ -239,10 +249,11 @@ class _Workspace:
     def __init__(self, net: _Net, columns: int):
         width, classes, layers = net.w[0].shape[0], net.w[-1].shape[0], len(net.w) - 1
         layer = (width, columns)
+        self.rows = _aligned(columns, net.blocks[0].shape[1])
+        self.labels = np.empty(columns, np.intp)
         self.preacts = [_aligned(*layer) for _ in range(layers)]
         self.features = _feature_block(layers, width, columns)
         self.logits = np.empty((classes, columns))
-        self.shifted = np.empty((classes, columns))
         self.dz = np.empty((classes, columns))
         self.maxima = np.empty((1, columns))
         self.total = np.empty((1, columns))
@@ -250,50 +261,49 @@ class _Workspace:
         self.da = _aligned(*layer)
         self.product = _aligned(*layer)
         self.mask = _aligned(*layer)
-        self.zeros = np.zeros(layer)
         self.columns = np.arange(columns)
-        self.fold = net.folds(columns)
 
 
-def _blocks(params: dict, num_blocks: int) -> list:
-    """Fresh ``[W | b]`` blocks of a parameter dict, in network order."""
-    return [np.hstack((params[f"w_{name}"], params[f"b_{name}"][:, None]))
-            for name in _layer_names(num_blocks)]
+def _blocks(params: dict) -> list:
+    """Fresh ``[W | b]`` blocks of a parameter dict, in network order; the
+    dict must hold exactly the keys :func:`init_params` gives a network of
+    some depth, which is the depth read."""
+    names = _layer_names((len(params) - 4) // 2)
+    if len(params) < 6 or set(params) != {f"{p}_{name}" for name in names for p in "wb"}:
+        raise ValueError(f"parameter keys {sorted(params)} are not the init_params "
+                         f"keys of a network of any depth")
+    return [np.hstack((params[f"w_{name}"], params[f"b_{name}"][:, None])) for name in names]
 
 
-def _affine(net: _Net, l: int, x: np.ndarray, out: np.ndarray, fold: bool) -> None:
+def _affine(net: _Net, l: int, x: np.ndarray, out: np.ndarray) -> None:
     """Layer l's ``W x + b`` into ``out``, for features ``x`` with a ones
-    row last: one product with the bias column riding against that row if
-    ``fold``, else the product of the weights and the rows above it, then
-    the bias added."""
-    if fold:
+    row last: one product with the bias column riding against that row
+    where it folds at this column count (:meth:`_Net.folds`), else the
+    product of the weights and the rows above it, then the bias added."""
+    if net.folds(x.shape[1]):
         np.matmul(net.blocks[l], x, out=out)
     else:
         np.matmul(net.w[l], x[:-1], out=out)
         out += net.b[l]
 
 
-def _layer(net: _Net, l: int, x: np.ndarray, a: np.ndarray, f: np.ndarray,
-           zeros: np.ndarray, fold: bool) -> None:
+def _layer(net: _Net, l: int, x: np.ndarray, a: np.ndarray, f: np.ndarray) -> None:
     """Layer l from the features ``x`` before it (the input at l = 0): its
     pre-activation into ``a`` and its features into the rows of ``f`` above
-    its ones row.
+    its ones row, the ReLU against :meth:`_Net.zeros`.
 
     ``x`` and ``f`` carry a ones row last and must be distinct buffers;
     ``a`` may be ``f[:-1]`` itself when the pre-activation is not read
-    later.  ``zeros`` is a zero array of the layer shape: against it the
-    ReLU runs numpy's contiguous loop, where a scalar 0.0 would take its
-    slower broadcast loop, with the same result bits.
+    later.
     """
     body = f[:-1]
-    _affine(net, l, x, a, fold)
-    np.maximum(a, zeros, out=body)
+    _affine(net, l, x, a)
+    np.maximum(a, net.zeros(x.shape[1]), out=body)
     if l:
         body += x[:-1]
 
 
-def _layers(net: _Net, x: np.ndarray, pair: np.ndarray, zeros: np.ndarray,
-            fold: bool) -> Iterator[np.ndarray]:
+def _layers(net: _Net, x: np.ndarray, pair: np.ndarray) -> Iterator[np.ndarray]:
     """The features [x0 .. xL] of the input columns ``x`` (ones row last),
     formed one at a time as they are asked for: every forward-only pass.
 
@@ -306,23 +316,22 @@ def _layers(net: _Net, x: np.ndarray, pair: np.ndarray, zeros: np.ndarray,
     for l in range(len(net.blocks) - 1):
         f = pair[l % 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            _layer(net, l, x, f[:-1], f, zeros, fold)
+            _layer(net, l, x, f[:-1], f)
         x = f
         yield f
 
 
-def resnet_forward(params: dict, x: np.ndarray, num_blocks: int):
+def resnet_forward(params: dict, x: np.ndarray):
     """Logits (K x B) and the post-activation features [x0 .. xL] for a
     batch of input columns, in fresh arrays, copied from a forward-only pass
-    (:func:`_layers`); a diverged network gives non-finite values unwarned."""
-    net = _Net(_blocks(params, num_blocks))
-    width, columns = net.w[0].shape[0], x.shape[1]
-    pair, fold = _feature_block(2, width, columns), net.folds(columns)
-    stream = _layers(net, _with_ones(x), pair, np.zeros((width, columns)), fold)
-    features = [f[:-1].copy() for f in stream]
-    logits = np.empty((net.w[-1].shape[0], columns))
+    (:func:`_layers`) of the parameters' depth L (:func:`_blocks`); a
+    diverged network gives non-finite values unwarned."""
+    net = _Net(_blocks(params))
+    pair = _feature_block(2, net.w[0].shape[0], x.shape[1])
+    features = [f[:-1].copy() for f in _layers(net, _with_ones(x), pair)]
+    logits = np.empty((net.w[-1].shape[0], x.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        _affine(net, -1, pair[num_blocks % 2], logits, fold)  # layer L's buffer
+        _affine(net, -1, pair[(len(features) - 1) % 2], logits)  # layer L's buffer
     return logits, features
 
 
@@ -347,13 +356,12 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
     """
     preacts, features, cols, logits = ws.preacts, ws.features, ws.columns, ws.logits
     for l, (a, f) in enumerate(zip(preacts, features)):
-        _layer(net, l, features[l - 1] if l else x, a, f, ws.zeros, ws.fold)
-    _affine(net, -1, features[-1], logits, ws.fold)
+        _layer(net, l, features[l - 1] if l else x, a, f)
+    _affine(net, -1, features[-1], logits)
     # np.maximum.reduce and np.add.reduce are the reductions .max and .sum
     # run, minus their argument handling
     np.maximum.reduce(logits, axis=0, keepdims=True, out=ws.maxima)
-    np.subtract(logits, ws.maxima, out=ws.shifted)
-    e = np.exp(ws.shifted, out=ws.dz)
+    e = np.exp(np.subtract(logits, ws.maxima, out=ws.dz), out=ws.dz)
     total = np.add.reduce(e, axis=0, keepdims=True, out=ws.total)
     dz = np.divide(e, total, out=e)
     dz[labels, cols] -= 1.0
@@ -361,30 +369,30 @@ def _gradient(net: _Net, x: np.ndarray, labels: np.ndarray, ws: _Workspace) -> N
 
     np.matmul(dz, features[-1][:-1].T, out=net.dw[-1])
     np.add.reduce(dz, axis=1, out=net.db[-1])
-    dx, da, mask = ws.dx, ws.da, ws.mask
+    dx, da, mask, zeros = ws.dx, ws.da, ws.mask, net.zeros(x.shape[1])
     np.matmul(net.w_t[-1], dz, out=dx)
     for l in range(len(preacts) - 1, 0, -1):
         # a float mask holds the 1.0/0.0 a bool one would be cast to
-        np.multiply(dx, np.greater(preacts[l], ws.zeros, out=mask), out=da)
+        np.multiply(dx, np.greater(preacts[l], zeros, out=mask), out=da)
         np.matmul(da, features[l - 1][:-1].T, out=net.dw[l])
         np.add.reduce(da, axis=1, out=net.db[l])
         dx += np.matmul(net.w_t[l], da, out=ws.product)
-    np.multiply(dx, np.greater(preacts[0], ws.zeros, out=mask), out=da)
+    np.multiply(dx, np.greater(preacts[0], zeros, out=mask), out=da)
     np.matmul(da, x[:-1].T, out=net.dw[0])
     np.add.reduce(da, axis=1, out=net.db[0])
 
 
-def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray, num_blocks: int):
+def resnet_backward(params: dict, x: np.ndarray, labels: np.ndarray):
     """Loss, accuracy and the gradients for one batch of input columns, keyed
     as :func:`init_params` keys the parameters: views of fresh ``[dW | db]``
-    blocks, which no two calls share."""
-    blocks = _blocks(params, num_blocks)
+    blocks, which no two calls share, at the parameters' depth (:func:`_blocks`)."""
+    blocks = _blocks(params)
     grads = [np.empty(block.shape) for block in blocks]
     net = _Net(blocks, grads)
     ws = _Workspace(net, x.shape[1])
     _gradient(net, _with_ones(x), labels, ws)
     return (ce_loss(ws.logits, labels), accuracy(ws.logits, labels),
-            _named(grads, _layer_names(num_blocks)))
+            _named(grads, _layer_names(len(blocks) - 2)))
 
 
 def _split(flat: np.ndarray, shapes) -> list:
@@ -424,15 +432,11 @@ def train(
             raise ValueError(f"{name}={value} does not match the data, which hold {held}")
     full_labels = data.labels()
 
-    # The input carries a ones row last, and each layer's parameters are one
-    # [W | b] block, so that the bias rides in the weight product where that
-    # rounds as the separate add would (_Net.folds).  Parameters, gradients
-    # and velocity are flat vectors of these blocks, so one update is a few
-    # whole-vector operations; params holds views into them.  A batch's
-    # input columns are gathered as rows of x_rows, the input's transpose.
+    # A batch's input columns are gathered as rows of x_rows, the input's
+    # transpose; params holds views into the flat vector theta.
     x_full = _with_ones(data.features)
     x_rows = np.ascontiguousarray(x_full.T)
-    init = _blocks(init_params(config), config.num_blocks)
+    init = _blocks(init_params(config))
     shapes = [block.shape for block in init]
     size = sum(block.size for block in init)
     theta, grad, velocity, scratch = (_aligned(size) for _ in range(4))
@@ -450,28 +454,17 @@ def train(
         decayed = [(g[:, :-1], t[:, :-1], s[:, :-1]) for g, t, s in
                    zip(grad_blocks, blocks, _split(scratch, shapes))]
     net = _Net(blocks, grad_blocks)
+    workspace = functools.cache(functools.partial(_Workspace, net))  # one per batch width
 
-    @functools.cache
-    def workspace(columns: int) -> tuple[_Workspace, np.ndarray, np.ndarray]:
-        """The workspace of a batch width, and the buffers its batch's input
-        rows and labels are gathered into."""
-        return (_Workspace(net, columns),
-                _aligned(columns, x_rows.shape[1]), np.empty(columns, full_labels.dtype))
-
-    # The full-set pass only runs forward, so each layer's pre-activation is
-    # formed in its own feature buffer, and the layers alternate between two
-    # buffers, as only the last one feeds the logits (_layers).
+    # the full-set pass runs forward only, in two buffers (_layers)
     num_samples = data.num_samples
     K, n = config.num_classes, config.per_class
     pair = _feature_block(2, config.width, num_samples)
-    zeros = np.zeros((config.width, num_samples))
-    full_fold = net.folds(num_samples)
     full_logits = np.empty((K, num_samples))
 
     def final_layers() -> Iterator[FeatureSet]:
         # nothing writes the parameters once train returns; each stream owns its pair
-        own = _feature_block(2, config.width, num_samples)
-        for f in _layers(net, x_full, own, zeros, full_fold):
+        for f in _layers(net, x_full, _feature_block(2, config.width, num_samples)):
             yield FeatureSet(f[:-1], K, n)
 
     losses = np.empty(config.epochs)
@@ -487,13 +480,13 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, num_samples, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
-                ws, rows, labels = workspace(len(batch_idx))
+                ws = workspace(len(batch_idx))
                 # mode="clip" writes straight into out, where the default
                 # "raise" gathers into a temporary first; a permutation's
                 # indices are all in range
-                np.take(x_rows, batch_idx, axis=0, out=rows, mode="clip")
-                np.take(full_labels, batch_idx, out=labels, mode="clip")
-                _gradient(net, rows.T, labels, ws)
+                np.take(x_rows, batch_idx, axis=0, out=ws.rows, mode="clip")
+                np.take(full_labels, batch_idx, out=ws.labels, mode="clip")
+                _gradient(net, ws.rows.T, ws.labels, ws)
                 for g, t, s in decayed:
                     g += np.multiply(t, config.weight_decay, out=s)
                 velocity *= config.momentum
@@ -501,7 +494,7 @@ def train(
                 theta -= np.multiply(velocity, lr, out=scratch)
 
         measured = []  # each recorded layer, before the pass overwrites it
-        for l, last in enumerate(_layers(net, x_full, pair, zeros, full_fold)):
+        for l, last in enumerate(_layers(net, x_full, pair)):
             if record:
                 if not np.all(np.isfinite(last)):
                     raise DivergenceError(f"layer {l} became non-finite at epoch {epoch}")
@@ -510,7 +503,7 @@ def train(
             snapshot_epochs.append(epoch)
             reports.append(tuple(measured))
         with np.errstate(over="ignore", invalid="ignore"):
-            _affine(net, -1, last, full_logits, full_fold)
+            _affine(net, -1, last, full_logits)
             loss = ce_loss(full_logits, full_labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at epoch {epoch}")

@@ -54,8 +54,6 @@ import numpy as np
 from .core import (DEPTH, NUM_CLASSES, PER_CLASS, DivergenceError, Domain, check_fields,
                    check_frame, ge, gt, param, typed_param)
 
-KINDS = ("ufm", "mufm")
-_KIND = param(KINDS[0], Domain(None, choices=KINDS))  # SolveProblem.kind, a str of KINDS
 LOSSES = ("ce", "mse")
 # each descent knob with solve's default and its domain, in _solve_stack's order
 DESCENT = {"lr": param(0.1, ge(0)), "epochs": param(50_000, ge(1)),
@@ -73,12 +71,11 @@ class SolveProblem:
     and bounded on construction: the ``pfc solve-ufm`` knobs, defaults and
     domains (``harness.KINDS`` reads them), and the seed.
 
-    ``lam`` is the coefficient on ||H||_F^2 for UFM and on the transport
-    term ||H - X||_F^2 for MUFM.  ``data`` (the d x K*n matrix X) is
-    required for MUFM and must be absent for UFM.
+    ``data`` (the d x K*n matrix X) makes the problem MUFM, and without it
+    the problem is UFM (``kind``).  ``lam`` is the coefficient on
+    ||H||_F^2 for UFM and on the transport term ||H - X||_F^2 for MUFM.
     """
 
-    kind: str
     loss: str = param("mse", Domain(None, choices=LOSSES))
     num_classes: int = param(5, NUM_CLASSES)
     dim: int = param(20, NUM_CLASSES)  # a frame's d: K's domain, and >= num_classes
@@ -89,24 +86,24 @@ class SolveProblem:
     seed: int = param(0)
 
     def __post_init__(self):
-        typed_param("kind", self.kind, _KIND)
         check_fields(self)
         check_frame("dim", self.dim, self.num_classes)
-        shape = (self.dim, self.num_classes * self.per_class)
-        if self.kind == "mufm":
-            if self.data is None:
-                raise ValueError("mufm requires a data matrix X")
+        if self.data is not None:
+            shape = (self.dim, self.num_classes * self.per_class)
             data = np.asarray(self.data, dtype=np.float64).copy()
             if data.shape != shape:
                 raise ValueError(f"data must be {shape}, got {data.shape}")
             data.setflags(write=False)
             object.__setattr__(self, "data", data)
-        elif self.data is not None:
-            raise ValueError("ufm takes no data matrix")
         # built once here: the solver reads it every epoch
         labels = label_matrix(self.num_classes, self.per_class)
         labels.setflags(write=False)
         object.__setattr__(self, "_labels", labels)
+
+    @property
+    def kind(self) -> str:
+        """``"mufm"`` for a problem with a data matrix X, else ``"ufm"``."""
+        return "ufm" if self.data is None else "mufm"
 
     def label_matrix(self) -> np.ndarray:
         """The read-only one-hot label matrix Y of this problem."""
@@ -146,7 +143,7 @@ def _row_space_basis(p: SolveProblem, H0: np.ndarray) -> np.ndarray | None:
     least N."""
     if p.loss != "mse":
         return None
-    rows = np.vstack([H0, p.label_matrix()] + ([p.data] if p.kind == "mufm" else []))
+    rows = np.vstack([H0, p.label_matrix()] + ([] if p.data is None else [p.data]))
     if rows.shape[0] >= rows.shape[1]:
         return None
     return np.linalg.qr(rows.T)[0]
@@ -178,7 +175,7 @@ class _Stack:
         self.labels = np.repeat(labels[None], m, axis=0)
         self.data = None if data is None else np.repeat(data[None], m, axis=0)
         k, kn = p.num_classes, p.num_classes * p.per_class
-        if p.kind == "ufm":
+        if data is None:
             self.w_value, self.w_grad = 0.5 * p.lambda_w, p.lambda_w
             self.h_value, h_grad = 0.5 * self.lams, self.lams
         else:
@@ -259,7 +256,7 @@ def _gradient(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers):
     dz = _fit_gradient(s, W, C, buf)
     dw = np.matmul(dz, C.transpose(0, 2, 1), out=buf.dw)
     dc = np.matmul(W.transpose(0, 2, 1), dz, out=buf.dc)
-    feat = C if s.problem.kind == "ufm" else np.subtract(C, s.data, out=buf.diff)
+    feat = C if s.data is None else np.subtract(C, s.data, out=buf.diff)
     dw += np.multiply(W, s.w_grad, out=buf.w)
     dc += np.multiply(feat, s.h_grad, out=buf.h)
     return dw, dc
@@ -270,7 +267,7 @@ def _value(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray
     call, read from the buffers it left; the gradients stay intact."""
     fit = _fit_value(s, buf)
     w2 = np.add.reduce(np.multiply(W, W, out=buf.w), axis=(1, 2))
-    feat = C if s.problem.kind == "ufm" else buf.diff
+    feat = C if s.data is None else buf.diff
     f2 = np.add.reduce(np.multiply(feat, feat, out=buf.h), axis=(1, 2))
     return fit + s.w_value * w2 + s.h_value * f2
 

@@ -108,7 +108,7 @@ def make_problem(kind="mufm", loss="mse", num_classes=3, dim=5, per_class=4,
     if kind == "mufm":
         data = gen_gaussian_mixture(num_classes, dim, per_class, seed=[seed, 9]).features
     return SolveProblem(
-        kind=kind, loss=loss, num_classes=num_classes, dim=dim,
+        loss=loss, num_classes=num_classes, dim=dim,
         per_class=per_class, lambda_w=lambda_w, lam=lam, data=data, seed=seed,
     )
 
@@ -153,14 +153,14 @@ def network_fd_gaps(config, seed, step=1e-6):
             params[name] = 0.3 * rng.standard_normal(params[name].shape)
     x = rng.standard_normal((config.input_dim, 5))
     labels = rng.integers(0, config.num_classes, size=5)
-    _, _, grads = resnet_backward(params, x, labels, config.num_blocks)
+    _, _, grads = resnet_backward(params, x, labels)
     for name, theta in params.items():
         fd = np.zeros_like(theta)
         for idx in np.ndindex(theta.shape):
             theta[idx] += step
-            up = resnet_backward(params, x, labels, config.num_blocks)[0]
+            up = resnet_backward(params, x, labels)[0]
             theta[idx] -= 2 * step
-            down = resnet_backward(params, x, labels, config.num_blocks)[0]
+            down = resnet_backward(params, x, labels)[0]
             theta[idx] += step
             fd[idx] = (up - down) / (2 * step)
         yield name, grads[name] - fd, fd

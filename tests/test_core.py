@@ -382,6 +382,11 @@ class TestSerialization:
         assert read_stack_shape([path]) == fs.shape
         assert opened == [path, path]
 
+    @pytest.mark.parametrize("paths", [[], ()], ids=["list", "tuple"])
+    def test_empty_stack_is_refused(self, paths):
+        with pytest.raises(ValueError, match="^empty stack: no layer files$"):
+            read_stack_shape(paths)
+
     @pytest.mark.parametrize("content, cause, in_header", [
         (npy_bytes(np.full((2, 2, 1), None, dtype=object)), "expected dtype <f8, got |O", True),
         (npy_bytes(np.zeros((2, 2, 1), np.float32)), "expected dtype <f8, got <f4", True),

@@ -112,7 +112,7 @@ def _library_bounds():
 
 def _library_call(kind: str, name: str, value) -> None:
     """The library entry point of ``kind``'s ``name``, with it set to ``value``."""
-    ufm = SolveProblem(kind="ufm", loss="mse", num_classes=2, dim=2, per_class=1,
+    ufm = SolveProblem(loss="mse", num_classes=2, dim=2, per_class=1,
                        lambda_w=0.1, lam=0.1)
     if name in MIXTURE:
         gen_gaussian_mixture(2, 2, 1, **{name: value})
@@ -122,11 +122,11 @@ def _library_call(kind: str, name: str, value) -> None:
     elif kind == "train-resnet":
         TrainConfig(**{name: value})
     elif name in _fields(SolveProblem):
-        SolveProblem(kind="ufm", **{name: value})
+        SolveProblem(**{name: value})
     elif kind == "solve-ufm":
         solve(ufm, **{name: value})
     else:
-        mufm = dataclasses.replace(ufm, kind="mufm", data=np.zeros((2, 2)))
+        mufm = dataclasses.replace(ufm, data=np.zeros((2, 2)))
         sweep_lambda(mufm, **{"lambdas": [0.1], name: value})
 
 
@@ -405,7 +405,7 @@ class TestParamSchema:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             resolve_config(kind, overrides=[("loss", "foo")])
 
-    @pytest.mark.parametrize("make", [TrainConfig, functools.partial(SolveProblem, kind="ufm")])
+    @pytest.mark.parametrize("make", [TrainConfig, SolveProblem])
     @pytest.mark.parametrize("seed", [True, 2.5])
     def test_library_seeds_are_typed(self, make, seed):
         # a run's seed is not a --set key, but the library types it the same way
@@ -428,8 +428,8 @@ class TestParamSchema:
     def test_solve_problem_defaults_are_the_cli_defaults(self, kind):
         # each kind that builds a SolveProblem takes its fields' defaults
         defaults = _defaults(kind)
-        problem = SolveProblem(kind="ufm")
-        names = {f.name for f in dataclasses.fields(SolveProblem)} - {"kind", "data", "seed"}
+        problem = SolveProblem()
+        names = {f.name for f in dataclasses.fields(SolveProblem)} - {"data", "seed"}
         if kind == "sweep-lambda":  # its lambdas stand for lam
             names.remove("lam")
         for name in names:
@@ -529,6 +529,32 @@ class TestCells:
             format_cell("a,b")
         with pytest.raises(ValueError, match="comma"):
             format_cell("a\nb")
+        with pytest.raises(ValueError, match="comma"):
+            format_cell("a\rb")  # read_csv splits lines there too
+
+    @pytest.mark.parametrize("text, refused", [
+        ("12", True), ("\u0663", True), ("1_000", True), (" 7", True), ("Infinity", True),
+        # neither is a number literal, though one is a digit to str.isdigit
+        # and the other is one once its signs are stripped
+        ("\u00b2", False), ("+-5", False),
+    ])
+    def test_text_cell_reads_back_as_itself_or_is_refused(self, tmp_path, text, refused):
+        # the refused ones would read back as 12, 3.0, 1000.0, 7.0 and inf
+        path = tmp_path / "t.csv"
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                write_csv(path, ["c"], [(text,)])
+        else:
+            write_csv(path, ["c"], [(text,)])
+            assert read_csv(path) == (["c"], [(text,)])
+
+    @pytest.mark.parametrize("text", ["strictly-decreasing", "nonincreasing", "violated",
+                                      "pfc2", "undefined"])
+    def test_runner_text_cells_read_back_as_themselves(self, tmp_path, text):
+        # the verdicts, metric kinds and "undefined" the runners write
+        path = tmp_path / "t.csv"
+        write_csv(path, ["c"], [(text,)])
+        assert read_csv(path) == (["c"], [(text,)])
 
     def test_unsupported_types_rejected(self):
         with pytest.raises(TypeError, match="unsupported"):
@@ -536,7 +562,8 @@ class TestCells:
 
     def test_parse_cell_types(self):
         assert parse_cell("12") == 12 and isinstance(parse_cell("12"), int)
-        assert parse_cell("-4") == -4
+        assert parse_cell("-4") == -4 and parse_cell("+4") == 4
+        assert parse_cell("\u0663") == 3.0 and isinstance(parse_cell("\u0663"), float)
         assert parse_cell("0.25") == 0.25
         assert parse_cell("strictly-decreasing") == "strictly-decreasing"
 
@@ -651,6 +678,12 @@ class TestSpearman:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_fewer_than_two_points_rejected(self, points):
+        # before any mean: numpy warns on the mean of an empty slice
+        with pytest.raises(DegenerateInputError, match=f"at least two points, got {points}"):
+            spearman([1.0] * points, [2.0] * points)
 
 
 SMALL_SOLVE = {"num_classes": 3, "dim": 6, "per_class": 4, "epochs": 20, "trace_stride": 10}

@@ -216,7 +216,7 @@ class TestForward:
         config = tiny_config()
         params = init_params(config)
         x = np.random.default_rng(0).standard_normal((3, 6))
-        logits, features = resnet_forward(params, x, config.num_blocks)
+        logits, features = resnet_forward(params, x)
         assert logits.shape == (2, 6)
         assert len(features) == config.num_blocks + 1
         first = np.maximum(params["w_in"] @ x + params["b_in"][:, None], 0.0)
@@ -229,7 +229,7 @@ class TestForward:
             params[f"w_block_{l}"] = np.zeros_like(params[f"w_block_{l}"])
             params[f"b_block_{l}"] = np.zeros_like(params[f"b_block_{l}"])
         x = np.random.default_rng(1).standard_normal((3, 6))
-        _, features = resnet_forward(params, x, config.num_blocks)
+        _, features = resnet_forward(params, x)
         for layer in features[1:]:
             np.testing.assert_array_equal(layer, features[0])
 
@@ -243,7 +243,7 @@ class TestForward:
             "b_out": np.array([0.5]),
         }
         x = np.array([[2.0], [3.0]])
-        logits, features = resnet_forward(params, x, 1)
+        logits, features = resnet_forward(params, x)
         # x0 = relu((2, -3)) = (2, 0); block: relu((0*2+1*0+1, 2-1)) = (1, 1)
         np.testing.assert_array_equal(features[0], [[2.0], [0.0]])
         np.testing.assert_array_equal(features[1], [[3.0], [1.0]])
@@ -255,7 +255,7 @@ class TestForward:
         params = {name: 1e300 * np.abs(v) + 1e300 for name, v in
                   init_params(config).items()}
         x = np.abs(np.random.default_rng(2).standard_normal((3, 6))) + 1.0
-        logits, features = resnet_forward(params, x, config.num_blocks)
+        logits, features = resnet_forward(params, x)
         assert not np.all(np.isfinite(features[-1]))
         assert not np.all(np.isfinite(logits))
 
@@ -265,10 +265,26 @@ class TestForward:
         params = init_params(config)
         x = np.random.default_rng(columns).standard_normal((config.input_dim, columns))
         ref_logits, ref_features, _ = reference_forward(params, x, config.num_blocks)
-        logits, features = resnet_forward(params, x, config.num_blocks)
+        logits, features = resnet_forward(params, x)
         assert_same_bits(logits, ref_logits)
         for got, want in zip(features, ref_features, strict=True):
             assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_depth_is_read_from_the_parameters(self, change):
+        # a default six-block dict with block 5's weight gone, or with one key
+        # more, is no depth's init_params dict; neither pass runs a shallower net
+        params = init_params(TrainConfig())
+        if change == "missing":
+            del params["w_block_5"]
+        else:
+            params["w_block_6"] = params["w_block_5"]
+        x = np.random.default_rng(0).standard_normal((TrainConfig().input_dim, 4))
+        message = f"parameter keys {sorted(params)} are not the init_params keys"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            resnet_forward(params, x)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            resnet_backward(params, x, np.zeros(4, dtype=int))
 
     def test_holds_no_gradient_workspace(self):
         """At the default network and 1024 columns, the pass holds its two
@@ -278,10 +294,10 @@ class TestForward:
         config = TrainConfig()
         params = init_params(config)
         x = np.random.default_rng(0).standard_normal((config.input_dim, 1024))
-        resnet_forward(params, x, config.num_blocks)  # samples the fold once
+        resnet_forward(params, x)  # samples the fold once
         tracemalloc.start()
         try:
-            resnet_forward(params, x, config.num_blocks)
+            resnet_forward(params, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -311,8 +327,8 @@ class TestBackprop:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 7))
         labels = rng.integers(0, 2, size=7)
-        loss, acc, _ = resnet_backward(params, x, labels, 2)
-        logits, _ = resnet_forward(params, x, 2)
+        loss, acc, _ = resnet_backward(params, x, labels)
+        logits, _ = resnet_forward(params, x)
         assert loss == pytest.approx(ce_loss(logits, labels), rel=1e-12)
         assert acc == pytest.approx(accuracy(logits, labels))
 
@@ -324,12 +340,12 @@ class TestMatchesAllocatingReference:
             params, x, labels = network_case(seed, columns)
             ref_logits, ref_features, _ = reference_forward(params, x, 3)
             ref_loss, ref_acc, ref_grads = reference_backward(params, x, labels, 3)
-            logits, features = resnet_forward(params, x, 3)
+            logits, features = resnet_forward(params, x)
             assert_same_bits(logits, ref_logits)
             assert len(features) == len(ref_features)
             for got, want in zip(features, ref_features):
                 assert_same_bits(got, want)
-            loss, acc, grads = resnet_backward(params, x, labels, 3)
+            loss, acc, grads = resnet_backward(params, x, labels)
             assert (loss, acc) == (ref_loss, ref_acc)
             assert grads.keys() == ref_grads.keys()
             for name in ref_grads:
@@ -341,7 +357,7 @@ class TestMatchesAllocatingReference:
         workspace = None
         for seed in range(3):
             params, x, labels = network_case(seed, columns)
-            blocks = resnet._blocks(params, 3)
+            blocks = resnet._blocks(params)
             if workspace is None:
                 grads = [np.empty(block.shape) for block in blocks]
                 workspace = _Workspace(resnet._Net(blocks), columns)
@@ -361,18 +377,18 @@ class TestMatchesAllocatingReference:
     def test_calls_without_workspace_do_not_alias(self):
         params, x1, labels1 = network_case(0, 6)
         _, x2, labels2 = network_case(1, 6)
-        logits1, features1 = resnet_forward(params, x1, 3)
+        logits1, features1 = resnet_forward(params, x1)
         kept = [logits1.copy(), *(f.copy() for f in features1)]
-        logits2, features2 = resnet_forward(params, x2, 3)
+        logits2, features2 = resnet_forward(params, x2)
         for a in (logits1, *features1):
             for b in (logits2, *features2):
                 assert not np.shares_memory(a, b)
         for got, want in zip((logits1, *features1), kept):
             assert_same_bits(got, want)
 
-        _, _, grads1 = resnet_backward(params, x1, labels1, 3)
+        _, _, grads1 = resnet_backward(params, x1, labels1)
         kept = {name: g.copy() for name, g in grads1.items()}
-        _, _, grads2 = resnet_backward(params, x2, labels2, 3)
+        _, _, grads2 = resnet_backward(params, x2, labels2)
         for name, g in grads1.items():
             assert not any(np.shares_memory(g, other) for other in grads2.values())
             assert_same_bits(g, kept[name])
@@ -409,21 +425,21 @@ class TestBiasFold:
         # speedup was measured on (OpenBLAS's Haswell kernels); elsewhere
         # the passes keep their bits through the separate bias add.
         params = init_params(TrainConfig())
-        assert resnet._Net(resnet._blocks(params, TrainConfig().num_blocks)).folds(columns)
+        assert resnet._Net(resnet._blocks(params)).folds(columns)
 
     @pytest.mark.parametrize("columns", [7, 128])
     def test_separate_bias_add_keeps_the_bits(self, columns, monkeypatch):
         # the path taken at shapes where the fold would move bits
         monkeypatch.setattr(resnet, "_fold_is_exact", lambda *shape: False)
         params, x, labels = network_case(0, columns)
-        assert not _Workspace(resnet._Net(resnet._blocks(params, 3)), columns).fold
+        assert not resnet._Net(resnet._blocks(params)).folds(columns)
         ref_logits, ref_features, _ = reference_forward(params, x, 3)
-        logits, features = resnet_forward(params, x, 3)
+        logits, features = resnet_forward(params, x)
         assert_same_bits(logits, ref_logits)
         for got, want in zip(features, ref_features, strict=True):
             assert_same_bits(got, want)
         _, _, ref_grads = reference_backward(params, x, labels, 3)
-        _, _, grads = resnet_backward(params, x, labels, 3)
+        _, _, grads = resnet_backward(params, x, labels)
         for name in ref_grads:
             assert_same_bits(grads[name], ref_grads[name])
 
@@ -498,9 +514,7 @@ class TestTrainUpdates:
         data = tiny_data(config)
         before = init_params(config)
         order = np.random.default_rng([config.seed, 1]).permutation(8)
-        _, _, grads = resnet_backward(
-            before, data.features[:, order], data.labels()[order], config.num_blocks
-        )
+        _, _, grads = resnet_backward(before, data.features[:, order], data.labels()[order])
         trace = train(config, data)
         for name in before:
             np.testing.assert_array_equal(
@@ -694,9 +708,7 @@ class TestRecording:
         config = tiny_config(epochs=2)
         data = tiny_data(config)
         trace = train(config, data)
-        _, features = resnet_forward(
-            trace.params, data.features, config.num_blocks
-        )
+        _, features = resnet_forward(trace.params, data.features)
         np.testing.assert_array_equal(
             tuple(trace.final_layers())[config.num_blocks].features,
             features[config.num_blocks],

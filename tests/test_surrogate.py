@@ -121,14 +121,19 @@ def assert_same_solution(got, want):
 
 
 class TestProblemValidation:
-    def test_bad_kind_and_loss(self):
-        # each message names the field, its choices and the value
-        for field, value, message in (
-            ("kind", "nc", "kind must be one of ('ufm', 'mufm'), got 'nc'"),
-            ("loss", "hinge", "loss must be one of ('ce', 'mse'), got 'hinge'"),
-        ):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                make_problem(**{field: value})
+    def test_bad_loss(self):
+        # the message names the field, its choices and the value
+        message = "loss must be one of ('ce', 'mse'), got 'hinge'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_problem(loss="hinge")
+
+    def test_kind_follows_data(self):
+        assert SolveProblem().kind == "ufm"
+        mufm = SolveProblem(num_classes=3, dim=5, per_class=4, data=np.zeros((5, 12)))
+        assert mufm.kind == "mufm"
+        assert replace(mufm, data=None).kind == "ufm"
+        with pytest.raises(TypeError):
+            replace(mufm, kind="ufm")  # a property, not a field
 
     def test_needs_two_classes_and_positive_lambdas(self):
         # each message names one parameter and its value
@@ -152,26 +157,19 @@ class TestProblemValidation:
     def test_dim_below_classes_rejected(self, kind):
         data = np.zeros((2, 12)) if kind == "mufm" else None
         with pytest.raises(ValueError, match="dim must be >= num_classes"):
-            SolveProblem(kind=kind, loss="mse", num_classes=3, dim=2,
+            SolveProblem(loss="mse", num_classes=3, dim=2,
                          per_class=4, lambda_w=0.1, lam=0.1, data=data)
         make_problem(kind=kind, num_classes=3, dim=3)  # d = K is allowed
 
-    def test_data_presence_rules(self):
-        with pytest.raises(ValueError):
-            SolveProblem(kind="mufm", loss="mse", num_classes=3, dim=5,
-                         per_class=4, lambda_w=0.1, lam=0.1)
-        with pytest.raises(ValueError):
-            SolveProblem(kind="ufm", loss="mse", num_classes=3, dim=5,
-                         per_class=4, lambda_w=0.1, lam=0.1,
-                         data=np.zeros((5, 12)))
-        with pytest.raises(ValueError):
-            SolveProblem(kind="mufm", loss="mse", num_classes=3, dim=5,
+    def test_data_shape_checked(self):
+        with pytest.raises(ValueError, match=re.escape("data must be (5, 12), got (5, 11)")):
+            SolveProblem(loss="mse", num_classes=3, dim=5,
                          per_class=4, lambda_w=0.1, lam=0.1,
                          data=np.zeros((5, 11)))
 
     def test_data_copied_and_read_only(self):
         raw = np.zeros((5, 12))
-        p = SolveProblem(kind="mufm", loss="mse", num_classes=3, dim=5,
+        p = SolveProblem(loss="mse", num_classes=3, dim=5,
                          per_class=4, lambda_w=0.1, lam=0.1, data=raw)
         raw[0, 0] = 7.0
         assert p.data[0, 0] == 0.0
@@ -279,7 +277,7 @@ class TestGradients:
             assert np.linalg.norm(dh - fh) <= 1e-4 * max(1.0, np.linalg.norm(fh))
 
     def test_zero_state_has_zero_classifier_gradient(self):
-        p = SolveProblem(kind="mufm", loss="mse", num_classes=3, dim=5,
+        p = SolveProblem(loss="mse", num_classes=3, dim=5,
                          per_class=4, lambda_w=0.1, lam=0.1,
                          data=np.zeros((5, 12)))
         dw, _ = gradients(p, np.zeros((3, 5)), np.zeros((5, 12)))
