@@ -30,6 +30,7 @@ rescaled.
 from __future__ import annotations
 
 import io
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -55,6 +56,24 @@ def _to_window(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     scale rule (module docstring); inside it, or all zero, as they are."""
     exponent = _window_exponent(*arrays)
     return tuple(np.ldexp(a, -exponent) for a in arrays) if exponent else arrays
+
+
+def _aligned(*shape: int) -> np.ndarray:
+    """An uninitialised C-ordered float64 array of ``shape`` whose first
+    element sits on a 64-byte boundary: a slice of one 8 doubles longer."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
+
+
+def _aligned_like(a: np.ndarray) -> np.ndarray:
+    """An uninitialised float64 array of ``a``'s shape and memory order (its
+    axes from the largest stride to the smallest, as ``np.empty_like`` lays
+    them out), whose first element sits on a 64-byte boundary."""
+    axes = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    inverse = [axes.index(i) for i in range(a.ndim)]
+    return _aligned(*(a.shape[i] for i in axes)).transpose(inverse)
 
 
 class Domain(NamedTuple):

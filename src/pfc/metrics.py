@@ -149,10 +149,14 @@ class _Moments:
         from ``ts`` if given.
         """
         k, n = self.num_classes, self.per_class
-        if kind == "pfc1":
+        if kind != "pfc2":
+            # pfc3 reads pfc1's between-class sum too: where it is noise, every
+            # argmin ties to class 0, and the accuracy reads 1/K
             tr_between = weights @ self.between / k
+            what = "variance ratio" if kind == "pfc1" else "nearest class mean"
             _require_spread(tr_between, weights @ np.abs(self.between) / k, ts, kind,
-                            "all class means coincide; variance ratio undefined")
+                            f"all class means coincide; {what} undefined")
+        if kind == "pfc1":
             # a within trace below 0 is rounding noise
             return np.maximum(weights @ self.within / (k * n), 0.0) / tr_between
         if kind == "pfc2":
@@ -203,7 +207,12 @@ def nearest_class_means(fs: FeatureSet) -> np.ndarray:
 
 
 def pfc3(fs: FeatureSet) -> float:
-    """Nearest-class-center accuracy in [0, 1]."""
+    """Nearest-class-center accuracy in [0, 1].
+
+    Raises:
+        DegenerateInputError: if the between-class variance is zero (all
+            class means coincide), where every sample ties to class 0.
+    """
     return float(_Moments(fs).values("pfc3", _ONE)[0])
 
 

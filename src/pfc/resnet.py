@@ -44,7 +44,7 @@ replaces, so results are bit-identical to it.  ``resnet_forward`` returns
 fresh arrays, ``resnet_backward`` views of fresh gradient blocks.
 
 The operands of training's products start on 64-byte boundaries
-(``_aligned``): the flat vectors, the feature buffers, the workspace's
+(``core._aligned``): the flat vectors, the feature buffers, the workspace's
 pre-activations and backward scratch, and the gathered batch input.
 OpenBLAS's small-matrix kernels read their operands in place, and the
 default batch's forward product takes about a quarter less time on aligned
@@ -62,7 +62,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import (DEPTH, DIM, NUM_CLASSES, PER_CLASS, DivergenceError, FeatureSet,
+from .core import (DEPTH, DIM, NUM_CLASSES, PER_CLASS, DivergenceError, FeatureSet, _aligned,
                    check_fields, check_frame, ge, gt, param)
 from .metrics import PfcReport, measure
 
@@ -177,15 +177,6 @@ def _fold_is_exact(rows: int, depth: int, columns: int) -> bool:
         if not np.array_equal(np.hstack((w, b)) @ _with_ones(x), w @ x + b):
             return False
     return True
-
-
-def _aligned(*shape: int) -> np.ndarray:
-    """An uninitialised C-ordered float64 array of ``shape`` whose first
-    element sits on a 64-byte boundary: a slice of one 8 doubles longer."""
-    size = int(np.prod(shape))
-    raw = np.empty(size + 8)
-    start = -raw.ctypes.data % 64 // 8
-    return raw[start : start + size].reshape(shape)
 
 
 def _feature_block(layers: int, width: int, columns: int) -> list:

@@ -27,6 +27,16 @@ the iterates are updated in place; each lane takes the same floating-point
 operations as the allocating single-problem formulas.  Both return each
 lane's :class:`SolveResult` whole and measure nothing; callers do.
 
+Every array an epoch reads or writes starts on a 64-byte boundary
+(``core._aligned``): the stacked iterates and their steps, the per-lane
+labels, data and feature-gradient coefficients, and the scratch buffers.
+OpenBLAS's small-matrix kernels read their operands in place, and on
+aligned ones the stacked descent runs faster, with the same bits.  A
+buffer that a whole-lane sum of squares reads keeps the memory order of
+what it squares (``core._aligned_like``), so the sum adds in the order it
+would over a fresh product, for Fortran-ordered operands of ``objective``
+too.
+
 Under the MSE loss the descent runs in exact row-space coordinates.  The
 feature gradient W^T (W H - Y) / Kn plus lam H (UFM) or (lam / Kn)(H - X)
 (MUFM) is a combination of the rows of H, Y and X, so every iterate H_t
@@ -51,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEPTH, NUM_CLASSES, PER_CLASS, DivergenceError, Domain, check_fields,
-                   check_frame, ge, gt, param, typed_param)
+from .core import (DEPTH, NUM_CLASSES, PER_CLASS, DivergenceError, Domain, _aligned,
+                   _aligned_like, check_fields, check_frame, ge, gt, param, typed_param)
 
 LOSSES = ("ce", "mse")
 # each descent knob with solve's default and its domain, in _solve_stack's order
@@ -149,6 +159,13 @@ def _row_space_basis(p: SolveProblem, H0: np.ndarray) -> np.ndarray | None:
     return np.linalg.qr(rows.T)[0]
 
 
+def _filled(shape, a: np.ndarray) -> np.ndarray:
+    """An aligned C-ordered array of ``shape`` holding ``a`` broadcast to it."""
+    out = _aligned(*shape)
+    out[...] = a
+    return out
+
+
 class _Stack:
     """Problems that differ only in ``lam``, in the coordinates their descent
     runs in.
@@ -172,8 +189,8 @@ class _Stack:
             labels = labels @ basis
             if data is not None:
                 data = data @ basis
-        self.labels = np.repeat(labels[None], m, axis=0)
-        self.data = None if data is None else np.repeat(data[None], m, axis=0)
+        self.labels = _filled((m, *labels.shape), labels)
+        self.data = None if data is None else _filled((m, *data.shape), data)
         k, kn = p.num_classes, p.num_classes * p.per_class
         if data is None:
             self.w_value, self.w_grad = 0.5 * p.lambda_w, p.lambda_w
@@ -181,8 +198,7 @@ class _Stack:
         else:
             self.w_value, self.w_grad = p.lambda_w / (2.0 * k), p.lambda_w / k
             self.h_value, h_grad = self.lams / (2.0 * kn), self.lams / kn
-        width = labels.shape[1]
-        self.h_grad = np.repeat(h_grad, p.dim * width).reshape(m, p.dim, width)
+        self.h_grad = _filled((m, p.dim, labels.shape[1]), h_grad[:, None, None])
 
 
 class _Buffers:
@@ -193,21 +209,18 @@ class _Buffers:
     and leaves in place the parts of the fit that :func:`_value` reads.
     """
 
-    def __init__(self, W: np.ndarray, C: np.ndarray):
+    def __init__(self, s: _Stack, W: np.ndarray, C: np.ndarray):
         m, k, _ = W.shape
         width = C.shape[2]
-        logits = (m, k, width)
-        self.z = np.empty(logits)
-        self.exp = np.empty(logits)
-        self.dz = np.empty(logits)
-        self.columns = np.empty((4, m, 1, width))
-        # same memory order as the operands, so whole-lane sums of squares
-        # add in the order they would over a fresh product
-        self.w = np.empty_like(W, dtype=np.float64)
-        self.h = np.empty_like(C, dtype=np.float64)
-        self.diff = np.empty_like(C, dtype=np.float64)
-        self.dw = np.empty(W.shape)
-        self.dc = np.empty(C.shape)
+        self.z, self.exp, self.dz = (_aligned(m, k, width) for _ in range(3))
+        self.columns = _aligned(4, m, 1, width)
+        self.dw, self.dc = _aligned(*W.shape), _aligned(*C.shape)
+        # C - X in C order, as a fresh difference with the C-ordered X is
+        self.diff = _aligned(*C.shape)
+        # each square in the memory order of what it squares, so whole-lane
+        # sums of squares add in the order they would over a fresh product
+        self.w = _aligned_like(W)
+        self.h = _aligned_like(C if s.data is None else self.diff)
 
 
 def _fit_gradient(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray:
@@ -275,7 +288,7 @@ def _value(s: _Stack, W: np.ndarray, C: np.ndarray, buf: _Buffers) -> np.ndarray
 def _full_space(p: SolveProblem, W: np.ndarray, H: np.ndarray):
     _check_shapes(p, W, H)
     s, W, H = _Stack(p, [p.lam]), W[None], H[None]
-    buf = _Buffers(W, H)
+    buf = _Buffers(s, W, H)
     dw, dh = _gradient(s, W, H, buf)
     return _value(s, W, H, buf), dw, dh
 
@@ -326,11 +339,10 @@ def _solve_stack(p: SolveProblem, lams, lr: float, epochs: int, init_scale: floa
     C0 = H0 if basis is None else H0 @ basis
     s = _Stack(p, lams, basis)
     m = len(s.lams)
-    W = np.repeat(W0[None], m, axis=0)
-    C = np.repeat(C0[None], m, axis=0)
+    W, C = _filled((m, *W0.shape), W0), _filled((m, *C0.shape), C0)
 
-    buf = _Buffers(W, C)
-    step_w, step_c = np.empty_like(W), np.empty_like(C)
+    buf = _Buffers(s, W, C)
+    step_w, step_c = _aligned(*W.shape), _aligned(*C.shape)
     # overflow here is the divergence case the isfinite check reports
     with np.errstate(over="ignore", invalid="ignore"):
         dw, dc = _gradient(s, W, C, buf)
@@ -506,7 +518,7 @@ def multilayer_objective(p: SolveProblem, W: np.ndarray, layers) -> float:
     H_last = np.asarray(layers[-1], dtype=np.float64)
     _check_shapes(p, W, H_last)
     s, W_stack, H_stack = _Stack(p, [p.lam]), W[None], H_last[None]
-    buf = _Buffers(W_stack, H_stack)
+    buf = _Buffers(s, W_stack, H_stack)
     _fit_gradient(s, W_stack, H_stack, buf)
     fit = _fit_value(s, buf)[0]
     return (

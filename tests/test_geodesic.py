@@ -388,17 +388,29 @@ class TestScale:
         got = metric_values(path, "pfc2", [0.0, 1.0])
         assert got.tolist() == [pfc2(path.start), pfc2(path.end)]
 
-    @pytest.mark.parametrize("kind", ["pfc1", "pfc2"])
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
     @pytest.mark.parametrize("end_scale", [1e155, 1e160])
     def test_subnormal_spread_at_ends_far_apart_in_scale_is_refused(self, end_scale, kind):
         # windowed with the end, the start's between-class sum is subnormal
         # (about 1e-310 at 1e155): its lost bits once gave pfc1 19.8564 and
-        # pfc2 0.482914 at t = 0 for the start's 19.8547 and 0.482076
+        # pfc2 0.482914 at t = 0 for the start's 19.8547 and 0.482076; pfc3
+        # reads its gap table beside that sum, and is refused with it
         path = random_to_collapse_path(1, 4, 20, 8, end_scale=end_scale)
         with pytest.raises(DegenerateInputError, match=f"^{kind} degenerate at t=0.0: "
                            "centered class means underflow; their sum is subnormal$"):
             metric_values(path, kind, [0.0, 1.0])
         assert metric_values(path, kind, [1.0])[0] == getattr(measure(path.end), kind)
+
+    def test_coinciding_means_at_ends_far_apart_in_scale_are_refused(self):
+        # at 1e170 the start's between-class sum, windowed with the end, is 0:
+        # its gap table tied every sample to class 0, and pfc3 at t = 0 read
+        # 0.25 (1/K) for the start's 0.55
+        path = random_to_collapse_path(1, 4, 20, 8, end_scale=1e170)
+        for kind in ("pfc1", "pfc3"):
+            with pytest.raises(DegenerateInputError,
+                               match=f"^{kind} degenerate at t=0.0: all class means coincide; "):
+                metric_values(path, kind, [0.0, 1.0])
+        assert metric_values(path, "pfc3", [1.0])[0] == measure(path.end).pfc3
 
     def test_power_of_two_scaling_keeps_position_bits(self):
         for seed in range(20):

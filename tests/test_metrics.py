@@ -134,10 +134,20 @@ class TestPfc3:
         assert pfc3(fs) == 1.0
 
     def test_tie_goes_to_smallest_class(self):
-        # means are both 5: every sample ties, so class 0 counts correct.
+        # means are both 5: every sample ties, so class 0 is nearest
         fs = FeatureSet(np.array([[0.0, 10.0, 4.0, 6.0]]), num_classes=2, per_class=2)
-        assert pfc3(fs) == 0.5
         np.testing.assert_array_equal(nearest_class_means(fs), [0, 0, 0, 0])
+        # the class-1 sample at 1.5 is equidistant from the means 0 and 3
+        fs = FeatureSet(np.array([[-1.0, 1.0, 1.5, 4.5]]), num_classes=2, per_class=2)
+        np.testing.assert_array_equal(nearest_class_means(fs), [0, 0, 0, 1])
+        assert pfc3(fs) == 0.75
+
+    def test_coinciding_means_are_refused(self):
+        # with no spread between the means, every tie counts class 0 correct:
+        # 1/K, whatever the samples
+        fs = FeatureSet(np.array([[0.0, 10.0, 4.0, 6.0]]), num_classes=2, per_class=2)
+        with pytest.raises(DegenerateInputError, match="^all class means coincide; "):
+            pfc3(fs)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(9)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import network_fd_gaps, tiny_config
-from pfc import resnet
+from pfc import core, resnet
 from pfc.core import DivergenceError, FeatureSet
 from pfc.data import gen_gaussian_mixture
 from pfc.metrics import measure
@@ -632,7 +632,7 @@ class TestAlignment:
 
     def test_aligned_buffer(self):
         for shape in [(1,), (7,), (3, 5), (2, 65, 128)]:
-            a = resnet._aligned(*shape)
+            a = core._aligned(*shape)
             assert a.shape == shape and a.dtype == np.float64
             assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
 

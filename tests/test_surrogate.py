@@ -1,15 +1,17 @@
 """Surrogate model objectives, gradients, solvers and the chain identity."""
 
 import inspect
+import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import fd_gradients, make_problem, random_state
-from pfc import data, geodesic, metrics, surrogate
+from pfc import core, data, geodesic, metrics, surrogate
 from pfc.core import DivergenceError
 from pfc.surrogate import (
     SolveProblem,
@@ -242,12 +244,14 @@ class TestObjective:
     @pytest.mark.parametrize("kind", ["ufm", "mufm"])
     @pytest.mark.parametrize("loss", ["mse", "ce"])
     def test_matches_allocating_formulas_bit_for_bit(self, kind, loss):
-        for seed in range(4):
+        # C- and Fortran-ordered W and H: the kernel's sums of squares must
+        # add in the memory order of the allocating formulas' products
+        for seed, order in itertools.product(range(4), "CF"):
             p = make_problem(kind=kind, loss=loss, num_classes=4, dim=6,
                              per_class=5, seed=seed)
-            W, H = random_state(p, seed + 50)
+            W, H = (np.asarray(a, order=order) for a in random_state(p, seed + 50))
             value, dw, dh = reference_value_and_grad(p, W, H)
-            assert objective(p, W, H) == value
+            assert objective(p, W, H) == value, (seed, order)
             got_w, got_h = gradients(p, W, H)
             np.testing.assert_array_equal(got_w, dw, strict=True)
             np.testing.assert_array_equal(got_h, dh, strict=True)
@@ -448,10 +452,10 @@ class TestSolve:
         rng = np.random.default_rng(3)
         W = rng.standard_normal((3, p.num_classes, p.dim))
         C = rng.standard_normal((3, p.dim, p.num_classes * p.per_class))
-        fresh = surrogate._Buffers(W, C)
+        fresh = surrogate._Buffers(s, W, C)
         surrogate._gradient(s, W, C, fresh)
         want_value = surrogate._value(s, W, C, fresh)
-        buf = surrogate._Buffers(W, C)
+        buf = surrogate._Buffers(s, W, C)
         dw, dc = surrogate._gradient(s, W, C, buf)
         want = np.sqrt(np.sum(dw * dw, axis=(1, 2)) + np.sum(dc * dc, axis=(1, 2)))
         np.testing.assert_array_equal(surrogate._grad_norms(dw, dc, buf), want,
@@ -498,6 +502,43 @@ class TestSolve:
         assert np.array_equal(result.W, W)
         assert np.array_equal(result.H, H)
         assert np.array_equal(result.objective_trace, np.asarray(trace))
+
+
+class TestAlignment:
+    """Every array a solver epoch reads or writes starts on a 64-byte
+    boundary, where OpenBLAS's small-matrix kernels read it fastest."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_aligned_like_keeps_memory_order(self, order):
+        x = np.arange(24.0).reshape(2, 3, 4).copy(order=order)
+        for a in (x, x[None], x.transpose(1, 0, 2), x[:, ::-1]):
+            got, want = core._aligned_like(a), np.empty_like(a)
+            got[...], want[...] = a, a
+            assert got.shape == a.shape and got.dtype == np.float64
+            assert got.ctypes.data % 64 == 0
+            # the elements lie in memory in the order np.empty_like lays them
+            np.testing.assert_array_equal(got.ravel(order="K"), want.ravel(order="K"))
+
+    @pytest.mark.parametrize("loss", ["mse", "ce"])
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_solver_buffers_are_aligned(self, monkeypatch, lanes, loss):
+        buffers = {}
+        gradient = surrogate._gradient
+
+        def gradient_spy(s, W, C, buf):
+            steps = sys._getframe(1).f_locals  # _solve_stack's step buffers
+            buffers.update({"W": W, "C": C, "labels": s.labels, "data": s.data,
+                            "h_grad": s.h_grad, "step_w": steps["step_w"],
+                            "step_c": steps["step_c"], **vars(buf)})
+            assert W.shape[0] == lanes
+            return gradient(s, W, C, buf)
+
+        monkeypatch.setattr(surrogate, "_gradient", gradient_spy)
+        p = make_problem(loss=loss)
+        sweep_lambda(p, [0.01, 0.02, 0.05][:lanes], lr=0.1, epochs=3)
+        assert len(buffers) == 16  # the nine of _Buffers among them
+        unaligned = [name for name, a in buffers.items() if a.ctypes.data % 64]
+        assert not unaligned
 
 
 class TestRowSpaceReduction:
